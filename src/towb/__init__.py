@@ -22,7 +22,7 @@ from .solenoid import (CylinderFunction, CylinderSpec, MultiresResult,
                        multires_check, quasi_invariance_defect, sample_bases,
                        sample_path, sample_paths, shift_back, shift_forward,
                        u_apply, unitarity_check, v0_adjoint)
-from .system import (IfsSystem, PiecewiseAffineMap, WeightExpr, eval_weight,
+from .system import (IfsSystem, PiecewiseAffineMap, WeightExpr,
                      doubling_system, make_system, sys_a, sys_b, sys_d,
                      validate_system)
 from .transfer import (ConditionalKernel, IdentityCheck, IdentitySuiteResult,

@@ -4,10 +4,6 @@ Every subcommand loads a config file, assembles the system, runs one part of
 the machinery and emits a deterministic report: exit code 0 when every check
 passes, 1 on a failed check, 2 on configuration errors, 3 on numerical
 failures (non-convergence, domain errors).
-
-Orchestration is single-threaded; ``--threads`` is accepted for
-compatibility with batch drivers and recorded in the report, but results do
-not depend on it.
 """
 
 from __future__ import annotations
@@ -22,7 +18,8 @@ import numpy as np
 from .config import RunConfig, load_config
 from .errors import ConfigError, ConvergenceError, DomainError
 from .grid import IntervalSet, Measure
-from .harmonic import fourier_cascade_check, solve_harmonic
+from .harmonic import (HarmonicSolution, fourier_cascade_check,
+                       solve_harmonic)
 from .report import Report
 from .sigspace import defect_search, hutchinson_iterate, l1_membership
 from .solenoid import (CylinderFunction, CylinderSpec, PathMeasure,
@@ -38,13 +35,18 @@ MULTIRES_TOL = 1e-12
 HFM_TOL = 1e-8
 
 
-def _solved_path_measure(cfg: RunConfig, op: TransferOperator,
-                         lam: Measure) -> PathMeasure:
+def _converged_solution(cfg: RunConfig, op: TransferOperator,
+                        lam: Measure) -> HarmonicSolution:
     sol = solve_harmonic(op, lam, tol=cfg.solver_tol,
                          max_iter=cfg.solver_max_iter, seed=cfg.solver_seed)
     if not sol.converged:
         raise ConvergenceError("harmonic solve did not converge")
-    return PathMeasure.build(op, sol.h, lam)
+    return sol
+
+
+def _solved_path_measure(cfg: RunConfig, op: TransferOperator,
+                         lam: Measure) -> PathMeasure:
+    return PathMeasure.build(op, _converged_solution(cfg, op, lam).h, lam)
 
 
 def _write_columns(directory: str, name: str, xs, ys) -> None:
@@ -58,8 +60,7 @@ def _write_columns(directory: str, name: str, xs, ys) -> None:
 
 
 def _cmd_verify(args, cfg, op, lam, report: Report) -> None:
-    sol = solve_harmonic(op, lam, tol=cfg.solver_tol,
-                         max_iter=cfg.solver_max_iter, seed=cfg.solver_seed)
+    sol = _converged_solution(cfg, op, lam)
     suite = identity_suite(op, lam, sol.h, trials=args.trials,
                            seed=cfg.solver_seed)
     for check in suite.checks:
@@ -80,10 +81,7 @@ def _cmd_harmonic(args, cfg, op, lam, report: Report) -> None:
     report.add_check("harmonic_converged",
                      "PASS" if sol.converged else "FAIL",
                      sol.residual, cfg.solver_tol)
-    branches = op.system.branches
-    is_doubling = (len(branches) == 2 and abs(branches[0].slope - 0.5) < 1e-12
-                   and abs(branches[1].slope - 0.5) < 1e-12)
-    if is_doubling and sol.converged:
+    if op.system.is_doubling() and sol.converged:
         dev = fourier_cascade_check(op, sol.h, k_max=args.k_max,
                                     n_max=args.n_max)
         report.add_result("cascade_deviation", dev)
@@ -116,8 +114,7 @@ def _cmd_defect(args, cfg, op, lam, report: Report) -> None:
     member, value = l1_membership(lam, op)
     report.add_result("defect", value)
     report.add_result("membership", bool(member))
-    _, best = defect_search(op, starts=args.starts, steps=args.search_steps,
-                            seed=cfg.solver_seed)
+    _, best = defect_search(op, seed=cfg.solver_seed)
     report.add_result("search_best_defect", best)
     if args.plot_data:
         dec = op.rn_derivative(lam)
@@ -250,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="config file")
         p.add_argument("--plot-data", default=None, metavar="DIR",
                        help="write two-column plot data into DIR")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker hint (results are thread-independent)")
         p.add_argument("--seed", type=int, default=None,
                        help="override solver and sampler seeds")
         p.add_argument("--json", default=None, metavar="OUT",
@@ -273,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("defect", help="defect and membership certificate")
     common(p)
-    p.add_argument("--starts", type=int, default=4)
-    p.add_argument("--search-steps", type=int, default=25)
 
     p = sub.add_parser("cylinder", help="exact cylinder mass")
     common(p)

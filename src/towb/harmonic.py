@@ -95,13 +95,7 @@ def fourier_cascade_check(op: TransferOperator, h: GridFunction,
     midpoint rule, spectrally accurate for smooth integrands; the relevant
     frequencies must stay well below the grid size.
     """
-    branches = op.system.branches
-    is_doubling = (len(branches) == 2
-                   and abs(branches[0].slope - 0.5) < 1e-12
-                   and abs(branches[0].offset) < 1e-12
-                   and abs(branches[1].slope - 0.5) < 1e-12
-                   and abs(branches[1].offset - 0.5) < 1e-12)
-    if not is_doubling:
+    if not op.system.is_doubling():
         raise DomainError("cascade check applies to the doubling system only")
     if (2 ** k_max) * n_max >= op.n_grid // 4:
         raise DomainError("grid too coarse for the requested frequencies")

@@ -80,11 +80,6 @@ class WeightExpr:
         return WeightExpr.from_table(self.table * factor)
 
 
-def eval_weight(weight: WeightExpr, x):
-    """Evaluate a weight expression at a point or array."""
-    return weight(x)
-
-
 class PiecewiseAffineMap:
     """Expanding circle map given by affine pieces on ``[lo, hi)`` intervals."""
 
@@ -181,6 +176,14 @@ class IfsSystem:
     @property
     def n_branches(self) -> int:
         return len(self.branches)
+
+    def is_doubling(self) -> bool:
+        """Whether the branches are ``x/2`` and ``(x+1)/2``, in any order;
+        the probabilities and the weight are not constrained."""
+        pairs = sorted((br.offset, br.slope) for br in self.branches)
+        return len(pairs) == 2 and all(
+            abs(offset - want) < 1e-12 and abs(slope - 0.5) < 1e-12
+            for (offset, slope), want in zip(pairs, (0.0, 0.5)))
 
     def with_weight(self, weight: WeightExpr) -> "IfsSystem":
         return replace(self, weight=weight)

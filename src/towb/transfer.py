@@ -25,7 +25,7 @@ from .errors import DomainError
 from .grid import (GridFunction, IntervalSet, Measure, integrate,
                    integrate_over, pushforward, wrap_unit)
 from .sigspace import Decomposition, lebesgue_decompose
-from .system import WEIGHT_FLOOR, IfsSystem
+from .system import IfsSystem
 from .trig import TrigPoly
 
 IDENTITY_TOL = 1e-8
@@ -225,21 +225,19 @@ def _random_intervals(rng: np.random.Generator) -> IntervalSet:
 def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
                    trials: int = 100, seed: int = 0,
                    tol: float = IDENTITY_TOL) -> IdentitySuiteResult:
-    """Run the eight-part identity battery for ``(R, S, sigma, W, lam, h)``.
+    """Run the seven-part identity battery for ``(R, S, sigma, W, lam, h)``.
 
     Random test functions are trig polynomials of degree <= 8 with
     coefficients in ``[-1, 1]``, evaluated in closed form so residuals are
-    limited by rounding, not quadrature.  Checks needing ``1/W`` are skipped
-    with a label when the weight dips below the positivity floor on the
-    evaluation set; the harmonic-support check is gated on its hypothesis
-    ``sup R(W) <= 1``.
+    limited by rounding, not quadrature.  The preimage rule is skipped
+    without a closed-form weight; the harmonic-support check is gated on
+    its hypothesis ``sup R(W) <= 1``.
     """
     rng = np.random.default_rng(seed)
-    sys_ = op.system
     nodes = op.nodes
     mids = (np.arange(op.n_grid) + 0.5) / op.n_grid
-    weight = sys_.weight
-    sigma = sys_.sigma
+    weight = op.system.weight
+    sigma = op.system.sigma
 
     fs = [TrigPoly.random(rng) for _ in range(trials)]
     gs = [TrigPoly.random(rng) for _ in range(trials)]
@@ -287,60 +285,17 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
     checks.append(IdentityCheck("composition_multiplier", _status(resid, tol),
                                 resid, tol))
 
-    # reciprocal-weight guard for (d) and (e): W at every kernel evaluation
-    # point reachable from the quadrature set must clear the floor
-    support_mask = lam.cell_masses > 0
-    pts = [mids[support_mask]]
-    if lam.atoms:
-        pts.append(np.array([p for p, _ in lam.atoms]))
-    eval_points = np.concatenate(pts)
-    kernel_w = np.asarray(weight(op.branch_points(eval_points)), dtype=float)
-    w_ok = kernel_w.size == 0 or float(np.min(kernel_w)) >= WEIGHT_FLOOR
+    # (d) sigma-invariance: int f o sigma dlam = int f dlam.  This is also the
+    # pull-back density identity int f o sigma dlam = int R(1/W) f dlam,
+    # since R(1/W) = sum_i p_i W (1/W) = sum_i p_i = 1
+    resid = 0.0
+    for f in fs:
+        f_sig = _compose_sigma(op, f)
+        resid = max(resid, abs(integrate(f_sig, lam) - integrate(f, lam)))
+    checks.append(IdentityCheck("sigma_invariance", _status(resid, tol),
+                                resid, tol))
 
-    def r_reciprocal(x):
-        pts = op.branch_points(x)
-        acc = 0.0
-        for i, p in enumerate(sys_.probs):
-            wv = np.asarray(weight(pts[i]), dtype=float)
-            acc = acc + p * wv * (1.0 / wv)
-        return acc
-
-    # (d) pull-back density: int f o sigma dlam = int R(1/W) f dlam
-    if not w_ok:
-        checks.append(IdentityCheck("pullback_density", "SKIPPED", np.nan, tol,
-                                    note="weight below floor on kernel points"))
-    else:
-        resid = 0.0
-        for f in fs:
-            f_sig = _compose_sigma(op, f)
-            lhs = integrate(f_sig, lam)
-            rhs = integrate(lambda y, f=f: r_reciprocal(y) *
-                            np.asarray(f(y), dtype=float), lam)
-            resid = max(resid, abs(lhs - rhs))
-        checks.append(IdentityCheck("pullback_density", _status(resid, tol),
-                                    resid, tol))
-
-    # (e) invariance equivalence: lam is sigma-invariant iff R(1/W) = 1 on
-    # the support of lam
-    if not w_ok:
-        checks.append(IdentityCheck("invariance_equivalence", "SKIPPED",
-                                    np.nan, tol,
-                                    note="weight below floor on kernel points"))
-    else:
-        inv_resid = 0.0
-        for f in fs:
-            f_sig = _compose_sigma(op, f)
-            inv_resid = max(inv_resid,
-                            abs(integrate(f_sig, lam) - integrate(f, lam)))
-        rw_inv_resid = float(np.max(np.abs(r_reciprocal(eval_points) - 1.0))) \
-            if eval_points.size else 0.0
-        agree = (inv_resid < tol) == (rw_inv_resid < tol)
-        checks.append(IdentityCheck(
-            "invariance_equivalence", "PASS" if agree else "FAIL",
-            max(inv_resid, rw_inv_resid), tol,
-            note=f"invariance {inv_resid:.2e}, multiplier {rw_inv_resid:.2e}"))
-
-    # (f) preimage weight-square rule: int_{sigma^-1 E} W^2 dlam = int_E R(W) dlam
+    # (e) preimage weight-square rule: int_{sigma^-1 E} W^2 dlam = int_E R(W) dlam
     rw_sym = op.rw_multiplier_symbolic()
     if w_tp is None or rw_sym is None:
         checks.append(IdentityCheck("preimage_weight_square", "SKIPPED",
@@ -356,7 +311,7 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
         checks.append(IdentityCheck("preimage_weight_square",
                                     _status(resid, tol), resid, tol))
 
-    # (g) harmonic support multiplier: where h != 0, R(W) = 1 -- only under
+    # (f) harmonic support multiplier: where h != 0, R(W) = 1 -- only under
     # the contractivity hypothesis sup R(W) <= 1
     rw_vals = np.concatenate([np.asarray(rw_fn(nodes), dtype=float),
                               np.asarray(rw_fn(mids), dtype=float)])
@@ -373,7 +328,7 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
         checks.append(IdentityCheck("harmonic_support_multiplier",
                                     _status(resid, tol), resid, tol))
 
-    # (h) kernel sup bound: |R(f h)(x)| <= sup|f| * h(x)
+    # (g) kernel sup bound: |R(f h)(x)| <= sup|f| * h(x)
     h_on_grid = h.resample(op.n_grid)
     branch_nodes = op.branch_points(nodes).ravel()
     resid = 0.0

@@ -83,7 +83,7 @@ class TestCli:
         assert code == 0
         payload = json.loads(out.read_text())
         statuses = [c["status"] for c in payload["checks"]]
-        assert statuses.count("PASS") == 7
+        assert statuses.count("PASS") == 6
         assert statuses.count("SKIPPED") == 1
 
     def test_verify_sys_a_all_pass(self, capsys):
@@ -99,8 +99,7 @@ class TestCli:
 
     def test_defect_sys_c(self, capsys, tmp_path):
         out = tmp_path / "rep.json"
-        code = main(["defect", "--config", SYS_C, "--starts", "1",
-                     "--search-steps", "5", "--json", str(out)])
+        code = main(["defect", "--config", SYS_C, "--json", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["results"]["membership"] is False
@@ -122,6 +121,24 @@ class TestCli:
     def test_harmonic_subcommand(self, capsys):
         assert main(["harmonic", "--config", SYS_B, "--k-max", "3",
                      "--n-max", "4"]) == 0
+
+    def test_harmonic_cascade_on_swapped_branches(self, capsys, tmp_path):
+        # listing the doubling branches in the other order is the same
+        # operator, so the cascade check still applies
+        text = load_config(SYS_B).emit()
+        assert "branch_offsets = [0.0, 0.5]" in text
+        text = text.replace("branch_offsets = [0.0, 0.5]",
+                            "branch_offsets = [0.5, 0.0]")
+        cfg = tmp_path / "swapped.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "rep.json"
+        code = main(["harmonic", "--config", str(cfg), "--k-max", "3",
+                     "--n-max", "4", "--json", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        cascade = [c for c in payload["checks"]
+                   if c["name"] == "fourier_cascade"]
+        assert [c["status"] for c in cascade] == ["PASS"]
 
     def test_quasi_subcommand(self, capsys):
         assert main(["quasi", "--config", SYS_A, "--trials", "3"]) == 0
@@ -168,6 +185,17 @@ class TestCli:
         code = main(["cylinder", "--config", str(cfg), "--x", "0.3",
                      "--sets", "[0,0.25)"])
         assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_verify_unconverged_solve_exit_code(self, capsys, tmp_path):
+        # the identity suite needs a converged fixed function, like the
+        # path-space commands
+        text = load_config(SYS_B).emit()
+        assert "max_iter = 2000" in text
+        text = text.replace("max_iter = 2000", "max_iter = 1")
+        cfg = tmp_path / "one_step.cfg"
+        cfg.write_text(text)
+        assert main(["verify", "--config", str(cfg), "--trials", "5"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
     def test_reports_are_deterministic(self, capsys, tmp_path):

@@ -6,11 +6,27 @@ from towb import (GridFunction, Measure, SigElement, TransferOperator, defect,
                   defect_search, hutchinson_iterate, l1_membership,
                   lebesgue_decompose, sig_distance_sq, sig_inner, sig_norm_sq)
 from towb.errors import DomainError
+from towb.sigspace import _match_atoms
 from towb.system import WeightExpr, make_system
 
 
 def _one(n):
     return GridFunction.constant(1.0, n)
+
+
+def _defect_integrand(lam, pushed):
+    """Reference defect: the square-density integrand
+    ``(sqrt(a) - sqrt(min(w b, a)))^2`` summed cell by cell and atom by atom,
+    plus the unmatched atoms of the push."""
+    dec = lebesgue_decompose(pushed, lam)
+    a = pushed.cell_masses
+    ac_cells = dec.density.values * lam.cell_masses
+    total = float(np.sum((np.sqrt(a) - np.sqrt(np.minimum(ac_cells, a))) ** 2))
+    matched, unmatched = _match_atoms(pushed, lam)
+    for lam_pos, mass, lam_mass in matched:
+        ac_mass = dec.atom_density.get(lam_pos, 0.0) * lam_mass
+        total += float((np.sqrt(mass) - np.sqrt(min(ac_mass, mass))) ** 2)
+    return total + sum(mass for _, mass in unmatched)
 
 
 class TestLebesgueDecompose:
@@ -112,6 +128,30 @@ class TestDefect:
         value = defect(Measure.dirac(0.0, op_a.n_grid), op_a)
         assert value == pytest.approx(0.5, abs=1e-12)
 
+    def test_matches_square_density_integrand(self, op_a, op_b, op_d):
+        # random cells with gaps plus atoms, some placed on the branch images
+        # of other atoms so that pushed atoms land both on and off lam's
+        rng = np.random.default_rng(5)
+        n_matched = n_unmatched = n_positive = 0
+        for op in (op_a, op_b, op_d):
+            n = op.n_grid
+            for _ in range(6):
+                cells = rng.random(n) * (rng.random(n) > 0.5)
+                bases = rng.random(2)
+                atoms = [(p, rng.random() + 0.1) for p in bases]
+                atoms += [(p, rng.random() + 0.1)
+                          for p in op.branch_points(bases).ravel()
+                          if rng.random() < 0.5]
+                lam = Measure(cells, atoms).normalized()
+                pushed = op.push_measure(lam)
+                matched, unmatched = _match_atoms(pushed, lam)
+                n_matched += len(matched)
+                n_unmatched += len(unmatched)
+                value = defect(lam, op)
+                n_positive += value > 0
+                assert abs(value - _defect_integrand(lam, pushed)) <= 1e-15
+        assert n_matched > 0 and n_unmatched > 0 and n_positive > 0
+
     def test_requires_probability(self, op_a):
         with pytest.raises(DomainError):
             defect(Measure.lebesgue(op_a.n_grid).scaled(2.0), op_a)
@@ -172,16 +212,25 @@ class TestHutchinson:
 
 class TestDefectSearch:
     def test_finds_zero_for_sys_b(self, op_b):
-        _, best = defect_search(op_b, starts=2, steps=10, seed=0)
-        assert best < 1e-6
+        _, best = defect_search(op_b, seed=0)
+        assert best == 0.0
 
     def test_finds_zero_for_sys_d(self, op_d):
-        _, best = defect_search(op_d, starts=2, steps=10, seed=0)
-        assert best < 1e-6
+        _, best = defect_search(op_d, seed=0)
+        assert best == 0.0
+
+    def test_draw_has_full_support_and_no_atoms(self, op_a, op_b, op_d):
+        # full cell support is why the push has no singular part
+        for op in (op_a, op_b, op_d):
+            lam, value = defect_search(op, seed=0)
+            assert value == 0.0
+            assert lam.is_probability()
+            assert np.all(lam.cell_masses > 0)
+            assert lam.atoms == ()
 
     def test_deterministic_given_seed(self, op_b):
-        a = defect_search(op_b, starts=2, steps=5, seed=42)
-        b = defect_search(op_b, starts=2, steps=5, seed=42)
+        a = defect_search(op_b, seed=42)
+        b = defect_search(op_b, seed=42)
         assert a[1] == b[1]
         assert np.array_equal(a[0].cell_masses, b[0].cell_masses)
 

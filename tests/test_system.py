@@ -26,9 +26,6 @@ class TestWeightExpr:
         w = WeightExpr.trig(2.0, [1.0]).scaled(0.5)
         assert w(0.0) == pytest.approx(1.5)
 
-    def test_eval_weight_helper(self):
-        assert towb.eval_weight(WeightExpr.constant(4.0), 0.9) == 4.0
-
 
 class TestPiecewiseAffineMap:
     def test_doubling(self):
