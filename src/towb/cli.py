@@ -21,7 +21,8 @@ from .grid import IntervalSet, Measure
 from .harmonic import (HarmonicSolution, fourier_cascade_check,
                        solve_harmonic)
 from .report import Report
-from .sigspace import defect_search, hutchinson_iterate, l1_membership
+from .sigspace import (defect_search, hutchinson_iterate, membership,
+                       pushed_decomposition)
 from .solenoid import (CylinderFunction, CylinderSpec, PathMeasure,
                        cylinder_mass, empirical_cylinder_frequency,
                        harmonic_from_measure, markov_deviation,
@@ -49,6 +50,12 @@ def _solved_path_measure(cfg: RunConfig, op: TransferOperator,
     return PathMeasure.build(op, _converged_solution(cfg, op, lam).h, lam)
 
 
+def _require_trials(args) -> None:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}",
+                          field="trials")
+
+
 def _write_columns(directory: str, name: str, xs, ys) -> None:
     os.makedirs(directory, exist_ok=True)
     np.savetxt(os.path.join(directory, name),
@@ -60,6 +67,7 @@ def _write_columns(directory: str, name: str, xs, ys) -> None:
 
 
 def _cmd_verify(args, cfg, op, lam, report: Report) -> None:
+    _require_trials(args)
     sol = _converged_solution(cfg, op, lam)
     suite = identity_suite(op, lam, sol.h, trials=args.trials,
                            seed=cfg.solver_seed)
@@ -111,13 +119,13 @@ def _cmd_measure(args, cfg, op, lam, report: Report) -> None:
 
 
 def _cmd_defect(args, cfg, op, lam, report: Report) -> None:
-    member, value = l1_membership(lam, op)
+    dec = pushed_decomposition(lam, op)
+    member, value = membership(dec)
     report.add_result("defect", value)
     report.add_result("membership", bool(member))
     _, best = defect_search(op, seed=cfg.solver_seed)
     report.add_result("search_best_defect", best)
     if args.plot_data:
-        dec = op.rn_derivative(lam)
         _write_columns(args.plot_data, "density.dat", lam.cell_midpoints(),
                        dec.density.values)
 
@@ -176,6 +184,7 @@ def _cmd_sample(args, cfg, op, lam, report: Report) -> None:
 
 
 def _cmd_quasi(args, cfg, op, lam, report: Report) -> None:
+    _require_trials(args)
     pm = _solved_path_measure(cfg, op, lam)
     rng = np.random.default_rng(cfg.sampler_seed)
     worst = 0.0

@@ -290,62 +290,67 @@ class IntervalSet:
 # -- quadrature ---------------------------------------------------------
 
 
-def integrate(f, mu: Measure) -> float:
+def _per_trial(total) -> float | np.ndarray:
+    """A float for one integrand, an array for a batch of trials."""
+    return float(total) if np.ndim(total) == 0 else np.asarray(total)
+
+
+def integrate(f, mu: Measure) -> float | np.ndarray:
     """Integral of ``f`` against ``mu``.
 
     Trig polynomials are integrated in closed form against the cell density,
     so their integrals are exact to rounding.  Grid functions and other
     callables use the midpoint rule, exact for functions linear on each cell
     and ``O(N^-2)`` for smooth ones.  Atoms are evaluated pointwise either way.
+    An integrand whose values carry a trailing trials axis (a batched
+    :class:`TrigPoly`) gives one integral per trial.
     """
     if isinstance(f, GridFunction) and f.n_cells != mu.n_cells:
         f = f.resample(mu.n_cells)
-    total = 0.0
     if isinstance(f, TrigPoly):
         edges = np.arange(mu.n_cells + 1) / mu.n_cells
         anti = f.antiderivative_values(edges)
         densities = mu.cell_masses * mu.n_cells
-        total += float(np.dot(np.diff(anti), densities))
+        total = np.dot(np.diff(anti, axis=0).T, densities)
     else:
         vals = np.asarray(f(mu.cell_midpoints()), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise DomainError("integrand produced non-finite values")
-        total += float(np.dot(vals, mu.cell_masses))
+        total = np.dot(vals.T, mu.cell_masses)
     for pos, mass in mu.atoms:
-        v = float(f(pos))
-        if not np.isfinite(v):
+        v = np.asarray(f(pos), dtype=float)
+        if not np.all(np.isfinite(v)):
             raise DomainError("integrand produced non-finite values at an atom")
-        total += v * mass
-    return total
+        total = total + v * mass
+    return _per_trial(total)
 
 
-def integrate_over(f, mu: Measure, region: IntervalSet) -> float:
+def integrate_over(f, mu: Measure, region: IntervalSet) -> float | np.ndarray:
     """Integral of ``f`` over ``region`` against ``mu``.
 
-    For trig polynomials the cell-by-cell antiderivative makes the sharp
-    region boundary exact; for other integrands the indicator is applied at
-    cell midpoints (``O(N^-1)`` near the boundary).
+    For trig polynomials the antiderivative at the cell edges clipped to
+    each region interval makes the sharp region boundary exact; for other
+    integrands the indicator is applied at cell midpoints (``O(N^-1)`` near
+    the boundary).  A batched :class:`TrigPoly` gives one integral per trial.
     """
     if isinstance(f, TrigPoly):
         n = mu.n_cells
         total = 0.0
         for lo, hi in region.intervals:
             j0, j1 = int(np.floor(lo * n)), min(int(np.ceil(hi * n)), n)
-            for j in range(max(j0, 0), j1):
-                a, b = max(lo, j / n), min(hi, (j + 1) / n)
-                if b > a and mu.cell_masses[j] > 0:
-                    total += f.integral(a, b) * mu.cell_masses[j] * n
-        for pos, mass in mu.atoms:
-            if region.indicator(pos):
-                total += float(f(pos)) * mass
-        return total
-    mids = mu.cell_midpoints()
-    vals = np.asarray(f(mids), dtype=float) * np.asarray(region.indicator(mids))
-    total = float(np.dot(vals, mu.cell_masses))
+            edges = np.clip(np.arange(j0, j1 + 1) / n, lo, hi)
+            anti = f.antiderivative_values(edges)
+            total = total + np.dot(np.diff(anti, axis=0).T,
+                                   mu.cell_masses[j0:j1] * n)
+    else:
+        mids = mu.cell_midpoints()
+        vals = (np.asarray(f(mids), dtype=float) *
+                np.asarray(region.indicator(mids)))
+        total = float(np.dot(vals, mu.cell_masses))
     for pos, mass in mu.atoms:
         if region.indicator(pos):
-            total += float(f(pos)) * mass
-    return total
+            total = total + np.asarray(f(pos), dtype=float) * mass
+    return _per_trial(total)
 
 
 # -- pushforward --------------------------------------------------------

@@ -134,9 +134,24 @@ def defect(lam: Measure, op: "TransferOperator") -> float:
     the singular mass of ``lam . R`` and certifies absolute continuity at
     grid scale.  Always nonnegative.
     """
+    return pushed_decomposition(lam, op).singular.total()
+
+
+def pushed_decomposition(lam: Measure,
+                         op: "TransferOperator") -> Decomposition:
+    """Lebesgue decomposition of ``lam . R`` against the probability
+    measure ``lam``; its singular mass is the defect."""
     if not lam.is_probability():
         raise DomainError("defect is defined for probability measures only")
-    return op.rn_derivative(lam).singular.total()
+    return op.rn_derivative(lam)
+
+
+def membership(dec: Decomposition,
+               tol: float = 1e-8) -> tuple[bool, float]:
+    """``(member, defect_value)`` read off the decomposition of a pushed
+    measure: membership requires its singular mass to fall below ``tol``."""
+    value = dec.singular.total()
+    return value < tol, value
 
 
 def l1_membership(lam: Measure, op: "TransferOperator",
@@ -146,8 +161,7 @@ def l1_membership(lam: Measure, op: "TransferOperator",
     Returns ``(member, defect_value)``; membership requires the defect, the
     singular mass of the pushed measure, to fall below ``tol``.
     """
-    value = defect(lam, op)
-    return value < tol, value
+    return membership(pushed_decomposition(lam, op), tol)
 
 
 def hutchinson_iterate(system: "IfsSystem", lam0: Measure,

@@ -11,6 +11,7 @@ deliberately broken systems for negative controls.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +56,12 @@ class WeightExpr:
         return cls(kind="table", table=table)
 
     def as_trigpoly(self) -> TrigPoly | None:
+        return self._trigpoly
+
+    @cached_property
+    def _trigpoly(self) -> TrigPoly | None:
+        # built once per weight: the weight is evaluated on every operator
+        # application, and a TrigPoly is immutable
         if self.kind == "constant":
             return TrigPoly.constant(self.const)
         if self.kind == "trig":

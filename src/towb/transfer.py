@@ -29,6 +29,16 @@ from .system import IfsSystem
 from .trig import TrigPoly
 
 IDENTITY_TOL = 1e-8
+# Trials evaluated together in the identity suite: large enough that the
+# per-call overhead vanishes, small enough to keep the batched value arrays
+# at a few MB.
+_TRIAL_BLOCK = 25
+
+
+def _broadcast_to_trials(a: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``a`` with a length-1 axis appended when ``vals`` has an extra
+    trailing trials axis."""
+    return a[..., None] if vals.ndim > a.ndim else a
 
 
 @dataclass(frozen=True)
@@ -79,6 +89,8 @@ class TransferOperator:
         Shares its arithmetic path with :meth:`kernel`: masses
         ``p_i * W(tau_i x)`` are formed first, multiplied by the sample
         values, and summed over branches, so the two agree bit for bit.
+        When ``f`` returns values with a trailing trials axis, the masses
+        broadcast over it.
         """
         probs = np.array(self.system.probs)
         weight = self.system.weight
@@ -88,7 +100,7 @@ class TransferOperator:
             w = np.asarray(weight(pts), dtype=float)
             masses = probs.reshape((-1,) + (1,) * (pts.ndim - 1)) * w
             vals = np.asarray(f(pts), dtype=float)
-            return (masses * vals).sum(axis=0)
+            return (_broadcast_to_trials(masses, vals) * vals).sum(axis=0)
 
         return rf
 
@@ -112,11 +124,13 @@ class TransferOperator:
         return acc
 
     def adjoint_fn(self, f):
-        """``S f = W * (f o sigma)`` as a callable."""
+        """``S f = W * (f o sigma)`` as a callable; ``W`` broadcasts over a
+        trailing trials axis of the values of ``f``."""
         weight, sigma = self.system.weight, self.system.sigma
 
         def sf(x):
-            return np.asarray(weight(x)) * np.asarray(f(sigma(x)), dtype=float)
+            vals = np.asarray(f(sigma(x)), dtype=float)
+            return _broadcast_to_trials(np.asarray(weight(x)), vals) * vals
 
         return sf
 
@@ -229,19 +243,27 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
 
     Random test functions are trig polynomials of degree <= 8 with
     coefficients in ``[-1, 1]``, evaluated in closed form so residuals are
-    limited by rounding, not quadrature.  The preimage rule is skipped
-    without a closed-form weight; the harmonic-support check is gated on
-    its hypothesis ``sup R(W) <= 1``.
+    limited by rounding, not quadrature.  They are evaluated as batches of
+    up to ``_TRIAL_BLOCK`` trials along a trailing axis; the draws are the
+    ones ``trials`` single ``TrigPoly.random`` calls would make.  The
+    preimage rule is skipped without a closed-form weight; the
+    harmonic-support check is gated on its hypothesis ``sup R(W) <= 1``.
     """
+    if trials < 1:
+        raise DomainError("the identity suite needs at least one trial")
     rng = np.random.default_rng(seed)
     nodes = op.nodes
     mids = (np.arange(op.n_grid) + 0.5) / op.n_grid
     weight = op.system.weight
     sigma = op.system.sigma
 
-    fs = [TrigPoly.random(rng) for _ in range(trials)]
-    gs = [TrigPoly.random(rng) for _ in range(trials)]
+    all_fs = TrigPoly.random(rng, trials=trials)
+    all_gs = TrigPoly.random(rng, trials=trials)
     regions = [_random_intervals(rng) for _ in range(trials)]
+    blocks = [slice(i, i + _TRIAL_BLOCK)
+              for i in range(0, trials, _TRIAL_BLOCK)]
+    fs = [all_fs.take_trials(b) for b in blocks]
+    gs = [all_gs.take_trials(b) for b in blocks]
 
     checks: list[IdentityCheck] = []
 
@@ -266,21 +288,22 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
             lhs = integrate(w_tp * f_sig * g, lam)
             rhs = integrate(f * rg, lam)
         else:
-            lhs = integrate(lambda y: np.asarray(weight(y)) *
+            lhs = integrate(lambda y: np.asarray(weight(y))[..., None] *
                             np.asarray(f_sig(y)) * np.asarray(g(y)), lam)
             rhs = integrate(lambda y, g=g: np.asarray(f(y)) *
                             np.asarray(op.apply_fn(g)(y)), lam)
-        resid = max(resid, abs(lhs - rhs))
+        resid = max(resid, float(np.max(np.abs(lhs - rhs))))
     checks.append(IdentityCheck("adjoint_duality", _status(resid, tol),
                                 resid, tol))
 
     # (c) R R* f = R(W) f
     resid = 0.0
     rw_fn = op.apply_fn(weight)
+    rw_nodes = np.asarray(rw_fn(nodes), dtype=float)
     for f in fs:
         sf = op.adjoint_fn(f)
         lhs = op.apply_fn(sf)(nodes)
-        rhs = np.asarray(rw_fn(nodes)) * np.asarray(f(nodes))
+        rhs = rw_nodes[:, None] * np.asarray(f(nodes))
         resid = max(resid, float(np.max(np.abs(lhs - rhs))))
     checks.append(IdentityCheck("composition_multiplier", _status(resid, tol),
                                 resid, tol))
@@ -291,7 +314,8 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
     resid = 0.0
     for f in fs:
         f_sig = _compose_sigma(op, f)
-        resid = max(resid, abs(integrate(f_sig, lam) - integrate(f, lam)))
+        diff = integrate(f_sig, lam) - integrate(f, lam)
+        resid = max(resid, float(np.max(np.abs(diff))))
     checks.append(IdentityCheck("sigma_invariance", _status(resid, tol),
                                 resid, tol))
 
@@ -313,8 +337,7 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
 
     # (f) harmonic support multiplier: where h != 0, R(W) = 1 -- only under
     # the contractivity hypothesis sup R(W) <= 1
-    rw_vals = np.concatenate([np.asarray(rw_fn(nodes), dtype=float),
-                              np.asarray(rw_fn(mids), dtype=float)])
+    rw_vals = np.concatenate([rw_nodes, np.asarray(rw_fn(mids), dtype=float)])
     sup_rw = float(np.max(rw_vals))
     if sup_rw > 1.0 + 1e-9:
         checks.append(IdentityCheck(
@@ -323,7 +346,7 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
     else:
         hv = h.resample(op.n_grid).values
         active = np.abs(hv) > 1e-10
-        resid = float(np.max(np.abs(np.asarray(rw_fn(nodes))[active] - 1.0))) \
+        resid = float(np.max(np.abs(rw_nodes[active] - 1.0))) \
             if np.any(active) else 0.0
         checks.append(IdentityCheck("harmonic_support_multiplier",
                                     _status(resid, tol), resid, tol))
@@ -331,13 +354,14 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
     # (g) kernel sup bound: |R(f h)(x)| <= sup|f| * h(x)
     h_on_grid = h.resample(op.n_grid)
     branch_nodes = op.branch_points(nodes).ravel()
+    h_nodes = np.asarray(h_on_grid(nodes))
     resid = 0.0
     for f in fs:
-        sup_f = float(np.max(np.abs(np.concatenate(
-            [np.asarray(f(branch_nodes)), np.asarray(f(nodes))]))))
+        sup_f = np.max(np.abs(np.concatenate(
+            [np.asarray(f(branch_nodes)), np.asarray(f(nodes))])), axis=0)
         rfh = op.apply_fn(lambda y, f=f: np.asarray(f(y)) *
-                          np.asarray(h_on_grid(y)))(nodes)
-        excess = np.abs(rfh) - sup_f * np.asarray(h_on_grid(nodes))
+                          np.asarray(h_on_grid(y))[..., None])(nodes)
+        excess = np.abs(rfh) - sup_f * h_nodes[:, None]
         resid = max(resid, float(np.max(excess)))
     checks.append(IdentityCheck("kernel_sup_bound", _status(resid, tol),
                                 resid, tol))

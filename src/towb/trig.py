@@ -16,7 +16,7 @@ All instances are immutable and safe to share between threads.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -25,17 +25,52 @@ _PRUNE = 1e-15
 
 
 class TrigPoly:
+    """``sum_k c_k exp(2 pi i f_k x)`` with real values up to rounding.
+
+    ``coefs`` has shape ``(F,)``, or ``(F, T)`` for a batch of ``T``
+    polynomials (trials) sharing the frequencies ``freqs``.  Values,
+    antiderivatives and integrals of a batch carry the trials axis last;
+    ``+`` and ``*`` pair trials elementwise and broadcast a single
+    polynomial against a batch.
+    """
+
     __slots__ = ("freqs", "coefs")
 
     def __init__(self, terms: dict[float, complex]):
-        items = sorted((float(f), complex(c)) for f, c in terms.items()
-                       if abs(c) > _PRUNE)
-        if not items:
-            items = [(0.0, 0j)]
-        self.freqs = np.array([f for f, _ in items], dtype=float)
-        self.coefs = np.array([c for _, c in items], dtype=complex)
+        self._assign(np.array(list(terms), dtype=float),
+                     np.array(list(terms.values()), dtype=complex))
+
+    @classmethod
+    def _from_arrays(cls, freqs: np.ndarray, coefs: np.ndarray) -> "TrigPoly":
+        poly = cls.__new__(cls)
+        poly._assign(freqs, coefs)
+        return poly
+
+    def _assign(self, freqs: np.ndarray, coefs: np.ndarray) -> None:
+        """Sum coefficients of equal frequencies in input order, zero those
+        of size at most ``_PRUNE``, drop frequencies left with no nonzero
+        coefficient, and sort by frequency."""
+        order = np.argsort(freqs, kind="stable")
+        freqs, coefs = freqs[order], coefs[order]
+        first = np.ones(freqs.shape, dtype=bool)
+        first[1:] = freqs[1:] != freqs[:-1]
+        acc = np.zeros((np.count_nonzero(first),) + coefs.shape[1:],
+                       dtype=complex)
+        np.add.at(acc, np.cumsum(first) - 1, coefs)
+        acc[np.abs(acc) <= _PRUNE] = 0.0
+        nonzero = acc != 0.0
+        keep = nonzero if acc.ndim == 1 else nonzero.any(axis=1)
+        if keep.any():
+            self.freqs, self.coefs = freqs[first][keep], acc[keep]
+        else:
+            self.freqs = np.zeros(1)
+            self.coefs = np.zeros((1,) + coefs.shape[1:], dtype=complex)
         self.freqs.setflags(write=False)
         self.coefs.setflags(write=False)
+
+    def _per_freq(self, values: np.ndarray) -> np.ndarray:
+        """One value per frequency, shaped to broadcast against ``coefs``."""
+        return values.reshape((-1,) + (1,) * (self.coefs.ndim - 1))
 
     # -- constructors -------------------------------------------------
 
@@ -44,44 +79,54 @@ class TrigPoly:
         return cls({0.0: complex(value)})
 
     @classmethod
-    def from_cos_sin(cls, const: float, cos_coefs: Iterable[float] = (),
-                     sin_coefs: Iterable[float] = ()) -> "TrigPoly":
-        """Build ``const + sum c_k cos(2 pi k x) + sum s_k sin(2 pi k x)``."""
-        terms: dict[float, complex] = {0.0: complex(const)}
-        for k, c in enumerate(cos_coefs, start=1):
-            terms[float(k)] = terms.get(float(k), 0j) + c / 2
-            terms[float(-k)] = terms.get(float(-k), 0j) + c / 2
-        for k, s in enumerate(sin_coefs, start=1):
-            terms[float(k)] = terms.get(float(k), 0j) + s / 2j
-            terms[float(-k)] = terms.get(float(-k), 0j) - s / 2j
-        return cls(terms)
+    def from_cos_sin(cls, const, cos_coefs=(), sin_coefs=()) -> "TrigPoly":
+        """Build ``const + sum c_k cos(2 pi k x) + sum s_k sin(2 pi k x)``.
+
+        For a batch, ``const`` has shape ``(T,)`` and the cosine and sine
+        coefficients shape ``(K, T)``.
+        """
+        const = np.asarray(const, dtype=float)
+        cos = np.asarray(cos_coefs, dtype=float).reshape((-1,) + const.shape)
+        sin = np.asarray(sin_coefs, dtype=float).reshape((-1,) + const.shape)
+        kc = np.arange(1.0, len(cos) + 1)
+        ks = np.arange(1.0, len(sin) + 1)
+        freqs = np.concatenate([[0.0], kc, -kc, ks, -ks])
+        coefs = np.concatenate([const[None], cos / 2, cos / 2,
+                                sin / 2j, -(sin / 2j)])
+        return cls._from_arrays(freqs, coefs)
 
     @classmethod
     def random(cls, rng: np.random.Generator, degree: int = 8,
-               amplitude: float = 1.0) -> "TrigPoly":
-        """Random real trig polynomial with integer frequencies <= degree."""
-        const = rng.uniform(-amplitude, amplitude)
-        cos_coefs = rng.uniform(-amplitude, amplitude, degree)
-        sin_coefs = rng.uniform(-amplitude, amplitude, degree)
-        return cls.from_cos_sin(const, cos_coefs, sin_coefs)
+               amplitude: float = 1.0, trials: int | None = None
+               ) -> "TrigPoly":
+        """Random real trig polynomial with integer frequencies <= degree.
+
+        With ``trials``, a batch of that many, drawn as the same number of
+        consecutive single draws would be.
+        """
+        size = 2 * degree + 1
+        draw = rng.uniform(-amplitude, amplitude,
+                           size if trials is None else (trials, size)).T
+        return cls.from_cos_sin(draw[0], draw[1:degree + 1],
+                                draw[degree + 1:])
+
+    def take_trials(self, index) -> "TrigPoly":
+        """The batch restricted to the trials selected by ``index``."""
+        return TrigPoly._from_arrays(self.freqs, self.coefs[:, index])
 
     # -- algebra ------------------------------------------------------
-
-    def _terms(self) -> dict[float, complex]:
-        return dict(zip(self.freqs.tolist(), self.coefs.tolist()))
 
     def __add__(self, other: "TrigPoly | float") -> "TrigPoly":
         if not isinstance(other, TrigPoly):
             other = TrigPoly.constant(float(other))
-        terms = self._terms()
-        for f, c in zip(other.freqs.tolist(), other.coefs.tolist()):
-            terms[f] = terms.get(f, 0j) + c
-        return TrigPoly(terms)
+        a, b = _common_trials(self.coefs, other.coefs)
+        return TrigPoly._from_arrays(np.concatenate([self.freqs, other.freqs]),
+                                     np.concatenate([a, b]))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly({f: -c for f, c in self._terms().items()})
+        return TrigPoly._from_arrays(self.freqs, -self.coefs)
 
     def __sub__(self, other: "TrigPoly | float") -> "TrigPoly":
         return self + (-other if isinstance(other, TrigPoly)
@@ -89,13 +134,11 @@ class TrigPoly:
 
     def __mul__(self, other: "TrigPoly | float") -> "TrigPoly":
         if not isinstance(other, TrigPoly):
-            return TrigPoly({f: c * other for f, c in self._terms().items()})
-        terms: dict[float, complex] = {}
-        for f1, c1 in zip(self.freqs.tolist(), self.coefs.tolist()):
-            for f2, c2 in zip(other.freqs.tolist(), other.coefs.tolist()):
-                key = f1 + f2
-                terms[key] = terms.get(key, 0j) + c1 * c2
-        return TrigPoly(terms)
+            return TrigPoly._from_arrays(self.freqs, self.coefs * other)
+        a, b = _common_trials(self.coefs, other.coefs)
+        freqs = np.add.outer(self.freqs, other.freqs).ravel()
+        coefs = (a[:, None] * b[None, :]).reshape((freqs.size,) + a.shape[1:])
+        return TrigPoly._from_arrays(freqs, coefs)
 
     __rmul__ = __mul__
 
@@ -106,8 +149,8 @@ class TrigPoly:
         which holds for branch maps whose image stays inside ``[0, 1)``.
         """
         phase = np.exp(_TWO_PI_I * self.freqs * offset)
-        return TrigPoly(dict(zip((self.freqs * slope).tolist(),
-                                 (self.coefs * phase).tolist())))
+        return TrigPoly._from_arrays(self.freqs * slope,
+                                     self.coefs * self._per_freq(phase))
 
     # -- analysis -----------------------------------------------------
 
@@ -115,25 +158,26 @@ class TrigPoly:
         xs = np.asarray(x, dtype=float)
         vals = np.exp(_TWO_PI_I * np.multiply.outer(xs, self.freqs)) @ self.coefs
         out = vals.real
-        return float(out) if np.isscalar(x) or out.ndim == 0 else out
+        return float(out) if out.ndim == 0 else out
 
     def antiderivative_values(self, x: np.ndarray) -> np.ndarray:
         """Values of an antiderivative at the points ``x`` (real part)."""
         xs = np.asarray(x, dtype=float)
         nz = self.freqs != 0.0
-        acc = np.zeros(xs.shape, dtype=complex)
+        acc = np.zeros(xs.shape + self.coefs.shape[1:], dtype=complex)
         if np.any(nz):
             f = self.freqs[nz]
-            c = self.coefs[nz] / (_TWO_PI_I * f)
+            c = self.coefs[nz] / self._per_freq(_TWO_PI_I * f)
             acc = np.exp(_TWO_PI_I * np.multiply.outer(xs, f)) @ c
         if np.any(~nz):
-            acc = acc + self.coefs[~nz].sum() * xs
+            acc = acc + np.multiply.outer(xs, self.coefs[~nz].sum(axis=0))
         return acc.real
 
-    def integral(self, lo: float, hi: float) -> float:
+    def integral(self, lo: float, hi: float) -> float | np.ndarray:
         """Exact integral over ``[lo, hi)``."""
         vals = self.antiderivative_values(np.array([lo, hi]))
-        return float(vals[1] - vals[0])
+        out = vals[1] - vals[0]
+        return float(out) if out.ndim == 0 else out
 
     @property
     def max_freq(self) -> float:
@@ -143,7 +187,20 @@ class TrigPoly:
         return bool(np.all(np.abs(self.freqs - np.round(self.freqs)) <= tol))
 
     def __repr__(self) -> str:
-        return f"TrigPoly({len(self.freqs)} terms, max|freq|={self.max_freq:g})"
+        batch = (f", {self.coefs.shape[1]} trials" if self.coefs.ndim == 2
+                 else "")
+        return (f"TrigPoly({len(self.freqs)} terms, "
+                f"max|freq|={self.max_freq:g}{batch})")
+
+
+def _common_trials(a: np.ndarray,
+                   b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two coefficient arrays, a single one broadcast to the other's trials."""
+    if a.ndim < b.ndim:
+        a = np.broadcast_to(a[:, None], (a.size, b.shape[1]))
+    elif b.ndim < a.ndim:
+        b = np.broadcast_to(b[:, None], (b.size, a.shape[1]))
+    return a, b
 
 
 TrigLike = Callable[[np.ndarray], np.ndarray]

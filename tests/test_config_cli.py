@@ -89,6 +89,14 @@ class TestCli:
     def test_verify_sys_a_all_pass(self, capsys):
         assert main(["verify", "--config", SYS_A, "--trials", "5"]) == 0
 
+    @pytest.mark.parametrize("command", ["verify", "quasi"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_rejected(self, capsys, command, trials):
+        # with no test function drawn every check would pass vacuously
+        assert main([command, "--config", SYS_A, "--trials", trials]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "field 'trials'" in err
+
     def test_cylinder_example(self, capsys, tmp_path):
         out = tmp_path / "rep.json"
         code = main(["cylinder", "--config", SYS_A, "--x", "0.3",
@@ -104,6 +112,32 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["results"]["membership"] is False
         assert payload["results"]["defect"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_defect_plot_data_pushes_no_extra_measure(self, capsys, tmp_path,
+                                                      monkeypatch):
+        # the density written for plotting comes from the decomposition the
+        # defect was read from, so plotting costs no further pushforward
+        import towb.transfer
+
+        calls = []
+        original = towb.transfer.pushforward
+
+        def counting(mu, branch):
+            calls.append(mu.n_cells)
+            return original(mu, branch)
+
+        monkeypatch.setattr(towb.transfer, "pushforward", counting)
+        plain, plotted = tmp_path / "plain.json", tmp_path / "plotted.json"
+        assert main(["defect", "--config", SYS_A, "--json", str(plain)]) == 0
+        pushes_plain = len(calls)
+        assert main(["defect", "--config", SYS_A, "--json", str(plotted),
+                     "--plot-data", str(tmp_path / "plots")]) == 0
+        assert len(calls) - pushes_plain == pushes_plain > 0
+        density = np.loadtxt(tmp_path / "plots" / "density.dat")
+        assert density.shape == (1024, 2)
+        assert np.allclose(density[:, 1], 1.0)
+        a, b = (json.loads(p.read_text()) for p in (plain, plotted))
+        assert a["results"] == b["results"]
 
     def test_markov_results(self, capsys, tmp_path):
         out = tmp_path / "rep.json"
@@ -213,9 +247,13 @@ class TestCli:
         assert np.allclose(data[:, 1], 1.0, atol=1e-9)
 
     def test_entry_point_runs_as_module(self, tmp_path):
+        # the child process imports the towb this test imported
+        package_root = os.path.dirname(os.path.dirname(towb.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "towb.cli", "cylinder", "--config", SYS_A,
              "--x", "0.3", "--sets", "[0,0.25)"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "mass = 0.5" in proc.stdout

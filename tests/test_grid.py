@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import towb
 from towb import (AffineBranch, GridFunction, IntervalSet, Measure, integrate,
@@ -152,3 +154,53 @@ class TestIntervalSet:
         exact = integrate_over(p, lam, region)
         oracle = sum(p.integral(lo, hi) for lo, hi in region.intervals)
         assert exact == pytest.approx(oracle, abs=1e-12)
+
+
+def _integrate_over_cell_loop(p: TrigPoly, mu: Measure,
+                              region: IntervalSet) -> float:
+    """Reference: the cell-by-cell integral over ``region``, one closed-form
+    integral per cell that carries mass."""
+    n = mu.n_cells
+    total = 0.0
+    for lo, hi in region.intervals:
+        j0, j1 = int(np.floor(lo * n)), min(int(np.ceil(hi * n)), n)
+        for j in range(max(j0, 0), j1):
+            a, b = max(lo, j / n), min(hi, (j + 1) / n)
+            if b > a and mu.cell_masses[j] > 0:
+                total += p.integral(a, b) * mu.cell_masses[j] * n
+    for pos, mass in mu.atoms:
+        if region.indicator(pos):
+            total += float(p(pos)) * mass
+    return total
+
+
+@st.composite
+def _poly_measure_region(draw):
+    n = draw(st.integers(4, 96))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slope = draw(st.sampled_from([1.0, 0.5, 1 / 3, 2.0]))
+    trials = draw(st.sampled_from([None, 3]))
+    p = TrigPoly.random(rng, degree=draw(st.integers(0, 8)),
+                        trials=trials).compose_affine(slope, rng.uniform())
+    cells = rng.random(n) * (rng.random(n) < 0.7)  # some cells carry no mass
+    edge = st.integers(0, n).map(lambda k: k / n)
+    point = st.one_of(st.just(0.0), st.just(1.0), edge, st.floats(0.0, 1.0))
+    atoms = draw(st.lists(st.tuples(point, st.floats(0.01, 1.0)),
+                          max_size=3))
+    ends = draw(st.lists(st.tuples(point, point), min_size=1, max_size=3))
+    region = IntervalSet([sorted(pair) for pair in ends])
+    return p, Measure(cells, atoms), region
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_measure_region())
+def test_integrate_over_matches_cell_loop(case):
+    p, mu, region = case
+    got = np.atleast_1d(integrate_over(p, mu, region))
+    columns = ([p] if p.coefs.ndim == 1 else
+               [p.take_trials(t) for t in range(p.coefs.shape[1])])
+    want = np.array([_integrate_over_cell_loop(q, mu, region)
+                     for q in columns])
+    # relative to a bound on the integral: total mass times sup |p|
+    scale = mu.total() * np.abs(p.coefs).sum(axis=0)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)

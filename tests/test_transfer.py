@@ -4,6 +4,7 @@ import pytest
 import towb
 from towb import GridFunction, IntervalSet, Measure, TransferOperator
 from towb.system import WeightExpr, make_system
+from towb.transfer import IdentityCheck, _compose_sigma, _random_intervals
 from towb.trig import TrigPoly
 
 
@@ -189,3 +190,172 @@ class TestIdentitySuite:
         h = GridFunction.constant(1.0, 1024)
         suite = towb.identity_suite(op, lam_std, h, trials=5, seed=0)
         assert suite.by_name("preimage_weight_square").status == "SKIPPED"
+
+
+def _identity_suite_per_trial(op, lam, h, trials, seed, tol=1e-8):
+    """Reference: the identity battery run one test function at a time,
+    each drawn by its own ``TrigPoly.random`` call."""
+    rng = np.random.default_rng(seed)
+    nodes = op.nodes
+    mids = (np.arange(op.n_grid) + 0.5) / op.n_grid
+    weight = op.system.weight
+    sigma = op.system.sigma
+
+    def status(resid):
+        return "PASS" if resid < tol else "FAIL"
+
+    fs = [TrigPoly.random(rng) for _ in range(trials)]
+    gs = [TrigPoly.random(rng) for _ in range(trials)]
+    regions = [_random_intervals(rng) for _ in range(trials)]
+    checks = []
+
+    resid = 0.0
+    for f, g in zip(fs, gs):
+        f_sig = _compose_sigma(op, f)
+        lhs = op.apply_fn(lambda y, f_sig=f_sig, g=g:
+                          np.asarray(f_sig(y)) * np.asarray(g(y)))(nodes)
+        rhs = np.asarray(f(nodes)) * op.apply_fn(g)(nodes)
+        resid = max(resid, float(np.max(np.abs(lhs - rhs))))
+    checks.append(IdentityCheck("pullback_product", status(resid), resid, tol))
+
+    resid = 0.0
+    w_tp = weight.as_trigpoly()
+    for f, g in zip(fs, gs):
+        f_sig = _compose_sigma(op, f)
+        rg = op.apply_symbolic(g)
+        if w_tp is not None and isinstance(f_sig, TrigPoly) and rg is not None:
+            lhs = towb.integrate(w_tp * f_sig * g, lam)
+            rhs = towb.integrate(f * rg, lam)
+        else:
+            lhs = towb.integrate(lambda y: np.asarray(weight(y)) *
+                                 np.asarray(f_sig(y)) * np.asarray(g(y)), lam)
+            rhs = towb.integrate(lambda y, g=g: np.asarray(f(y)) *
+                                 np.asarray(op.apply_fn(g)(y)), lam)
+        resid = max(resid, abs(lhs - rhs))
+    checks.append(IdentityCheck("adjoint_duality", status(resid), resid, tol))
+
+    resid = 0.0
+    rw_fn = op.apply_fn(weight)
+    for f in fs:
+        lhs = op.apply_fn(op.adjoint_fn(f))(nodes)
+        rhs = np.asarray(rw_fn(nodes)) * np.asarray(f(nodes))
+        resid = max(resid, float(np.max(np.abs(lhs - rhs))))
+    checks.append(IdentityCheck("composition_multiplier", status(resid),
+                                resid, tol))
+
+    resid = 0.0
+    for f in fs:
+        f_sig = _compose_sigma(op, f)
+        resid = max(resid, abs(towb.integrate(f_sig, lam) -
+                               towb.integrate(f, lam)))
+    checks.append(IdentityCheck("sigma_invariance", status(resid), resid, tol))
+
+    rw_sym = op.rw_multiplier_symbolic()
+    if w_tp is None or rw_sym is None:
+        checks.append(IdentityCheck("preimage_weight_square", "SKIPPED",
+                                    np.nan, tol))
+    else:
+        resid = 0.0
+        for region in regions:
+            lhs = towb.integrate_over(w_tp * w_tp, lam, sigma.preimage(region))
+            rhs = towb.integrate_over(rw_sym, lam, region)
+            resid = max(resid, abs(lhs - rhs))
+        checks.append(IdentityCheck("preimage_weight_square", status(resid),
+                                    resid, tol))
+
+    rw_vals = np.concatenate([np.asarray(rw_fn(nodes), dtype=float),
+                              np.asarray(rw_fn(mids), dtype=float)])
+    if float(np.max(rw_vals)) > 1.0 + 1e-9:
+        checks.append(IdentityCheck("harmonic_support_multiplier", "SKIPPED",
+                                    np.nan, tol))
+    else:
+        active = np.abs(h.resample(op.n_grid).values) > 1e-10
+        resid = float(np.max(np.abs(np.asarray(rw_fn(nodes))[active] - 1.0))) \
+            if np.any(active) else 0.0
+        checks.append(IdentityCheck("harmonic_support_multiplier",
+                                    status(resid), resid, tol))
+
+    h_on_grid = h.resample(op.n_grid)
+    branch_nodes = op.branch_points(nodes).ravel()
+    resid = 0.0
+    for f in fs:
+        sup_f = float(np.max(np.abs(np.concatenate(
+            [np.asarray(f(branch_nodes)), np.asarray(f(nodes))]))))
+        rfh = op.apply_fn(lambda y, f=f: np.asarray(f(y)) *
+                          np.asarray(h_on_grid(y)))(nodes)
+        excess = np.abs(rfh) - sup_f * np.asarray(h_on_grid(nodes))
+        resid = max(resid, float(np.max(excess)))
+    checks.append(IdentityCheck("kernel_sup_bound", status(resid), resid, tol))
+    return checks
+
+
+def _oracle_case(name):
+    n = 243 if name == "sys_d" else 256
+    if name == "table_weight":
+        table = GridFunction.from_callable(lambda x: 1.5 + 0.2 * np.sin(
+            2 * np.pi * x), n)
+        system = make_system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5],
+                             WeightExpr.from_table(table), sigma=2)
+    elif name == "uneven_branches":
+        # sigma inferred from branches of slopes 1/3 and 2/3 is not an
+        # m x mod 1 map, so f o sigma has no closed form
+        system = make_system([1 / 3, 2 / 3], [0.0, 1 / 3], [1 / 3, 2 / 3],
+                             WeightExpr.trig(1.0, [0.5]), n_grid=n)
+    else:
+        system = getattr(towb, name)(n)
+    op = TransferOperator(system, n)
+    lam = Measure.lebesgue(n)
+    return op, lam, towb.solve_harmonic(op, lam).h
+
+
+@pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_d", "table_weight",
+                                  "uneven_branches"])
+def test_batched_suite_matches_per_trial_oracle(name):
+    # 30 trials span a full block and a partial one
+    op, lam, h = _oracle_case(name)
+    suite = towb.identity_suite(op, lam, h, trials=30, seed=3)
+    oracle = _identity_suite_per_trial(op, lam, h, trials=30, seed=3)
+    assert [c.name for c in suite.checks] == [c.name for c in oracle]
+    assert [c.status for c in suite.checks] == [c.status for c in oracle]
+    for got, want in zip(suite.checks, oracle):
+        assert type(got.residual) is float
+        if want.status == "SKIPPED":
+            assert np.isnan(got.residual)
+        else:
+            assert abs(got.residual - want.residual) <= 1e-12, got.name
+
+
+N_CONTROL = 256
+
+
+@pytest.mark.parametrize("broken, failing", [
+    (None, set()),
+    ("branch_offset", {"pullback_product", "composition_multiplier"}),
+    ("lam", {"preimage_weight_square"}),
+    ("weight", {"harmonic_support_multiplier"}),
+    ("h", {"kernel_sup_bound"}),
+])
+def test_negative_control_fails_named_check(broken, failing):
+    # each case breaks exactly one ingredient of the doubling system
+    n = N_CONTROL
+    offsets = [0.0, 0.49] if broken == "branch_offset" else [0.0, 0.5]
+    weight = WeightExpr.constant(0.9 if broken == "weight" else 1.0)
+    system = make_system([0.5, 0.5], offsets, [0.5, 0.5], weight, sigma=2,
+                         n_grid=n, validate=broken != "branch_offset")
+    lam = (Measure.from_density(lambda x: 0.5 + x, n).normalized()
+           if broken == "lam" else Measure.lebesgue(n))
+    h = (GridFunction.from_callable(
+        lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x), n)
+         if broken == "h" else GridFunction.constant(1.0, n))
+    suite = towb.identity_suite(TransferOperator(system, n), lam, h,
+                                trials=10, seed=0)
+    for check in suite.checks:
+        if check.name in failing:
+            assert check.status == "FAIL", check
+    if broken is None:
+        assert suite.counts() == {"PASS": 7, "FAIL": 0, "SKIPPED": 0}
+
+
+def test_suite_rejects_zero_trials(op_a, lam_std, sol_a):
+    with pytest.raises(towb.errors.DomainError, match="trial"):
+        towb.identity_suite(op_a, lam_std, sol_a.h, trials=0)
