@@ -76,9 +76,6 @@ class GridFunction:
             return self
         return GridFunction.from_callable(self, n_cells)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def _binary(self, other, op) -> "GridFunction":
         if isinstance(other, GridFunction):
             if other.n_cells != self.n_cells:
@@ -258,10 +255,6 @@ class IntervalSet:
             else:
                 merged.append([lo, hi])
         self.intervals = tuple((lo, hi) for lo, hi in merged)
-
-    @classmethod
-    def full(cls) -> "IntervalSet":
-        return cls([(0.0, 1.0)])
 
     def indicator(self, x) -> np.ndarray | float:
         xs = np.asarray(x, dtype=float)

@@ -196,24 +196,31 @@ class PathMeasure:
 # -- exact cylinder calculus ----------------------------------------------
 
 
-def _enumerate_words(pm: PathMeasure, x: float, sets) -> tuple[np.ndarray, np.ndarray]:
-    """All branch words of length ``len(sets)`` from base ``x`` with their
-    accumulated kernel weights, constrained coordinates already applied."""
-    if len(sets) > DEPTH_MAX:
-        raise DomainError(f"cylinder depth {len(sets)} exceeds {DEPTH_MAX}")
-    sys_ = pm.op.system
-    ys = np.array([float(x)])
-    ws = np.array([1.0])
-    for a in sets:
-        pts = pm.op.branch_points(ys)          # (n_branches, k)
-        wv = np.asarray(sys_.weight(pts), dtype=float)
-        probs = np.array(sys_.probs)[:, None]
-        new_w = (ws[None, :] * probs * wv).ravel()
-        new_y = pts.ravel()
-        if a is not None:
-            new_w = new_w * np.asarray(a.indicator(new_y), dtype=float)
-        ys, ws = new_y, new_w
-    return ys, ws
+def _words_total(pm: PathMeasure, x, factors) -> np.ndarray:
+    """``R(f_1 R(f_2 ... R(f_m h)))(x)``: the sum over all branch words of
+    length ``m`` from base ``x`` (a scalar or an array) of the kernel
+    weights times the factors along the word times ``h`` at its end.
+
+    One factor per coordinate: an :class:`IntervalSet` (its indicator), a
+    callable, or ``None`` for the constant 1.  The branch images are built
+    outward from ``x``, one leading branch axis per coordinate, and then
+    summed inward from ``h``, one application of ``R`` per coordinate.
+    """
+    if len(factors) > DEPTH_MAX:
+        raise DomainError(f"path depth {len(factors)} exceeds {DEPTH_MAX}")
+    op = pm.op
+    probs = np.array(op.system.probs)
+    levels = [np.asarray(x, dtype=float)]
+    for _ in factors:
+        levels.append(op.branch_points(levels[-1]))
+    total = np.asarray(pm.h(levels[-1]), dtype=float)
+    for f, ys in zip(reversed(factors), reversed(levels[1:])):
+        masses = probs.reshape((-1,) + (1,) * (ys.ndim - 1)) * np.asarray(
+            op.system.weight(ys), dtype=float)
+        if f is not None:
+            total = np.asarray(f(ys), dtype=float) * total
+        total = (masses * total).sum(axis=0)
+    return total
 
 
 def cylinder_mass(pm: PathMeasure, x: float, spec: CylinderSpec) -> float:
@@ -226,50 +233,28 @@ def cylinder_mass(pm: PathMeasure, x: float, spec: CylinderSpec) -> float:
     if pm.h_residual > _H_TRUST:
         raise DomainError(
             f"h residual {pm.h_residual:.3e} too large to trust consistency")
-    ys, ws = _enumerate_words(pm, x, spec.sets)
-    return float(np.dot(ws, np.asarray(pm.h(ys), dtype=float)))
+    return float(_words_total(pm, float(x), spec.sets))
 
 
-def _nested_fn(pm: PathMeasure, inner_components):
-    """``R(f_1 R(f_2 ... R(f_m h)))`` as a callable (components after f_0)."""
-    k = pm.h
-    for f in reversed(inner_components):
-        prev = k
-        if f is None:
-            k = pm.op.apply_fn(prev)
-        else:
-            k = pm.op.apply_fn(lambda y, f=f, prev=prev:
-                               np.asarray(f(y), dtype=float) *
-                               np.asarray(prev(y), dtype=float))
-    return k
-
-
-def conditional_expectation(pm: PathMeasure, psi, x: float) -> float:
+def conditional_expectation(pm: PathMeasure, psi, x):
     """Expectation of a cylinder function against the base-``x`` measure
-    (total mass ``h(x)``, not normalized)."""
+    (total mass ``h(x)``, not normalized); ``x`` may be an array of bases."""
     psi = CylinderFunction.coerce(psi)
-    if psi.depth > DEPTH_MAX:
-        raise DomainError("cylinder function too deep")
-    k = _nested_fn(pm, psi.components[1:])
+    vals = _words_total(pm, x, psi.components[1:])
     f0 = psi.components[0]
-    head = 1.0 if f0 is None else float(f0(x))
-    return head * float(k(float(x)))
+    if f0 is not None:
+        vals = np.asarray(f0(x), dtype=float) * vals
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def v0_adjoint(pm: PathMeasure, psi) -> GridFunction:
     """Normalized conditional expectation ``E(psi | x)/h(x)`` on the grid;
     the adjoint of lifting a base function to the path space."""
-    psi = CylinderFunction.coerce(psi)
     nodes = pm.op.nodes
     hv = np.asarray(pm.h(nodes), dtype=float)
     if np.any(np.abs(hv) <= EPS_H):
         raise DomainError("h vanishes at a grid node; adjoint undefined")
-    k = _nested_fn(pm, psi.components[1:])
-    vals = np.asarray(k(nodes), dtype=float)
-    f0 = psi.components[0]
-    if f0 is not None:
-        vals = vals * np.asarray(f0(nodes), dtype=float)
-    return GridFunction(vals / hv)
+    return GridFunction(conditional_expectation(pm, psi, nodes) / hv)
 
 
 def expectation(pm: PathMeasure, psi, mode: str = "exact",
@@ -282,14 +267,7 @@ def expectation(pm: PathMeasure, psi, mode: str = "exact",
     """
     psi = CylinderFunction.coerce(psi)
     if mode == "exact":
-        if psi.depth > DEPTH_MAX:
-            raise DomainError("cylinder function too deep for exact mode")
-        k = _nested_fn(pm, psi.components[1:])
-        f0 = psi.components[0]
-        if f0 is None:
-            return integrate(k, pm.lam)
-        return integrate(lambda x: np.asarray(f0(x), dtype=float) *
-                         np.asarray(k(x), dtype=float), pm.lam)
+        return integrate(lambda x: conditional_expectation(pm, psi, x), pm.lam)
     if mode == "mc":
         if rng is None:
             rng = np.random.default_rng(0)
@@ -449,7 +427,6 @@ def unitarity_check(pm: PathMeasure, trials: int = 20, seed: int = 0,
                     depth: int = 2) -> float:
     """Max deviation of ``||U psi||^2`` from ``||psi||^2`` over random
     cylinder functions, both sides by exact enumeration."""
-    from .trig import TrigPoly
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -518,19 +495,8 @@ def markov_deviation(pm: PathMeasure, set_a: IntervalSet, set_b: IntervalSet,
     """
     if n < 2:
         raise DomainError("n must be at least 2")
-    if n + 1 > DEPTH_MAX:
-        raise DomainError("n too deep")
-    rb = pm.op.apply_fn(lambda y: np.asarray(set_b.indicator(y)) *
-                        np.asarray(pm.h(y), dtype=float))
-    core = (lambda y: np.asarray(set_a.indicator(y)) *
-            np.asarray(rb(y), dtype=float))
-    fk = core
-    m1 = np.nan
-    for k in range(1, n + 1):
-        fk = pm.op.apply_fn(fk)
-        if k == 1:
-            m1 = float(fk(float(x)))
-    mn = float(fk(float(x)))
+    m1 = float(_words_total(pm, float(x), [set_a, set_b]))
+    mn = float(_words_total(pm, float(x), [None] * (n - 1) + [set_a, set_b]))
     return m1, mn, mn - m1
 
 
@@ -544,13 +510,10 @@ def harmonic_from_measure(pm: PathMeasure, depth: int = 1
     tolerance.  Feeding a non-harmonic ``h`` (via a non-strict
     :class:`PathMeasure`) makes the residual report the failure.
     """
-    if depth < 1 or depth > DEPTH_MAX:
-        raise DomainError("depth out of range")
-    k = pm.h
-    for _ in range(depth):
-        k = pm.op.apply_fn(k)
+    if depth < 1:
+        raise DomainError("depth must be at least 1")
     nodes = pm.op.nodes
-    h_tilde = np.asarray(k(nodes), dtype=float)
-    again = np.asarray(pm.op.apply_fn(k)(nodes), dtype=float)
+    h_tilde = _words_total(pm, nodes, [None] * depth)
+    again = _words_total(pm, nodes, [None] * (depth + 1))
     residual = float(np.max(np.abs(again - h_tilde)))
     return GridFunction(h_tilde), residual

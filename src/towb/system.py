@@ -27,14 +27,14 @@ RIGHT_INVERSE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WeightExpr:
-    """Positive weight on the circle: a constant, a trig polynomial, or a
-    sampled table.
+    """Positive weight on the circle: the closed form
+    ``const + sum c_k cos(2 pi k x) + sum s_k sin(2 pi k x)`` (a constant has
+    no coefficients), or a sampled table when ``table`` is set.
 
-    The closed-form kinds expose themselves as a :class:`TrigPoly` so the
-    operator algebra can stay exact; tables fall back to interpolation.
+    The closed form exposes itself as a :class:`TrigPoly` so the operator
+    algebra can stay exact; tables fall back to interpolation.
     """
 
-    kind: str  # "constant" | "trig" | "table"
     const: float = 1.0
     cos_coefs: tuple[float, ...] = ()
     sin_coefs: tuple[float, ...] = ()
@@ -42,18 +42,18 @@ class WeightExpr:
 
     @classmethod
     def constant(cls, value: float) -> "WeightExpr":
-        return cls(kind="constant", const=float(value))
+        return cls(const=float(value))
 
     @classmethod
     def trig(cls, const: float, cos_coefs: Sequence[float] = (),
              sin_coefs: Sequence[float] = ()) -> "WeightExpr":
-        return cls(kind="trig", const=float(const),
+        return cls(const=float(const),
                    cos_coefs=tuple(float(c) for c in cos_coefs),
                    sin_coefs=tuple(float(s) for s in sin_coefs))
 
     @classmethod
     def from_table(cls, table: GridFunction) -> "WeightExpr":
-        return cls(kind="table", table=table)
+        return cls(table=table)
 
     def as_trigpoly(self) -> TrigPoly | None:
         return self._trigpoly
@@ -62,29 +62,22 @@ class WeightExpr:
     def _trigpoly(self) -> TrigPoly | None:
         # built once per weight: the weight is evaluated on every operator
         # application, and a TrigPoly is immutable
-        if self.kind == "constant":
-            return TrigPoly.constant(self.const)
-        if self.kind == "trig":
-            return TrigPoly.from_cos_sin(self.const, self.cos_coefs,
-                                         self.sin_coefs)
-        return None
+        if self.table is not None:
+            return None
+        return TrigPoly.from_cos_sin(self.const, self.cos_coefs,
+                                     self.sin_coefs)
 
     def __call__(self, x):
-        if self.kind == "table":
-            if self.table is None:
-                raise DomainError("table weight has no sample table")
+        if self.table is not None:
             return self.table(x)
-        tp = self.as_trigpoly()
-        return tp(x)
+        return self._trigpoly(x)
 
     def scaled(self, factor: float) -> "WeightExpr":
-        if self.kind == "constant":
-            return WeightExpr.constant(self.const * factor)
-        if self.kind == "trig":
-            return WeightExpr.trig(self.const * factor,
-                                   [c * factor for c in self.cos_coefs],
-                                   [s * factor for s in self.sin_coefs])
-        return WeightExpr.from_table(self.table * factor)
+        if self.table is not None:
+            return WeightExpr.from_table(self.table * factor)
+        return WeightExpr.trig(self.const * factor,
+                               [c * factor for c in self.cos_coefs],
+                               [s * factor for s in self.sin_coefs])
 
 
 class PiecewiseAffineMap:

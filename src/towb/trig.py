@@ -16,8 +16,6 @@ All instances are immutable and safe to share between threads.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 _TWO_PI_I = 2j * np.pi
@@ -201,6 +199,3 @@ def _common_trials(a: np.ndarray,
     elif b.ndim < a.ndim:
         b = np.broadcast_to(b[:, None], (b.size, a.shape[1]))
     return a, b
-
-
-TrigLike = Callable[[np.ndarray], np.ndarray]

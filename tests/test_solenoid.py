@@ -12,6 +12,55 @@ def _id(x):
     return np.asarray(x, dtype=float)
 
 
+def _nested_oracle(pm, inner):
+    """``R(f_1 R(f_2 ... R(f_m h)))`` as a chain of ``apply_fn`` closures."""
+    k = pm.h
+    for f in reversed(inner):
+        prev = k
+        if f is None:
+            k = pm.op.apply_fn(prev)
+        else:
+            k = pm.op.apply_fn(lambda y, f=f, prev=prev:
+                               np.asarray(f(y), dtype=float) *
+                               np.asarray(prev(y), dtype=float))
+    return k
+
+
+def _forward_oracle(pm, x, sets):
+    """Cylinder mass by enumerating the branch words outward from ``x``,
+    accumulating each word's kernel weight on the way."""
+    system = pm.op.system
+    ys, ws = np.array([float(x)]), np.array([1.0])
+    for a in sets:
+        pts = pm.op.branch_points(ys)
+        ws = (ws[None, :] * np.array(system.probs)[:, None] *
+              np.asarray(system.weight(pts), dtype=float)).ravel()
+        ys = pts.ravel()
+        if a is not None:
+            ws = ws * a.indicator(ys)
+    return float(np.dot(ws, pm.h(ys)))
+
+
+@pytest.fixture(scope="module", params=["sys_a", "sys_b", "sys_d"])
+def pm_small(request):
+    n = 243 if request.param == "sys_d" else 256
+    op = TransferOperator(getattr(towb, request.param)(n), n)
+    lam = Measure.lebesgue(n)
+    return PathMeasure.build(op, towb.solve_harmonic(op, lam).h, lam)
+
+
+def _random_set(rng):
+    lo = rng.uniform(0.0, 0.6)
+    return IntervalSet([(lo, lo + rng.uniform(0.1, 0.39))])
+
+
+def _random_factor(rng):
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return None
+    return _random_set(rng) if kind == 1 else TrigPoly.random(rng, 3)
+
+
 class TestPaths:
     def test_coordinates_doubling(self, op_a):
         path = SolPath(0.0, (1, 1))
@@ -289,3 +338,73 @@ class TestHarmonicFromMeasure:
     def test_deeper_total_mass(self, pm_b):
         _, residual = towb.harmonic_from_measure(pm_b, depth=3)
         assert residual < 1e-9
+
+
+class TestWordSumKernel:
+    def test_expectations_match_nested_oracle(self, pm_small):
+        rng = np.random.default_rng(11)
+        nodes = pm_small.op.nodes
+        hv = pm_small.h(nodes)
+        for _ in range(12):
+            comps = [_random_factor(rng)
+                     for _ in range(int(rng.integers(1, 5)))]
+            f0, inner = comps[0], comps[1:]
+            k = _nested_oracle(pm_small, inner)
+            x = float(rng.random())
+            head = 1.0 if f0 is None else float(f0(x))
+            assert towb.conditional_expectation(pm_small, comps, x) == \
+                head * float(k(x))
+            at_nodes = np.asarray(k(nodes), dtype=float)
+            if f0 is not None:
+                at_nodes = at_nodes * np.asarray(f0(nodes), dtype=float)
+            assert np.array_equal(
+                towb.conditional_expectation(pm_small, comps, nodes), at_nodes)
+            assert np.array_equal(towb.v0_adjoint(pm_small, comps).values,
+                                  at_nodes / hv)
+            want = towb.integrate(
+                k if f0 is None else
+                (lambda y: np.asarray(f0(y), dtype=float) *
+                 np.asarray(k(y), dtype=float)), pm_small.lam)
+            assert towb.expectation(pm_small, comps, "exact") == want
+
+    def test_cylinder_mass_matches_both_oracles(self, pm_small):
+        rng = np.random.default_rng(12)
+        for _ in range(12):
+            sets = [_random_set(rng) if rng.random() < 0.7 else None
+                    for _ in range(int(rng.integers(1, 6)))]
+            x = float(rng.random())
+            mass = towb.cylinder_mass(pm_small, x, CylinderSpec(sets))
+            assert mass == float(_nested_oracle(pm_small, sets)(x))
+            forward = _forward_oracle(pm_small, x, sets)
+            assert abs(mass - forward) <= 1e-15 * abs(forward)
+
+    def test_markov_matches_nested_oracle(self, pm_small):
+        rng = np.random.default_rng(13)
+        for n in range(2, 8):
+            a, b = _random_set(rng), _random_set(rng)
+            m1 = float(_nested_oracle(pm_small, [a, b])(0.3))
+            mn = float(_nested_oracle(pm_small, [None] * (n - 1) + [a, b])(0.3))
+            assert towb.markov_deviation(pm_small, a, b, 0.3, n) == \
+                (m1, mn, mn - m1)
+
+    def test_harmonic_from_measure_matches_nested_oracle(self, pm_small):
+        nodes = pm_small.op.nodes
+        for depth in (1, 3):
+            h_tilde = _nested_oracle(pm_small, [None] * depth)(nodes)
+            again = _nested_oracle(pm_small, [None] * (depth + 1))(nodes)
+            rebuilt, residual = towb.harmonic_from_measure(pm_small, depth)
+            assert np.array_equal(rebuilt.values, h_tilde)
+            assert residual == float(np.max(np.abs(again - h_tilde)))
+
+    def test_markov_depth_guard(self, pm_a):
+        half = IntervalSet([(0.0, 0.5)])
+        with pytest.raises(DomainError):
+            towb.markov_deviation(pm_a, half, half, 0.3, 16)
+
+    def test_harmonic_from_measure_depth_guard(self):
+        # depth 16 needs words of length 17, past the kernel's limit
+        op = TransferOperator(towb.sys_a(8), 8)
+        pm = PathMeasure.build(op, GridFunction.constant(1.0, 8),
+                               Measure.lebesgue(8))
+        with pytest.raises(DomainError):
+            towb.harmonic_from_measure(pm, depth=16)

@@ -22,6 +22,13 @@ class TestWeightExpr:
         assert w(0.25) == 2.0
         assert w.as_trigpoly() is None
 
+    def test_constant_is_closed_form_without_coefficients(self):
+        got = WeightExpr.constant(0.7).as_trigpoly()
+        want = towb.TrigPoly.constant(0.7)
+        assert np.array_equal(got.freqs, want.freqs)
+        assert np.array_equal(got.coefs, want.coefs)
+        assert WeightExpr.constant(0.7) == WeightExpr.trig(0.7)
+
     def test_scaled(self):
         w = WeightExpr.trig(2.0, [1.0]).scaled(0.5)
         assert w(0.0) == pytest.approx(1.5)

@@ -192,6 +192,21 @@ class TestIdentitySuite:
         assert suite.by_name("preimage_weight_square").status == "SKIPPED"
 
 
+def _composed_integral(op, f, lam, factor=None):
+    """``int factor (f o sigma) dlam`` for one test function, one sigma piece
+    at a time, each piece over the stretch where sigma applies it."""
+    pieces = op.system.sigma.pieces
+    total = 0.0
+    for k, (lo, _, a, b) in enumerate(pieces):
+        hi = pieces[k + 1][0] if k + 1 < len(pieces) else 1.0
+        integrand = f.compose_affine(a, b)
+        if factor is not None:
+            integrand = factor * integrand
+        total += towb.integrate_over(integrand, lam,
+                                     IntervalSet([(lo if k else 0.0, hi)]))
+    return total
+
+
 def _identity_suite_per_trial(op, lam, h, trials, seed, tol=1e-8):
     """Reference: the identity battery run one test function at a time,
     each drawn by its own ``TrigPoly.random`` call."""
@@ -221,12 +236,12 @@ def _identity_suite_per_trial(op, lam, h, trials, seed, tol=1e-8):
     resid = 0.0
     w_tp = weight.as_trigpoly()
     for f, g in zip(fs, gs):
-        f_sig = _compose_sigma(op, f)
         rg = op.apply_symbolic(g)
-        if w_tp is not None and isinstance(f_sig, TrigPoly) and rg is not None:
-            lhs = towb.integrate(w_tp * f_sig * g, lam)
+        if rg is not None:
+            lhs = _composed_integral(op, f, lam, w_tp * g)
             rhs = towb.integrate(f * rg, lam)
         else:
+            f_sig = _compose_sigma(op, f)
             lhs = towb.integrate(lambda y: np.asarray(weight(y)) *
                                  np.asarray(f_sig(y)) * np.asarray(g(y)), lam)
             rhs = towb.integrate(lambda y, g=g: np.asarray(f(y)) *
@@ -245,8 +260,7 @@ def _identity_suite_per_trial(op, lam, h, trials, seed, tol=1e-8):
 
     resid = 0.0
     for f in fs:
-        f_sig = _compose_sigma(op, f)
-        resid = max(resid, abs(towb.integrate(f_sig, lam) -
+        resid = max(resid, abs(_composed_integral(op, f, lam) -
                                towb.integrate(f, lam)))
     checks.append(IdentityCheck("sigma_invariance", status(resid), resid, tol))
 
@@ -359,3 +373,19 @@ def test_negative_control_fails_named_check(broken, failing):
 def test_suite_rejects_zero_trials(op_a, lam_std, sol_a):
     with pytest.raises(towb.errors.DomainError, match="trial"):
         towb.identity_suite(op_a, lam_std, sol_a.h, trials=0)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_integral_checks_exact_when_sigma_is_not_m_x_mod_1(n):
+    # sigma inferred from branches of slopes 1/3 and 2/3 has pieces of slopes
+    # 3 and 3/2; Lebesgue measure is sigma-invariant and lam . R has density
+    # W, so both integral identities hold exactly at every N
+    system = make_system([1 / 3, 2 / 3], [0.0, 1 / 3], [1 / 3, 2 / 3],
+                         WeightExpr.trig(1.0, [0.5]), n_grid=n)
+    op = TransferOperator(system, n)
+    lam = Measure.lebesgue(n)
+    suite = towb.identity_suite(op, lam, towb.solve_harmonic(op, lam).h,
+                                trials=30, seed=0)
+    for name in ("adjoint_duality", "sigma_invariance"):
+        assert suite.by_name(name).status == "PASS"
+        assert suite.by_name(name).residual < 1e-13
