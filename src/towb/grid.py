@@ -63,11 +63,19 @@ class GridFunction:
     def nodes(self) -> np.ndarray:
         return np.arange(self.n_cells) / self.n_cells
 
-    def __call__(self, x) -> np.ndarray | float:
-        t = np.asarray(wrap_unit(x)) * self.n_cells
-        j = np.minimum(np.floor(t).astype(int), self.n_cells - 1)
+    @staticmethod
+    def stencil(n_cells: int, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Interpolation stencil at ``x`` on an ``n_cells`` grid: the node
+        indices ``(j, nxt)`` either side of each point and the fraction of
+        the way from ``x_j`` to ``x_nxt``."""
+        t = np.asarray(wrap_unit(x)) * n_cells
+        j = np.minimum(np.floor(t).astype(int), n_cells - 1)
         frac = t - j
-        nxt = (j + 1) % self.n_cells
+        nxt = (j + 1) % n_cells
+        return j, nxt, frac
+
+    def __call__(self, x) -> np.ndarray | float:
+        j, nxt, frac = self.stencil(self.n_cells, x)
         out = self.values[j] * (1.0 - frac) + self.values[nxt] * frac
         return float(out) if np.isscalar(x) or out.ndim == 0 else out
 

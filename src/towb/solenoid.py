@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .grid import GridFunction, IntervalSet, Measure, integrate, wrap_unit
 from .transfer import TransferOperator
 from .trig import TrigPoly
@@ -99,7 +99,11 @@ class CylinderSpec:
 
     @classmethod
     def parse(cls, text: str) -> "CylinderSpec":
-        """Parse ``"[0,0.25);all;[0.5,0.75)u[0.9,1)"``-style descriptions."""
+        """Parse ``"[0,0.25);all;[0.5,0.75)u[0.9,1)"``-style descriptions.
+
+        Each interval is ``[lo,hi)`` with finite numbers ``lo < hi``; any
+        other piece raises a :class:`ConfigError` located at ``sets``.
+        """
         sets: list[IntervalSet | None] = []
         for part in text.split(";"):
             part = part.strip()
@@ -111,10 +115,20 @@ class CylinderSpec:
             pairs = []
             for piece in part.replace("u", "U").split("U"):
                 piece = piece.strip()
-                if not (piece.startswith("[") and piece.endswith(")")):
-                    raise DomainError(f"cannot parse interval '{piece}'")
-                lo_s, hi_s = piece[1:-1].split(",")
-                pairs.append((float(lo_s), float(hi_s)))
+                ends = piece[1:-1].split(",")
+                if not (piece.startswith("[") and piece.endswith(")")
+                        and len(ends) == 2):
+                    raise ConfigError(f"cannot parse interval '{piece}', "
+                                      "expected '[lo,hi)'", field="sets")
+                try:
+                    lo, hi = float(ends[0]), float(ends[1])
+                except ValueError:
+                    raise ConfigError(f"interval '{piece}' has a non-numeric "
+                                      "endpoint", field="sets") from None
+                if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+                    raise ConfigError(f"interval '{piece}' needs finite "
+                                      "endpoints with lo < hi", field="sets")
+                pairs.append((lo, hi))
             sets.append(IntervalSet(pairs))
         return cls(sets)
 
@@ -316,29 +330,49 @@ def sample_paths(pm: PathMeasure, bases, depth: int,
     ``(count, depth+1)``.  Deterministic given the generator state.
     """
     sys_ = pm.op.system
-    ys = np.atleast_1d(np.asarray(bases, dtype=float)).copy()
+    ys = np.atleast_1d(np.asarray(bases, dtype=float))
     count = ys.size
     digits = np.zeros((count, depth), dtype=np.int64)
     coords = np.zeros((count, depth + 1))
     coords[:, 0] = ys
     probs = np.array(sys_.probs)
+    # the kernel is evaluated once per distinct state; path k sits at
+    # states[at[k]].  When no base repeats, the states keep the paths' order,
+    # so that the gathers by ``at`` run in sequence.
+    states, at = np.unique(ys, return_inverse=True)
+    if states.size == count:
+        states, at = ys, np.arange(count)
+    hy = np.asarray(pm.h(states), dtype=float)
     for j in range(depth):
-        hy = np.asarray(pm.h(ys), dtype=float)
         if np.any(hy <= EPS_H):
             raise DomainError("h fell below its floor along a trajectory")
-        pts = pm.op.branch_points(ys)                     # (n, count)
+        pts = pm.op.branch_points(states)                 # (n, S)
         wv = np.asarray(sys_.weight(pts), dtype=float)
         hv = np.asarray(pm.h(pts), dtype=float)
-        kernel = probs[:, None] * wv * hv / hy[None, :]
+        kernel = probs[:, None] * wv
+        kernel *= hv
+        kernel /= hy
         total = kernel.sum(axis=0)
         if np.any(total <= 0):
             raise DomainError("transition kernel degenerated to zero mass")
-        u = rng.random(count) * total
-        chosen = (np.cumsum(kernel, axis=0) < u[None, :]).sum(axis=0)
-        chosen = np.minimum(chosen, len(sys_.probs) - 1)
-        ys = pts[chosen, np.arange(count)]
+        u = rng.random(count)
+        u *= np.take(total, at)
+        # the last cumulative row equals ``total`` bit for bit and u < total,
+        # so it never counts: the first n-1 rows give a digit in [0, n-1]
+        cum = np.cumsum(kernel[:-1], axis=0)
+        chosen = (np.take(cum, at, axis=1) < u[None, :]).sum(axis=0)
+        flat = chosen * states.size + at          # path k's child in pts.flat
         digits[:, j] = chosen
-        coords[:, j + 1] = ys
+        coords[:, j + 1] = np.take(pts, flat)
+        if j + 1 < depth:
+            # the chosen children, in branch-major order, are the next
+            # distinct states: compacted without sorting, with h carried
+            used = np.zeros(pts.size, dtype=bool)
+            used[flat] = True
+            keep = np.flatnonzero(used)
+            slot = np.empty(pts.size, dtype=np.intp)
+            slot[keep] = np.arange(keep.size)
+            states, at, hy = np.take(pts, keep), slot[flat], np.take(hv, keep)
     return digits, coords
 
 

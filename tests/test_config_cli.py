@@ -195,6 +195,22 @@ class TestCli:
         assert main(["harmonic", "--config", str(bad)]) == 2
         assert "sum to 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--sets", "--set-a", "--set-b"])
+    @pytest.mark.parametrize("text", ["[a,0.5)", "[0,0.5,0.7)", "[0.5,0.2)",
+                                      "[0,0.5"])
+    def test_malformed_sets_exit_code(self, capsys, flag, text):
+        # a non-numeric endpoint, three endpoints, a reversed interval and a
+        # missing bracket are input errors located at the sets field
+        if flag == "--sets":
+            argv = ["cylinder", "--sets", text]
+        else:
+            sets = {"--set-a": "[0,0.25)", "--set-b": "[0,0.5)", flag: text}
+            argv = ["markov", "--set-a", sets["--set-a"],
+                    "--set-b", sets["--set-b"]]
+        assert main(argv + ["--config", SYS_A, "--x", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "field 'sets'" in err
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["harmonic", "--config", "/nonexistent.cfg"]) == 2
 

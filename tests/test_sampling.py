@@ -6,6 +6,7 @@ import pytest
 import towb
 from towb import CylinderSpec, IntervalSet, Measure, PathMeasure
 from towb.errors import DomainError
+from towb.system import WeightExpr, make_system
 
 
 def _battery(rng, count):
@@ -107,3 +108,84 @@ class TestEmpiricalVsExact:
         rng = np.random.default_rng(7)
         xs = towb.sample_bases(pm, 50, rng)
         assert np.all(xs == 0.25)
+
+
+def _sample_paths_per_path(pm, bases, depth, rng):
+    """Reference: the kernel evaluated afresh at every path's state."""
+    sys_ = pm.op.system
+    ys = np.atleast_1d(np.asarray(bases, dtype=float)).copy()
+    count = ys.size
+    digits = np.zeros((count, depth), dtype=np.int64)
+    coords = np.zeros((count, depth + 1))
+    coords[:, 0] = ys
+    probs = np.array(sys_.probs)
+    for j in range(depth):
+        hy = np.asarray(pm.h(ys), dtype=float)
+        pts = pm.op.branch_points(ys)
+        wv = np.asarray(sys_.weight(pts), dtype=float)
+        hv = np.asarray(pm.h(pts), dtype=float)
+        kernel = probs[:, None] * wv * hv / hy[None, :]
+        u = rng.random(count) * kernel.sum(axis=0)
+        chosen = (np.cumsum(kernel, axis=0) < u[None, :]).sum(axis=0)
+        chosen = np.minimum(chosen, len(sys_.probs) - 1)
+        ys = pts[chosen, np.arange(count)]
+        digits[:, j] = chosen
+        coords[:, j + 1] = ys
+    return digits, coords
+
+
+def _oracle_measure(name):
+    if name == "three_branch":
+        n = 243
+        system = make_system([1 / 3] * 3, [0.0, 1 / 3, 2 / 3],
+                             [0.2, 0.3, 0.5], WeightExpr.trig(1.0, [0.3],
+                                                              [0.2]),
+                             sigma=3, n_grid=n)
+    else:
+        n = 243 if name == "sys_d" else 1024
+        system = getattr(towb, name)(n)
+    op = towb.TransferOperator(system, n)
+    lam = Measure.lebesgue(n)
+    # the three-branch weight is not normalised (rho != 1); the sampler only
+    # needs a positive h
+    return PathMeasure.build(op, towb.solve_harmonic(op, lam).h, lam,
+                             strict=False)
+
+
+@pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_d", "three_branch"])
+def test_sampler_matches_per_path_oracle_bitwise(name):
+    pm = _oracle_measure(name)
+    bases = {
+        "one": np.full(3000, 0.3),
+        "three": np.repeat([0.123, 0.3, 0.77], 1000),
+        "drawn": towb.sample_bases(pm, 3000, np.random.default_rng(9)),
+        "empty": np.array([]),
+    }
+    for label, xs in bases.items():
+        for depth in (0, 1, 6):
+            rng, ref_rng = (np.random.default_rng(depth),
+                            np.random.default_rng(depth))
+            digits, coords = towb.sample_paths(pm, xs, depth, rng)
+            ref_digits, ref_coords = _sample_paths_per_path(pm, xs, depth,
+                                                            ref_rng)
+            where = (name, label, depth)
+            assert np.array_equal(digits, ref_digits), where
+            assert np.array_equal(coords, ref_coords), where
+            assert (rng.bit_generator.state
+                    == ref_rng.bit_generator.state), where
+
+
+def test_sampler_visits_each_distinct_state_once(pm_b, monkeypatch):
+    # 1e5 paths from one base reach at most 2^j distinct states by step j
+    asked = []
+    original = pm_b.op.branch_points
+
+    def counting(x):
+        asked.append(np.size(x))
+        return original(x)
+
+    monkeypatch.setattr(pm_b.op, "branch_points", counting)
+    towb.sample_paths(pm_b, np.full(100_000, 0.3), 6,
+                      np.random.default_rng(0))
+    assert len(asked) == 6
+    assert all(size <= 2 ** j for j, size in enumerate(asked)), asked

@@ -1,11 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 
 import towb
 from towb import GridFunction, IntervalSet, Measure, TransferOperator
-from towb.system import WeightExpr, make_system
+from towb.config import load_config
+from towb.system import PiecewiseAffineMap, WeightExpr, make_system
 from towb.transfer import IdentityCheck, _compose_sigma, _random_intervals
 from towb.trig import TrigPoly
+
+
+FIXTURE_DIR = os.path.join(os.path.dirname(towb.__file__), "fixtures")
 
 
 def _id(x):
@@ -41,6 +47,60 @@ class TestApply:
         sym = op_b.apply_symbolic(f)
         xs = rng.random(100)
         assert np.allclose(sym(xs), op_b.apply_fn(f)(xs), atol=1e-12)
+
+
+def _apply_case(name):
+    if name == "table_weight":
+        table = GridFunction.from_callable(lambda x: 1.5 + 0.2 * np.sin(
+            2 * np.pi * x), 256)
+        return make_system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5],
+                           WeightExpr.from_table(table), sigma=2), 256
+    if name == "wrapping":
+        # the second branch x/2 + 0.75 wraps past 1; sigma is 2x - 1/2 mod 1
+        sigma = PiecewiseAffineMap([(0.0, 0.25, 2.0, 0.5),
+                                    (0.25, 0.75, 2.0, -0.5),
+                                    (0.75, 1.0, 2.0, -1.5)])
+        return make_system([0.5, 0.5], [0.25, 0.75], [0.5, 0.5],
+                           WeightExpr.trig(1.0, [0.3], [0.2]), sigma=sigma,
+                           mod_one=True), 256
+    cfg = load_config(os.path.join(FIXTURE_DIR, f"{name}.cfg"))
+    return cfg.build_system(), cfg.cells
+
+
+@pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_c", "sys_d",
+                                  "table_weight", "wrapping"])
+def test_apply_matches_pointwise_action_bitwise(name):
+    system, n = _apply_case(name)
+    op = TransferOperator(system, n)
+    rng = np.random.default_rng(0)
+    for g in (GridFunction(rng.uniform(0.5, 1.5, n)),
+              GridFunction.from_callable(lambda x: np.cos(6 * np.pi * x), n)):
+        assert np.array_equal(op.apply(g).values, op.apply_fn(g)(op.nodes))
+    assert "_grid_action" in op.__dict__
+
+
+def test_apply_off_grid_function_takes_pointwise_path():
+    op = TransferOperator(towb.sys_b(256), 256)
+    g = GridFunction(np.random.default_rng(0).uniform(0.5, 1.5, 100))
+    assert np.array_equal(op.apply(g).values, op.apply_fn(g)(op.nodes))
+    assert "_grid_action" not in op.__dict__
+
+
+def test_harmonic_solve_evaluates_weight_once(monkeypatch):
+    # the solve's ~50 applications share one assembled grid action
+    op = TransferOperator(towb.sys_b(1024), 1024)
+    lam = Measure.lebesgue(1024)
+    calls = []
+    original = WeightExpr.__call__
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return original(self, x)
+
+    monkeypatch.setattr(WeightExpr, "__call__", counting)
+    sol = towb.solve_harmonic(op, lam)
+    assert sol.iterations == 48
+    assert calls == [2 * 1024]
 
 
 class TestAdjoint:
@@ -290,6 +350,8 @@ def _identity_suite_per_trial(op, lam, h, trials, seed, tol=1e-8):
                                     status(resid), resid, tol))
 
     h_on_grid = h.resample(op.n_grid)
+    rho = (towb.integrate(GridFunction(op.apply_fn(h_on_grid)(nodes)), lam)
+           / towb.integrate(h_on_grid, lam))
     branch_nodes = op.branch_points(nodes).ravel()
     resid = 0.0
     for f in fs:
@@ -297,14 +359,15 @@ def _identity_suite_per_trial(op, lam, h, trials, seed, tol=1e-8):
             [np.asarray(f(branch_nodes)), np.asarray(f(nodes))]))))
         rfh = op.apply_fn(lambda y, f=f: np.asarray(f(y)) *
                           np.asarray(h_on_grid(y)))(nodes)
-        excess = np.abs(rfh) - sup_f * np.asarray(h_on_grid(nodes))
+        excess = np.abs(rfh) - sup_f * rho * np.asarray(h_on_grid(nodes))
         resid = max(resid, float(np.max(excess)))
     checks.append(IdentityCheck("kernel_sup_bound", status(resid), resid, tol))
     return checks
 
 
-def _oracle_case(name):
-    n = 243 if name == "sys_d" else 256
+def _oracle_case(name, n=None):
+    if n is None:
+        n = 243 if name == "sys_d" else 256
     if name == "table_weight":
         table = GridFunction.from_callable(lambda x: 1.5 + 0.2 * np.sin(
             2 * np.pi * x), n)
@@ -337,6 +400,18 @@ def test_batched_suite_matches_per_trial_oracle(name):
             assert np.isnan(got.residual)
         else:
             assert abs(got.residual - want.residual) <= 1e-12, got.name
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("name", ["table_weight", "uneven_branches"])
+def test_kernel_sup_bound_holds_for_eigenvalue_off_one(name, n):
+    # a correctly solved h satisfies R h = rho h with rho != 1 here, and the
+    # bound sup|f| * rho * h holds for it
+    op, lam, h = _oracle_case(name, n)
+    rho = towb.solve_harmonic(op, lam).rho
+    assert abs(rho - 1.0) > 0.01
+    check = towb.identity_suite(op, lam, h).by_name("kernel_sup_bound")
+    assert check.status == "PASS", check
 
 
 N_CONTROL = 256
