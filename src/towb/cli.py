@@ -211,8 +211,12 @@ def _cmd_quasi(args, cfg, op, lam, report: Report) -> None:
 def _cmd_markov(args, cfg, op, lam, report: Report) -> None:
     if args.set_a is None or args.set_b is None:
         raise ConfigError("markov needs --set-a and --set-b", field="sets")
-    set_a = CylinderSpec.parse(args.set_a).sets[0]
-    set_b = CylinderSpec.parse(args.set_b).sets[0]
+    specs = CylinderSpec.parse(args.set_a), CylinderSpec.parse(args.set_b)
+    if any(spec.depth > 1 for spec in specs):
+        raise ConfigError("markov sets take one coordinate each, got "
+                          f"{specs[0].depth} and {specs[1].depth}",
+                          field="sets")
+    set_a, set_b = (spec.sets[0] for spec in specs)
     if set_a is None or set_b is None:
         raise ConfigError("markov sets cannot be 'all'", field="sets")
     pm = _solved_path_measure(cfg, op, lam)

@@ -3,8 +3,13 @@
 ``solve_harmonic`` runs a power iteration for the leading eigenpair of the
 positive operator ``R``; the eigenvalue estimate is the ``L^1(lam)`` growth
 factor, and the returned function is scaled to integrate to one against the
-base measure.  ``normalize_weight`` divides the weight by the eigenvalue so
-the rescaled system has a genuine fixed point ``R h = h``.
+base measure.  The iteration works on plain node arrays: both linear maps it
+applies are fixed by the operator and ``lam``, so ``R`` goes through the
+operator's assembled grid action and the ``lam``-integral through a
+quadrature whose stencils are built before the first step.  The result is
+bit for bit that of the same loop written with a :class:`GridFunction` per
+step.  ``normalize_weight`` divides the weight by the eigenvalue so the
+rescaled system has a genuine fixed point ``R h = h``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .grid import GridFunction, Measure, integrate
+from .grid import GridFunction, Measure, node_quadrature
 from .system import IfsSystem
 from .transfer import TransferOperator
 
@@ -30,43 +35,55 @@ class HarmonicSolution:
     converged: bool
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """The check :class:`GridFunction` makes on its samples."""
+    if not np.isfinite(values).all():
+        raise DomainError("grid function samples must be finite")
+    return values
+
+
 def solve_harmonic(op: TransferOperator, lam: Measure, tol: float = 1e-12,
                    max_iter: int = 2000, seed: int = 0) -> HarmonicSolution:
     """Power iteration for ``R h = rho h`` from a strictly positive random
     start, normalized in ``L^1(lam)`` each step.
 
-    Positivity of ``R`` keeps true iterates nonnegative; samples are clipped
-    at ``-1e-14`` (rounding dust) and anything more negative signals an
-    invalid weight.  Non-convergence returns the best iterate flagged
-    ``converged=False``.
+    The iterates are node arrays: ``R`` is :meth:`TransferOperator.apply_values`
+    and the integral against ``lam`` is one :func:`node_quadrature`, so no
+    weight, stencil or :class:`GridFunction` is built per step, and ``h``,
+    ``rho``, the residual and the iteration count equal bit for bit those of
+    the loop on grid functions with :meth:`TransferOperator.apply` and
+    :func:`integrate`.  Every iterate is checked finite.  Positivity of ``R``
+    keeps true iterates nonnegative; samples are clipped at ``-1e-14``
+    (rounding dust) and anything more negative signals an invalid weight.
+    Non-convergence returns the best iterate flagged ``converged=False``.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    rng = np.random.default_rng(seed)
-    h = GridFunction(rng.uniform(0.5, 1.5, op.n_grid))
-    h = h * (1.0 / integrate(h, lam))
+    quad = node_quadrature(op.n_grid, lam)
+    h = np.random.default_rng(seed).uniform(0.5, 1.5, op.n_grid)
+    h = _finite(h * (1.0 / quad(h)))
     rho = np.nan
+    converged = False
     for it in range(1, max_iter + 1):
-        g = op.apply(h)
-        low = float(np.min(g.values))
+        g = _finite(op.apply_values(h))
+        low = float(g.min())
         if low < _NEGATIVITY_FLOOR:
             raise ConvergenceError(
                 f"iterate went negative ({low:.3e}); weight is not positive")
-        g = GridFunction(np.maximum(g.values, 0.0))
-        rho = integrate(g, lam)
+        g = np.maximum(g, 0.0)
+        rho = quad(g)
         if rho <= 0:
             raise ConvergenceError("iterate collapsed to zero mass")
-        h_next = g * (1.0 / rho)
-        step = float(np.max(np.abs(h_next.values - h.values)))
+        h_next = _finite(g * (1.0 / rho))
+        step = float(np.abs(h_next - h).max())
         h = h_next
         if step < tol:
-            h = h * (1.0 / integrate(h, lam))
-            residual = float(np.max(np.abs(
-                op.apply(h).values - rho * h.values)))
-            return HarmonicSolution(h, float(rho), residual, it, True)
-    h = h * (1.0 / integrate(h, lam))
-    residual = float(np.max(np.abs(op.apply(h).values - rho * h.values)))
-    return HarmonicSolution(h, float(rho), residual, max_iter, False)
+            converged = True
+            break
+    h = _finite(h * (1.0 / quad(h)))
+    residual = float(np.max(np.abs(_finite(op.apply_values(h)) - rho * h)))
+    return HarmonicSolution(GridFunction(h), float(rho), residual,
+                            it if converged else max_iter, converged)
 
 
 def normalize_weight(op: TransferOperator, lam: Measure,

@@ -102,7 +102,8 @@ class CylinderSpec:
         """Parse ``"[0,0.25);all;[0.5,0.75)u[0.9,1)"``-style descriptions.
 
         Each interval is ``[lo,hi)`` with finite numbers ``lo < hi``; any
-        other piece raises a :class:`ConfigError` located at ``sets``.
+        other piece, and text with no coordinate at all, raises a
+        :class:`ConfigError` located at ``sets``.
         """
         sets: list[IntervalSet | None] = []
         for part in text.split(";"):
@@ -130,6 +131,9 @@ class CylinderSpec:
                                       "endpoints with lo < hi", field="sets")
                 pairs.append((lo, hi))
             sets.append(IntervalSet(pairs))
+        if not sets:
+            raise ConfigError(f"cylinder spec '{text}' has no coordinate",
+                              field="sets")
         return cls(sets)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import (GridFunction, IntervalSet, Measure, integrate,
-                   integrate_over, pushforward, wrap_unit)
+                   integrate_over, interpolate, pushforward, wrap_unit)
 from .sigspace import Decomposition, lebesgue_decompose
 from .system import IfsSystem
 from .trig import TrigPoly
@@ -63,7 +63,7 @@ class TransferOperator:
     """Weighted transfer operator of an :class:`IfsSystem` on an ``N``-cell
     grid.  Pure and immutable; safe to share across threads.  The action on
     node samples is assembled on first use and reused by every later
-    :meth:`apply`."""
+    :meth:`apply_values`, which :meth:`apply` and the harmonic solve call."""
 
     def __init__(self, system: IfsSystem, n_grid: int):
         if n_grid < 2:
@@ -111,25 +111,27 @@ class TransferOperator:
     def _grid_action(self):
         """``R`` acting on node samples: the masses ``p_i W(tau_i x_j)``,
         built as :meth:`apply_fn` builds them, and the interpolation stencil
-        at the branch images of the nodes, with both stencil weights."""
+        at the branch images of the nodes."""
         pts = self.branch_points(self.nodes)
         masses = np.array(self.system.probs)[:, None] * np.asarray(
             self.system.weight(pts), dtype=float)
-        j, nxt, frac = GridFunction.stencil(self.n_grid, pts)
-        return masses, j, nxt, 1.0 - frac, frac
+        return masses, GridFunction.stencil(self.n_grid, pts)
+
+    def apply_values(self, v: np.ndarray) -> np.ndarray:
+        """``R`` on node samples ``v`` of this operator's grid, through the
+        assembled grid action: :meth:`apply_fn`'s arithmetic in the same
+        order, with no weight evaluation and no stencil built."""
+        masses, stencil = self._grid_action
+        return (masses * interpolate(v, stencil)).sum(axis=0)
 
     def apply(self, f) -> GridFunction:
         """``R f`` sampled on the grid nodes.
 
-        A :class:`GridFunction` on this operator's grid takes the assembled
-        grid action, which does :meth:`apply_fn`'s arithmetic in the same
-        order; any other ``f`` goes through :meth:`apply_fn`.
+        A :class:`GridFunction` on this operator's grid goes through
+        :meth:`apply_values`; any other ``f`` through :meth:`apply_fn`.
         """
         if isinstance(f, GridFunction) and f.n_cells == self.n_grid:
-            masses, j, nxt, left, right = self._grid_action
-            v = f.values
-            return GridFunction((masses * (v[j] * left + v[nxt] * right)
-                                 ).sum(axis=0))
+            return GridFunction(self.apply_values(f.values))
         return GridFunction(np.asarray(self.apply_fn(f)(self.nodes), dtype=float))
 
     def apply_symbolic(self, f: TrigPoly) -> TrigPoly | None:

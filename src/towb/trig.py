@@ -154,8 +154,14 @@ class TrigPoly:
 
     def __call__(self, x) -> np.ndarray | float:
         xs = np.asarray(x, dtype=float)
-        vals = np.exp(_TWO_PI_I * np.multiply.outer(xs, self.freqs)) @ self.coefs
-        out = vals.real
+        if self.freqs.size == 1 and self.freqs[0] == 0.0:
+            # a constant: exp(2 pi i 0 x) is 1, so this is the general
+            # path's value; adding 0 * x keeps its shape and its nan at a
+            # non-finite x
+            out = np.add.outer(0.0 * xs, self.coefs[0].real)
+        else:
+            vals = np.exp(_TWO_PI_I * np.multiply.outer(xs, self.freqs)) @ self.coefs
+            out = vals.real
         return float(out) if out.ndim == 0 else out
 
     def antiderivative_values(self, x: np.ndarray) -> np.ndarray:

@@ -197,10 +197,11 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", ["--sets", "--set-a", "--set-b"])
     @pytest.mark.parametrize("text", ["[a,0.5)", "[0,0.5,0.7)", "[0.5,0.2)",
-                                      "[0,0.5"])
+                                      "[0,0.5", ";"])
     def test_malformed_sets_exit_code(self, capsys, flag, text):
-        # a non-numeric endpoint, three endpoints, a reversed interval and a
-        # missing bracket are input errors located at the sets field
+        # a non-numeric endpoint, three endpoints, a reversed interval, a
+        # missing bracket and a spec with no coordinate are input errors
+        # located at the sets field
         if flag == "--sets":
             argv = ["cylinder", "--sets", text]
         else:
@@ -208,6 +209,18 @@ class TestCli:
             argv = ["markov", "--set-a", sets["--set-a"],
                     "--set-b", sets["--set-b"]]
         assert main(argv + ["--config", SYS_A, "--x", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "field 'sets'" in err
+
+    @pytest.mark.parametrize("flag", ["--set-a", "--set-b"])
+    def test_markov_extra_coordinate_exit_code(self, capsys, flag):
+        # markov compares two sets of one coordinate each; a second
+        # coordinate is an input error, not silently dropped
+        sets = {"--set-a": "[0,0.25)", "--set-b": "[0,0.5)",
+                flag: "[0,0.25);[0.5,0.75)"}
+        assert main(["markov", "--config", SYS_A, "--x", "0.3", "--n", "3",
+                     "--set-a", sets["--set-a"],
+                     "--set-b", sets["--set-b"]]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "field 'sets'" in err
 

@@ -52,6 +52,21 @@ class TestIntegrate:
         f = GridFunction.constant(2.0, 10)
         assert integrate(f, Measure.lebesgue(64)) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("n_f, n_mu", [(64, 64), (48, 64), (64, 27)])
+    def test_grid_function_matches_pointwise_midpoint_rule(self, n_f, n_mu):
+        # the cached-stencil quadrature is bit for bit the midpoint rule on
+        # the interpolant, resampled to mu's grid first, plus each atom
+        rng = np.random.default_rng(n_f + n_mu)
+        for _ in range(20):
+            f = GridFunction(rng.normal(size=n_f))
+            mu = Measure(rng.random(n_mu),
+                         [(0.9999, rng.random())] + list(rng.random((3, 2))))
+            g = f.resample(n_mu)
+            want = np.dot(g(mu.cell_midpoints()), mu.cell_masses)
+            for pos, mass in mu.atoms:
+                want = want + g(pos) * mass
+            assert integrate(f, mu) == want
+
     def test_linearity_random_triples(self):
         rng = np.random.default_rng(0)
         for _ in range(25):

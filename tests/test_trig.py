@@ -10,6 +10,32 @@ def test_constant_and_eval():
     assert np.allclose(p(np.linspace(0, 1, 7)), 3.5)
 
 
+def _exp_path(p, x):
+    """The general evaluation, ``exp(2 pi i f x) @ coefs``."""
+    xs = np.asarray(x, dtype=float)
+    out = (np.exp(2j * np.pi * np.multiply.outer(xs, p.freqs)) @ p.coefs).real
+    return float(out) if out.ndim == 0 else out
+
+
+@pytest.mark.parametrize("poly", [
+    TrigPoly.constant(1.0), TrigPoly.constant(0.37),
+    TrigPoly({0.0: 1.5 - 0.25j}),
+    TrigPoly.from_cos_sin(np.array([0.5, 1.0, 2.75]))])
+def test_constant_matches_exp_path_bitwise(poly):
+    rng = np.random.default_rng(5)
+    for x in (0.3, rng.random(17), rng.random((2, 33)), -rng.random(4)):
+        fast, slow = poly(x), _exp_path(poly, x)
+        assert type(fast) is type(slow)
+        assert np.shape(fast) == np.shape(slow)
+        assert np.array_equal(fast, slow)
+
+
+def test_constant_keeps_nan_at_non_finite_points():
+    with np.errstate(invalid="ignore"):
+        vals = TrigPoly.constant(2.0)(np.array([np.nan, np.inf, 0.5]))
+    assert np.isnan(vals[:2]).all() and vals[2] == 2.0
+
+
 def test_cos_sin_construction():
     p = TrigPoly.from_cos_sin(1.0, [1.0])
     assert p(0.0) == pytest.approx(2.0)
