@@ -9,6 +9,7 @@ failures (non-convergence, domain errors).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -251,7 +252,11 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``towb`` argument parser, built on first use and then shared by
+    every :func:`main` call: parsing leaves no state on it, while a build
+    sets up one help formatter per argument."""
     parser = argparse.ArgumentParser(
         prog="towb", description="transfer-operator workbench")
     sub = parser.add_subparsers(dest="command", required=True)

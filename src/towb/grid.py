@@ -4,7 +4,8 @@ Functions are node samples on the uniform grid ``x_j = j/N`` with periodic
 linear interpolation; measures are nonnegative masses on the uniform cells
 ``[j/N, (j+1)/N)`` plus a finite list of atoms.  This pair of representations
 keeps pushforwards, Lebesgue decomposition and the square-density defect
-exact at grid scale.
+exact at grid scale.  A pushforward (Ulam's method, ``|slope| <= N``) sums
+array deposits in a per-cell loop's order: its cell masses, bit for bit.
 
 Everything here is an immutable value; operations are pure functions.
 """
@@ -145,7 +146,7 @@ class Measure:
         cells = np.array(cell_masses, dtype=float)
         if cells.ndim != 1 or cells.size < 1:
             raise DomainError("measure needs a 1-d array of cell masses")
-        if not np.all(np.isfinite(cells)) or np.any(cells < -1e-15):
+        if not np.isfinite(cells).all() or (cells < -1e-15).any():
             raise DomainError("cell masses must be finite and nonnegative")
         cells = np.maximum(cells, 0.0)
         cells.setflags(write=False)
@@ -155,23 +156,29 @@ class Measure:
 
     @staticmethod
     def _normalize_atoms(atoms) -> tuple[tuple[float, float], ...]:
-        cleaned = []
-        for pos, mass in atoms:
-            if mass < 0:
-                raise DomainError("atom masses must be nonnegative")
-            if mass > 0:
-                cleaned.append((wrap_unit(float(pos)), float(mass)))
-        cleaned.sort()
-        merged: list[list[float]] = []
-        for pos, mass in cleaned:
-            if merged and pos - merged[-1][0] <= ATOM_MERGE_TOL:
-                merged[-1][1] += mass
-            else:
-                merged.append([pos, mass])
+        if len(atoms) == 0:
+            return ()
+        pos, mass = np.array(atoms, dtype=float).reshape(len(atoms), 2).T
+        if (mass < 0).any():
+            raise DomainError("atom masses must be nonnegative")
+        pos, mass = wrap_unit(pos[mass > 0]), mass[mass > 0]
+        order = np.lexsort((mass, pos))
+        pos, mass = pos[order], mass[order]
+        # a group takes the atoms within the tolerance of its first atom,
+        # and the first atom beyond it starts the next group
+        start = np.diff(pos, prepend=-np.inf) > ATOM_MERGE_TOL
+        far = ~start
+        while far.any():
+            first = np.maximum.accumulate(np.where(start, np.arange(pos.size), 0))
+            far = pos - pos[first] > ATOM_MERGE_TOL
+            start[1:] |= far[1:] & ~far[:-1]
+        # masses add one by one in sorted order (np.add.reduceat: pairwise)
+        pos, mass = pos[start], np.bincount(np.cumsum(start) - 1, weights=mass)
         # wraparound: an atom just below 1 coincides with one at 0
-        if len(merged) > 1 and (1.0 - merged[-1][0]) + merged[0][0] <= ATOM_MERGE_TOL:
-            merged[0][1] += merged.pop()[1]
-        return tuple((p, m) for p, m in merged)
+        if pos.size > 1 and (1.0 - pos[-1]) + pos[0] <= ATOM_MERGE_TOL:
+            mass[0] += mass[-1]
+            pos, mass = pos[:-1], mass[:-1]
+        return tuple(zip(pos.tolist(), mass.tolist()))
 
     # -- constructors ---------------------------------------------------
 
@@ -219,8 +226,9 @@ class Measure:
     def coarse_cells(self) -> np.ndarray:
         """Cell masses with every atom folded into its containing cell."""
         cells = self.cell_masses.copy()
-        for pos, mass in self.atoms:
-            cells[min(int(pos * self.n_cells), self.n_cells - 1)] += mass
+        pos, mass = np.array(self.atoms).reshape(-1, 2).T
+        np.add.at(cells, np.minimum(pos * self.n_cells,
+                                    self.n_cells - 1).astype(np.intp), mass)
         return cells
 
     def tv_cell_distance(self, other: "Measure") -> float:
@@ -413,47 +421,66 @@ def integrate_over(f, mu: Measure, region: IntervalSet) -> float | np.ndarray:
 # -- pushforward --------------------------------------------------------
 
 
-def _snap_to_edges(value: float, n: int) -> float:
-    nearest = round(value * n) / n
-    return nearest if abs(value - nearest) <= _EDGE_SNAP_TOL else value
-
-
-def _spread_interval(cells: np.ndarray, lo: float, hi: float, mass: float) -> None:
-    """Distribute ``mass`` uniformly over ``[lo, hi)`` onto uniform cells."""
-    n = cells.size
-    lo, hi = _snap_to_edges(lo, n), _snap_to_edges(hi, n)
-    length = hi - lo
-    if length <= 0:
-        cells[min(int(lo * n), n - 1)] += mass
-        return
-    j0 = max(int(np.floor(lo * n)) - 1, 0)
-    j1 = min(int(np.ceil(hi * n)) + 1, n)
-    for j in range(j0, j1):
-        overlap = min(hi, (j + 1) / n) - max(lo, j / n)
-        if overlap > 0:
-            cells[j] += mass * (overlap / length)
+@lru_cache(maxsize=16)
+def _push_stencil(branch: AffineBranch, n: int) -> tuple[np.ndarray, ...]:
+    """The Ulam matrix of ``branch`` on ``n`` cells, shared read-only: per
+    image piece its source cell and its part ``num / full`` of the cell's
+    mass; per deposit, in (source, piece, target) order, its piece, target
+    cell and part ``overlap / length`` of the piece."""
+    edges = np.arange(n + 1) / n
+    lo, hi = np.sort([branch.slope * edges[:-1] + branch.offset,
+                      branch.slope * edges[1:] + branch.offset], axis=0)
+    source, num, full = np.arange(n), np.ones(n), np.ones(n)
+    if branch.mod_one:
+        # pieces [lo, 1) and [0, hi - 1); the second is empty, with no mass,
+        # when the image does not wrap
+        lo, hi = lo - np.floor(lo), hi - np.floor(lo)
+        rest = np.maximum(hi - 1.0, 0.0)
+        full = np.repeat(np.where(rest > 0, (1.0 - lo) + rest, 1.0), 2)
+        source = np.repeat(source, 2)
+        num, lo, hi = (np.stack(pair, axis=1).ravel() for pair in (
+            (np.where(rest > 0, 1.0 - lo, 1.0), rest), (lo, np.zeros(n)),
+            (np.minimum(hi, 1.0), rest)))
+    ends = np.stack([lo, hi])
+    nearest = np.rint(ends * n) / n
+    lo, hi = np.where(np.abs(ends - nearest) <= _EDGE_SNAP_TOL, nearest, ends)
+    point = hi - lo <= 0  # no length: the cell holding lo (Python indexing)
+    cell = np.arange(n)[np.minimum(lo[point] * n, n - 1).astype(np.intp)]
+    lo[point], hi[point] = cell / n, (cell + 1) / n
+    # candidate targets: from one below floor(lo n) to one above ceil(hi n)
+    j0 = np.maximum(np.floor(lo * n) - 1, 0)
+    span = np.maximum(np.minimum(np.ceil(hi * n) + 1, n) - j0, 0).astype(np.intp)
+    piece = np.repeat(np.arange(lo.size), span)
+    target = (j0[piece].astype(np.intp) + np.arange(piece.size)
+              - np.repeat(np.cumsum(span) - span, span))
+    overlap = (np.minimum(hi[piece], (target + 1) / n)
+               - np.maximum(lo[piece], target / n))
+    hit = overlap > 0
+    out = (source, num, full, piece[hit], target[hit],
+           overlap[hit] / (hi - lo)[piece[hit]])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def pushforward(mu: Measure, branch: AffineBranch) -> Measure:
     """Image measure of ``mu`` under an affine branch.
 
-    Cell masses are reassigned to image cells proportionally to overlap
-    length; atoms map to the image of their position.  Total mass is
-    preserved exactly.
+    Each cell's image pieces, snapped to cell edges, spread its mass over
+    the cells they overlap in proportion to the overlap length, summed in a
+    per-cell loop's order (bit for bit its cell masses); atoms map to the
+    image of their position.  Total mass is preserved exactly.  A cell's
+    image may wrap the circle once: ``|slope|`` is at most ``N``.
     """
+    n = mu.n_cells
     if branch.slope == 0:
         raise DomainError("degenerate branch: slope must be nonzero")
-    n = mu.n_cells
-    new_cells = np.zeros(n)
-    edges = np.arange(n + 1) / n
-    for j in range(n):
-        mass = mu.cell_masses[j]
-        if mass == 0:
-            continue
-        pieces = branch.image_intervals(edges[j], edges[j + 1])
-        full = sum(hi - lo for lo, hi in pieces)
-        for lo, hi in pieces:
-            share = mass if len(pieces) == 1 else mass * (hi - lo) / full
-            _spread_interval(new_cells, lo, hi, share)
-    new_atoms = [(wrap_unit(branch(pos)), mass) for pos, mass in mu.atoms]
-    return Measure(new_cells, new_atoms)
+    if abs(branch.slope) > n:
+        raise DomainError(f"branch slope {branch.slope:g} exceeds the grid "
+                          f"size N={n}: a cell's image would wrap twice")
+    source, num, full, piece, target, part = _push_stencil(branch, n)
+    share = mu.cell_masses[source] * num / full  # +0.0 from an empty cell
+    cells = np.bincount(target, weights=share[piece] * part, minlength=n)
+    atoms = np.array(mu.atoms).reshape(-1, 2)
+    atoms[:, 0] = wrap_unit(branch(atoms[:, 0]))
+    return Measure(cells, atoms)

@@ -31,6 +31,10 @@ from .trig import TrigPoly
 
 EPS_H = 1e-10
 DEPTH_MAX = 16
+# Words (branch words times bases) one enumeration may ask for: its deepest
+# level holds one float per word, and the weight's complex exponentials
+# there take ~16 bytes per word and frequency (~100 MiB for W = 1 + cos).
+WORDS_MAX = 2**20
 _H_TRUST = 1e-6
 
 
@@ -223,10 +227,17 @@ def _words_total(pm: PathMeasure, x, factors) -> np.ndarray:
     callable, or ``None`` for the constant 1.  The branch images are built
     outward from ``x``, one leading branch axis per coordinate, and then
     summed inward from ``h``, one application of ``R`` per coordinate.
+    More than ``WORDS_MAX`` words raise before any level is built.
     """
     if len(factors) > DEPTH_MAX:
         raise DomainError(f"path depth {len(factors)} exceeds {DEPTH_MAX}")
     op = pm.op
+    words = op.system.n_branches ** len(factors) * np.size(x)
+    if words > WORDS_MAX:
+        raise DomainError(
+            f"{words} enumerated words ({op.system.n_branches} branches, "
+            f"depth {len(factors)}, {np.size(x)} bases) exceed "
+            f"WORDS_MAX = {WORDS_MAX}")
     probs = np.array(op.system.probs)
     levels = [np.asarray(x, dtype=float)]
     for _ in factors:
@@ -551,7 +562,9 @@ def harmonic_from_measure(pm: PathMeasure, depth: int = 1
     if depth < 1:
         raise DomainError("depth must be at least 1")
     nodes = pm.op.nodes
-    h_tilde = _words_total(pm, nodes, [None] * depth)
+    # the deeper sum first, so that the word bound is checked before any
+    # level is built
     again = _words_total(pm, nodes, [None] * (depth + 1))
+    h_tilde = _words_total(pm, nodes, [None] * depth)
     residual = float(np.max(np.abs(again - h_tilde)))
     return GridFunction(h_tilde), residual

@@ -152,6 +152,25 @@ class TestCli:
     def test_measure_subcommand(self, capsys):
         assert main(["measure", "--config", SYS_D, "--steps", "3"]) == 0
 
+    def test_measure_mass_check_fails_on_leaking_pushforward(
+            self, capsys, tmp_path, monkeypatch):
+        # negative control: a pushforward that loses one part in 1e9 of
+        # its mass must turn the mass_preserved check into a FAIL
+        import towb.sigspace
+
+        def mass_check(code, out):
+            (check,) = json.loads(out.read_text())["checks"]
+            assert check["name"] == "mass_preserved"
+            return code, check["status"]
+
+        out = tmp_path / "rep.json"
+        argv = ["measure", "--config", SYS_D, "--json", str(out)]
+        assert mass_check(main(argv), out) == (0, "PASS")
+        original = towb.sigspace.pushforward
+        monkeypatch.setattr(towb.sigspace, "pushforward",
+                            lambda mu, br: original(mu, br).scaled(1 - 1e-9))
+        assert mass_check(main(argv), out) == (1, "FAIL")
+
     def test_harmonic_subcommand(self, capsys):
         assert main(["harmonic", "--config", SYS_B, "--k-max", "3",
                      "--n-max", "4"]) == 0
@@ -250,6 +269,13 @@ class TestCli:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_word_bound_exit_code(self, capsys):
+        # a depth-12 rebuild on the 1024-cell fixture enumerates too many
+        # words; it is refused before any is built
+        assert main(["harmonic-from-measure", "--config", SYS_A,
+                     "--depth", "12"]) == 3
+        assert "enumerated words" in capsys.readouterr().err
+
     def test_verify_unconverged_solve_exit_code(self, capsys, tmp_path):
         # the identity suite needs a converged fixed function, like the
         # path-space commands
@@ -260,6 +286,37 @@ class TestCli:
         cfg.write_text(text)
         assert main(["verify", "--config", str(cfg), "--trials", "5"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_parser_reused_across_calls(self, capsys, tmp_path):
+        # one parser serves every main() call of a process; calls with
+        # other subcommands and a rejected argument in between leave the
+        # reports as a freshly built parser gives them
+        from towb.cli import build_parser
+
+        runs = [["measure", "--config", SYS_D, "--steps", "3"],
+                ["defect", "--config", SYS_A],
+                ["measure", "--config", SYS_D, "--steps", "x"],
+                ["cylinder", "--config", SYS_A, "--x", "0.3",
+                 "--sets", "[0,0.25)"],
+                ["measure", "--config", SYS_D]]
+
+        def outcomes(fresh: bool) -> list:
+            got = []
+            for i, argv in enumerate(runs):
+                if fresh:
+                    build_parser.cache_clear()
+                out = tmp_path / f"{fresh}-{i}.json"
+                try:
+                    code = main(argv + ["--json", str(out)])
+                except SystemExit as exc:
+                    code = exc.code
+                got.append((code, out.read_bytes() if out.exists() else None))
+            return got
+
+        shared = outcomes(fresh=False)
+        assert build_parser() is build_parser()
+        assert [code for code, _ in shared] == [0, 0, 2, 0, 0]
+        assert shared == outcomes(fresh=True)
 
     def test_reports_are_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

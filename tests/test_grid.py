@@ -7,6 +7,7 @@ import towb
 from towb import (AffineBranch, GridFunction, IntervalSet, Measure, integrate,
                   integrate_over, pushforward)
 from towb.errors import DomainError
+from towb.grid import ATOM_MERGE_TOL, _EDGE_SNAP_TOL, wrap_unit
 from towb.trig import TrigPoly
 
 
@@ -133,6 +134,32 @@ class TestPushforward:
         with pytest.raises(DomainError):
             pushforward(Measure.lebesgue(8), AffineBranch(0.0, 0.3))
 
+    @pytest.mark.parametrize("slope", [12.0, -12.0, 30.0])
+    def test_slope_above_grid_size_rejected(self, slope):
+        # a cell's image would wrap the circle more than once; the cell loop
+        # kept only the first turn (total 0.96667 at slope 12, 0.40667 at 30)
+        with pytest.raises(DomainError, match=r"slope .* N=8"):
+            pushforward(Measure.lebesgue(8), AffineBranch(slope, 0.1, True))
+
+    @pytest.mark.parametrize("slope", [2.0, 8.0, -8.0])
+    def test_slope_up_to_grid_size_preserves_mass(self, slope):
+        lam = Measure.lebesgue(8)
+        out = pushforward(lam, AffineBranch(slope, 0.1, mod_one=True))
+        assert out.total() == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(out.cell_masses,
+                              _pushforward_loop(lam, AffineBranch(
+                                  slope, 0.1, mod_one=True))[0])
+
+    def test_zero_length_piece_lands_in_one_cell(self):
+        # the image of cell 14 wraps past 1 by 1e-13: that piece, snapped to
+        # an edge, has no length, and its share goes to the cell holding it
+        lam = Measure.lebesgue(16)
+        br = AffineBranch(0.5, 0.5 + 1 / 32 + 1e-13, mod_one=True)
+        out = pushforward(lam, br)
+        cells, atoms = _pushforward_loop(lam, br)
+        assert np.array_equal(out.cell_masses, cells) and out.atoms == atoms
+        assert out.total() == pytest.approx(1.0, abs=1e-15)
+
 
 class TestMeasure:
     def test_atom_merge(self):
@@ -219,3 +246,165 @@ def test_integrate_over_matches_cell_loop(case):
     # relative to a bound on the integral: total mass times sup |p|
     scale = mu.total() * np.abs(p.coefs).sum(axis=0)
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+# -- the per-cell loop, kept as the oracle of the array code --------------
+
+
+def _snap_to_edges_loop(value: float, n: int) -> float:
+    nearest = round(value * n) / n
+    return nearest if abs(value - nearest) <= _EDGE_SNAP_TOL else value
+
+
+def _spread_interval_loop(cells: np.ndarray, lo: float, hi: float,
+                          mass: float) -> None:
+    """Distribute ``mass`` uniformly over ``[lo, hi)`` onto uniform cells."""
+    n = cells.size
+    lo, hi = _snap_to_edges_loop(lo, n), _snap_to_edges_loop(hi, n)
+    length = hi - lo
+    if length <= 0:
+        cells[min(int(lo * n), n - 1)] += mass
+        return
+    j0 = max(int(np.floor(lo * n)) - 1, 0)
+    j1 = min(int(np.ceil(hi * n)) + 1, n)
+    for j in range(j0, j1):
+        overlap = min(hi, (j + 1) / n) - max(lo, j / n)
+        if overlap > 0:
+            cells[j] += mass * (overlap / length)
+
+
+def _normalize_atoms_loop(atoms) -> tuple[tuple[float, float], ...]:
+    cleaned = []
+    for pos, mass in atoms:
+        if mass < 0:
+            raise DomainError("atom masses must be nonnegative")
+        if mass > 0:
+            cleaned.append((wrap_unit(float(pos)), float(mass)))
+    cleaned.sort()
+    merged: list[list[float]] = []
+    for pos, mass in cleaned:
+        if merged and pos - merged[-1][0] <= ATOM_MERGE_TOL:
+            merged[-1][1] += mass
+        else:
+            merged.append([pos, mass])
+    if len(merged) > 1 and (1.0 - merged[-1][0]) + merged[0][0] <= ATOM_MERGE_TOL:
+        merged[0][1] += merged.pop()[1]
+    return tuple((p, m) for p, m in merged)
+
+
+def _pushforward_loop(mu: Measure, branch: AffineBranch):
+    """Cell masses and atoms of the image measure, one source cell at a
+    time."""
+    n = mu.n_cells
+    new_cells = np.zeros(n)
+    edges = np.arange(n + 1) / n
+    for j in range(n):
+        mass = mu.cell_masses[j]
+        if mass == 0:
+            continue
+        pieces = branch.image_intervals(edges[j], edges[j + 1])
+        full = sum(hi - lo for lo, hi in pieces)
+        for lo, hi in pieces:
+            share = mass if len(pieces) == 1 else mass * (hi - lo) / full
+            _spread_interval_loop(new_cells, lo, hi, share)
+    new_atoms = [(wrap_unit(branch(pos)), mass) for pos, mass in mu.atoms]
+    return new_cells, _normalize_atoms_loop(new_atoms)
+
+
+def _coarse_cells_loop(mu: Measure) -> np.ndarray:
+    cells = mu.cell_masses.copy()
+    for pos, mass in mu.atoms:
+        cells[min(int(pos * mu.n_cells), mu.n_cells - 1)] += mass
+    return cells
+
+
+# offsets a hair off a cell edge exercise the snapping and zero-length pieces
+_NUDGES = st.sampled_from([0.0, 0.0, 1e-13, -1e-13, 0.9e-12, -2e-12])
+
+
+@st.composite
+def _measure_and_branch(draw):
+    n = draw(st.one_of(st.integers(2, 64), st.sampled_from([243, 1024, 4096])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.7, 1.0]))
+    cells = rng.random(n) * (rng.random(n) < density)
+    point = st.one_of(st.floats(-1.0, 2.0),
+                      st.integers(0, n).map(lambda k: k / n))
+    atoms = draw(st.lists(st.tuples(point, st.floats(0.0, 1.0)), max_size=4))
+    edge = st.integers(-n, n).map(lambda k: k / n)
+    if draw(st.booleans()):
+        # contracting, image inside [0, 1]
+        slope = draw(st.one_of(st.floats(0.05, 1.0),
+                               st.sampled_from([1 / 3, 0.5, 1.0])))
+        if draw(st.booleans()):
+            slope = -slope
+        low = max(0.0, -slope)
+        offset = draw(st.floats(low, low + 1.0 - abs(slope)))
+        branch = AffineBranch(slope, offset)
+    else:
+        slope = draw(st.one_of(st.floats(0.05, 2.0),
+                               st.sampled_from([1 / 3, 0.5, 1.0, 2.0])))
+        if draw(st.booleans()):
+            slope = -slope
+        offset = draw(st.one_of(st.floats(-1.0, 1.0), edge)) + draw(_NUDGES)
+        branch = AffineBranch(slope, offset, mod_one=True)
+    return Measure(cells, atoms), branch
+
+
+@settings(max_examples=300, deadline=None)
+@given(_measure_and_branch())
+def test_pushforward_matches_cell_loop(case):
+    mu, branch = case
+    out = pushforward(mu, branch)
+    cells, atoms = _pushforward_loop(mu, branch)
+    assert np.array_equal(out.cell_masses, cells)
+    assert out.atoms == atoms
+    assert np.array_equal(out.coarse_cells(), _coarse_cells_loop(out))
+
+
+@st.composite
+def _atom_lists(draw):
+    """Clusters of atoms spaced at, just under and just over the merge
+    tolerance, with duplicates, zero masses and clusters on the 1 -> 0
+    wrap."""
+    atoms = []
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.one_of(st.floats(-1.0, 2.0),
+                             st.sampled_from([0.0, 1.0, 1 - 4e-13, -3e-13,
+                                              0.5, 1 - 1e-12])))
+        mass = st.one_of(st.just(0.0), st.just(0.25), st.just(1e-16),
+                         st.floats(1e-3, 1.0))
+        for _ in range(draw(st.integers(1, 6))):
+            atoms.append((pos, draw(mass)))
+            pos += draw(st.sampled_from([0.0, 0.3e-12, 0.99e-12,
+                                         ATOM_MERGE_TOL, 1.01e-12, 5e-12]))
+    return draw(st.permutations(atoms))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_atom_lists())
+def test_normalize_atoms_matches_loop(atoms):
+    assert Measure._normalize_atoms(atoms) == _normalize_atoms_loop(atoms)
+
+
+def test_normalize_atoms_chain_groups_from_first_atom():
+    # each gap is under the tolerance, but the third atom is more than the
+    # tolerance from the first, so it opens a group of its own
+    step = 0.6 * ATOM_MERGE_TOL
+    atoms = [(0.5 + k * step, 1.0 + k) for k in range(5)]
+    got = Measure._normalize_atoms(atoms)
+    assert got == _normalize_atoms_loop(atoms)
+    assert [m for _, m in got] == [3.0, 7.0, 5.0]
+
+
+def test_normalize_atoms_sums_in_sorted_order():
+    # coinciding atoms add smallest mass first, as the sorted loop did:
+    # 1e-16 + 1e-16 survives next to 1.0, while 1.0 + 1e-16 rounds to 1.0
+    atoms = [(0.3, 1.0), (0.3, 1e-16), (0.3, 1e-16)]
+    got = Measure._normalize_atoms(atoms)
+    assert got == _normalize_atoms_loop(atoms) == ((0.3, 1.0 + 2**-52),)
+
+
+def test_normalize_atoms_rejects_negative_mass():
+    with pytest.raises(DomainError, match="nonnegative"):
+        Measure(np.zeros(4), [(0.1, 1.0), (0.2, -1e-300)])

@@ -401,6 +401,21 @@ class TestWordSumKernel:
         with pytest.raises(DomainError):
             towb.markov_deviation(pm_a, half, half, 0.3, 16)
 
+    def test_word_bound_raises_before_allocating(self, pm_a, monkeypatch):
+        # depth 12 passes the depth guard, but its check sum at depth 13
+        # asks for 2^13 words at each of the 1024 nodes
+        built = []
+        monkeypatch.setattr(pm_a.op, "branch_points", built.append)
+        with pytest.raises(DomainError, match="8388608 enumerated words"):
+            towb.harmonic_from_measure(pm_a, depth=12)
+        assert built == []
+
+    def test_word_bound_admits_its_limit(self, pm_a):
+        # 2^10 words at each of the 1024 nodes is exactly WORDS_MAX
+        assert 2**10 * pm_a.op.n_grid == towb.solenoid.WORDS_MAX
+        total = towb.conditional_expectation(pm_a, [None] * 11, pm_a.op.nodes)
+        assert total.shape == (1024,)
+
     def test_harmonic_from_measure_depth_guard(self):
         # depth 16 needs words of length 17, past the kernel's limit
         op = TransferOperator(towb.sys_a(8), 8)
