@@ -37,7 +37,7 @@ _SCHEMA: dict[str, dict[str, type]] = {
                "cos": list, "sin": list, "table_values": list},
     "grid": {"cells": float},
     "solver": {"tol": float, "max_iter": float, "seed": float},
-    "sampler": {"seed": float, "paths": float, "depth": float},
+    "sampler": {"seed": float, "paths": float},
     "measure": {"kind": str, "positions": list, "masses": list},
 }
 
@@ -61,7 +61,6 @@ class RunConfig:
     solver_seed: int = 0
     sampler_seed: int = 7
     sampler_paths: int = 100_000
-    sampler_depth: int = 3
     measure_kind: str = "lebesgue"
     measure_positions: list[float] = field(default_factory=list)
     measure_masses: list[float] = field(default_factory=list)
@@ -148,8 +147,7 @@ class RunConfig:
                   f"max_iter = {self.solver_max_iter}",
                   f"seed = {self.solver_seed}"]
         lines += ["", "[sampler]", f"seed = {self.sampler_seed}",
-                  f"paths = {self.sampler_paths}",
-                  f"depth = {self.sampler_depth}"]
+                  f"paths = {self.sampler_paths}"]
         lines += ["", "[measure]", f'kind = "{self.measure_kind}"']
         if self.measure_kind == "atoms":
             lines.append(f"positions = {fmt(self.measure_positions)}")
@@ -254,7 +252,6 @@ def parse_config(text: str) -> RunConfig:
         sampler_seed=int(sampler_sec.get("seed", 7)),
         sampler_paths=int(positive(sampler_sec, "paths", 100_000,
                                    "sampler.paths")),
-        sampler_depth=int(positive(sampler_sec, "depth", 3, "sampler.depth")),
         measure_kind=measure_sec.get("kind", "lebesgue"),
         measure_positions=list(measure_sec.get("positions", [])),
         measure_masses=list(measure_sec.get("masses", [])),

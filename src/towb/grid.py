@@ -6,6 +6,8 @@ linear interpolation; measures are nonnegative masses on the uniform cells
 keeps pushforwards, Lebesgue decomposition and the square-density defect
 exact at grid scale.  A pushforward (Ulam's method, ``|slope| <= N``) sums
 array deposits in a per-cell loop's order: its cell masses, bit for bit.
+The measure action of a branch system, ``sum_i p_i mu o tau_i^-1``, is one
+:func:`push_mixture`, which builds one measure per application.
 
 Everything here is an immutable value; operations are pure functions.
 """
@@ -256,6 +258,17 @@ class AffineBranch:
             y = wrap_unit(y)
         return float(y) if np.isscalar(x) else y
 
+    def check_image(self, name: str = "branch") -> None:
+        """Raise :class:`DomainError` naming ``name`` when the branch does
+        not wrap and its image of ``[0, 1)`` leaves ``[0, 1]``: the part
+        outside would fall off the circle."""
+        if self.mod_one:
+            return
+        lo, hi = sorted((self.offset, self.slope + self.offset))
+        if lo < -_EDGE_SNAP_TOL or hi > 1.0 + _EDGE_SNAP_TOL:
+            raise DomainError(f"{name}: image [{lo:g}, {hi:g}] of [0, 1) "
+                              "leaves [0, 1]")
+
     def image_intervals(self, lo: float, hi: float) -> list[tuple[float, float]]:
         """Image of ``[lo, hi)`` as a list of subintervals of ``[0, 1)``."""
         a, b = self.slope * lo + self.offset, self.slope * hi + self.offset
@@ -470,7 +483,8 @@ def pushforward(mu: Measure, branch: AffineBranch) -> Measure:
     the cells they overlap in proportion to the overlap length, summed in a
     per-cell loop's order (bit for bit its cell masses); atoms map to the
     image of their position.  Total mass is preserved exactly.  A cell's
-    image may wrap the circle once: ``|slope|`` is at most ``N``.
+    image may wrap the circle once: ``|slope|`` is at most ``N``; a branch
+    that does not wrap must map ``[0, 1)`` into ``[0, 1]``.
     """
     n = mu.n_cells
     if branch.slope == 0:
@@ -478,9 +492,24 @@ def pushforward(mu: Measure, branch: AffineBranch) -> Measure:
     if abs(branch.slope) > n:
         raise DomainError(f"branch slope {branch.slope:g} exceeds the grid "
                           f"size N={n}: a cell's image would wrap twice")
+    branch.check_image()
     source, num, full, piece, target, part = _push_stencil(branch, n)
     share = mu.cell_masses[source] * num / full  # +0.0 from an empty cell
     cells = np.bincount(target, weights=share[piece] * part, minlength=n)
     atoms = np.array(mu.atoms).reshape(-1, 2)
     atoms[:, 0] = wrap_unit(branch(atoms[:, 0]))
+    return Measure(cells, atoms)
+
+
+def push_mixture(mu: Measure, branches: Sequence[AffineBranch],
+                 probs: Sequence[float]) -> Measure:
+    """The branch mixture ``sum_i p_i mu o tau_i^-1`` as one measure: bit
+    for bit ``pushforward(mu, tau_1).scaled(p_1) + ...`` in branch order,
+    with the atoms of every branch merged once."""
+    cells, atoms = None, []
+    for branch, p in zip(branches, probs):
+        part = pushforward(mu, branch)
+        scaled = part.cell_masses * p
+        cells = scaled if cells is None else cells + scaled
+        atoms.extend((pos, m * p) for pos, m in part.atoms)
     return Measure(cells, atoms)

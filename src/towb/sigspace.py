@@ -12,6 +12,9 @@ between ``sqrt(lam . R)`` and the projection of that element onto the
 subspace generated by ``lam``, namely ``sqrt(W_lam) * sqrt(lam)`` with
 ``W_lam`` the density of the absolutely continuous part.  The defect is
 zero exactly when the pushed measure has no singular part at grid scale.
+The branch-averaging iteration :func:`hutchinson_iterate` is the same
+measure action without the weight: one :func:`~towb.grid.push_mixture` per
+step.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError
-from .grid import ATOM_MERGE_TOL, GridFunction, Measure, pushforward
+from .grid import ATOM_MERGE_TOL, GridFunction, Measure, push_mixture
 
 if TYPE_CHECKING:  # pragma: no cover
     from .system import IfsSystem
@@ -166,21 +169,16 @@ def l1_membership(lam: Measure, op: "TransferOperator",
 
 def hutchinson_iterate(system: "IfsSystem", lam0: Measure,
                        steps: int) -> Measure:
-    """Iterate the branch-averaging map ``lam -> sum_i p_i lam o tau_i^-1``.
-
-    The weight plays no role here; the fixed points are the invariant
-    measures of the bare branch system.  Total mass is preserved exactly.
+    """Iterate the branch-averaging map ``lam -> sum_i p_i lam o tau_i^-1``,
+    one :func:`~towb.grid.push_mixture` per step: ``R``'s measure action
+    without the weight, whose fixed points are the invariant measures of the
+    bare branch system.  Total mass is preserved exactly.
     """
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     lam = lam0
     for _ in range(steps):
-        parts = [pushforward(lam, br).scaled(p)
-                 for br, p in zip(system.branches, system.probs)]
-        acc = parts[0]
-        for part in parts[1:]:
-            acc = acc + part
-        lam = acc
+        lam = push_mixture(lam, system.branches, system.probs)
     return lam
 
 

@@ -238,14 +238,12 @@ def _words_total(pm: PathMeasure, x, factors) -> np.ndarray:
             f"{words} enumerated words ({op.system.n_branches} branches, "
             f"depth {len(factors)}, {np.size(x)} bases) exceed "
             f"WORDS_MAX = {WORDS_MAX}")
-    probs = np.array(op.system.probs)
     levels = [np.asarray(x, dtype=float)]
     for _ in factors:
         levels.append(op.branch_points(levels[-1]))
     total = np.asarray(pm.h(levels[-1]), dtype=float)
     for f, ys in zip(reversed(factors), reversed(levels[1:])):
-        masses = probs.reshape((-1,) + (1,) * (ys.ndim - 1)) * np.asarray(
-            op.system.weight(ys), dtype=float)
+        masses = op.branch_masses(ys)
         if f is not None:
             total = np.asarray(f(ys), dtype=float) * total
         total = (masses * total).sum(axis=0)
@@ -344,13 +342,12 @@ def sample_paths(pm: PathMeasure, bases, depth: int,
     Returns ``(digits, coords)`` with shapes ``(count, depth)`` and
     ``(count, depth+1)``.  Deterministic given the generator state.
     """
-    sys_ = pm.op.system
+    op = pm.op
     ys = np.atleast_1d(np.asarray(bases, dtype=float))
     count = ys.size
     digits = np.zeros((count, depth), dtype=np.int64)
     coords = np.zeros((count, depth + 1))
     coords[:, 0] = ys
-    probs = np.array(sys_.probs)
     # the kernel is evaluated once per distinct state; path k sits at
     # states[at[k]].  When no base repeats, the states keep the paths' order,
     # so that the gathers by ``at`` run in sequence.
@@ -361,10 +358,9 @@ def sample_paths(pm: PathMeasure, bases, depth: int,
     for j in range(depth):
         if np.any(hy <= EPS_H):
             raise DomainError("h fell below its floor along a trajectory")
-        pts = pm.op.branch_points(states)                 # (n, S)
-        wv = np.asarray(sys_.weight(pts), dtype=float)
+        pts = op.branch_points(states)                    # (n, S)
+        kernel = op.branch_masses(pts)
         hv = np.asarray(pm.h(pts), dtype=float)
-        kernel = probs[:, None] * wv
         kernel *= hv
         kernel /= hy
         total = kernel.sum(axis=0)

@@ -138,27 +138,6 @@ class PiecewiseAffineMap:
                     pre.append((x1, x2))
         return IntervalSet(pre)
 
-    def uniform_integer_slope(self) -> int | None:
-        """Return m if this is exactly the ``x -> m x mod 1`` family."""
-        m = self.pieces[0][2]
-        if m != round(m) or m < 2:
-            return None
-        m = int(m)
-        if len(self.pieces) != m:
-            return None
-        for k, (lo, hi, a, b) in enumerate(self.pieces):
-            if (a != m or lo != k / m or hi != (k + 1) / m or b != -float(k)):
-                return None
-        return m
-
-    def compose_trig(self, f: TrigPoly) -> TrigPoly | None:
-        """Exact ``f(sigma(x))`` when ``sigma = m x mod 1`` and ``f`` has
-        integer frequencies (periodicity absorbs the mod)."""
-        m = self.uniform_integer_slope()
-        if m is None or not f.has_integer_freqs():
-            return None
-        return f.compose_affine(float(m), 0.0)
-
     def __repr__(self) -> str:
         return f"PiecewiseAffineMap({len(self.pieces)} pieces)"
 
@@ -211,6 +190,7 @@ def validate_system(system: IfsSystem, n_grid: int = 256) -> None:
     for i, br in enumerate(system.branches):
         if br.slope == 0:
             raise DomainError(f"branches[{i}]: slope must be nonzero")
+        br.check_image(f"branches[{i}]")
 
     spans = []
     for i, br in enumerate(system.branches):

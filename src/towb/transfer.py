@@ -6,7 +6,12 @@ the operator acts on functions by
     (R f)(x) = sum_i p_i W(tau_i x) f(tau_i x)
 
 and its adjoint in ``L^2(lam)`` (for ``lam`` whose pushed measure has density
-``W``) is the weighted composition ``(S f)(x) = W(x) f(sigma(x))``.
+``W``) is the weighted composition ``(S f)(x) = W(x) f(sigma(x))``.  The
+kernel masses ``p_i W(tau_i x)`` are formed in one place,
+:meth:`TransferOperator.branch_masses`, for the pointwise action, the
+assembled grid action, the atomic kernel and the path-space kernel of
+:mod:`towb.solenoid`; the measure action ``lam . R`` is the branch mixture
+:func:`~towb.grid.push_mixture` reweighted by ``W``.
 
 :func:`identity_suite` replays the web of identities tying ``R``, ``S``,
 ``sigma`` and ``W`` together on randomized trigonometric test functions.
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import (GridFunction, IntervalSet, Measure, integrate,
-                   integrate_over, interpolate, pushforward, wrap_unit)
+                   integrate_over, interpolate, push_mixture, wrap_unit)
 from .sigspace import Decomposition, lebesgue_decompose
 from .system import IfsSystem
 from .trig import TrigPoly
@@ -55,9 +60,6 @@ class ConditionalKernel:
         vals = np.asarray(f(self.points), dtype=float)
         return float((self.masses * vals).sum(axis=0))
 
-    def total(self) -> float:
-        return float(self.masses.sum())
-
 
 class TransferOperator:
     """Weighted transfer operator of an :class:`IfsSystem` on an ``N``-cell
@@ -80,28 +82,30 @@ class TransferOperator:
         xs = np.asarray(x, dtype=float)
         return np.stack([wrap_unit(br(xs)) for br in self.system.branches])
 
+    def branch_masses(self, pts: np.ndarray) -> np.ndarray:
+        """Kernel masses ``p_i W(y)`` at branch images ``pts`` stacked as
+        :meth:`branch_points` stacks them: the one product order of ``R``."""
+        probs = np.array(self.system.probs)
+        return probs.reshape((-1,) + (1,) * (pts.ndim - 1)) * np.asarray(
+            self.system.weight(pts), dtype=float)
+
     def kernel(self, x: float) -> ConditionalKernel:
         pts = self.branch_points(float(x))
-        w = np.asarray(self.system.weight(pts), dtype=float)
-        masses = np.array(self.system.probs) * w
-        return ConditionalKernel(float(x), pts, masses)
+        return ConditionalKernel(float(x), pts, self.branch_masses(pts))
 
     def apply_fn(self, f):
         """``R f`` as a vectorized callable.
 
-        Shares its arithmetic path with :meth:`kernel`: masses
-        ``p_i * W(tau_i x)`` are formed first, multiplied by the sample
-        values, and summed over branches, so the two agree bit for bit.
-        When ``f`` returns values with a trailing trials axis, the masses
-        broadcast over it.
+        Shares its arithmetic path with :meth:`kernel`: the masses from
+        :meth:`branch_masses` are multiplied by the sample values and
+        summed over branches, so the two agree bit for bit.  When ``f``
+        returns values with a trailing trials axis, the masses broadcast
+        over it.
         """
-        probs = np.array(self.system.probs)
-        weight = self.system.weight
 
         def rf(x):
             pts = self.branch_points(x)
-            w = np.asarray(weight(pts), dtype=float)
-            masses = probs.reshape((-1,) + (1,) * (pts.ndim - 1)) * w
+            masses = self.branch_masses(pts)
             vals = np.asarray(f(pts), dtype=float)
             return (_broadcast_to_trials(masses, vals) * vals).sum(axis=0)
 
@@ -109,13 +113,10 @@ class TransferOperator:
 
     @cached_property
     def _grid_action(self):
-        """``R`` acting on node samples: the masses ``p_i W(tau_i x_j)``,
-        built as :meth:`apply_fn` builds them, and the interpolation stencil
-        at the branch images of the nodes."""
+        """``R`` acting on node samples: the masses ``p_i W(tau_i x_j)``
+        and the interpolation stencil at the branch images of the nodes."""
         pts = self.branch_points(self.nodes)
-        masses = np.array(self.system.probs)[:, None] * np.asarray(
-            self.system.weight(pts), dtype=float)
-        return masses, GridFunction.stencil(self.n_grid, pts)
+        return self.branch_masses(pts), GridFunction.stencil(self.n_grid, pts)
 
     def apply_values(self, v: np.ndarray) -> np.ndarray:
         """``R`` on node samples ``v`` of this operator's grid, through the
@@ -166,15 +167,13 @@ class TransferOperator:
     # -- measure action -------------------------------------------------
 
     def push_measure(self, lam: Measure) -> Measure:
-        """The measure ``lam . R``: branch pushforwards reweighted by ``W``.
+        """The measure ``lam . R``: the branch mixture
+        :func:`~towb.grid.push_mixture` reweighted by ``W``.
 
         Cell masses pick up the weight at the image cell midpoint (the same
         point quadrature uses); atoms pick it up exactly.
         """
-        acc = None
-        for br, p in zip(self.system.branches, self.system.probs):
-            part = pushforward(lam, br).scaled(p)
-            acc = part if acc is None else acc + part
+        acc = push_mixture(lam, self.system.branches, self.system.probs)
         w_mid = np.asarray(self.system.weight(acc.cell_midpoints()), dtype=float)
         cells = acc.cell_masses * w_mid
         atoms = [(pos, mass * float(self.system.weight(pos)))
@@ -243,15 +242,6 @@ def _status(residual: float, tol: float) -> str:
     return "PASS" if residual < tol else "FAIL"
 
 
-def _compose_sigma(op: TransferOperator, f: TrigPoly):
-    """``f o sigma`` symbolically when possible, else numerically."""
-    sym = op.system.sigma.compose_trig(f)
-    if sym is not None:
-        return sym
-    sigma = op.system.sigma
-    return lambda x: f(sigma(x))
-
-
 def _integrate_composed(op: TransferOperator, f: TrigPoly, lam: Measure,
                         factor: TrigPoly | None = None):
     """``int factor (f o sigma) dlam`` in closed form, piece by piece.
@@ -312,12 +302,12 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
 
     checks: list[IdentityCheck] = []
 
-    # (a) pull-back property: R((f o sigma) g) = f R(g), pointwise
+    # (a) pull-back property: R((f o sigma) g) = f R(g), pointwise.  f o sigma
+    # is evaluated as f(sigma(y)): at y = tau_i x that is f(x) up to rounding
     resid = 0.0
     for f, g in zip(fs, gs):
-        f_sig = _compose_sigma(op, f)
-        lhs = op.apply_fn(lambda y, f_sig=f_sig, g=g:
-                          np.asarray(f_sig(y)) * np.asarray(g(y)))(nodes)
+        lhs = op.apply_fn(lambda y, f=f, g=g:
+                          np.asarray(f(sigma(y))) * np.asarray(g(y)))(nodes)
         rhs = np.asarray(f(nodes)) * op.apply_fn(g)(nodes)
         resid = max(resid, float(np.max(np.abs(lhs - rhs))))
     checks.append(IdentityCheck("pullback_product", _status(resid, tol),
@@ -332,9 +322,8 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
             lhs = _integrate_composed(op, f, lam, w_tp * g)
             rhs = integrate(f * rg, lam)
         else:
-            f_sig = _compose_sigma(op, f)
             lhs = integrate(lambda y: np.asarray(weight(y))[..., None] *
-                            np.asarray(f_sig(y)) * np.asarray(g(y)), lam)
+                            np.asarray(f(sigma(y))) * np.asarray(g(y)), lam)
             rhs = integrate(lambda y, g=g: np.asarray(f(y)) *
                             np.asarray(op.apply_fn(g)(y)), lam)
         resid = max(resid, float(np.max(np.abs(lhs - rhs))))

@@ -187,9 +187,6 @@ class TrigPoly:
     def max_freq(self) -> float:
         return float(np.max(np.abs(self.freqs)))
 
-    def has_integer_freqs(self, tol: float = 1e-9) -> bool:
-        return bool(np.all(np.abs(self.freqs - np.round(self.freqs)) <= tol))
-
     def __repr__(self) -> str:
         batch = (f", {self.coefs.shape[1]} trials" if self.coefs.ndim == 2
                  else "")

@@ -117,16 +117,16 @@ class TestCli:
                                                       monkeypatch):
         # the density written for plotting comes from the decomposition the
         # defect was read from, so plotting costs no further pushforward
-        import towb.transfer
+        import towb.grid
 
         calls = []
-        original = towb.transfer.pushforward
+        original = towb.grid.pushforward
 
         def counting(mu, branch):
             calls.append(mu.n_cells)
             return original(mu, branch)
 
-        monkeypatch.setattr(towb.transfer, "pushforward", counting)
+        monkeypatch.setattr(towb.grid, "pushforward", counting)
         plain, plotted = tmp_path / "plain.json", tmp_path / "plotted.json"
         assert main(["defect", "--config", SYS_A, "--json", str(plain)]) == 0
         pushes_plain = len(calls)
@@ -156,7 +156,7 @@ class TestCli:
             self, capsys, tmp_path, monkeypatch):
         # negative control: a pushforward that loses one part in 1e9 of
         # its mass must turn the mass_preserved check into a FAIL
-        import towb.sigspace
+        import towb.grid
 
         def mass_check(code, out):
             (check,) = json.loads(out.read_text())["checks"]
@@ -166,8 +166,8 @@ class TestCli:
         out = tmp_path / "rep.json"
         argv = ["measure", "--config", SYS_D, "--json", str(out)]
         assert mass_check(main(argv), out) == (0, "PASS")
-        original = towb.sigspace.pushforward
-        monkeypatch.setattr(towb.sigspace, "pushforward",
+        original = towb.grid.pushforward
+        monkeypatch.setattr(towb.grid, "pushforward",
                             lambda mu, br: original(mu, br).scaled(1 - 1e-9))
         assert mass_check(main(argv), out) == (1, "FAIL")
 
@@ -243,6 +243,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "field 'sets'" in err
 
+    def test_sampler_depth_key_exit_code(self, capsys, tmp_path):
+        # the sampler draws its own depths; a config asking for one is
+        # refused at its line, like any other key the format lacks
+        cfg = tmp_path / "depth.cfg"
+        cfg.write_text(load_config(SYS_A).emit().replace(
+            "paths = 100000\n", "paths = 100000\ndepth = 3\n"))
+        assert main(["sample", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'depth' in section '[sampler]'" in err
+        assert "line 22" in err
+
+    @pytest.mark.parametrize("command", ["measure", "defect", "verify"])
+    def test_branch_image_off_the_circle_exit_code(self, capsys, tmp_path,
+                                                   command):
+        # x/2 - 1/4 does not wrap, and half its image lies below 0: the
+        # measure layer would drop that mass, so the system is refused
+        cfg = tmp_path / "shifted.cfg"
+        cfg.write_text(load_config(SYS_A).emit().replace(
+            "branch_offsets = [0.0, 0.5]", "branch_offsets = [-0.25, 0.25]"))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "branches[0]: image [-0.25, 0.25]" in err
+        assert "field 'system'" in err
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["harmonic", "--config", "/nonexistent.cfg"]) == 2
 
@@ -317,6 +341,67 @@ class TestCli:
         assert build_parser() is build_parser()
         assert [code for code, _ in shared] == [0, 0, 2, 0, 0]
         assert shared == outcomes(fresh=True)
+
+    @staticmethod
+    def _statuses(out, names) -> list:
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        return [checks[name]["status"] for name in names]
+
+    def test_quasi_checks_fail_on_point_mass(self, capsys, tmp_path):
+        # negative control: sys_c differs from sys_a only in lam, the point
+        # mass at 0, whose pushed measure has no density W against it
+        names = ["quasi_invariance", "unitarity"]
+        out = tmp_path / "rep.json"
+        for path, code, status in ((SYS_A, 0, "PASS"), (SYS_C, 1, "FAIL")):
+            assert main(["quasi", "--config", path, "--trials", "3",
+                         "--json", str(out)]) == code
+            assert self._statuses(out, names) == [status, status]
+
+    @staticmethod
+    def _perturb_solution(monkeypatch, eps):
+        """Make the CLI's harmonic solve return ``h (1 + eps cos 4 pi x)``."""
+        import dataclasses
+
+        import towb.cli
+
+        original = towb.cli.solve_harmonic
+
+        def perturbed(op, lam, **kwargs):
+            sol = original(op, lam, **kwargs)
+            bump = 1.0 + eps * np.cos(4 * np.pi * op.nodes)
+            return dataclasses.replace(
+                sol, h=towb.GridFunction(sol.h.values * bump))
+
+        monkeypatch.setattr(towb.cli, "solve_harmonic", perturbed)
+
+    def test_harmonic_reconstruction_fails_on_perturbed_h(
+            self, capsys, tmp_path, monkeypatch):
+        # negative control: on sys_a, R maps cos 4 pi x to cos 2 pi x and
+        # that to 0, so h (1 + 1e-7 cos 4 pi x) passes the 1e-6 trust
+        # residual, while R h~ and R^2 h~ differ by 1e-7 cos 2 pi x
+        argv = ["harmonic-from-measure", "--config", SYS_A]
+        out = tmp_path / "rep.json"
+        assert main(argv + ["--json", str(out)]) == 0
+        assert self._statuses(out, ["harmonic_reconstruction"]) == ["PASS"]
+        self._perturb_solution(monkeypatch, 1e-7)
+        assert main(argv + ["--json", str(out)]) == 1
+        assert self._statuses(out, ["harmonic_reconstruction"]) == ["FAIL"]
+        (check,) = json.loads(out.read_text())["checks"]
+        assert check["residual"] == pytest.approx(1e-7, rel=1e-3)
+
+    def test_fourier_cascade_fails_on_perturbed_h(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # negative control: the same bump at 1e-3 on sys_b moves the
+        # coefficients of h off the cascade of the weight, while the solve
+        # itself still reports convergence
+        argv = ["harmonic", "--config", SYS_B]
+        out = tmp_path / "rep.json"
+        assert main(argv + ["--json", str(out)]) == 0
+        assert self._statuses(out, ["fourier_cascade"]) == ["PASS"]
+        self._perturb_solution(monkeypatch, 1e-3)
+        assert main(argv + ["--json", str(out)]) == 1
+        assert self._statuses(out, ["harmonic_converged",
+                                    "fourier_cascade"]) == ["PASS", "FAIL"]
 
     def test_reports_are_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

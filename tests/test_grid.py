@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import towb
-from towb import (AffineBranch, GridFunction, IntervalSet, Measure, integrate,
+from towb import (AffineBranch, GridFunction, IntervalSet, Measure,
+                  TransferOperator, hutchinson_iterate, integrate,
                   integrate_over, pushforward)
 from towb.errors import DomainError
-from towb.grid import ATOM_MERGE_TOL, _EDGE_SNAP_TOL, wrap_unit
+from towb.grid import ATOM_MERGE_TOL, _EDGE_SNAP_TOL, push_mixture, wrap_unit
+from towb.system import IfsSystem, PiecewiseAffineMap, WeightExpr
 from towb.trig import TrigPoly
 
 
@@ -129,6 +131,17 @@ class TestPushforward:
             br = AffineBranch(a, rng.uniform(-1, 1), mod_one=True)
             out = pushforward(lam, br)
             assert out.total() == pytest.approx(lam.total(), abs=1e-12)
+
+    @pytest.mark.parametrize("offset", [-0.25, 0.75])
+    def test_image_leaving_unit_interval_rejected(self, offset):
+        # without the reduction mod 1 half the image falls off [0, 1] and
+        # its mass would be lost; reduced mod 1 it wraps and keeps it
+        with pytest.raises(DomainError, match=r"image \[.*\] of \[0, 1\) "
+                                              "leaves"):
+            pushforward(Measure.lebesgue(8), AffineBranch(0.5, offset))
+        out = pushforward(Measure.lebesgue(8),
+                          AffineBranch(0.5, offset, mod_one=True))
+        assert out.total() == pytest.approx(1.0, abs=1e-15)
 
     def test_degenerate_branch_rejected(self):
         with pytest.raises(DomainError):
@@ -408,3 +421,78 @@ def test_normalize_atoms_sums_in_sorted_order():
 def test_normalize_atoms_rejects_negative_mass():
     with pytest.raises(DomainError, match="nonnegative"):
         Measure(np.zeros(4), [(0.1, 1.0), (0.2, -1e-300)])
+
+
+def _mixture_chain(mu: Measure, branches, probs) -> Measure:
+    """Oracle: the scaled branch pushforwards added one measure at a time."""
+    acc = None
+    for branch, p in zip(branches, probs):
+        part = pushforward(mu, branch).scaled(p)
+        acc = part if acc is None else acc + part
+    return acc
+
+
+@st.composite
+def _branch_system(draw):
+    """A measure with atom clusters and two or three branches with
+    probabilities.  Atoms 1-2 merge tolerances apart survive in ``mu`` and
+    merge under a contracting branch; clusters start either side of the
+    1 -> 0 wrap.  Three branches tile [0, 1] with their images, as a valid
+    system's do; two may be any branches, wrapping ones included."""
+    n = draw(st.one_of(st.integers(2, 64), st.sampled_from([243, 1024])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    cells = rng.random(n) * (rng.random(n) < density)
+    atoms = []
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+            [0.0, 0.5, 1 - 1.5e-12, 1 - 3e-12, 0.4e-12])))
+        for _ in range(draw(st.integers(1, 4))):
+            atoms.append((pos, draw(st.floats(1e-3, 1.0))))
+            pos += draw(st.sampled_from([1.0, 1.5, 2.0])) * ATOM_MERGE_TOL
+    if draw(st.booleans()):
+        branches = []
+        for _ in range(2):
+            slope = draw(st.one_of(st.floats(0.05, 2.0),
+                                   st.sampled_from([1 / 3, 0.5, 2.0])))
+            slope = -slope if draw(st.booleans()) else slope
+            branches.append(AffineBranch(slope, draw(st.floats(-1.0, 1.0)),
+                                         mod_one=True))
+    else:
+        k = draw(st.sampled_from([2, 3]))
+        cuts = draw(st.lists(st.integers(1, 23), min_size=k - 1,
+                             max_size=k - 1, unique=True))
+        ends = [0.0] + sorted(c / 24 for c in cuts) + [1.0]
+        branches = [AffineBranch(hi - lo, lo) if draw(st.booleans())
+                    else AffineBranch(lo - hi, hi)
+                    for lo, hi in zip(ends, ends[1:])]
+    probs = [draw(st.floats(0.05, 1.0)) for _ in branches]
+    return Measure(cells, atoms), branches, probs
+
+
+def _assert_same_measure(got: Measure, want: Measure) -> None:
+    assert np.array_equal(got.cell_masses, want.cell_masses)
+    assert got.atoms == want.atoms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_branch_system())
+def test_push_mixture_matches_scaled_sum_chain(case):
+    mu, branches, probs = case
+    chain = _mixture_chain(mu, branches, probs)
+    _assert_same_measure(push_mixture(mu, branches, probs), chain)
+
+    # push_measure is the mixture reweighted by W
+    weight = WeightExpr.trig(1.0, [0.3], [0.2])
+    system = IfsSystem(tuple(branches), tuple(probs), weight,
+                       PiecewiseAffineMap.expanding(2))
+    want = Measure(
+        chain.cell_masses * np.asarray(weight(chain.cell_midpoints())),
+        [(pos, m * float(weight(pos))) for pos, m in chain.atoms])
+    _assert_same_measure(TransferOperator(system, 8).push_measure(mu), want)
+
+    # hutchinson_iterate repeats the mixture
+    want = mu
+    for _ in range(3):
+        want = _mixture_chain(want, branches, probs)
+    _assert_same_measure(hutchinson_iterate(system, mu, 3), want)

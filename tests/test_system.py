@@ -48,15 +48,7 @@ class TestPiecewiseAffineMap:
     def test_inferred_from_branches(self):
         s = PiecewiseAffineMap.inverse_of_branches(
             [towb.AffineBranch(0.5, 0.0), towb.AffineBranch(0.5, 0.5)])
-        assert s.uniform_integer_slope() == 2
-
-    def test_compose_trig(self):
-        from towb.trig import TrigPoly
-        s = PiecewiseAffineMap.expanding(3)
-        f = TrigPoly.from_cos_sin(0.0, [1.0])
-        comp = s.compose_trig(f)
-        xs = np.linspace(0, 1, 37, endpoint=False)
-        assert np.allclose(comp(xs), f(s(xs)), atol=1e-12)
+        assert s.pieces == PiecewiseAffineMap.expanding(2).pieces
 
 
 class TestValidation:
@@ -86,6 +78,17 @@ class TestValidation:
         with pytest.raises(DomainError, match="overlapping image"):
             make_system([0.5 + 1e-3, 0.5], [0.0, 0.5], [0.5, 0.5],
                         WeightExpr.constant(1.0), sigma=2)
+
+    @pytest.mark.parametrize("offsets, image", [
+        ([-0.25, 0.25], r"branches\[0\]: image \[-0.25, 0.25\]"),
+        ([0.0, 0.75], r"branches\[1\]: image \[0.75, 1.25\]")])
+    def test_branch_image_leaving_unit_interval_rejected(self, offsets,
+                                                         image):
+        # a branch that does not wrap must map [0, 1) into [0, 1]; the
+        # images here do not overlap, and sigma is inferred from them
+        with pytest.raises(DomainError, match=image + " of .* leaves"):
+            make_system([0.5, 0.5], offsets, [0.5, 0.5],
+                        WeightExpr.constant(1.0))
 
     def test_overlapping_images_rejected(self):
         with pytest.raises(DomainError, match="overlapping image"):

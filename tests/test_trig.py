@@ -96,4 +96,3 @@ def test_fractional_frequencies_integrate_exactly():
 def test_prunes_negligible_terms():
     p = TrigPoly({0.0: 1.0, 3.0: 1e-20})
     assert len(p.freqs) == 1
-    assert p.has_integer_freqs()

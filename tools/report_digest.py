@@ -7,7 +7,12 @@ Usage::
 Runs each subcommand on ``sys_a`` to ``sys_d``, plus a few malformed
 cylinder specs, through ``towb.cli.main`` of the towb checkout at
 ``CHECKOUT`` (default: the one holding this script), writing the JSON
-reports into a temporary directory.  Prints one line per run: the sha256
+reports into a temporary directory.  The fixtures all use ``m x mod 1``
+and a closed-form weight, so two generated configs, written into the same
+directory, go through ``verify`` and ``measure`` as well: branches of
+slopes 1/3 and 2/3 with ``sigma`` inferred (``uneven``), and a table weight
+on the doubling map (``table``).  A branch shifted off ``[0, 1]``
+(``shifted``) is a malformed config.  Prints one line per run: the sha256
 of the report (``-`` when none was written), the exit code and the
 arguments.  Reports are deterministic, so two checkouts give the same
 reports exactly when the outputs of::
@@ -22,11 +27,33 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import sys
 import tempfile
 from pathlib import Path
 
 FIXTURES = ("sys_a", "sys_b", "sys_c", "sys_d")
+_TABLE_N = 256
+
+
+def _system(slopes, offsets, probs) -> str:
+    return (f"[system]\nbranch_slopes = {slopes}\nbranch_offsets = {offsets}"
+            f"\nprobabilities = {probs}\nsigma = \"inferred\"\n\n")
+
+
+# Configs written next to the reports: name -> text.
+GENERATED = {
+    "uneven": _system([1 / 3, 2 / 3], [0.0, 1 / 3], [1 / 3, 2 / 3])
+    + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = [0.5]\n',
+    "table": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + '[weight]\nkind = "table"\ntable_values = '
+    + str([1.5 + 0.2 * math.sin(2 * math.pi * j / _TABLE_N)
+           for j in range(_TABLE_N)])
+    + f"\n\n[grid]\ncells = {_TABLE_N}\n",
+    "shifted": _system([0.5, 0.5], [-0.25, 0.25], [0.5, 0.5]),
+}
+GENERATED_COMMANDS = (("verify",), ("measure",))
+SHIFTED_COMMANDS = (("measure",), ("defect",), ("verify",))
 COMMANDS = (
     ("verify",),
     ("harmonic",),
@@ -54,15 +81,18 @@ def cases():
             yield fixture, command
     for command in MALFORMED:
         yield "sys_a", command
+    for name in ("uneven", "table"):
+        for command in GENERATED_COMMANDS:
+            yield name, command
+    for command in SHIFTED_COMMANDS:
+        yield "shifted", command
 
 
-def run(main, fixture_dir: Path, fixture: str, command: tuple,
-        out: Path) -> tuple[str, int]:
+def run(main, config: Path, command: tuple, out: Path) -> tuple[str, int]:
     """Sha256 of the JSON report (``-`` if none) and the exit code."""
     if out.exists():
         out.unlink()
-    argv = [*command, "--config", str(fixture_dir / f"{fixture}.cfg"),
-            "--json", str(out)]
+    argv = [*command, "--config", str(config), "--json", str(out)]
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         try:
@@ -85,11 +115,15 @@ def main() -> int:
     from towb.cli import main as towb_main
 
     with tempfile.TemporaryDirectory() as tmp:
+        configs = {name: src / "towb" / "fixtures" / f"{name}.cfg"
+                   for name in FIXTURES}
+        for name, text in GENERATED.items():
+            configs[name] = Path(tmp) / f"{name}.cfg"
+            configs[name].write_text(text, encoding="utf-8")
         out = Path(tmp) / "report.json"
-        for fixture, command in cases():
-            digest, code = run(towb_main, src / "towb" / "fixtures",
-                               fixture, command, out)
-            print(f"{digest}  {code}  {fixture} {' '.join(command)}")
+        for name, command in cases():
+            digest, code = run(towb_main, configs[name], command, out)
+            print(f"{digest}  {code}  {name} {' '.join(command)}")
     return 0
 
 
