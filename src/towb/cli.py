@@ -201,7 +201,7 @@ def _cmd_quasi(args, cfg, op, lam, report: Report) -> None:
     report.add_result("unitarity_defect", u_dev)
     report.add_check("unitarity", "PASS" if u_dev < QUASI_TOL else "FAIL",
                      u_dev, QUASI_TOL)
-    mr = multires_check(pm, n_max=4, trials=100, seed=cfg.sampler_seed)
+    mr = multires_check(pm, n_max=4, seed=cfg.sampler_seed)
     report.add_result("nesting_residual", mr.nesting_residual)
     report.add_result("shift_residual", mr.shift_residual)
     ok = max(mr.nesting_residual, mr.shift_residual) < MULTIRES_TOL

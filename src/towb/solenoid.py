@@ -13,8 +13,12 @@ evaluated at ``x``.  Its total mass is ``h(x)``; sampling therefore draws
 digits from the conditioned kernel ``p_i W(tau_i y) h(tau_i y) / h(y)``.
 
 Exact enumeration and Monte Carlo sampling are both provided, along with the
-shift automorphism, the weighted shift unitary, the multiresolution checks,
-and the reconstruction of a harmonic function from total cylinder masses.
+shift automorphism and the reconstruction of a harmonic function from total
+cylinder masses.  The shift leaves the path measure quasi-invariant with
+density ``W(x_0)``; :func:`quasi_invariance_defect` measures this exactly,
+and it also checks the unitarity of ``U psi = sqrt(W(x_0)) psi o shift``
+(as the defect of ``psi^2``) and the multiresolution ladder of coordinate
+levels that ``U`` lowers one step at a time, with no sampling.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .grid import GridFunction, IntervalSet, Measure, integrate, wrap_unit
+from .system import left_inverse_residuals
 from .transfer import TransferOperator
 from .trig import TrigPoly
 
@@ -105,7 +110,7 @@ class CylinderSpec:
     def parse(cls, text: str) -> "CylinderSpec":
         """Parse ``"[0,0.25);all;[0.5,0.75)u[0.9,1)"``-style descriptions.
 
-        Each interval is ``[lo,hi)`` with finite numbers ``lo < hi``; any
+        Each interval is ``[lo,hi)`` with numbers ``0 <= lo < hi <= 1``; any
         other piece, and text with no coordinate at all, raises a
         :class:`ConfigError` located at ``sets``.
         """
@@ -130,9 +135,9 @@ class CylinderSpec:
                 except ValueError:
                     raise ConfigError(f"interval '{piece}' has a non-numeric "
                                       "endpoint", field="sets") from None
-                if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                    raise ConfigError(f"interval '{piece}' needs finite "
-                                      "endpoints with lo < hi", field="sets")
+                if not 0.0 <= lo < hi <= 1.0:
+                    raise ConfigError(f"interval '{piece}' needs endpoints "
+                                      "with 0 <= lo < hi <= 1", field="sets")
                 pairs.append((lo, hi))
             sets.append(IntervalSet(pairs))
         if not sets:
@@ -433,53 +438,40 @@ def _shifted_components(pm: PathMeasure, psi: CylinderFunction, prefactor):
     return CylinderFunction([head] + comps[2:])
 
 
-def quasi_invariance_defect(pm: PathMeasure, psi, mode: str = "exact",
-                            samples: int = 100_000,
-                            rng: np.random.Generator | None = None):
+def quasi_invariance_defect(pm: PathMeasure, psi) -> float:
     """Signed defect of the change-of-variables rule for the path shift:
 
-        E[ (W o Z_0) * (psi o shift) ] - E[ psi ].
+        E[ (W o Z_0) * (psi o shift) ] - E[ psi ],
 
-    Zero (to rounding) whenever the weight is the density of the pushed base
-    measure and ``h`` is harmonic.  Exact mode returns a float; ``mc`` mode
-    returns ``(difference, stderr)``.
+    both sides by exact enumeration.  Zero (to rounding) whenever the
+    weight is the density of the pushed base measure and ``h`` is harmonic.
     """
     psi = CylinderFunction.coerce(psi)
-    weight = pm.op.system.weight
-    shifted = _shifted_components(pm, psi, lambda x: np.asarray(weight(x)))
-    if mode == "exact":
-        if psi.depth + 1 > DEPTH_MAX:
-            raise DomainError("cylinder too deep for exact quasi-invariance")
-        return expectation(pm, shifted, "exact") - expectation(pm, psi, "exact")
-    if mode == "mc":
-        lhs, se1 = expectation(pm, shifted, "mc", samples, rng)
-        rhs, se2 = expectation(pm, psi, "mc", samples, rng)
-        return lhs - rhs, float(np.hypot(se1, se2))
-    raise DomainError(f"unknown mode '{mode}'")
+    if psi.depth + 1 > DEPTH_MAX:
+        raise DomainError("cylinder too deep for exact quasi-invariance")
+    shifted = _shifted_components(pm, psi, pm.op.system.weight)
+    return expectation(pm, shifted) - expectation(pm, psi)
 
 
 def u_apply(pm: PathMeasure, psi) -> CylinderFunction:
     """The weighted shift ``(U psi)(omega) = sqrt(W(x_0)) psi(shift omega)``,
     returned as a cylinder function one level shallower."""
-    psi = CylinderFunction.coerce(psi)
     weight = pm.op.system.weight
-    return _shifted_components(
-        pm, psi, lambda x: np.sqrt(np.maximum(np.asarray(weight(x),
-                                                         dtype=float), 0.0)))
+    return _shifted_components(pm, CylinderFunction.coerce(psi),
+                               lambda x: np.sqrt(np.maximum(weight(x), 0.0)))
 
 
 def unitarity_check(pm: PathMeasure, trials: int = 20, seed: int = 0,
                     depth: int = 2) -> float:
     """Max deviation of ``||U psi||^2`` from ``||psi||^2`` over random
-    cylinder functions, both sides by exact enumeration."""
+    cylinder functions.  Since ``|U psi|^2 = W(x_0) |psi o shift|^2``, that
+    deviation is the quasi-invariance defect of ``psi^2``."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        comps = [TrigPoly.random(rng, degree=4) for _ in range(depth + 1)]
-        psi = CylinderFunction(comps)
-        lhs = expectation(pm, u_apply(pm, psi).squared(), "exact")
-        rhs = expectation(pm, psi.squared(), "exact")
-        worst = max(worst, abs(lhs - rhs))
+        psi = CylinderFunction([TrigPoly.random(rng, degree=4)
+                                for _ in range(depth + 1)])
+        worst = max(worst, abs(quasi_invariance_defect(pm, psi.squared())))
     return worst
 
 
@@ -489,42 +481,25 @@ class MultiresResult:
     shift_residual: float
 
 
-def multires_check(pm: PathMeasure, n_max: int = 4, trials: int = 100,
+def multires_check(pm: PathMeasure, n_max: int = 4,
                    seed: int = 0) -> MultiresResult:
-    """Two structural checks of the coordinate filtration on sampled paths.
+    """Exact residuals of the multiresolution ladder ``V_0 < V_1 < ...``,
+    where ``V_n`` holds the functions of the coordinate ``x_n``.
 
-    Nesting: ``f(x_n) = (f o sigma)(x_{n+1})`` for every coordinate, which is
-    the conjugacy between consecutive levels.  Shift: applying the weighted
-    shift to a level-``n`` factor lands in level ``n-1``, verified by
-    re-expressing both sides through the level-``n-1`` coordinate alone.
+    Nesting: every path has ``x_n = sigma(x_{n+1})``, so ``V_n`` sits in
+    ``V_{n+1}`` exactly when ``sigma`` is a left inverse of the branches;
+    the residual is the largest of :func:`left_inverse_residuals`.  Shift:
+    ``U`` maps ``V_n`` isometrically into ``V_{n-1}``; the residual is the
+    largest ``|quasi_invariance_defect(f(x_n)^2)|`` over ``n = 1..n_max``
+    for a random trig polynomial ``f`` drawn from ``seed``.
     """
-    if n_max + 1 > DEPTH_MAX:
-        raise DomainError("n_max too deep")
-    rng = np.random.default_rng(seed)
-    sigma = pm.op.system.sigma
-    weight = pm.op.system.weight
-    bases = sample_bases(pm, trials, rng)
-    _, coords = sample_paths(pm, bases, n_max + 1, rng)
-
-    f = TrigPoly.random(rng, degree=4)
-    nesting = 0.0
-    for n in range(n_max + 1):
-        lhs = np.asarray(f(coords[:, n]))
-        rhs = np.asarray(f(sigma(coords[:, n + 1])))
-        nesting = max(nesting, float(np.max(np.abs(lhs - rhs))))
-
+    nesting = float(np.max(left_inverse_residuals(pm.op.system,
+                                                  pm.op.n_grid)))
+    f = TrigPoly.random(np.random.default_rng(seed), degree=4)
     shift = 0.0
     for n in range(1, n_max + 1):
-        psi = CylinderFunction([None] * n + [f])
-        u_psi = u_apply(pm, psi)
-        lhs = u_psi.eval_on_coords(coords)
-        z = coords[:, n - 1]
-        back = z.copy()
-        for _ in range(n - 1):
-            back = np.asarray(sigma(back))
-        rhs = np.sqrt(np.maximum(np.asarray(weight(back), dtype=float), 0.0)) \
-            * np.asarray(f(z))
-        shift = max(shift, float(np.max(np.abs(lhs - rhs))))
+        psi = CylinderFunction([None] * n + [f]).squared()
+        shift = max(shift, abs(quasi_invariance_defect(pm, psi)))
     return MultiresResult(nesting, shift)
 
 

@@ -171,6 +171,16 @@ class IfsSystem:
         return replace(self, sigma=sigma)
 
 
+def left_inverse_residuals(system: IfsSystem, n_grid: int) -> np.ndarray:
+    """How far ``sigma`` is from a left inverse of each branch: per branch
+    ``i``, the largest circle distance ``|sigma(tau_i x_j) - x_j|`` over
+    the grid nodes ``x_j = j / n_grid``."""
+    nodes = np.arange(n_grid) / n_grid
+    dist = np.abs(np.array([system.sigma(wrap_unit(br(nodes)))
+                            for br in system.branches]) - nodes)
+    return np.minimum(dist, 1.0 - dist).max(axis=1)
+
+
 def validate_system(system: IfsSystem, n_grid: int = 256) -> None:
     """Check the structural invariants at grid resolution ``n_grid``.
 
@@ -202,17 +212,13 @@ def validate_system(system: IfsSystem, n_grid: int = 256) -> None:
             raise DomainError(
                 f"branches {i} and {i2} have overlapping image interiors")
 
-    nodes = np.arange(n_grid) / n_grid
-    for i, br in enumerate(system.branches):
-        img = wrap_unit(br(nodes))
-        back = system.sigma(img)
-        dist = np.abs(back - nodes)
-        dist = np.minimum(dist, 1.0 - dist)
-        if np.max(dist) > RIGHT_INVERSE_TOL:
+    for i, residual in enumerate(left_inverse_residuals(system, n_grid)):
+        if residual > RIGHT_INVERSE_TOL:
             raise DomainError(
                 "sigma is not a left inverse of branches "
-                f"(branch {i}, residual {np.max(dist):.3e})")
+                f"(branch {i}, residual {residual:.3e})")
 
+    nodes = np.arange(n_grid) / n_grid
     mids = (np.arange(n_grid) + 0.5) / n_grid
     wm = np.asarray(system.weight(mids))
     if np.any(wm <= 0):

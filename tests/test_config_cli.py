@@ -216,11 +216,11 @@ class TestCli:
 
     @pytest.mark.parametrize("flag", ["--sets", "--set-a", "--set-b"])
     @pytest.mark.parametrize("text", ["[a,0.5)", "[0,0.5,0.7)", "[0.5,0.2)",
-                                      "[0,0.5", ";"])
+                                      "[0,0.5", ";", "[0,2)", "[-0.5,0.5)"])
     def test_malformed_sets_exit_code(self, capsys, flag, text):
         # a non-numeric endpoint, three endpoints, a reversed interval, a
-        # missing bracket and a spec with no coordinate are input errors
-        # located at the sets field
+        # missing bracket, a spec with no coordinate and an endpoint outside
+        # [0, 1] are input errors located at the sets field
         if flag == "--sets":
             argv = ["cylinder", "--sets", text]
         else:
@@ -350,12 +350,40 @@ class TestCli:
     def test_quasi_checks_fail_on_point_mass(self, capsys, tmp_path):
         # negative control: sys_c differs from sys_a only in lam, the point
         # mass at 0, whose pushed measure has no density W against it
-        names = ["quasi_invariance", "unitarity"]
+        names = ["quasi_invariance", "unitarity", "multiresolution"]
         out = tmp_path / "rep.json"
         for path, code, status in ((SYS_A, 0, "PASS"), (SYS_C, 1, "FAIL")):
             assert main(["quasi", "--config", path, "--trials", "3",
                          "--json", str(out)]) == code
-            assert self._statuses(out, names) == [status, status]
+            assert self._statuses(out, names) == [status] * 3
+
+    @pytest.mark.parametrize("path, fails", [(SYS_A, 0), (SYS_B, 10)])
+    def test_sample_specs_fail_on_wrong_weight(self, capsys, tmp_path,
+                                               monkeypatch, path, fails):
+        # negative control: the sampler draws from the kernel of W = 1
+        # while the exact masses keep the system's weight; on sys_b half
+        # of the battery flips to FAIL, on sys_a (W = 1) nothing changes
+        import dataclasses
+
+        import towb.solenoid
+
+        original = towb.solenoid.sample_paths
+
+        def unit_weight(pm, bases, depth, rng):
+            system = pm.op.system.with_weight(towb.WeightExpr.constant(1.0))
+            op = towb.TransferOperator(system, pm.op.n_grid)
+            return original(dataclasses.replace(pm, op=op), bases, depth, rng)
+
+        out = tmp_path / "rep.json"
+        assert main(["sample", "--config", path, "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["agreeing"] == 20
+        monkeypatch.setattr(towb.solenoid, "sample_paths", unit_weight)
+        code = main(["sample", "--config", path, "--json", str(out)])
+        payload = json.loads(out.read_text())
+        statuses = [c["status"] for c in payload["checks"]]
+        assert statuses.count("FAIL") == fails
+        assert payload["results"]["agreeing"] == 20 - fails
+        assert code == (1 if fails else 0)
 
     @staticmethod
     def _perturb_solution(monkeypatch, eps):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import towb
 from towb import (CylinderFunction, CylinderSpec, GridFunction, IntervalSet,
                   Measure, PathMeasure, SolPath, TransferOperator)
-from towb.errors import DomainError
+from towb.errors import ConfigError, DomainError
 from towb.trig import TrigPoly
 
 
@@ -47,6 +49,14 @@ def pm_small(request):
     op = TransferOperator(getattr(towb, request.param)(n), n)
     lam = Measure.lebesgue(n)
     return PathMeasure.build(op, towb.solve_harmonic(op, lam).h, lam)
+
+
+@pytest.fixture(scope="module")
+def pm_c(op_a):
+    # sys_c: sys_a paired with the point mass at 0, where h = 1 is harmonic
+    # but the pushed base measure has no density W against lam
+    return PathMeasure.build(op_a, GridFunction.constant(1.0, op_a.n_grid),
+                             Measure.dirac(0.0, op_a.n_grid))
 
 
 def _random_set(rng):
@@ -160,6 +170,43 @@ class TestCylinderMass:
         assert spec.sets[2].intervals == ((0.5, 0.75), (0.8, 0.9))
 
 
+# endpoints in [0, 1], and anywhere else: negative, above 1, nan and inf
+_ENDPOINTS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]),
+                       st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _spec_texts(draw):
+    """A spec of up to four coordinates, each ``all`` or up to three
+    ``[a,b)`` pieces joined by ``u``, and whether every piece has
+    ``0 <= a < b <= 1``."""
+    coords = draw(st.lists(
+        st.one_of(st.none(), st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS),
+                                      min_size=1, max_size=3)),
+        min_size=1, max_size=4))
+    text = ";".join("all" if pieces is None
+                    else "u".join(f"[{a!r},{b!r})" for a, b in pieces)
+                    for pieces in coords)
+    valid = all(pieces is None or all(0.0 <= a < b <= 1.0 for a, b in pieces)
+                for pieces in coords)
+    return text, valid
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spec_texts())
+def test_spec_parse_returns_unit_intervals_or_config_error(case):
+    text, valid = case
+    try:
+        spec = CylinderSpec.parse(text)
+    except ConfigError as exc:
+        assert not valid and exc.field == "sets"
+        return
+    assert valid
+    for sets in spec.sets:
+        if sets is not None:
+            assert all(0.0 <= lo < hi <= 1.0 for lo, hi in sets.intervals)
+
+
 class TestExpectation:
     def test_base_coordinate_mean(self, pm_a):
         assert towb.expectation(pm_a, [_id], "exact") == pytest.approx(0.5)
@@ -243,14 +290,6 @@ class TestQuasiInvariance:
                                     for _ in range(3)])
             assert abs(towb.quasi_invariance_defect(pm_a, psi)) < 1e-12
 
-    def test_mc_mode_within_error(self, pm_b):
-        rng = np.random.default_rng(7)
-        psi = CylinderFunction([TrigPoly.random(rng, 3),
-                                TrigPoly.random(rng, 3)])
-        diff, se = towb.quasi_invariance_defect(pm_b, psi, "mc",
-                                                samples=100_000, rng=rng)
-        assert abs(diff) < 4 * se + 1e-3
-
 
 class TestUnitary:
     def test_constant_function_norm(self, pm_b, lam_std):
@@ -276,13 +315,40 @@ class TestUnitary:
         assert towb.unitarity_check(pm_a, trials=20, seed=0) < 1e-10
         assert towb.unitarity_check(pm_b, trials=20, seed=0) < 1e-10
 
+    def test_norm_defect_is_quasi_invariance_defect_of_square(
+            self, pm_a, pm_b, pm_c):
+        # |U psi|^2 = W(x_0) |psi o shift|^2: the norm defect of U, taken
+        # through u_apply, is the quasi-invariance defect of psi^2, also
+        # where both are far from zero (the point mass of pm_c)
+        rng = np.random.default_rng(11)
+        for pm in (pm_a, pm_b, pm_c):
+            for _ in range(3):
+                psi = CylinderFunction([TrigPoly.random(rng, 4)
+                                        for _ in range(3)])
+                norm_defect = (
+                    towb.expectation(pm, towb.u_apply(pm, psi).squared())
+                    - towb.expectation(pm, psi.squared()))
+                defect = towb.quasi_invariance_defect(pm, psi.squared())
+                if pm is pm_c:
+                    assert abs(defect) > 1e-6
+                    assert norm_defect == pytest.approx(defect, rel=1e-12)
+                else:
+                    assert norm_defect == pytest.approx(defect, abs=1e-14)
+
 
 class TestMultires:
     def test_fixtures_pass(self, pm_a, pm_b):
         for pm in (pm_a, pm_b):
-            out = towb.multires_check(pm, n_max=4, trials=100, seed=0)
+            out = towb.multires_check(pm, n_max=4, seed=0)
             assert out.nesting_residual < 1e-12
             assert out.shift_residual < 1e-12
+
+    def test_shift_residual_fails_on_point_mass(self, pm_c):
+        # negative control: U is not an isometry of L^2(P) when lam is the
+        # point mass at 0, while the levels still nest exactly
+        out = towb.multires_check(pm_c, n_max=4, seed=0)
+        assert out.nesting_residual == 0.0
+        assert out.shift_residual > 1e-3
 
     def test_perturbed_sigma_negative_control(self, lam_std):
         from towb.system import PiecewiseAffineMap
@@ -292,7 +358,7 @@ class TestMultires:
         op = TransferOperator(system, 1024)
         h = GridFunction.constant(1.0, 1024)
         pm = PathMeasure.build(op, h, lam_std)
-        out = towb.multires_check(pm, n_max=4, trials=100, seed=0)
+        out = towb.multires_check(pm, n_max=4, seed=0)
         assert out.nesting_residual > 1e-3
 
 

@@ -3,8 +3,8 @@ import pytest
 
 import towb
 from towb.errors import DomainError
-from towb.system import (PiecewiseAffineMap, WeightExpr, make_system,
-                         validate_system)
+from towb.system import (PiecewiseAffineMap, WeightExpr,
+                         left_inverse_residuals, make_system, validate_system)
 
 
 class TestWeightExpr:
@@ -73,6 +73,24 @@ class TestValidation:
         bad = towb.sys_a(256).with_sigma(skewed)
         with pytest.raises(DomainError, match="left inverse"):
             validate_system(bad, 256)
+
+    def test_left_inverse_residuals_on_fixtures(self):
+        for system, n in ((towb.sys_a(256), 256), (towb.sys_b(256), 256),
+                          (towb.sys_d(243), 243)):
+            residuals = left_inverse_residuals(system, n)
+            assert residuals.shape == (2,)
+            assert np.all(residuals <= 1e-15)
+
+    def test_left_inverse_residuals_on_skewed_sigma(self):
+        # the skewed map of acceptance 08: slope 2.01 on both halves
+        skewed = PiecewiseAffineMap([(0.0, 0.5, 2.01, 0.0),
+                                     (0.5, 1.0, 2.01, -1.005)])
+        bad = towb.sys_a(1024).with_sigma(skewed)
+        residuals = left_inverse_residuals(bad, 1024)
+        assert residuals == pytest.approx([5e-3, 5e-3], abs=1e-5)
+        with pytest.raises(DomainError,
+                           match=f"branch 0, residual {residuals[0]:.3e}"):
+            validate_system(bad, 1024)
 
     def test_branch_slope_perturbation_breaks_tiling(self):
         with pytest.raises(DomainError, match="overlapping image"):

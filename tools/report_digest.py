@@ -72,6 +72,8 @@ MALFORMED = (
     ("markov", "--x", "0.3", "--set-a", ";", "--set-b", "[0,0.5)"),
     ("markov", "--x", "0.3", "--set-a", "[0,0.25);[0.5,0.75)",
      "--set-b", "[0,0.5)"),
+    ("cylinder", "--x", "0.3", "--sets", "[0,2)"),
+    ("markov", "--x", "0.3", "--set-a", "[-0.5,0.5)", "--set-b", "[0,0.5)"),
 )
 
 
