@@ -21,7 +21,8 @@ from .solenoid import (CylinderFunction, CylinderSpec, MultiresResult,
                        harmonic_from_measure, markov_deviation,
                        multires_check, quasi_invariance_defect, sample_bases,
                        sample_path, sample_paths, shift_back, shift_forward,
-                       u_apply, unitarity_check, v0_adjoint)
+                       u_apply, unitarity_check, v0_adjoint,
+                       worst_quasi_defect)
 from .system import (IfsSystem, PiecewiseAffineMap, WeightExpr,
                      doubling_system, make_system, sys_a, sys_b, sys_d,
                      validate_system)

@@ -27,8 +27,8 @@ from .sigspace import (defect_search, hutchinson_iterate, membership,
 from .solenoid import (CylinderFunction, CylinderSpec, PathMeasure,
                        cylinder_mass, empirical_cylinder_frequency,
                        harmonic_from_measure, markov_deviation,
-                       multires_check, quasi_invariance_defect,
-                       unitarity_check)
+                       multires_check, unitarity_check,
+                       worst_quasi_defect)
 from .transfer import TransferOperator, identity_suite
 from .trig import TrigPoly
 
@@ -49,6 +49,12 @@ def _converged_solution(cfg: RunConfig, op: TransferOperator,
 def _solved_path_measure(cfg: RunConfig, op: TransferOperator,
                          lam: Measure) -> PathMeasure:
     return PathMeasure.build(op, _converged_solution(cfg, op, lam).h, lam)
+
+
+def _add_tol_check(report: Report, name: str, residual: float,
+                   tol: float) -> None:
+    """Add check ``name``: PASS when ``residual < tol``, FAIL otherwise."""
+    report.add_check(name, "PASS" if residual < tol else "FAIL", residual, tol)
 
 
 def _require_trials(args) -> None:
@@ -90,16 +96,17 @@ def _cmd_harmonic(args, cfg, op, lam, report: Report) -> None:
     report.add_check("harmonic_converged",
                      "PASS" if sol.converged else "FAIL",
                      sol.residual, cfg.solver_tol)
-    if op.system.is_doubling() and sol.converged:
+    if not op.system.is_doubling():
+        report.add_check("fourier_cascade", "SKIPPED",
+                         note="system is not the doubling map")
+    elif not sol.converged:
+        report.add_check("fourier_cascade", "SKIPPED",
+                         note="harmonic solve did not converge")
+    else:
         dev = fourier_cascade_check(op, sol.h, k_max=args.k_max,
                                     n_max=args.n_max)
         report.add_result("cascade_deviation", dev)
-        report.add_check("fourier_cascade",
-                         "PASS" if dev < args.cascade_tol else "FAIL",
-                         dev, args.cascade_tol)
-    else:
-        report.add_check("fourier_cascade", "SKIPPED",
-                         note="system is not the doubling map")
+        _add_tol_check(report, "fourier_cascade", dev, args.cascade_tol)
     if args.plot_data:
         _write_columns(args.plot_data, "h.dat", op.nodes, sol.h.values)
 
@@ -111,8 +118,7 @@ def _cmd_measure(args, cfg, op, lam, report: Report) -> None:
     report.add_result("tv_to_uniform",
                       iterated.tv_cell_distance(Measure.lebesgue(cfg.cells)))
     drift = abs(iterated.total() - lam.total())
-    report.add_check("mass_preserved", "PASS" if drift < 1e-12 else "FAIL",
-                     drift, 1e-12)
+    _add_tol_check(report, "mass_preserved", drift, 1e-12)
     if args.plot_data:
         _write_columns(args.plot_data, "measure.dat",
                        iterated.cell_midpoints(),
@@ -188,25 +194,21 @@ def _cmd_quasi(args, cfg, op, lam, report: Report) -> None:
     _require_trials(args)
     pm = _solved_path_measure(cfg, op, lam)
     rng = np.random.default_rng(cfg.sampler_seed)
-    worst = 0.0
-    for _ in range(args.trials):
-        depth = int(rng.integers(1, 4))
-        psi = CylinderFunction([TrigPoly.random(rng, degree=4)
-                                for _ in range(depth + 1)])
-        worst = max(worst, abs(quasi_invariance_defect(pm, psi)))
+    # each trial draws its depth in 1..3, then one polynomial per coordinate
+    worst = worst_quasi_defect(pm, (
+        CylinderFunction([TrigPoly.random(rng, degree=4)
+                          for _ in range(int(rng.integers(1, 4)) + 1)])
+        for _ in range(args.trials)))
     report.add_result("quasi_invariance_defect", worst)
-    report.add_check("quasi_invariance", "PASS" if worst < QUASI_TOL else "FAIL",
-                     worst, QUASI_TOL)
+    _add_tol_check(report, "quasi_invariance", worst, QUASI_TOL)
     u_dev = unitarity_check(pm, trials=args.trials, seed=cfg.sampler_seed)
     report.add_result("unitarity_defect", u_dev)
-    report.add_check("unitarity", "PASS" if u_dev < QUASI_TOL else "FAIL",
-                     u_dev, QUASI_TOL)
+    _add_tol_check(report, "unitarity", u_dev, QUASI_TOL)
     mr = multires_check(pm, n_max=4, seed=cfg.sampler_seed)
     report.add_result("nesting_residual", mr.nesting_residual)
     report.add_result("shift_residual", mr.shift_residual)
-    ok = max(mr.nesting_residual, mr.shift_residual) < MULTIRES_TOL
-    report.add_check("multiresolution", "PASS" if ok else "FAIL",
-                     max(mr.nesting_residual, mr.shift_residual), MULTIRES_TOL)
+    _add_tol_check(report, "multiresolution",
+                   max(mr.nesting_residual, mr.shift_residual), MULTIRES_TOL)
 
 
 def _cmd_markov(args, cfg, op, lam, report: Report) -> None:
@@ -231,9 +233,7 @@ def _cmd_harmonic_from_measure(args, cfg, op, lam, report: Report) -> None:
     pm = _solved_path_measure(cfg, op, lam)
     h_tilde, residual = harmonic_from_measure(pm, depth=args.depth)
     report.add_result("residual", residual)
-    report.add_check("harmonic_reconstruction",
-                     "PASS" if residual < HFM_TOL else "FAIL",
-                     residual, HFM_TOL)
+    _add_tol_check(report, "harmonic_reconstruction", residual, HFM_TOL)
     if args.plot_data:
         _write_columns(args.plot_data, "h_rebuilt.dat", op.nodes,
                        h_tilde.values)
@@ -322,14 +322,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be nonnegative, got "
+                                  f"{args.seed}", field="seed")
             cfg.solver_seed = args.seed
             cfg.sampler_seed = args.seed
         system = cfg.build_system()
         lam = cfg.build_measure()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .grid import GridFunction, Measure
 from .system import IfsSystem, WeightExpr, make_system
 
@@ -47,7 +47,6 @@ class RunConfig:
     branch_slopes: list[float]
     branch_offsets: list[float]
     probabilities: list[float]
-    sigma: str = "inferred"
     sigma_slope: int | None = None
     weight_kind: str = "constant"
     weight_value: float = 1.0
@@ -82,17 +81,10 @@ class RunConfig:
                           field="weight.kind")
 
     def build_system(self) -> IfsSystem:
-        sigma = None
-        if self.sigma_slope is not None:
-            sigma = int(self.sigma_slope)
-        elif self.sigma != "inferred":
-            raise ConfigError(f"unknown sigma mode '{self.sigma}'",
-                              field="system.sigma")
-        from .errors import DomainError
         try:
             return make_system(self.branch_slopes, self.branch_offsets,
                                self.probabilities, self.build_weight(),
-                               sigma=sigma, n_grid=self.cells)
+                               sigma=self.sigma_slope, n_grid=self.cells)
         except DomainError as exc:
             raise ConfigError(str(exc), field="system") from exc
 
@@ -231,12 +223,27 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("value must be positive", field=field_name)
         return val
 
-    cfg = RunConfig(
+    def integer(sec: dict, key: str, default: int, field_name: str,
+                least: int) -> int:
+        val = float(sec.get(key, default))
+        if not val.is_integer():
+            raise ConfigError(f"value must be an integer, got {val:g}",
+                              field=field_name)
+        if val < least:
+            raise ConfigError(f"value must be at least {least}, got {val:g}",
+                              field=field_name)
+        return int(val)
+
+    if sys_sec.get("sigma", "inferred") != "inferred":
+        raise ConfigError(f"unknown sigma mode '{sys_sec['sigma']}'",
+                          field="system.sigma")
+
+    return RunConfig(
         branch_slopes=list(sys_sec["branch_slopes"]),
         branch_offsets=list(sys_sec["branch_offsets"]),
         probabilities=list(sys_sec["probabilities"]),
-        sigma=sys_sec.get("sigma", "inferred"),
-        sigma_slope=(int(sys_sec["sigma_slope"])
+        sigma_slope=(integer(sys_sec, "sigma_slope", 0,
+                             "system.sigma_slope", 2)
                      if "sigma_slope" in sys_sec else None),
         weight_kind=weight_sec.get("kind", "constant"),
         weight_value=float(weight_sec.get("value", 1.0)),
@@ -244,21 +251,18 @@ def parse_config(text: str) -> RunConfig:
         weight_cos=list(weight_sec.get("cos", [])),
         weight_sin=list(weight_sec.get("sin", [])),
         weight_table=list(weight_sec.get("table_values", [])),
-        cells=int(positive(grid_sec, "cells", 1024, "grid.cells")),
+        cells=integer(grid_sec, "cells", 1024, "grid.cells", 2),
         solver_tol=positive(solver_sec, "tol", 1e-12, "solver.tol"),
-        solver_max_iter=int(positive(solver_sec, "max_iter", 2000,
-                                     "solver.max_iter")),
-        solver_seed=int(solver_sec.get("seed", 0)),
-        sampler_seed=int(sampler_sec.get("seed", 7)),
-        sampler_paths=int(positive(sampler_sec, "paths", 100_000,
-                                   "sampler.paths")),
+        solver_max_iter=integer(solver_sec, "max_iter", 2000,
+                                "solver.max_iter", 1),
+        solver_seed=integer(solver_sec, "seed", 0, "solver.seed", 0),
+        sampler_seed=integer(sampler_sec, "seed", 7, "sampler.seed", 0),
+        sampler_paths=integer(sampler_sec, "paths", 100_000,
+                              "sampler.paths", 1),
         measure_kind=measure_sec.get("kind", "lebesgue"),
         measure_positions=list(measure_sec.get("positions", [])),
         measure_masses=list(measure_sec.get("masses", [])),
     )
-    if cfg.cells < 2:
-        raise ConfigError("grid needs at least 2 cells", field="grid.cells")
-    return cfg
 
 
 def load_config(path: str) -> RunConfig:

@@ -403,28 +403,25 @@ def integrate(f, mu: Measure) -> float | np.ndarray:
     return _per_trial(total)
 
 
-def integrate_over(f, mu: Measure, region: IntervalSet) -> float | np.ndarray:
-    """Integral of ``f`` over ``region`` against ``mu``.
+def integrate_over(f: TrigPoly, mu: Measure,
+                   region: IntervalSet) -> float | np.ndarray:
+    """Integral of a trig polynomial ``f`` over ``region`` against ``mu``.
 
-    For trig polynomials the antiderivative at the cell edges clipped to
-    each region interval makes the sharp region boundary exact; for other
-    integrands the indicator is applied at cell midpoints (``O(N^-1)`` near
-    the boundary).  A batched :class:`TrigPoly` gives one integral per trial.
+    The antiderivative at the cell edges clipped to each region interval
+    makes the sharp region boundary exact.  A batched :class:`TrigPoly`
+    gives one integral per trial.  Other integrands raise
+    :class:`DomainError`.
     """
-    if isinstance(f, TrigPoly):
-        n = mu.n_cells
-        total = 0.0
-        for lo, hi in region.intervals:
-            j0, j1 = int(np.floor(lo * n)), min(int(np.ceil(hi * n)), n)
-            edges = np.clip(np.arange(j0, j1 + 1) / n, lo, hi)
-            anti = f.antiderivative_values(edges)
-            total = total + np.dot(np.diff(anti, axis=0).T,
-                                   mu.cell_masses[j0:j1] * n)
-    else:
-        mids = mu.cell_midpoints()
-        vals = (np.asarray(f(mids), dtype=float) *
-                np.asarray(region.indicator(mids)))
-        total = float(np.dot(vals, mu.cell_masses))
+    if not isinstance(f, TrigPoly):
+        raise DomainError(f"integrate_over needs a TrigPoly, not {type(f)}")
+    n = mu.n_cells
+    total = 0.0
+    for lo, hi in region.intervals:
+        j0, j1 = int(np.floor(lo * n)), min(int(np.ceil(hi * n)), n)
+        edges = np.clip(np.arange(j0, j1 + 1) / n, lo, hi)
+        anti = f.antiderivative_values(edges)
+        total = total + np.dot(np.diff(anti, axis=0).T,
+                               mu.cell_masses[j0:j1] * n)
     for pos, mass in mu.atoms:
         if region.indicator(pos):
             total = total + np.asarray(f(pos), dtype=float) * mass

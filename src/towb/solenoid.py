@@ -12,13 +12,17 @@ which is the nested operator expression ``R(chi_1 R(chi_2 ... R(chi_m h)))``
 evaluated at ``x``.  Its total mass is ``h(x)``; sampling therefore draws
 digits from the conditioned kernel ``p_i W(tau_i y) h(tau_i y) / h(y)``.
 
-Exact enumeration and Monte Carlo sampling are both provided, along with the
-shift automorphism and the reconstruction of a harmonic function from total
-cylinder masses.  The shift leaves the path measure quasi-invariant with
+Every exact path-space quantity is one such expression, and
+:func:`conditional_expectation` is its one evaluator: cylinder masses, the
+non-Markov witness, the rebuild of ``h`` from total masses and the
+expectations behind the shift checks all call it.  Monte Carlo sampling is
+provided alongside.  The shift leaves the path measure quasi-invariant with
 density ``W(x_0)``; :func:`quasi_invariance_defect` measures this exactly,
-and it also checks the unitarity of ``U psi = sqrt(W(x_0)) psi o shift``
-(as the defect of ``psi^2``) and the multiresolution ladder of coordinate
-levels that ``U`` lowers one step at a time, with no sampling.
+and :func:`worst_quasi_defect` takes its largest size over a family of
+cylinder functions, for random ones, for ``psi^2`` (the unitarity of
+``U psi = sqrt(W(x_0)) psi o shift``) and for the levels of the
+multiresolution ladder that ``U`` lowers one step at a time, with no
+sampling.
 """
 
 from __future__ import annotations
@@ -101,10 +105,6 @@ class CylinderSpec:
     @property
     def depth(self) -> int:
         return len(self.sets)
-
-    def extended(self) -> "CylinderSpec":
-        """Same event with one extra unconstrained coordinate appended."""
-        return CylinderSpec(self.sets + (None,))
 
     @classmethod
     def parse(cls, text: str) -> "CylinderSpec":
@@ -223,17 +223,20 @@ class PathMeasure:
 # -- exact cylinder calculus ----------------------------------------------
 
 
-def _words_total(pm: PathMeasure, x, factors) -> np.ndarray:
-    """``R(f_1 R(f_2 ... R(f_m h)))(x)``: the sum over all branch words of
-    length ``m`` from base ``x`` (a scalar or an array) of the kernel
-    weights times the factors along the word times ``h`` at its end.
+def conditional_expectation(pm: PathMeasure, psi, x):
+    """``f_0 R(f_1 R(f_2 ... R(f_m h)))(x)``: the expectation of the
+    cylinder function ``psi = f_0(x_0) ... f_m(x_m)`` against the base-``x``
+    measure (total mass ``h(x)``, not normalized), for a scalar or an array
+    ``x``.  Each factor is an :class:`IntervalSet` (its indicator), a
+    callable, or ``None`` for the constant 1.
 
-    One factor per coordinate: an :class:`IntervalSet` (its indicator), a
-    callable, or ``None`` for the constant 1.  The branch images are built
-    outward from ``x``, one leading branch axis per coordinate, and then
-    summed inward from ``h``, one application of ``R`` per coordinate.
-    More than ``WORDS_MAX`` words raise before any level is built.
+    The branch images are built outward from ``x``, one leading branch axis
+    per coordinate, and then summed inward from ``h``, one application of
+    ``R`` per coordinate.  More than ``DEPTH_MAX`` coordinates after ``x_0``
+    or ``WORDS_MAX`` words raise before any level is built.
     """
+    psi = CylinderFunction.coerce(psi)
+    factors = psi.components[1:]
     if len(factors) > DEPTH_MAX:
         raise DomainError(f"path depth {len(factors)} exceeds {DEPTH_MAX}")
     op = pm.op
@@ -252,7 +255,10 @@ def _words_total(pm: PathMeasure, x, factors) -> np.ndarray:
         if f is not None:
             total = np.asarray(f(ys), dtype=float) * total
         total = (masses * total).sum(axis=0)
-    return total
+    f0 = psi.components[0]
+    if f0 is not None:
+        total = np.asarray(f0(x), dtype=float) * total
+    return float(total) if total.ndim == 0 else total
 
 
 def cylinder_mass(pm: PathMeasure, x: float, spec: CylinderSpec) -> float:
@@ -265,18 +271,7 @@ def cylinder_mass(pm: PathMeasure, x: float, spec: CylinderSpec) -> float:
     if pm.h_residual > _H_TRUST:
         raise DomainError(
             f"h residual {pm.h_residual:.3e} too large to trust consistency")
-    return float(_words_total(pm, float(x), spec.sets))
-
-
-def conditional_expectation(pm: PathMeasure, psi, x):
-    """Expectation of a cylinder function against the base-``x`` measure
-    (total mass ``h(x)``, not normalized); ``x`` may be an array of bases."""
-    psi = CylinderFunction.coerce(psi)
-    vals = _words_total(pm, x, psi.components[1:])
-    f0 = psi.components[0]
-    if f0 is not None:
-        vals = np.asarray(f0(x), dtype=float) * vals
-    return float(vals) if vals.ndim == 0 else vals
+    return conditional_expectation(pm, [None, *spec.sets], float(x))
 
 
 def v0_adjoint(pm: PathMeasure, psi) -> GridFunction:
@@ -447,8 +442,6 @@ def quasi_invariance_defect(pm: PathMeasure, psi) -> float:
     weight is the density of the pushed base measure and ``h`` is harmonic.
     """
     psi = CylinderFunction.coerce(psi)
-    if psi.depth + 1 > DEPTH_MAX:
-        raise DomainError("cylinder too deep for exact quasi-invariance")
     shifted = _shifted_components(pm, psi, pm.op.system.weight)
     return expectation(pm, shifted) - expectation(pm, psi)
 
@@ -461,18 +454,26 @@ def u_apply(pm: PathMeasure, psi) -> CylinderFunction:
                                lambda x: np.sqrt(np.maximum(weight(x), 0.0)))
 
 
+def worst_quasi_defect(pm: PathMeasure, psis) -> float:
+    """Largest ``|quasi_invariance_defect(pm, psi)|`` over the cylinder
+    functions ``psis`` (0 when there are none).  ``psis`` may be a generator:
+    each function is drawn just before its defect is taken, in order."""
+    worst = 0.0
+    for psi in psis:
+        worst = max(worst, abs(quasi_invariance_defect(pm, psi)))
+    return worst
+
+
 def unitarity_check(pm: PathMeasure, trials: int = 20, seed: int = 0,
                     depth: int = 2) -> float:
     """Max deviation of ``||U psi||^2`` from ``||psi||^2`` over random
     cylinder functions.  Since ``|U psi|^2 = W(x_0) |psi o shift|^2``, that
     deviation is the quasi-invariance defect of ``psi^2``."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        psi = CylinderFunction([TrigPoly.random(rng, degree=4)
-                                for _ in range(depth + 1)])
-        worst = max(worst, abs(quasi_invariance_defect(pm, psi.squared())))
-    return worst
+    return worst_quasi_defect(pm, (
+        CylinderFunction([TrigPoly.random(rng, degree=4)
+                          for _ in range(depth + 1)]).squared()
+        for _ in range(trials)))
 
 
 @dataclass(frozen=True)
@@ -496,10 +497,9 @@ def multires_check(pm: PathMeasure, n_max: int = 4,
     nesting = float(np.max(left_inverse_residuals(pm.op.system,
                                                   pm.op.n_grid)))
     f = TrigPoly.random(np.random.default_rng(seed), degree=4)
-    shift = 0.0
-    for n in range(1, n_max + 1):
-        psi = CylinderFunction([None] * n + [f]).squared()
-        shift = max(shift, abs(quasi_invariance_defect(pm, psi)))
+    shift = worst_quasi_defect(pm, (
+        CylinderFunction([None] * n + [f]).squared()
+        for n in range(1, n_max + 1)))
     return MultiresResult(nesting, shift)
 
 
@@ -515,8 +515,8 @@ def markov_deviation(pm: PathMeasure, set_a: IntervalSet, set_b: IntervalSet,
     """
     if n < 2:
         raise DomainError("n must be at least 2")
-    m1 = float(_words_total(pm, float(x), [set_a, set_b]))
-    mn = float(_words_total(pm, float(x), [None] * (n - 1) + [set_a, set_b]))
+    m1 = conditional_expectation(pm, [None, set_a, set_b], float(x))
+    mn = conditional_expectation(pm, [None] * n + [set_a, set_b], float(x))
     return m1, mn, mn - m1
 
 
@@ -535,7 +535,7 @@ def harmonic_from_measure(pm: PathMeasure, depth: int = 1
     nodes = pm.op.nodes
     # the deeper sum first, so that the word bound is checked before any
     # level is built
-    again = _words_total(pm, nodes, [None] * (depth + 1))
-    h_tilde = _words_total(pm, nodes, [None] * depth)
+    again = conditional_expectation(pm, [None] * (depth + 2), nodes)
+    h_tilde = conditional_expectation(pm, [None] * (depth + 1), nodes)
     residual = float(np.max(np.abs(again - h_tilde)))
     return GridFunction(h_tilde), residual

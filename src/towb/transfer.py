@@ -11,10 +11,12 @@ kernel masses ``p_i W(tau_i x)`` are formed in one place,
 :meth:`TransferOperator.branch_masses`, for the pointwise action, the
 assembled grid action, the atomic kernel and the path-space kernel of
 :mod:`towb.solenoid`; the measure action ``lam . R`` is the branch mixture
-:func:`~towb.grid.push_mixture` reweighted by ``W``.
+:func:`~towb.grid.push_mixture` reweighted by ``W``.  The exact multiplier
+``R(W)`` is :meth:`TransferOperator.apply_symbolic` of the weight.
 
 :func:`identity_suite` replays the web of identities tying ``R``, ``S``,
-``sigma`` and ``W`` together on randomized trigonometric test functions.
+``sigma`` and ``W`` together on randomized trigonometric test functions;
+its check (f) is the isometry ``R(W) = 1`` of ``S`` on the support of ``h``.
 The checks marked as integral identities presuppose that ``W`` really is the
 density of ``lam . R`` against ``lam`` (true when ``lam`` is the invariant
 measure of the branch system); on other measures they report honest failures.
@@ -55,10 +57,6 @@ class ConditionalKernel:
     base: float
     points: np.ndarray
     masses: np.ndarray
-
-    def expectation(self, f) -> float:
-        vals = np.asarray(f(self.points), dtype=float)
-        return float((self.masses * vals).sum(axis=0))
 
 
 class TransferOperator:
@@ -191,18 +189,6 @@ class TransferOperator:
     def rw_multiplier(self) -> GridFunction:
         """``R(W)``, the multiplier implementing ``R R*``."""
         return self.apply(self.system.weight)
-
-    def rw_multiplier_symbolic(self) -> TrigPoly | None:
-        w = self.system.weight.as_trigpoly()
-        return self.apply_symbolic(w) if w is not None else None
-
-    def is_adjoint_isometry(self, tol: float = 1e-10) -> bool:
-        """Whether ``S`` is an isometry, i.e. ``R(W) = 1`` identically."""
-        rw = self.rw_multiplier()
-        mids = (np.arange(self.n_grid) + 0.5) / self.n_grid
-        vals = np.concatenate([rw.values, np.asarray(self.apply_fn(
-            self.system.weight)(mids), dtype=float)])
-        return bool(np.max(np.abs(vals - 1.0)) <= tol)
 
 
 # -- identity suite -------------------------------------------------------
@@ -353,8 +339,9 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
                                 resid, tol))
 
     # (e) preimage weight-square rule: int_{sigma^-1 E} W^2 dlam = int_E R(W) dlam
-    rw_sym = op.rw_multiplier_symbolic()
-    if w_tp is None or rw_sym is None:
+    # (apply_symbolic gives None whenever w_tp is None: no closed-form weight)
+    rw_sym = op.apply_symbolic(w_tp)
+    if rw_sym is None:
         checks.append(IdentityCheck("preimage_weight_square", "SKIPPED",
                                     np.nan, tol,
                                     note="needs a closed-form weight"))

@@ -5,10 +5,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import towb
 from towb.cli import main
-from towb.config import load_config, parse_config
+from towb.config import RunConfig, load_config, parse_config
 from towb.errors import ConfigError
 
 FIXTURE_DIR = os.path.join(os.path.dirname(towb.__file__), "fixtures")
@@ -73,6 +75,80 @@ class TestParse:
         cfg = load_config(SYS_C)
         lam = cfg.build_measure()
         assert lam.atoms == ((0.0, 1.0),)
+
+
+_FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
+_FLOAT_LISTS = st.lists(_FLOATS, max_size=4)
+
+
+@st.composite
+def _run_configs(draw) -> RunConfig:
+    """Configs in canonical form: only the fields their weight and measure
+    kinds emit are set."""
+    kind = draw(st.sampled_from(["constant", "trig", "table"]))
+    measure = draw(st.sampled_from(["lebesgue", "atoms"]))
+    return RunConfig(
+        branch_slopes=draw(_FLOAT_LISTS),
+        branch_offsets=draw(_FLOAT_LISTS),
+        probabilities=draw(_FLOAT_LISTS),
+        sigma_slope=draw(st.none() | st.integers(2, 10**6)),
+        weight_kind=kind,
+        weight_value=draw(_FLOATS) if kind == "constant" else 1.0,
+        weight_const=draw(_FLOATS) if kind == "trig" else 1.0,
+        weight_cos=draw(_FLOAT_LISTS) if kind == "trig" else [],
+        weight_sin=draw(_FLOAT_LISTS) if kind == "trig" else [],
+        weight_table=(draw(st.lists(_FLOATS, min_size=1, max_size=4))
+                      if kind == "table" else []),
+        cells=draw(st.integers(2, 10**6)),
+        solver_tol=draw(st.floats(1e-300, 1e3)),
+        solver_max_iter=draw(st.integers(1, 10**6)),
+        solver_seed=draw(st.integers(0, 2**32)),
+        sampler_seed=draw(st.integers(0, 2**32)),
+        sampler_paths=draw(st.integers(1, 10**9)),
+        measure_kind=measure,
+        measure_positions=draw(_FLOAT_LISTS) if measure == "atoms" else [],
+        measure_masses=draw(_FLOAT_LISTS) if measure == "atoms" else [],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run_configs())
+def test_emit_parse_emit_round_trip(cfg):
+    text = cfg.emit()
+    parsed = parse_config(text)
+    assert parsed == cfg
+    assert parsed.emit() == text
+
+
+@pytest.mark.parametrize("base, old, new, field", [
+    ("sys_d.cfg", "sigma_slope = 3", "sigma_slope = 2.5",
+     "system.sigma_slope"),
+    ("sys_d.cfg", "sigma_slope = 3", "sigma_slope = 1", "system.sigma_slope"),
+    ("sys_a.cfg", 'sigma = "inferred"', 'sigma = "given"', "system.sigma"),
+    ("sys_a.cfg", "cells = 1024", "cells = 1000.7", "grid.cells"),
+    ("sys_a.cfg", "cells = 1024", "cells = 1", "grid.cells"),
+    ("sys_a.cfg", "max_iter = 2000", "max_iter = 20.5", "solver.max_iter"),
+    ("sys_a.cfg", "seed = 0", "seed = -1", "solver.seed"),
+    ("sys_a.cfg", "seed = 7", "seed = -1", "sampler.seed"),
+    ("sys_a.cfg", "seed = 7", "seed = 7.5", "sampler.seed"),
+    ("sys_a.cfg", "paths = 100000", "paths = 99.9", "sampler.paths"),
+])
+def test_bad_config_value_exit_code(capsys, tmp_path, base, old, new, field):
+    # a value the run would truncate or cannot use is an input error
+    # located at its field, never a silent truncation or a traceback
+    text = load_config(fixture(base)).emit()
+    assert old in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new))
+    assert main(["harmonic", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"field '{field}'" in err
+
+
+def test_negative_seed_flag_exit_code(capsys):
+    assert main(["harmonic", "--config", SYS_A, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "field 'seed'" in err
 
 
 class TestCli:
@@ -192,6 +268,23 @@ class TestCli:
         cascade = [c for c in payload["checks"]
                    if c["name"] == "fourier_cascade"]
         assert [c["status"] for c in cascade] == ["PASS"]
+
+    def test_harmonic_unconverged_cascade_skip_reason(self, capsys,
+                                                      tmp_path):
+        # W = 1 + 0.99 cos 6 pi x on the doubling map has h = 1, but its
+        # second eigenvalue 0.9933 needs ~3,800 power steps: the solve FAILs
+        # within 2,000, and the cascade is skipped for that reason
+        text = load_config(SYS_B).emit()
+        assert "cos = [1.0]" in text and "max_iter = 2000" in text
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text(text.replace("cos = [1.0]", "cos = [0.0, 0.0, 0.99]"))
+        out = tmp_path / "rep.json"
+        assert main(["harmonic", "--config", str(cfg), "--json",
+                     str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert [(c["name"], c["status"], c.get("note")) for c in checks] == [
+            ("harmonic_converged", "FAIL", None),
+            ("fourier_cascade", "SKIPPED", "harmonic solve did not converge")]
 
     def test_quasi_subcommand(self, capsys):
         assert main(["quasi", "--config", SYS_A, "--trials", "3"]) == 0

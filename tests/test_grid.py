@@ -201,6 +201,12 @@ class TestIntervalSet:
         assert s.indicator(0.5) == 0.0
         assert s.indicator(0.49999) == 1.0
 
+    def test_integrate_over_rejects_other_integrands(self):
+        # only a trig polynomial integrates exactly up to the region's edges
+        with pytest.raises(DomainError, match="needs a TrigPoly"):
+            integrate_over(lambda x: x, Measure.lebesgue(8),
+                           IntervalSet([(0.1, 0.3)]))
+
     def test_integrate_over_trig_matches_dense(self):
         rng = np.random.default_rng(3)
         p = TrigPoly.random(rng, degree=5)
@@ -209,6 +215,28 @@ class TestIntervalSet:
         exact = integrate_over(p, lam, region)
         oracle = sum(p.integral(lo, hi) for lo, hi in region.intervals)
         assert exact == pytest.approx(oracle, abs=1e-12)
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_UNIT, _UNIT), max_size=6),
+       st.lists(_UNIT, max_size=8))
+def test_interval_set_normalization(pairs, probes):
+    # sorted, disjoint with a gap between neighbours, nonempty, and the
+    # indicator of the union of the (nonempty) input intervals: checked at
+    # every endpoint, between every two neighbouring endpoints and at probes
+    out = IntervalSet(pairs).intervals
+    assert all(lo < hi for lo, hi in out)
+    assert all(a[1] < b[0] for a, b in zip(out, out[1:]))
+    ends = sorted({x for pair in pairs for x in pair} | {0.0, 1.0})
+    xs = np.array(ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+                  + probes)
+    union = np.zeros(xs.size, dtype=bool)
+    for lo, hi in pairs:
+        union |= (xs >= lo) & (xs < hi)
+    assert np.array_equal(IntervalSet(pairs).indicator(xs), union)
 
 
 def _integrate_over_cell_loop(p: TrigPoly, mu: Measure,

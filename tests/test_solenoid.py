@@ -150,7 +150,7 @@ class TestCylinderMass:
             spec = CylinderSpec(sets)
             x = float(rng.random())
             m0 = towb.cylinder_mass(pm_b, x, spec)
-            m1 = towb.cylinder_mass(pm_b, x, spec.extended())
+            m1 = towb.cylinder_mass(pm_b, x, CylinderSpec(spec.sets + (None,)))
             assert abs(m1 - m0) < 10 * max(pm_b.h_residual, 1e-15)
 
     def test_depth_guard(self, pm_a):
@@ -289,6 +289,13 @@ class TestQuasiInvariance:
             psi = CylinderFunction([TrigPoly.random(rng, 4)
                                     for _ in range(3)])
             assert abs(towb.quasi_invariance_defect(pm_a, psi)) < 1e-12
+
+    @pytest.mark.parametrize("depth, message", [
+        (18, "path depth 17 exceeds 16"), (16, "exceed WORDS_MAX")])
+    def test_too_deep_rejected_by_the_kernel(self, pm_a, depth, message):
+        # the enumeration's own bounds refuse a cylinder too deep to sum
+        with pytest.raises(DomainError, match=message):
+            towb.quasi_invariance_defect(pm_a, [None] * (depth + 1))
 
 
 class TestUnitary:
