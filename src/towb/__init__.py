@@ -15,7 +15,8 @@ from .sigspace import (Decomposition, SigElement, defect, defect_search,
                        hutchinson_iterate, l1_membership, lebesgue_decompose,
                        sig_distance_sq, sig_inner, sig_norm_sq)
 from .solenoid import (CylinderFunction, CylinderSpec, MultiresResult,
-                       PathMeasure, SolPath, conditional_expectation,
+                       PathMeasure, SolPath, batch_trials,
+                       conditional_expectation,
                        coordinates, cylinder_mass,
                        empirical_cylinder_frequency, expectation,
                        harmonic_from_measure, markov_deviation,

@@ -24,7 +24,7 @@ from .harmonic import (HarmonicSolution, fourier_cascade_check,
 from .report import Report
 from .sigspace import (defect_search, hutchinson_iterate, membership,
                        pushed_decomposition)
-from .solenoid import (CylinderFunction, CylinderSpec, PathMeasure,
+from .solenoid import (CylinderSpec, PathMeasure, batch_trials,
                        cylinder_mass, empirical_cylinder_frequency,
                        harmonic_from_measure, markov_deviation,
                        multires_check, unitarity_check,
@@ -195,10 +195,10 @@ def _cmd_quasi(args, cfg, op, lam, report: Report) -> None:
     pm = _solved_path_measure(cfg, op, lam)
     rng = np.random.default_rng(cfg.sampler_seed)
     # each trial draws its depth in 1..3, then one polynomial per coordinate
-    worst = worst_quasi_defect(pm, (
-        CylinderFunction([TrigPoly.random(rng, degree=4)
-                          for _ in range(int(rng.integers(1, 4)) + 1)])
-        for _ in range(args.trials)))
+    draws = [[TrigPoly.random(rng, degree=4)
+              for _ in range(int(rng.integers(1, 4)) + 1)]
+             for _ in range(args.trials)]
+    worst = worst_quasi_defect(pm, batch_trials(draws))
     report.add_result("quasi_invariance_defect", worst)
     _add_tol_check(report, "quasi_invariance", worst, QUASI_TOL)
     u_dev = unitarity_check(pm, trials=args.trials, seed=cfg.sampler_seed)

@@ -24,6 +24,7 @@ text whose re-parse equals the original config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DomainError
@@ -147,6 +148,14 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
+def _finite(value: float, text: str, lineno: int) -> float:
+    """``value``, parsed from ``text``, unless it is ``nan`` or infinite
+    (``inf`` or an overflowing literal): no key has a use for those."""
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number '{text.strip()}'", line=lineno)
+    return value
+
+
 def _parse_value(raw: str, lineno: int):
     raw = raw.strip()
     if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
@@ -160,13 +169,13 @@ def _parse_value(raw: str, lineno: int):
         out = []
         for piece in inner.split(","):
             try:
-                out.append(float(piece))
+                out.append(_finite(float(piece), piece, lineno))
             except ValueError:
                 raise ConfigError(f"bad number '{piece.strip()}' in list",
                                   line=lineno) from None
         return out
     try:
-        return float(raw)
+        return _finite(float(raw), raw, lineno)
     except ValueError:
         raise ConfigError(f"cannot parse value '{raw}'", line=lineno) from None
 

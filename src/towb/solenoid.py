@@ -28,7 +28,7 @@ sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +36,8 @@ from .errors import ConfigError, DomainError
 from .grid import GridFunction, IntervalSet, Measure, integrate, wrap_unit
 from .system import left_inverse_residuals
 from .transfer import TransferOperator
-from .trig import TrigPoly
+from .trig import (TRIAL_BLOCK, TrigPoly, broadcast_to_trials,
+                   trials_product)
 
 EPS_H = 1e-10
 DEPTH_MAX = 16
@@ -228,7 +229,10 @@ def conditional_expectation(pm: PathMeasure, psi, x):
     cylinder function ``psi = f_0(x_0) ... f_m(x_m)`` against the base-``x``
     measure (total mass ``h(x)``, not normalized), for a scalar or an array
     ``x``.  Each factor is an :class:`IntervalSet` (its indicator), a
-    callable, or ``None`` for the constant 1.
+    callable, or ``None`` for the constant 1.  A factor whose values carry a
+    trailing trials axis (a batched :class:`TrigPoly`) makes ``psi`` a batch
+    of cylinder functions, and the result gains that axis: one value per
+    trial.
 
     The branch images are built outward from ``x``, one leading branch axis
     per coordinate, and then summed inward from ``h``, one application of
@@ -253,11 +257,11 @@ def conditional_expectation(pm: PathMeasure, psi, x):
     for f, ys in zip(reversed(factors), reversed(levels[1:])):
         masses = op.branch_masses(ys)
         if f is not None:
-            total = np.asarray(f(ys), dtype=float) * total
-        total = (masses * total).sum(axis=0)
+            total = trials_product(np.asarray(f(ys), dtype=float), total)
+        total = (broadcast_to_trials(masses, total) * total).sum(axis=0)
     f0 = psi.components[0]
     if f0 is not None:
-        total = np.asarray(f0(x), dtype=float) * total
+        total = trials_product(np.asarray(f0(x), dtype=float), total)
     return float(total) if total.ndim == 0 else total
 
 
@@ -417,7 +421,7 @@ def empirical_cylinder_frequency(pm: PathMeasure, x: float, spec: CylinderSpec,
 
 def _shifted_components(pm: PathMeasure, psi: CylinderFunction, prefactor):
     """Components of ``prefactor(x_0) * psi(shifted path)`` as a cylinder
-    function of depth ``max(depth-1, 0)``."""
+    function of depth ``max(depth-1, 0)``; a batched ``psi`` stays one."""
     sigma = pm.op.system.sigma
     comps = list(psi.components)
     f0 = comps[0]
@@ -425,21 +429,22 @@ def _shifted_components(pm: PathMeasure, psi: CylinderFunction, prefactor):
     def head(x, f0=f0, nxt=(comps[1] if len(comps) > 1 else None)):
         out = np.asarray(prefactor(x), dtype=float)
         if f0 is not None:
-            out = out * np.asarray(f0(sigma(x)), dtype=float)
+            out = trials_product(out, np.asarray(f0(sigma(x)), dtype=float))
         if nxt is not None:
-            out = out * np.asarray(nxt(x), dtype=float)
+            out = trials_product(out, np.asarray(nxt(x), dtype=float))
         return out
 
     return CylinderFunction([head] + comps[2:])
 
 
-def quasi_invariance_defect(pm: PathMeasure, psi) -> float:
+def quasi_invariance_defect(pm: PathMeasure, psi) -> float | np.ndarray:
     """Signed defect of the change-of-variables rule for the path shift:
 
         E[ (W o Z_0) * (psi o shift) ] - E[ psi ],
 
-    both sides by exact enumeration.  Zero (to rounding) whenever the
-    weight is the density of the pushed base measure and ``h`` is harmonic.
+    both sides by exact enumeration; one defect per trial for a batched
+    ``psi``.  Zero (to rounding) whenever the weight is the density of the
+    pushed base measure and ``h`` is harmonic.
     """
     psi = CylinderFunction.coerce(psi)
     shifted = _shifted_components(pm, psi, pm.op.system.weight)
@@ -456,24 +461,47 @@ def u_apply(pm: PathMeasure, psi) -> CylinderFunction:
 
 def worst_quasi_defect(pm: PathMeasure, psis) -> float:
     """Largest ``|quasi_invariance_defect(pm, psi)|`` over the cylinder
-    functions ``psis`` (0 when there are none).  ``psis`` may be a generator:
-    each function is drawn just before its defect is taken, in order."""
+    functions ``psis`` (0 when there are none), taking every trial of a
+    batched one.  ``psis`` may be a generator; each item is used only for
+    its own defect."""
     worst = 0.0
     for psi in psis:
-        worst = max(worst, abs(quasi_invariance_defect(pm, psi)))
+        worst = max(worst,
+                    float(np.max(np.abs(quasi_invariance_defect(pm, psi)))))
     return worst
+
+
+def batch_trials(draws: Sequence[Sequence[TrigPoly]]
+                 ) -> Iterator[CylinderFunction]:
+    """Batched cylinder functions holding the trials ``draws``, each a list
+    of single trig polynomials, one per coordinate.
+
+    Trials of equal depth share batches, in the order their depths first
+    occur, at most ``TRIAL_BLOCK`` trials to a batch and in draw order
+    within it; factor ``j`` of a batch is :meth:`TrigPoly.stack` of the
+    trials' factors ``j``.  Yields the batches one at a time.
+    """
+    groups: dict[int, list] = {}
+    for factors in draws:
+        groups.setdefault(len(factors), []).append(factors)
+    for group in groups.values():
+        for i in range(0, len(group), TRIAL_BLOCK):
+            yield CylinderFunction([TrigPoly.stack(fs) for fs
+                                    in zip(*group[i:i + TRIAL_BLOCK])])
 
 
 def unitarity_check(pm: PathMeasure, trials: int = 20, seed: int = 0,
                     depth: int = 2) -> float:
     """Max deviation of ``||U psi||^2`` from ``||psi||^2`` over random
     cylinder functions.  Since ``|U psi|^2 = W(x_0) |psi o shift|^2``, that
-    deviation is the quasi-invariance defect of ``psi^2``."""
+    deviation is the quasi-invariance defect of ``psi^2``.  Each trial
+    draws one degree-4 polynomial per coordinate; the trials are evaluated
+    as the batches of :func:`batch_trials`."""
     rng = np.random.default_rng(seed)
-    return worst_quasi_defect(pm, (
-        CylinderFunction([TrigPoly.random(rng, degree=4)
-                          for _ in range(depth + 1)]).squared()
-        for _ in range(trials)))
+    draws = [[TrigPoly.random(rng, degree=4) for _ in range(depth + 1)]
+             for _ in range(trials)]
+    return worst_quasi_defect(pm, (psi.squared()
+                                   for psi in batch_trials(draws)))
 
 
 @dataclass(frozen=True)

@@ -34,19 +34,9 @@ from .grid import (GridFunction, IntervalSet, Measure, integrate,
                    integrate_over, interpolate, push_mixture, wrap_unit)
 from .sigspace import Decomposition, lebesgue_decompose
 from .system import IfsSystem
-from .trig import TrigPoly
+from .trig import TRIAL_BLOCK, TrigPoly, broadcast_to_trials
 
 IDENTITY_TOL = 1e-8
-# Trials evaluated together in the identity suite: large enough that the
-# per-call overhead vanishes, small enough to keep the batched value arrays
-# at a few MB.
-_TRIAL_BLOCK = 25
-
-
-def _broadcast_to_trials(a: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """``a`` with a length-1 axis appended when ``vals`` has an extra
-    trailing trials axis."""
-    return a[..., None] if vals.ndim > a.ndim else a
 
 
 @dataclass(frozen=True)
@@ -105,7 +95,7 @@ class TransferOperator:
             pts = self.branch_points(x)
             masses = self.branch_masses(pts)
             vals = np.asarray(f(pts), dtype=float)
-            return (_broadcast_to_trials(masses, vals) * vals).sum(axis=0)
+            return (broadcast_to_trials(masses, vals) * vals).sum(axis=0)
 
         return rf
 
@@ -155,7 +145,7 @@ class TransferOperator:
 
         def sf(x):
             vals = np.asarray(f(sigma(x)), dtype=float)
-            return _broadcast_to_trials(np.asarray(weight(x)), vals) * vals
+            return broadcast_to_trials(np.asarray(weight(x)), vals) * vals
 
         return sf
 
@@ -265,7 +255,7 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
     Random test functions are trig polynomials of degree <= 8 with
     coefficients in ``[-1, 1]``, evaluated in closed form so residuals are
     limited by rounding, not quadrature.  They are evaluated as batches of
-    up to ``_TRIAL_BLOCK`` trials along a trailing axis; the draws are the
+    up to ``TRIAL_BLOCK`` trials along a trailing axis; the draws are the
     ones ``trials`` single ``TrigPoly.random`` calls would make.  The
     preimage rule is skipped without a closed-form weight; the
     harmonic-support check is gated on its hypothesis ``sup R(W) <= 1``.
@@ -281,8 +271,8 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
     all_fs = TrigPoly.random(rng, trials=trials)
     all_gs = TrigPoly.random(rng, trials=trials)
     regions = [_random_intervals(rng) for _ in range(trials)]
-    blocks = [slice(i, i + _TRIAL_BLOCK)
-              for i in range(0, trials, _TRIAL_BLOCK)]
+    blocks = [slice(i, i + TRIAL_BLOCK)
+              for i in range(0, trials, TRIAL_BLOCK)]
     fs = [all_fs.take_trials(b) for b in blocks]
     gs = [all_gs.take_trials(b) for b in blocks]
 

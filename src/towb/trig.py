@@ -20,6 +20,10 @@ import numpy as np
 
 _TWO_PI_I = 2j * np.pi
 _PRUNE = 1e-15
+# Trials evaluated together along a trailing axis: large enough that the
+# per-call overhead vanishes, small enough to keep the batched value arrays
+# at a few MB.
+TRIAL_BLOCK = 25
 
 
 class TrigPoly:
@@ -108,6 +112,21 @@ class TrigPoly:
         return cls.from_cos_sin(draw[0], draw[1:degree + 1],
                                 draw[degree + 1:])
 
+    @classmethod
+    def stack(cls, polys) -> "TrigPoly":
+        """The batch whose trial ``t`` is the single polynomial ``polys[t]``.
+
+        The batch carries every frequency of any of them, with a zero
+        coefficient where a polynomial lacks it, so unequal frequency sets
+        stack exactly, and each trial keeps its coefficients bit for bit.
+        """
+        freqs = np.concatenate([p.freqs for p in polys])
+        coefs = np.zeros((freqs.size, len(polys)), dtype=complex)
+        rows = np.cumsum([0] + [p.freqs.size for p in polys])
+        for t, p in enumerate(polys):
+            coefs[rows[t]:rows[t + 1], t] = p.coefs
+        return cls._from_arrays(freqs, coefs)
+
     def take_trials(self, index) -> "TrigPoly":
         """The batch restricted to the trials selected by ``index``."""
         return TrigPoly._from_arrays(self.freqs, self.coefs[:, index])
@@ -192,6 +211,18 @@ class TrigPoly:
                  else "")
         return (f"TrigPoly({len(self.freqs)} terms, "
                 f"max|freq|={self.max_freq:g}{batch})")
+
+
+def broadcast_to_trials(a: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``a`` with a length-1 axis appended when ``vals`` has an extra
+    trailing trials axis."""
+    return a[..., None] if vals.ndim > a.ndim else a
+
+
+def trials_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` at the same points, where either may carry an extra
+    trailing trials axis."""
+    return broadcast_to_trials(a, b) * broadcast_to_trials(b, a)
 
 
 def _common_trials(a: np.ndarray,

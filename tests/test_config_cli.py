@@ -145,6 +145,30 @@ def test_bad_config_value_exit_code(capsys, tmp_path, base, old, new, field):
     assert "config error" in err and f"field '{field}'" in err
 
 
+@pytest.mark.parametrize("base, old, new", [
+    ("sys_b.cfg", "tol = 1e-12", "tol = inf"),
+    ("sys_b.cfg", "tol = 1e-12", "tol = nan"),
+    ("sys_a.cfg", "value = 1.0", "value = nan"),
+    ("sys_a.cfg", "value = 1.0", "value = -inf"),
+    ("sys_b.cfg", "constant_term = 1.0", "constant_term = nan"),
+    ("sys_b.cfg", "cos = [1.0]", "cos = [nan]"),
+    ("sys_b.cfg", "cos = [1.0]", "cos = [1.0, 1e999]"),
+])
+def test_non_finite_config_value_exit_code(capsys, tmp_path, base, old, new):
+    # nan and infinity are located input errors, never a false PASS, a full
+    # run of the solver or an unlocated numerical failure
+    text = load_config(fixture(base)).emit()
+    assert old in text
+    text = text.replace(old, new)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["harmonic", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    line = text.splitlines().index(new) + 1
+    assert "config error: non-finite number" in err
+    assert f"(line {line})" in err
+
+
 def test_negative_seed_flag_exit_code(capsys):
     assert main(["harmonic", "--config", SYS_A, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
@@ -450,9 +474,36 @@ class TestCli:
                          "--json", str(out)]) == code
             assert self._statuses(out, names) == [status] * 3
 
-    @pytest.mark.parametrize("path, fails", [(SYS_A, 0), (SYS_B, 10)])
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_quasi_trial_batch_edges(self, capsys, tmp_path, monkeypatch,
+                                     trials):
+        # one trial makes a one-trial (F, 1) batch; three trials on these
+        # seeds leave a depth group with one trial.  Both still PASS on
+        # sys_a and FAIL every check on the point mass of sys_c
+        import towb.cli
+
+        sizes = []
+        original = towb.cli.batch_trials
+
+        def record(draws):
+            for psi in original(draws):
+                sizes.append(psi.components[0].coefs.shape[1])
+                yield psi
+
+        monkeypatch.setattr(towb.cli, "batch_trials", record)
+        names = ["quasi_invariance", "unitarity", "multiresolution"]
+        out = tmp_path / "rep.json"
+        for path, code, status in ((SYS_A, 0, "PASS"), (SYS_C, 1, "FAIL")):
+            sizes.clear()
+            assert main(["quasi", "--config", path, "--trials", str(trials),
+                         "--json", str(out)]) == code
+            assert self._statuses(out, names) == [status] * 3
+            assert sum(sizes) == trials and 1 in sizes
+
+    @pytest.mark.parametrize("base, fails", [("sys_a.cfg", 0),
+                                             ("sys_b.cfg", 10)])
     def test_sample_specs_fail_on_wrong_weight(self, capsys, tmp_path,
-                                               monkeypatch, path, fails):
+                                               monkeypatch, base, fails):
         # negative control: the sampler draws from the kernel of W = 1
         # while the exact masses keep the system's weight; on sys_b half
         # of the battery flips to FAIL, on sys_a (W = 1) nothing changes
@@ -467,6 +518,7 @@ class TestCli:
             op = towb.TransferOperator(system, pm.op.n_grid)
             return original(dataclasses.replace(pm, op=op), bases, depth, rng)
 
+        path = fixture(base)
         out = tmp_path / "rep.json"
         assert main(["sample", "--config", path, "--json", str(out)]) == 0
         assert json.loads(out.read_text())["results"]["agreeing"] == 20

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -341,6 +343,112 @@ class TestUnitary:
                     assert norm_defect == pytest.approx(defect, rel=1e-12)
                 else:
                     assert norm_defect == pytest.approx(defect, abs=1e-14)
+
+
+def _quasi_draws(seed, trials):
+    """The polynomials ``towb quasi`` draws, in its order: per trial a
+    depth in 1..3, then one degree-4 polynomial per coordinate."""
+    rng = np.random.default_rng(seed)
+    return [[TrigPoly.random(rng, degree=4)
+             for _ in range(int(rng.integers(1, 4)) + 1)]
+            for _ in range(trials)]
+
+
+def _unitarity_draws(seed, trials, depth=2):
+    rng = np.random.default_rng(seed)
+    return [[TrigPoly.random(rng, degree=4) for _ in range(depth + 1)]
+            for _ in range(trials)]
+
+
+def _batch_order(draws):
+    """Trial indices in the order the batches of ``batch_trials`` hold them:
+    depth groups in order of first occurrence, draw order within."""
+    depths = dict.fromkeys(len(f) for f in draws)
+    return [i for d in depths for i, f in enumerate(draws) if len(f) == d]
+
+
+def _close(pm, pm_c, got, want):
+    if pm is pm_c:
+        assert got == pytest.approx(want, rel=1e-12)
+    else:
+        assert got == pytest.approx(want, abs=1e-13)
+
+
+class TestTrialBatches:
+    """The batched shift checks against the per-trial loop they replace,
+    kept here as the oracle."""
+
+    def test_batched_defects_match_per_trial_loop(self, pm_a, pm_b, pm_c):
+        trials = 20
+        draws = _quasi_draws(7, trials)
+        for pm in (pm_a, pm_b, pm_c):
+            oracle = [towb.quasi_invariance_defect(pm, CylinderFunction(f))
+                      for f in draws]
+            batched = np.concatenate([
+                towb.quasi_invariance_defect(pm, psi)
+                for psi in towb.batch_trials(draws)])
+            assert batched.shape == (trials,)
+            for got, i in zip(batched, _batch_order(draws)):
+                _close(pm, pm_c, got, oracle[i])
+            _close(pm, pm_c, towb.worst_quasi_defect(
+                pm, towb.batch_trials(draws)), max(abs(d) for d in oracle))
+
+    @pytest.mark.parametrize("trials", [20, 30])
+    def test_unitarity_matches_per_trial_loop(self, pm_a, pm_b, pm_c,
+                                              trials):
+        # 30 trials span two batches of at most TRIAL_BLOCK = 25
+        for pm in (pm_a, pm_b, pm_c):
+            oracle = max(abs(towb.quasi_invariance_defect(
+                pm, CylinderFunction(f).squared()))
+                for f in _unitarity_draws(3, trials))
+            _close(pm, pm_c, towb.unitarity_check(pm, trials=trials, seed=3),
+                   oracle)
+
+    def test_batches_hold_todays_draws_bit_for_bit(self, capsys,
+                                                   monkeypatch):
+        # towb quasi and unitarity_check draw the polynomials the per-trial
+        # loop drew, in its order; each batch factor stacks them unchanged
+        import towb.cli
+        import towb.solenoid
+
+        recorded = []
+        original = towb.solenoid.batch_trials
+
+        def record(draws):
+            batches = list(original(draws))
+            recorded.append(batches)
+            return iter(batches)
+
+        monkeypatch.setattr(towb.cli, "batch_trials", record)
+        monkeypatch.setattr(towb.solenoid, "batch_trials", record)
+        cfg = os.path.join(os.path.dirname(towb.__file__), "fixtures",
+                           "sys_b.cfg")
+        assert towb.cli.main(["quasi", "--config", cfg]) == 0
+        quasi, unitarity = recorded
+        assert len(quasi) <= 3 and len(unitarity) == 1
+        for batches, draws in ((quasi, _quasi_draws(7, 20)),
+                               (unitarity, _unitarity_draws(7, 20))):
+            assert sum(psi.components[0].coefs.shape[1]
+                       for psi in batches) == len(draws)
+            order = iter(_batch_order(draws))
+            for psi in batches:
+                trials = psi.components[0].coefs.shape[1]
+                for t, i in zip(range(trials), order):
+                    assert len(psi.components) == len(draws[i])
+                    for batch, single in zip(psi.components, draws[i]):
+                        assert np.array_equal(batch.freqs, single.freqs)
+                        assert (batch.coefs[:, t].tobytes()
+                                == single.coefs.tobytes())
+
+    def test_single_cylinder_functions_give_floats(self, pm_b):
+        # without a trials axis every exact evaluator still returns a float
+        rng = np.random.default_rng(2)
+        psi = CylinderFunction([TrigPoly.random(rng, 4) for _ in range(3)])
+        spec = CylinderSpec([IntervalSet([(0.0, 0.5)]), None])
+        assert isinstance(towb.conditional_expectation(pm_b, psi, 0.3), float)
+        assert isinstance(towb.cylinder_mass(pm_b, 0.3, spec), float)
+        assert isinstance(towb.expectation(pm_b, psi), float)
+        assert isinstance(towb.quasi_invariance_defect(pm_b, psi), float)
 
 
 class TestMultires:

@@ -96,3 +96,24 @@ def test_fractional_frequencies_integrate_exactly():
 def test_prunes_negligible_terms():
     p = TrigPoly({0.0: 1.0, 3.0: 1e-20})
     assert len(p.freqs) == 1
+
+
+def test_stack_keeps_each_trial_and_unequal_frequencies():
+    # a batch of singles with different frequency sets: each trial evaluates
+    # as its single, and a shared frequency keeps its coefficients bit for bit
+    rng = np.random.default_rng(4)
+    polys = [TrigPoly.random(rng, 2), TrigPoly.constant(-1.5),
+             TrigPoly({3.0: 0.5j, -3.0: -0.5j}), TrigPoly.random(rng, 1)]
+    batch = TrigPoly.stack(polys)
+    assert batch.coefs.shape == (batch.freqs.size, len(polys))
+    assert set(batch.freqs) == {-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0}
+    xs = np.linspace(0.0, 1.0, 37)
+    vals = batch(xs)
+    for t, p in enumerate(polys):
+        assert np.max(np.abs(vals[:, t] - p(xs))) < 1e-14
+        rows = np.isin(batch.freqs, p.freqs)
+        assert batch.coefs[rows, t].tobytes() == p.coefs.tobytes()
+        assert not np.any(batch.coefs[~rows, t])
+    one = TrigPoly.stack(polys[:1])
+    assert one.coefs.shape == (polys[0].freqs.size, 1)
+    assert np.array_equal(one.freqs, polys[0].freqs)

@@ -12,7 +12,8 @@ and a closed-form weight, so two generated configs, written into the same
 directory, go through ``verify`` and ``measure`` as well: branches of
 slopes 1/3 and 2/3 with ``sigma`` inferred (``uneven``), and a table weight
 on the doubling map (``table``).  A branch shifted off ``[0, 1]``
-(``shifted``) is a malformed config.  Prints one line per run: the sha256
+(``shifted``), a solver tolerance of ``inf`` (``tol_inf``) and a weight of
+``nan`` (``weight_nan``) are malformed configs.  Prints one line per run: the sha256
 of the report (``-`` when none was written), the exit code and the
 arguments.  Reports are deterministic, so two checkouts give the same
 reports exactly when the outputs of::
@@ -51,9 +52,15 @@ GENERATED = {
            for j in range(_TABLE_N)])
     + f"\n\n[grid]\ncells = {_TABLE_N}\n",
     "shifted": _system([0.5, 0.5], [-0.25, 0.25], [0.5, 0.5]),
+    "tol_inf": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = [1.0]\n\n'
+    + "[solver]\ntol = inf\n",
+    "weight_nan": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + '[weight]\nkind = "constant"\nvalue = nan\n',
 }
 GENERATED_COMMANDS = (("verify",), ("measure",))
 SHIFTED_COMMANDS = (("measure",), ("defect",), ("verify",))
+NON_FINITE_COMMANDS = (("harmonic",),)
 COMMANDS = (
     ("verify",),
     ("harmonic",),
@@ -88,6 +95,9 @@ def cases():
             yield name, command
     for command in SHIFTED_COMMANDS:
         yield "shifted", command
+    for name in ("tol_inf", "weight_nan"):
+        for command in NON_FINITE_COMMANDS:
+            yield name, command
 
 
 def run(main, config: Path, command: tuple, out: Path) -> tuple[str, int]:
