@@ -25,11 +25,12 @@ for name, system in [("unit weight", towb.sys_a(N)),
     r_one = op.apply(one)
     print(f"{name}: max |R(1) - 1| = {np.max(np.abs(r_one.values - 1)):.2e}")
 
-# The operator is an average over an atomic transition kernel.
+# The operator is an average over an atomic transition kernel: the branch
+# images of x, each carrying mass p_i W(tau_i x).
 op = towb.TransferOperator(towb.sys_a(N), N)
-kernel = op.kernel(0.4)
+points = op.branch_points(0.4)
 print("\nkernel at x = 0.4:")
-for point, mass in zip(kernel.points, kernel.masses):
+for point, mass in zip(points, op.branch_masses(points)):
     print(f"  atom at {point:.2f} with mass {mass:.2f}")
 
 # Its adjoint in L2(Lebesgue) is the weighted composition f -> W * (f o sigma);

@@ -29,7 +29,7 @@ op2 = towb.TransferOperator(doubling_system(WeightExpr.constant(2.0), N), N)
 sol2 = towb.solve_harmonic(op2, lam)
 print(f"doubled weight: rho = {sol2.rho}")
 
-renormalized = towb.normalize_weight(op2, lam, sol2)
+renormalized = towb.normalize_weight(op2, sol2)
 sol3 = towb.solve_harmonic(towb.TransferOperator(renormalized, N), lam)
 print(f"after renormalizing: rho = {sol3.rho}")
 

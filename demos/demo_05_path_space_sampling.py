@@ -23,16 +23,17 @@ x = 0.3
 quarter = towb.IntervalSet([(0.0, 0.25)])
 half = towb.IntervalSet([(0.0, 0.5)])
 for label, spec in [
-        ("first coordinate in [0, 1/4)", towb.CylinderSpec([quarter])),
-        ("two steps in [0, 1/2)", towb.CylinderSpec([half, half])),
-        ("unconstrained depth 3", towb.CylinderSpec([None, None, None]))]:
+        ("first coordinate in [0, 1/4)",
+         towb.CylinderFunction([None, quarter])),
+        ("two steps in [0, 1/2)", towb.CylinderFunction([None, half, half])),
+        ("unconstrained depth 3", towb.CylinderFunction([None] * 4))]:
     mass = towb.cylinder_mass(pm, x, spec)
     print(f"{label}: mass = {mass:.6f}")
 print(f"(total mass at the base equals h(x) = {float(pm.h(x)):.6f})")
 
 # Monte Carlo agrees with the oracle within sampling error.
 rng = np.random.default_rng(0)
-spec = towb.CylinderSpec([quarter, half])
+spec = towb.CylinderFunction([None, quarter, half])
 exact = towb.cylinder_mass(pm, x, spec) / float(pm.h(x))
 for n_paths in (1_000, 10_000, 100_000):
     p_hat, se = towb.empirical_cylinder_frequency(pm, x, spec, n_paths, rng)

@@ -47,7 +47,7 @@ print(f"unitarity defect over 20 random functions: "
 
 # Multiresolution: the levels nest because sigma is a left inverse of the
 # branches, and U drops level n isometrically into level n - 1.
-result = towb.multires_check(pm, n_max=4, seed=2)
+result = towb.multires_check(pm, seed=2)
 print(f"nesting residual: {result.nesting_residual:.2e}")
 print(f"shift residual:   {result.shift_residual:.2e}")
 

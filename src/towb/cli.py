@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import time
@@ -24,17 +25,34 @@ from .harmonic import (HarmonicSolution, fourier_cascade_check,
 from .report import Report
 from .sigspace import (defect_search, hutchinson_iterate, membership,
                        pushed_decomposition)
-from .solenoid import (CylinderSpec, PathMeasure, batch_trials,
+from .solenoid import (CylinderFunction, PathMeasure, batch_trials,
                        cylinder_mass, empirical_cylinder_frequency,
                        harmonic_from_measure, markov_deviation,
                        multires_check, unitarity_check,
                        worst_quasi_defect)
-from .transfer import TransferOperator, identity_suite
+from .transfer import TransferOperator, check_status, identity_suite
 from .trig import TrigPoly
 
 QUASI_TOL = 1e-10
 MULTIRES_TOL = 1e-12
 HFM_TOL = 1e-8
+
+# The bounds of the numeric flags, by argparse dest: the rule as the error
+# states it and its test.  main checks every flag the command has against
+# them before it loads the config or runs a handler.
+_FLAG_BOUNDS = {
+    "seed": ("nonnegative", lambda v: v >= 0),
+    "trials": ("at least 1", lambda v: v >= 1),
+    "k_max": ("nonnegative", lambda v: v >= 0),
+    "n_max": ("nonnegative", lambda v: v >= 0),
+    "cascade_tol": ("finite and positive",
+                    lambda v: math.isfinite(v) and v > 0),
+    "steps": ("nonnegative", lambda v: v >= 0),
+    "x": ("finite", math.isfinite),
+    "battery": ("at least 1", lambda v: v >= 1),
+    "n": ("at least 2", lambda v: v >= 2),
+    "depth": ("at least 1", lambda v: v >= 1),
+}
 
 
 def _converged_solution(cfg: RunConfig, op: TransferOperator,
@@ -53,14 +71,19 @@ def _solved_path_measure(cfg: RunConfig, op: TransferOperator,
 
 def _add_tol_check(report: Report, name: str, residual: float,
                    tol: float) -> None:
-    """Add check ``name``: PASS when ``residual < tol``, FAIL otherwise."""
-    report.add_check(name, "PASS" if residual < tol else "FAIL", residual, tol)
+    """Add check ``name`` with the status :func:`check_status` gives."""
+    report.add_check(name, check_status(residual, tol), residual, tol)
 
 
-def _require_trials(args) -> None:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {args.trials}",
-                          field="trials")
+def _check_flags(args) -> None:
+    """Raise a :class:`ConfigError` located at the first flag of ``args``
+    that breaks its bound in ``_FLAG_BOUNDS``."""
+    for dest, (rule, holds) in _FLAG_BOUNDS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not holds(value):
+            flag = dest.replace("_", "-")
+            raise ConfigError(f"--{flag} must be {rule}, got {value}",
+                              field=flag)
 
 
 def _write_columns(directory: str, name: str, xs, ys) -> None:
@@ -74,7 +97,6 @@ def _write_columns(directory: str, name: str, xs, ys) -> None:
 
 
 def _cmd_verify(args, cfg, op, lam, report: Report) -> None:
-    _require_trials(args)
     sol = _converged_solution(cfg, op, lam)
     suite = identity_suite(op, lam, sol.h, trials=args.trials,
                            seed=cfg.solver_seed)
@@ -140,7 +162,7 @@ def _cmd_defect(args, cfg, op, lam, report: Report) -> None:
 def _cmd_cylinder(args, cfg, op, lam, report: Report) -> None:
     if args.sets is None:
         raise ConfigError("cylinder needs --sets", field="sets")
-    spec = CylinderSpec.parse(args.sets)
+    spec = CylinderFunction.parse(args.sets)
     pm = _solved_path_measure(cfg, op, lam)
     mass = cylinder_mass(pm, args.x, spec)
     hx = float(pm.h(args.x))
@@ -149,7 +171,8 @@ def _cmd_cylinder(args, cfg, op, lam, report: Report) -> None:
     report.add_result("total_mass_at_base", hx)
 
 
-def _battery(rng: np.random.Generator, count: int) -> list[CylinderSpec]:
+def _battery(rng: np.random.Generator,
+             count: int) -> list[CylinderFunction]:
     specs = []
     for _ in range(count):
         depth = int(rng.integers(1, 4))
@@ -161,7 +184,7 @@ def _battery(rng: np.random.Generator, count: int) -> list[CylinderSpec]:
                 lo = rng.uniform(0.0, 0.55)
                 hi = lo + rng.uniform(0.2, min(0.42, 1.0 - lo))
                 sets.append(IntervalSet([(lo, hi)]))
-        specs.append(CylinderSpec(sets))
+        specs.append(CylinderFunction([None, *sets]))
     return specs
 
 
@@ -191,7 +214,6 @@ def _cmd_sample(args, cfg, op, lam, report: Report) -> None:
 
 
 def _cmd_quasi(args, cfg, op, lam, report: Report) -> None:
-    _require_trials(args)
     pm = _solved_path_measure(cfg, op, lam)
     rng = np.random.default_rng(cfg.sampler_seed)
     # each trial draws its depth in 1..3, then one polynomial per coordinate
@@ -204,7 +226,7 @@ def _cmd_quasi(args, cfg, op, lam, report: Report) -> None:
     u_dev = unitarity_check(pm, trials=args.trials, seed=cfg.sampler_seed)
     report.add_result("unitarity_defect", u_dev)
     _add_tol_check(report, "unitarity", u_dev, QUASI_TOL)
-    mr = multires_check(pm, n_max=4, seed=cfg.sampler_seed)
+    mr = multires_check(pm, seed=cfg.sampler_seed)
     report.add_result("nesting_residual", mr.nesting_residual)
     report.add_result("shift_residual", mr.shift_residual)
     _add_tol_check(report, "multiresolution",
@@ -214,12 +236,13 @@ def _cmd_quasi(args, cfg, op, lam, report: Report) -> None:
 def _cmd_markov(args, cfg, op, lam, report: Report) -> None:
     if args.set_a is None or args.set_b is None:
         raise ConfigError("markov needs --set-a and --set-b", field="sets")
-    specs = CylinderSpec.parse(args.set_a), CylinderSpec.parse(args.set_b)
+    specs = (CylinderFunction.parse(args.set_a),
+             CylinderFunction.parse(args.set_b))
     if any(spec.depth > 1 for spec in specs):
         raise ConfigError("markov sets take one coordinate each, got "
                           f"{specs[0].depth} and {specs[1].depth}",
                           field="sets")
-    set_a, set_b = (spec.sets[0] for spec in specs)
+    set_a, set_b = (spec.components[1] for spec in specs)
     if set_a is None or set_b is None:
         raise ConfigError("markov sets cannot be 'all'", field="sets")
     pm = _solved_path_measure(cfg, op, lam)
@@ -320,11 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be nonnegative, got "
-                                  f"{args.seed}", field="seed")
             cfg.solver_seed = args.seed
             cfg.sampler_seed = args.seed
         system = cfg.build_system()

@@ -17,7 +17,9 @@ be written by hand::
     [grid]
     cells = 1024
 
-Unknown sections or keys are errors; parse errors carry the line number and
+Unknown sections or keys are errors, and so are a key given twice, a key
+that the selected weight or measure kind does not read, and ``sigma``
+together with ``sigma_slope``; parse errors carry the line number and
 semantic errors the field name.  ``RunConfig.emit()`` produces a canonical
 text whose re-parse equals the original config.
 """
@@ -40,6 +42,19 @@ _SCHEMA: dict[str, dict[str, type]] = {
     "solver": {"tol": float, "max_iter": float, "seed": float},
     "sampler": {"seed": float, "paths": float},
     "measure": {"kind": str, "positions": list, "masses": list},
+}
+# The keys each kind of weight and of measure reads, with the RunConfig
+# field each fills; the first kind of a section is its default.  Parsing
+# rejects any other key of the section, and emit writes exactly these keys,
+# leaving out an empty ``cos`` or ``sin``.
+_KIND_KEYS: dict[str, dict[str, dict[str, str]]] = {
+    "weight": {"constant": {"value": "weight_value"},
+               "trig": {"constant_term": "weight_const", "cos": "weight_cos",
+                        "sin": "weight_sin"},
+               "table": {"table_values": "weight_table"}},
+    "measure": {"lebesgue": {},
+                "atoms": {"positions": "measure_positions",
+                          "masses": "measure_masses"}},
 }
 
 
@@ -116,6 +131,11 @@ class RunConfig:
                 return repr(v)
             return repr(float(v))
 
+        def kind_lines(section: str, kind: str) -> list[str]:
+            return [f"{key} = {fmt(getattr(self, name))}" for key, name
+                    in _KIND_KEYS[section].get(kind, {}).items()
+                    if getattr(self, name) or key not in ("cos", "sin")]
+
         lines = ["[system]",
                  f"branch_slopes = {fmt(self.branch_slopes)}",
                  f"branch_offsets = {fmt(self.branch_offsets)}",
@@ -124,27 +144,16 @@ class RunConfig:
             lines.append(f"sigma_slope = {self.sigma_slope}")
         else:
             lines.append('sigma = "inferred"')
-        lines += ["", "[weight]", f'kind = "{self.weight_kind}"']
-        if self.weight_kind == "constant":
-            lines.append(f"value = {fmt(self.weight_value)}")
-        elif self.weight_kind == "trig":
-            lines.append(f"constant_term = {fmt(self.weight_const)}")
-            if self.weight_cos:
-                lines.append(f"cos = {fmt(self.weight_cos)}")
-            if self.weight_sin:
-                lines.append(f"sin = {fmt(self.weight_sin)}")
-        else:
-            lines.append(f"table_values = {fmt(self.weight_table)}")
+        lines += ["", "[weight]", f'kind = "{self.weight_kind}"',
+                  *kind_lines("weight", self.weight_kind)]
         lines += ["", "[grid]", f"cells = {self.cells}"]
         lines += ["", "[solver]", f"tol = {fmt(self.solver_tol)}",
                   f"max_iter = {self.solver_max_iter}",
                   f"seed = {self.solver_seed}"]
         lines += ["", "[sampler]", f"seed = {self.sampler_seed}",
                   f"paths = {self.sampler_paths}"]
-        lines += ["", "[measure]", f'kind = "{self.measure_kind}"']
-        if self.measure_kind == "atoms":
-            lines.append(f"positions = {fmt(self.measure_positions)}")
-            lines.append(f"masses = {fmt(self.measure_masses)}")
+        lines += ["", "[measure]", f'kind = "{self.measure_kind}"',
+                  *kind_lines("measure", self.measure_kind)]
         return "\n".join(lines) + "\n"
 
 
@@ -183,6 +192,7 @@ def _parse_value(raw: str, lineno: int):
 def parse_config(text: str) -> RunConfig:
     """Parse and validate configuration text into a :class:`RunConfig`."""
     data: dict[str, dict[str, object]] = {}
+    where: dict[tuple[str, str], int] = {}   # (section, key) -> line
     section = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -205,6 +215,10 @@ def parse_config(text: str) -> RunConfig:
         if key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key '{key}' in section '[{section}]'",
                               line=lineno)
+        if (section, key) in where:
+            raise ConfigError(f"'{key}' given twice in '[{section}]', first "
+                              f"on line {where[section, key]}", line=lineno)
+        where[section, key] = lineno
         value = _parse_value(raw_val, lineno)
         expected = _SCHEMA[section][key]
         if expected is list and not isinstance(value, list):
@@ -246,6 +260,17 @@ def parse_config(text: str) -> RunConfig:
     if sys_sec.get("sigma", "inferred") != "inferred":
         raise ConfigError(f"unknown sigma mode '{sys_sec['sigma']}'",
                           field="system.sigma")
+    if "sigma" in sys_sec and "sigma_slope" in sys_sec:
+        raise ConfigError("'sigma' and 'sigma_slope' exclude each other",
+                          line=max(where["system", "sigma"],
+                                   where["system", "sigma_slope"]))
+    for name, kinds in _KIND_KEYS.items():
+        sec = data.get(name, {})
+        kind = sec.get("kind", next(iter(kinds)))
+        for key in sec:
+            if kind in kinds and key != "kind" and key not in kinds[kind]:
+                raise ConfigError(f"'{key}' is not read by {name} kind "
+                                  f"'{kind}'", line=where[name, key])
 
     return RunConfig(
         branch_slopes=list(sys_sec["branch_slopes"]),

@@ -203,8 +203,9 @@ class Measure:
     def total(self) -> float:
         return float(self.cell_masses.sum() + sum(m for _, m in self.atoms))
 
-    def is_probability(self, tol: float = 1e-9) -> bool:
-        return abs(self.total() - 1.0) <= tol
+    def is_probability(self) -> bool:
+        """Whether the total mass is 1 to within ``1e-9``."""
+        return abs(self.total() - 1.0) <= 1e-9
 
     def cell_midpoints(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) / self.n_cells

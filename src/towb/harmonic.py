@@ -86,13 +86,10 @@ def solve_harmonic(op: TransferOperator, lam: Measure, tol: float = 1e-12,
                             it if converged else max_iter, converged)
 
 
-def normalize_weight(op: TransferOperator, lam: Measure,
-                     solution: HarmonicSolution | None = None,
-                     tol: float = 1e-12, max_iter: int = 2000,
-                     seed: int = 0) -> IfsSystem:
-    """Rescale the weight by ``1/rho`` so the leading eigenvalue becomes 1."""
-    sol = solution or solve_harmonic(op, lam, tol=tol, max_iter=max_iter,
-                                     seed=seed)
+def normalize_weight(op: TransferOperator,
+                     sol: HarmonicSolution) -> IfsSystem:
+    """Rescale the weight by ``1/rho`` so the leading eigenvalue ``rho`` of
+    the solve ``sol`` of ``op`` becomes 1."""
     if not sol.converged:
         raise ConvergenceError("cannot normalize: eigensolve did not converge")
     if sol.rho <= 0:

@@ -31,6 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .system import IfsSystem
     from .transfer import TransferOperator
 
+# Singular mass below which a pushed measure counts as absolutely continuous.
+MEMBERSHIP_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -46,16 +49,13 @@ class Decomposition:
     atom_density: dict[float, float]
     singular: Measure
 
-    def absolutely_continuous(self, lam: Measure) -> Measure:
-        """The part carried by ``lam``: ``density * lam`` plus matched atoms."""
-        cells = self.density.values * lam.cell_masses
+    def reconstruct(self, lam: Measure) -> Measure:
+        """``density * lam + singular``, the atoms of ``lam`` scaled by
+        their matched densities; equals the decomposed measure."""
         atoms = [(pos, self.atom_density.get(pos, 0.0) * mass)
                  for pos, mass in lam.atoms]
-        return Measure(cells, atoms)
-
-    def reconstruct(self, lam: Measure) -> Measure:
-        """``density * lam + singular``; equals the decomposed measure."""
-        return self.absolutely_continuous(lam) + self.singular
+        return Measure(self.density.values * lam.cell_masses,
+                       atoms) + self.singular
 
 
 def _match_atoms(mu: Measure, lam: Measure):
@@ -149,22 +149,21 @@ def pushed_decomposition(lam: Measure,
     return op.rn_derivative(lam)
 
 
-def membership(dec: Decomposition,
-               tol: float = 1e-8) -> tuple[bool, float]:
+def membership(dec: Decomposition) -> tuple[bool, float]:
     """``(member, defect_value)`` read off the decomposition of a pushed
-    measure: membership requires its singular mass to fall below ``tol``."""
+    measure: membership requires its singular mass to fall below
+    ``MEMBERSHIP_TOL``."""
     value = dec.singular.total()
-    return value < tol, value
+    return value < MEMBERSHIP_TOL, value
 
 
-def l1_membership(lam: Measure, op: "TransferOperator",
-                  tol: float = 1e-8) -> tuple[bool, float]:
+def l1_membership(lam: Measure, op: "TransferOperator") -> tuple[bool, float]:
     """Certificate that ``lam . R`` is absolutely continuous w.r.t. ``lam``.
 
     Returns ``(member, defect_value)``; membership requires the defect, the
-    singular mass of the pushed measure, to fall below ``tol``.
+    singular mass of the pushed measure, to fall below ``MEMBERSHIP_TOL``.
     """
-    return membership(pushed_decomposition(lam, op), tol)
+    return membership(pushed_decomposition(lam, op))
 
 
 def hutchinson_iterate(system: "IfsSystem", lam0: Measure,

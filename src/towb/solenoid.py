@@ -92,24 +92,28 @@ def shift_back(op: TransferOperator, path: SolPath) -> SolPath:
     return SolPath(base=new_base, digits=path.digits[1:])
 
 
-class CylinderSpec:
-    """Constraints ``(A_1, ..., A_m)`` on coordinates 1..m; ``None`` leaves a
-    coordinate unconstrained."""
+class CylinderFunction:
+    """Product ``f_0(x_0) f_1(x_1) ... f_m(x_m)`` of per-coordinate factors;
+    ``None`` stands for the constant 1.  A cylinder event ``{x_j in A_j}``
+    is the cylinder function of its indicators: an :class:`IntervalSet`
+    factor is one."""
 
-    __slots__ = ("sets",)
+    __slots__ = ("components",)
 
-    def __init__(self, sets: Sequence[IntervalSet | None]):
-        if len(sets) < 1:
-            raise DomainError("cylinder spec needs at least one coordinate")
-        self.sets = tuple(sets)
-
-    @property
-    def depth(self) -> int:
-        return len(self.sets)
+    def __init__(self, components: Sequence):
+        if len(components) < 1:
+            raise DomainError("cylinder function needs at least one factor")
+        self.components = tuple(components)
 
     @classmethod
-    def parse(cls, text: str) -> "CylinderSpec":
-        """Parse ``"[0,0.25);all;[0.5,0.75)u[0.9,1)"``-style descriptions.
+    def coerce(cls, psi) -> "CylinderFunction":
+        return psi if isinstance(psi, CylinderFunction) else cls(tuple(psi))
+
+    @classmethod
+    def parse(cls, text: str) -> "CylinderFunction":
+        """The cylinder event ``{x_1 in A_1, ..., x_m in A_m}`` described by
+        ``"[0,0.25);all;[0.5,0.75)u[0.9,1)"``-style text (``all`` leaves a
+        coordinate unconstrained); ``x_0`` is unconstrained.
 
         Each interval is ``[lo,hi)`` with numbers ``0 <= lo < hi <= 1``; any
         other piece, and text with no coordinate at all, raises a
@@ -144,23 +148,7 @@ class CylinderSpec:
         if not sets:
             raise ConfigError(f"cylinder spec '{text}' has no coordinate",
                               field="sets")
-        return cls(sets)
-
-
-class CylinderFunction:
-    """Product ``f_0(x_0) f_1(x_1) ... f_m(x_m)`` of per-coordinate factors;
-    ``None`` stands for the constant 1."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Sequence):
-        if len(components) < 1:
-            raise DomainError("cylinder function needs at least one factor")
-        self.components = tuple(components)
-
-    @classmethod
-    def coerce(cls, psi) -> "CylinderFunction":
-        return psi if isinstance(psi, CylinderFunction) else cls(tuple(psi))
+        return cls([None, *sets])
 
     @property
     def depth(self) -> int:
@@ -171,7 +159,7 @@ class CylinderFunction:
         vals = np.ones(coords.shape[0])
         for j, f in enumerate(self.components):
             if f is not None:
-                vals = vals * np.asarray(f(coords[:, j]), dtype=float)
+                vals *= np.asarray(f(coords[:, j]), dtype=float)
         return vals
 
     def squared(self) -> "CylinderFunction":
@@ -182,14 +170,6 @@ class CylinderFunction:
             else:
                 comps.append(lambda x, f=f: np.asarray(f(x), dtype=float) ** 2)
         return CylinderFunction(comps)
-
-    def sup_bound(self, points: np.ndarray) -> float:
-        """Product of per-factor sups sampled over ``points``."""
-        bound = 1.0
-        for f in self.components:
-            if f is not None:
-                bound *= float(np.max(np.abs(np.asarray(f(points)))))
-        return bound
 
 
 @dataclass(frozen=True)
@@ -265,9 +245,11 @@ def conditional_expectation(pm: PathMeasure, psi, x):
     return float(total) if total.ndim == 0 else total
 
 
-def cylinder_mass(pm: PathMeasure, x: float, spec: CylinderSpec) -> float:
-    """Exact mass of the cylinder event at base ``x``: the sum over all
-    branch words of the kernel weights times ``h`` at the final coordinate.
+def cylinder_mass(pm: PathMeasure, x: float,
+                  spec: CylinderFunction) -> float:
+    """Exact mass of the cylinder event ``spec`` at base ``x``: the sum over
+    all branch words of the kernel weights times ``h`` at the final
+    coordinate.
 
     Appending an unconstrained coordinate leaves the value unchanged up to
     the harmonic residual of ``h`` (measure consistency across depths).
@@ -275,7 +257,7 @@ def cylinder_mass(pm: PathMeasure, x: float, spec: CylinderSpec) -> float:
     if pm.h_residual > _H_TRUST:
         raise DomainError(
             f"h residual {pm.h_residual:.3e} too large to trust consistency")
-    return conditional_expectation(pm, [None, *spec.sets], float(x))
+    return conditional_expectation(pm, spec, float(x))
 
 
 def v0_adjoint(pm: PathMeasure, psi) -> GridFunction:
@@ -391,27 +373,14 @@ def sample_paths(pm: PathMeasure, bases, depth: int,
     return digits, coords
 
 
-def sample_path(pm: PathMeasure, x: float, depth: int,
-                rng: np.random.Generator) -> SolPath:
-    """One path from the normalized base-``x`` measure."""
-    hx = float(pm.h(x))
-    if hx <= EPS_H:
-        raise DomainError("h(x) below floor; conditioning degenerate")
-    digits, _ = sample_paths(pm, np.array([float(x)]), depth, rng)
-    return SolPath(base=float(x), digits=tuple(int(d) for d in digits[0]))
-
-
-def empirical_cylinder_frequency(pm: PathMeasure, x: float, spec: CylinderSpec,
-                                 paths: int, rng: np.random.Generator
+def empirical_cylinder_frequency(pm: PathMeasure, x: float,
+                                 spec: CylinderFunction, paths: int,
+                                 rng: np.random.Generator
                                  ) -> tuple[float, float]:
     """Empirical probability of a cylinder event under sampling, with its
     binomial standard error; compare against ``cylinder_mass / h(x)``."""
     _, coords = sample_paths(pm, np.full(paths, float(x)), spec.depth, rng)
-    hits = np.ones(paths, dtype=bool)
-    for j, a in enumerate(spec.sets):
-        if a is not None:
-            hits &= np.asarray(a.indicator(coords[:, j + 1]), dtype=bool)
-    p_hat = float(hits.mean())
+    p_hat = float(spec.eval_on_coords(coords).mean())
     stderr = float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / paths))
     return p_hat, stderr
 
@@ -490,15 +459,14 @@ def batch_trials(draws: Sequence[Sequence[TrigPoly]]
                                     in zip(*group[i:i + TRIAL_BLOCK])])
 
 
-def unitarity_check(pm: PathMeasure, trials: int = 20, seed: int = 0,
-                    depth: int = 2) -> float:
+def unitarity_check(pm: PathMeasure, trials: int = 20, seed: int = 0) -> float:
     """Max deviation of ``||U psi||^2`` from ``||psi||^2`` over random
-    cylinder functions.  Since ``|U psi|^2 = W(x_0) |psi o shift|^2``, that
-    deviation is the quasi-invariance defect of ``psi^2``.  Each trial
-    draws one degree-4 polynomial per coordinate; the trials are evaluated
-    as the batches of :func:`batch_trials`."""
+    cylinder functions of depth 2.  Since ``|U psi|^2 = W(x_0) |psi o
+    shift|^2``, that deviation is the quasi-invariance defect of ``psi^2``.
+    Each trial draws one degree-4 polynomial for each of ``x_0, x_1, x_2``;
+    the trials are evaluated as the batches of :func:`batch_trials`."""
     rng = np.random.default_rng(seed)
-    draws = [[TrigPoly.random(rng, degree=4) for _ in range(depth + 1)]
+    draws = [[TrigPoly.random(rng, degree=4) for _ in range(3)]
              for _ in range(trials)]
     return worst_quasi_defect(pm, (psi.squared()
                                    for psi in batch_trials(draws)))
@@ -510,8 +478,7 @@ class MultiresResult:
     shift_residual: float
 
 
-def multires_check(pm: PathMeasure, n_max: int = 4,
-                   seed: int = 0) -> MultiresResult:
+def multires_check(pm: PathMeasure, seed: int = 0) -> MultiresResult:
     """Exact residuals of the multiresolution ladder ``V_0 < V_1 < ...``,
     where ``V_n`` holds the functions of the coordinate ``x_n``.
 
@@ -519,15 +486,15 @@ def multires_check(pm: PathMeasure, n_max: int = 4,
     ``V_{n+1}`` exactly when ``sigma`` is a left inverse of the branches;
     the residual is the largest of :func:`left_inverse_residuals`.  Shift:
     ``U`` maps ``V_n`` isometrically into ``V_{n-1}``; the residual is the
-    largest ``|quasi_invariance_defect(f(x_n)^2)|`` over ``n = 1..n_max``
-    for a random trig polynomial ``f`` drawn from ``seed``.
+    largest ``|quasi_invariance_defect(f(x_n)^2)|`` over ``n = 1..4`` for a
+    random trig polynomial ``f`` drawn from ``seed``.
     """
     nesting = float(np.max(left_inverse_residuals(pm.op.system,
                                                   pm.op.n_grid)))
     f = TrigPoly.random(np.random.default_rng(seed), degree=4)
     shift = worst_quasi_defect(pm, (
         CylinderFunction([None] * n + [f]).squared()
-        for n in range(1, n_max + 1)))
+        for n in range(1, 5)))
     return MultiresResult(nesting, shift)
 
 

@@ -20,7 +20,6 @@ from .errors import DomainError
 from .grid import AffineBranch, GridFunction, IntervalSet, wrap_unit
 from .trig import TrigPoly
 
-WEIGHT_FLOOR = 1e-10
 PROB_SUM_TOL = 1e-12
 RIGHT_INVERSE_TOL = 1e-10
 
@@ -55,13 +54,11 @@ class WeightExpr:
     def from_table(cls, table: GridFunction) -> "WeightExpr":
         return cls(table=table)
 
-    def as_trigpoly(self) -> TrigPoly | None:
-        return self._trigpoly
-
     @cached_property
-    def _trigpoly(self) -> TrigPoly | None:
-        # built once per weight: the weight is evaluated on every operator
-        # application, and a TrigPoly is immutable
+    def trigpoly(self) -> TrigPoly | None:
+        """The closed form as a :class:`TrigPoly`, ``None`` for a table.
+        Built once per weight: the weight is evaluated on every operator
+        application, and a TrigPoly is immutable."""
         if self.table is not None:
             return None
         return TrigPoly.from_cos_sin(self.const, self.cos_coefs,
@@ -70,7 +67,7 @@ class WeightExpr:
     def __call__(self, x):
         if self.table is not None:
             return self.table(x)
-        return self._trigpoly(x)
+        return self.trigpoly(x)
 
     def scaled(self, factor: float) -> "WeightExpr":
         if self.table is not None:

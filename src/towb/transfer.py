@@ -7,10 +7,11 @@ the operator acts on functions by
 
 and its adjoint in ``L^2(lam)`` (for ``lam`` whose pushed measure has density
 ``W``) is the weighted composition ``(S f)(x) = W(x) f(sigma(x))``.  The
-kernel masses ``p_i W(tau_i x)`` are formed in one place,
+kernel at ``x`` is the branch images :meth:`TransferOperator.branch_points`
+carrying the masses ``p_i W(tau_i x)``, which are formed in one place,
 :meth:`TransferOperator.branch_masses`, for the pointwise action, the
-assembled grid action, the atomic kernel and the path-space kernel of
-:mod:`towb.solenoid`; the measure action ``lam . R`` is the branch mixture
+assembled grid action and the path-space kernel of :mod:`towb.solenoid`;
+the measure action ``lam . R`` is the branch mixture
 :func:`~towb.grid.push_mixture` reweighted by ``W``.  The exact multiplier
 ``R(W)`` is :meth:`TransferOperator.apply_symbolic` of the weight.
 
@@ -37,16 +38,6 @@ from .system import IfsSystem
 from .trig import TRIAL_BLOCK, TrigPoly, broadcast_to_trials
 
 IDENTITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ConditionalKernel:
-    """Atomic transition kernel at a base point: the branch images of ``x``
-    weighted by ``p_i W(tau_i x)``."""
-
-    base: float
-    points: np.ndarray
-    masses: np.ndarray
 
 
 class TransferOperator:
@@ -77,18 +68,12 @@ class TransferOperator:
         return probs.reshape((-1,) + (1,) * (pts.ndim - 1)) * np.asarray(
             self.system.weight(pts), dtype=float)
 
-    def kernel(self, x: float) -> ConditionalKernel:
-        pts = self.branch_points(float(x))
-        return ConditionalKernel(float(x), pts, self.branch_masses(pts))
-
     def apply_fn(self, f):
         """``R f`` as a vectorized callable.
 
-        Shares its arithmetic path with :meth:`kernel`: the masses from
-        :meth:`branch_masses` are multiplied by the sample values and
-        summed over branches, so the two agree bit for bit.  When ``f``
-        returns values with a trailing trials axis, the masses broadcast
-        over it.
+        The masses from :meth:`branch_masses` are multiplied by the
+        sample values and summed over branches.  When ``f`` returns values
+        with a trailing trials axis, the masses broadcast over it.
         """
 
         def rf(x):
@@ -129,7 +114,7 @@ class TransferOperator:
         Requires a closed-form weight and non-wrapping branches; returns
         ``None`` otherwise.
         """
-        w = self.system.weight.as_trigpoly()
+        w = self.system.weight.trigpoly
         if w is None or any(br.mod_one for br in self.system.branches):
             return None
         acc: TrigPoly | None = None
@@ -197,10 +182,6 @@ class IdentityCheck:
 class IdentitySuiteResult:
     checks: tuple[IdentityCheck, ...]
 
-    @property
-    def all_pass(self) -> bool:
-        return all(c.status != "FAIL" for c in self.checks)
-
     def by_name(self, name: str) -> IdentityCheck:
         for c in self.checks:
             if c.name == name:
@@ -214,7 +195,9 @@ class IdentitySuiteResult:
         return out
 
 
-def _status(residual: float, tol: float) -> str:
+def check_status(residual: float, tol: float) -> str:
+    """The PASS rule of every toleranced check: PASS when ``residual < tol``,
+    FAIL otherwise (``nan`` included)."""
     return "PASS" if residual < tol else "FAIL"
 
 
@@ -248,9 +231,9 @@ def _random_intervals(rng: np.random.Generator) -> IntervalSet:
 
 
 def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
-                   trials: int = 100, seed: int = 0,
-                   tol: float = IDENTITY_TOL) -> IdentitySuiteResult:
-    """Run the seven-part identity battery for ``(R, S, sigma, W, lam, h)``.
+                   trials: int = 100, seed: int = 0) -> IdentitySuiteResult:
+    """Run the seven-part identity battery for ``(R, S, sigma, W, lam, h)``,
+    each check against the tolerance ``IDENTITY_TOL``.
 
     Random test functions are trig polynomials of degree <= 8 with
     coefficients in ``[-1, 1]``, evaluated in closed form so residuals are
@@ -278,6 +261,10 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
 
     checks: list[IdentityCheck] = []
 
+    def judge(name: str, resid: float) -> None:
+        checks.append(IdentityCheck(name, check_status(resid, IDENTITY_TOL),
+                                    resid, IDENTITY_TOL))
+
     # (a) pull-back property: R((f o sigma) g) = f R(g), pointwise.  f o sigma
     # is evaluated as f(sigma(y)): at y = tau_i x that is f(x) up to rounding
     resid = 0.0
@@ -286,12 +273,11 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
                           np.asarray(f(sigma(y))) * np.asarray(g(y)))(nodes)
         rhs = np.asarray(f(nodes)) * op.apply_fn(g)(nodes)
         resid = max(resid, float(np.max(np.abs(lhs - rhs))))
-    checks.append(IdentityCheck("pullback_product", _status(resid, tol),
-                                resid, tol))
+    judge("pullback_product", resid)
 
     # (b) duality: int W (f o sigma) g dlam = int f R(g) dlam
     resid = 0.0
-    w_tp = weight.as_trigpoly()
+    w_tp = weight.trigpoly
     for f, g in zip(fs, gs):
         rg = op.apply_symbolic(g)
         if rg is not None:
@@ -303,8 +289,7 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
             rhs = integrate(lambda y, g=g: np.asarray(f(y)) *
                             np.asarray(op.apply_fn(g)(y)), lam)
         resid = max(resid, float(np.max(np.abs(lhs - rhs))))
-    checks.append(IdentityCheck("adjoint_duality", _status(resid, tol),
-                                resid, tol))
+    judge("adjoint_duality", resid)
 
     # (c) R R* f = R(W) f
     resid = 0.0
@@ -315,8 +300,7 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
         lhs = op.apply_fn(sf)(nodes)
         rhs = rw_nodes[:, None] * np.asarray(f(nodes))
         resid = max(resid, float(np.max(np.abs(lhs - rhs))))
-    checks.append(IdentityCheck("composition_multiplier", _status(resid, tol),
-                                resid, tol))
+    judge("composition_multiplier", resid)
 
     # (d) sigma-invariance: int f o sigma dlam = int f dlam.  This is also the
     # pull-back density identity int f o sigma dlam = int R(1/W) f dlam,
@@ -325,15 +309,14 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
     for f in fs:
         diff = _integrate_composed(op, f, lam) - integrate(f, lam)
         resid = max(resid, float(np.max(np.abs(diff))))
-    checks.append(IdentityCheck("sigma_invariance", _status(resid, tol),
-                                resid, tol))
+    judge("sigma_invariance", resid)
 
     # (e) preimage weight-square rule: int_{sigma^-1 E} W^2 dlam = int_E R(W) dlam
     # (apply_symbolic gives None whenever w_tp is None: no closed-form weight)
     rw_sym = op.apply_symbolic(w_tp)
     if rw_sym is None:
         checks.append(IdentityCheck("preimage_weight_square", "SKIPPED",
-                                    np.nan, tol,
+                                    np.nan, IDENTITY_TOL,
                                     note="needs a closed-form weight"))
     else:
         w_sq = w_tp * w_tp
@@ -342,8 +325,7 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
             lhs = integrate_over(w_sq, lam, sigma.preimage(region))
             rhs = integrate_over(rw_sym, lam, region)
             resid = max(resid, abs(lhs - rhs))
-        checks.append(IdentityCheck("preimage_weight_square",
-                                    _status(resid, tol), resid, tol))
+        judge("preimage_weight_square", resid)
 
     # (f) harmonic support multiplier: where h != 0, R(W) = 1 -- only under
     # the contractivity hypothesis sup R(W) <= 1
@@ -351,15 +333,14 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
     sup_rw = float(np.max(rw_vals))
     if sup_rw > 1.0 + 1e-9:
         checks.append(IdentityCheck(
-            "harmonic_support_multiplier", "SKIPPED", np.nan, tol,
+            "harmonic_support_multiplier", "SKIPPED", np.nan, IDENTITY_TOL,
             note=f"hypothesis sup R(W) <= 1 fails (sup = {sup_rw:.6g})"))
     else:
         hv = h.resample(op.n_grid).values
         active = np.abs(hv) > 1e-10
         resid = float(np.max(np.abs(rw_nodes[active] - 1.0))) \
             if np.any(active) else 0.0
-        checks.append(IdentityCheck("harmonic_support_multiplier",
-                                    _status(resid, tol), resid, tol))
+        judge("harmonic_support_multiplier", resid)
 
     # (g) kernel sup bound: |R(f h)(x)| <= sup|f| * rho * h(x), with
     # rho = int R(h) dlam / int h dlam the eigenvalue of h (1 when R h = h).
@@ -377,7 +358,6 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
                           np.asarray(h_on_grid(y))[..., None])(nodes)
         excess = np.abs(rfh) - sup_f * rho_h[:, None]
         resid = max(resid, float(np.max(excess)))
-    checks.append(IdentityCheck("kernel_sup_bound", _status(resid, tol),
-                                resid, tol))
+    judge("kernel_sup_bound", resid)
 
     return IdentitySuiteResult(tuple(checks))

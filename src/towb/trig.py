@@ -99,15 +99,15 @@ class TrigPoly:
 
     @classmethod
     def random(cls, rng: np.random.Generator, degree: int = 8,
-               amplitude: float = 1.0, trials: int | None = None
-               ) -> "TrigPoly":
-        """Random real trig polynomial with integer frequencies <= degree.
+               trials: int | None = None) -> "TrigPoly":
+        """Random real trig polynomial with integer frequencies <= degree
+        and coefficients drawn uniformly from ``[-1, 1]``.
 
         With ``trials``, a batch of that many, drawn as the same number of
         consecutive single draws would be.
         """
         size = 2 * degree + 1
-        draw = rng.uniform(-amplitude, amplitude,
+        draw = rng.uniform(-1.0, 1.0,
                            size if trials is None else (trials, size)).T
         return cls.from_cos_sin(draw[0], draw[1:degree + 1],
                                 draw[degree + 1:])

@@ -10,8 +10,8 @@ import time
 import numpy as np
 
 import towb
-from towb import (CylinderFunction, CylinderSpec, GridFunction, IntervalSet,
-                  Measure, PathMeasure, TransferOperator)
+from towb import (CylinderFunction, GridFunction, IntervalSet, Measure,
+                  PathMeasure, TransferOperator)
 from towb.system import PiecewiseAffineMap, WeightExpr, doubling_system
 from towb.trig import TrigPoly
 
@@ -55,7 +55,7 @@ def test_02_harmonic_solving(op_a, op_b, lam_std, sol_a, sol_b):
     op2 = TransferOperator(doubling_system(WeightExpr.constant(2.0), N), N)
     sol2 = towb.solve_harmonic(op2, lam_std)
     ok &= abs(sol2.rho - 2.0) < 1e-10
-    renorm = towb.normalize_weight(op2, lam_std, sol2)
+    renorm = towb.normalize_weight(op2, sol2)
     sol2n = towb.solve_harmonic(TransferOperator(renorm, N), lam_std)
     ok &= abs(sol2n.rho - 1.0) < 1e-10
     assert _line("02 harmonic solving", ok,
@@ -185,7 +185,7 @@ def test_06_sampler_vs_oracle(pm_a, pm_b):
                 lo = rng.uniform(0.0, 0.55)
                 hi = lo + rng.uniform(0.2, min(0.42, 1.0 - lo))
                 sets.append(IntervalSet([(lo, hi)]))
-            spec = CylinderSpec(sets)
+            spec = CylinderFunction([None, *sets])
             x = 0.3
             p_exact = towb.cylinder_mass(pm, x, spec) / float(pm.h(x))
             p_hat, se = towb.empirical_cylinder_frequency(pm, x, spec,
@@ -223,14 +223,14 @@ def test_08_multiresolution(pm_a, pm_b, lam_std):
     breaks nesting by more than 1e-3."""
     worst = 0.0
     for pm in (pm_a, pm_b):
-        out = towb.multires_check(pm, n_max=4, seed=0)
+        out = towb.multires_check(pm, seed=0)
         worst = max(worst, out.nesting_residual, out.shift_residual)
     skewed = PiecewiseAffineMap([(0.0, 0.5, 2.01, 0.0),
                                  (0.5, 1.0, 2.01, -1.005)])
     bad_system = towb.sys_a(N).with_sigma(skewed)
     bad_pm = PathMeasure.build(TransferOperator(bad_system, N),
                                GridFunction.constant(1.0, N), lam_std)
-    control = towb.multires_check(bad_pm, n_max=4, seed=0)
+    control = towb.multires_check(bad_pm, seed=0)
     ok = worst < 1e-12 and control.nesting_residual > 1e-3
     assert _line("08 multiresolution", ok,
                  f"residual {worst:.2e}, control {control.nesting_residual:.2e}")

@@ -169,6 +169,47 @@ def test_non_finite_config_value_exit_code(capsys, tmp_path, base, old, new):
     assert f"(line {line})" in err
 
 
+@pytest.mark.parametrize("base, anchor, new", [
+    # a key the selected weight or measure kind does not read
+    ("sys_a.cfg", "value = 1.0", "cos = [0.9]"),
+    ("sys_a.cfg", "value = 1.0", "constant_term = 2.0"),
+    ("sys_b.cfg", "cos = [1.0]", "value = 2.0"),
+    ("sys_b.cfg", "cos = [1.0]", "table_values = [1.0, 1.0]"),
+    ("sys_a.cfg", 'kind = "lebesgue"', "positions = [0.5]"),
+    ("sys_a.cfg", 'kind = "lebesgue"', "masses = [1.0]"),
+    # a key given twice
+    ("sys_a.cfg", "cells = 1024", "cells = 512"),
+    ("sys_b.cfg", "cos = [1.0]", "cos = [0.5]"),
+    # sigma inferred and given at once
+    ("sys_d.cfg", "sigma_slope = 3", 'sigma = "inferred"'),
+    ("sys_a.cfg", 'sigma = "inferred"', "sigma_slope = 2"),
+])
+def test_ignored_config_key_exit_code(capsys, tmp_path, base, anchor, new):
+    # a key the run would silently drop is an input error at its line, and
+    # no report is written
+    text = load_config(fixture(base)).emit()
+    assert text.count(anchor + "\n") == 1
+    text = text.replace(anchor + "\n", f"{anchor}\n{new}\n")
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "report.json"
+    cfg.write_text(text)
+    assert main(["harmonic", "--config", str(cfg), "--json", str(out)]) == 2
+    err = capsys.readouterr().err
+    line = text.splitlines().index(new) + 1
+    assert "config error" in err and f"(line {line})" in err
+    assert not out.exists()
+
+
+def test_unknown_weight_kind_keeps_its_error(capsys, tmp_path):
+    # with no kind to read keys for, the kind itself is the error
+    text = load_config(SYS_A).emit().replace('kind = "constant"',
+                                             'kind = "ramp"')
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["harmonic", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown weight kind 'ramp'" in err and "field 'weight.kind'" in err
+
+
 def test_negative_seed_flag_exit_code(capsys):
     assert main(["harmonic", "--config", SYS_A, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
@@ -196,6 +237,46 @@ class TestCli:
         assert main([command, "--config", SYS_A, "--trials", trials]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "field 'trials'" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["markov", "--n", "1"], "n"),
+        (["harmonic-from-measure", "--depth", "0"], "depth"),
+        (["measure", "--steps", "-1"], "steps"),
+        (["sample", "--battery", "0"], "battery"),
+        (["sample", "--battery", "-3"], "battery"),
+        (["harmonic", "--k-max", "-1"], "k-max"),
+        (["harmonic", "--n-max", "-1"], "n-max"),
+        (["harmonic", "--cascade-tol", "nan"], "cascade-tol"),
+        (["harmonic", "--cascade-tol", "-1"], "cascade-tol"),
+        (["harmonic", "--cascade-tol", "0"], "cascade-tol"),
+        (["harmonic", "--cascade-tol", "inf"], "cascade-tol"),
+        (["cylinder", "--x", "nan", "--sets", "[0,0.5)"], "x"),
+        (["cylinder", "--x", "inf", "--sets", "[0,0.5)"], "x"),
+        (["markov", "--x", "nan"], "x"),
+        (["sample", "--x=-inf"], "x"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_flag_out_of_bounds_exit_code(self, capsys, tmp_path, argv,
+                                          flag):
+        # a flag value outside its bound is an input error located at the
+        # flag: never a numerical failure, a traceback or a vacuous check
+        if argv[0] == "markov":
+            argv = argv + ["--set-a", "[0,0.25)", "--set-b", "[0,0.5)"]
+            if "--x" not in argv:
+                argv += ["--x", "0.3"]
+        out = tmp_path / "report.json"
+        assert main(argv + ["--config", SYS_A, "--json", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"field '{flag}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--steps", "0"],
+        ["harmonic", "--k-max", "0", "--n-max", "0"],
+        ["markov", "--x", "0.3", "--set-a", "[0,0.25)", "--set-b", "[0,0.5)",
+         "--n", "2"],
+    ], ids=" ".join)
+    def test_flag_bounds_admit_their_limits(self, capsys, argv):
+        assert main(argv + ["--config", SYS_A]) == 0
 
     def test_cylinder_example(self, capsys, tmp_path):
         out = tmp_path / "rep.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import towb
-from towb import CylinderSpec, IntervalSet, Measure, PathMeasure
+from towb import CylinderFunction, IntervalSet, Measure, PathMeasure
 from towb.errors import DomainError
 from towb.system import WeightExpr, make_system
 
@@ -18,7 +18,7 @@ def _battery(rng, count):
             lo = rng.uniform(0.0, 0.55)
             hi = lo + rng.uniform(0.2, min(0.42, 1.0 - lo))
             sets.append(IntervalSet([(lo, hi)]))
-        specs.append(CylinderSpec(sets))
+        specs.append(CylinderFunction([None, *sets]))
     return specs
 
 
@@ -53,7 +53,8 @@ class TestSamplePaths:
 
     def test_single_path_object(self, pm_a):
         rng = np.random.default_rng(4)
-        path = towb.sample_path(pm_a, 0.3, 5, rng)
+        digits, _ = towb.sample_paths(pm_a, np.array([0.3]), 5, rng)
+        path = towb.SolPath(0.3, tuple(int(d) for d in digits[0]))
         assert path.base == 0.3
         assert path.depth == 5
 
@@ -75,6 +76,42 @@ class TestSamplePaths:
         d2, c2 = towb.sample_paths(pm_b, np.full(100, 0.3), 3,
                                    np.random.default_rng(11))
         assert np.array_equal(d1, d2) and np.array_equal(c1, c2)
+
+
+def _frequency_by_boolean_hits(pm, x, sets, paths, rng):
+    """Reference: the cylinder event ``sets`` as a boolean mask, one ``&=``
+    per constrained coordinate."""
+    _, coords = towb.sample_paths(pm, np.full(paths, float(x)), len(sets),
+                                  rng)
+    hits = np.ones(paths, dtype=bool)
+    for j, a in enumerate(sets):
+        if a is not None:
+            hits &= np.asarray(a.indicator(coords[:, j + 1]), dtype=bool)
+    p_hat = float(hits.mean())
+    return p_hat, float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / paths))
+
+
+@pytest.mark.parametrize("fixture_name", ["pm_a", "pm_b"])
+def test_empirical_frequency_matches_boolean_oracle_bitwise(fixture_name,
+                                                            request):
+    pm = request.getfixturevalue(fixture_name)
+    draw = np.random.default_rng(31)
+    for _ in range(12):
+        sets = []
+        for _ in range(int(draw.integers(1, 5))):
+            if draw.random() < 0.25:
+                sets.append(None)
+            else:
+                lo = draw.uniform(0.0, 0.5, 2)
+                sets.append(IntervalSet([(lo[0], lo[0] + 0.3),
+                                         (lo[1], lo[1] + 0.2)]))
+        x, seed = float(draw.random()), int(draw.integers(2**32))
+        rng, ref_rng = (np.random.default_rng(seed),
+                        np.random.default_rng(seed))
+        got = towb.empirical_cylinder_frequency(
+            pm, x, CylinderFunction([None, *sets]), 5000, rng)
+        assert got == _frequency_by_boolean_hits(pm, x, sets, 5000, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestEmpiricalVsExact:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import towb
-from towb import (CylinderFunction, CylinderSpec, GridFunction, IntervalSet,
-                  Measure, PathMeasure, SolPath, TransferOperator)
+from towb import (CylinderFunction, GridFunction, IntervalSet, Measure,
+                  PathMeasure, SolPath, TransferOperator)
 from towb.errors import ConfigError, DomainError
 from towb.trig import TrigPoly
 
@@ -125,18 +125,18 @@ class TestPaths:
 
 class TestCylinderMass:
     def test_single_constraint(self, pm_a):
-        spec = CylinderSpec([IntervalSet([(0.0, 0.25)])])
+        spec = CylinderFunction([None, IntervalSet([(0.0, 0.25)])])
         assert towb.cylinder_mass(pm_a, 0.3, spec) == pytest.approx(0.5)
         assert towb.cylinder_mass(pm_a, 0.7, spec) == 0.0
 
     def test_two_constraints_single_word(self, pm_a):
         half = IntervalSet([(0.0, 0.5)])
-        spec = CylinderSpec([half, half])
+        spec = CylinderFunction([None, half, half])
         for x in (0.05, 0.3, 0.62, 0.99):
             assert towb.cylinder_mass(pm_a, x, spec) == pytest.approx(0.25)
 
     def test_total_mass_is_h(self, pm_b):
-        spec = CylinderSpec([None, None, None])
+        spec = CylinderFunction([None, None, None, None])
         for x in (0.0, 0.21, 0.5, 0.83):
             assert towb.cylinder_mass(pm_b, x, spec) == pytest.approx(
                 float(pm_b.h(x)), abs=1e-9)
@@ -149,27 +149,29 @@ class TestCylinderMass:
             for _ in range(depth):
                 lo = rng.uniform(0, 0.6)
                 sets.append(IntervalSet([(lo, lo + rng.uniform(0.1, 0.39))]))
-            spec = CylinderSpec(sets)
+            spec = CylinderFunction([None, *sets])
             x = float(rng.random())
             m0 = towb.cylinder_mass(pm_b, x, spec)
-            m1 = towb.cylinder_mass(pm_b, x, CylinderSpec(spec.sets + (None,)))
+            m1 = towb.cylinder_mass(pm_b, x, CylinderFunction(
+                spec.components + (None,)))
             assert abs(m1 - m0) < 10 * max(pm_b.h_residual, 1e-15)
 
     def test_depth_guard(self, pm_a):
         with pytest.raises(DomainError):
-            towb.cylinder_mass(pm_a, 0.1, CylinderSpec([None] * 17))
+            towb.cylinder_mass(pm_a, 0.1, CylinderFunction([None] * 18))
 
     def test_untrusted_h_rejected(self, op_a, lam_std):
         bad = PathMeasure.build(op_a, GridFunction.from_callable(_id, 1024),
                                 lam_std, strict=False)
         with pytest.raises(DomainError):
-            towb.cylinder_mass(bad, 0.1, CylinderSpec([None]))
+            towb.cylinder_mass(bad, 0.1, CylinderFunction([None, None]))
 
     def test_spec_parsing(self):
-        spec = CylinderSpec.parse("[0,0.25);all;[0.5,0.75)u[0.8,0.9)")
+        spec = CylinderFunction.parse("[0,0.25);all;[0.5,0.75)u[0.8,0.9)")
         assert spec.depth == 3
-        assert spec.sets[1] is None
-        assert spec.sets[2].intervals == ((0.5, 0.75), (0.8, 0.9))
+        assert spec.components[0] is None
+        assert spec.components[2] is None
+        assert spec.components[3].intervals == ((0.5, 0.75), (0.8, 0.9))
 
 
 # endpoints in [0, 1], and anywhere else: negative, above 1, nan and inf
@@ -199,12 +201,12 @@ def _spec_texts(draw):
 def test_spec_parse_returns_unit_intervals_or_config_error(case):
     text, valid = case
     try:
-        spec = CylinderSpec.parse(text)
+        spec = CylinderFunction.parse(text)
     except ConfigError as exc:
         assert not valid and exc.field == "sets"
         return
     assert valid
-    for sets in spec.sets:
+    for sets in spec.components[1:]:
         if sets is not None:
             assert all(0.0 <= lo < hi <= 1.0 for lo, hi in sets.intervals)
 
@@ -248,7 +250,7 @@ class TestExpectation:
         for _ in range(20):
             psi = CylinderFunction([TrigPoly.random(rng, 3)
                                     for _ in range(3)])
-            sup = psi.sup_bound(pts)
+            sup = np.prod([np.max(np.abs(f(pts))) for f in psi.components])
             for x in (0.0, 0.3, 0.77):
                 val = towb.conditional_expectation(pm_b, psi, x)
                 assert abs(val) <= sup * float(pm_b.h(x)) + 1e-9
@@ -444,7 +446,7 @@ class TestTrialBatches:
         # without a trials axis every exact evaluator still returns a float
         rng = np.random.default_rng(2)
         psi = CylinderFunction([TrigPoly.random(rng, 4) for _ in range(3)])
-        spec = CylinderSpec([IntervalSet([(0.0, 0.5)]), None])
+        spec = CylinderFunction([None, IntervalSet([(0.0, 0.5)]), None])
         assert isinstance(towb.conditional_expectation(pm_b, psi, 0.3), float)
         assert isinstance(towb.cylinder_mass(pm_b, 0.3, spec), float)
         assert isinstance(towb.expectation(pm_b, psi), float)
@@ -454,14 +456,14 @@ class TestTrialBatches:
 class TestMultires:
     def test_fixtures_pass(self, pm_a, pm_b):
         for pm in (pm_a, pm_b):
-            out = towb.multires_check(pm, n_max=4, seed=0)
+            out = towb.multires_check(pm, seed=0)
             assert out.nesting_residual < 1e-12
             assert out.shift_residual < 1e-12
 
     def test_shift_residual_fails_on_point_mass(self, pm_c):
         # negative control: U is not an isometry of L^2(P) when lam is the
         # point mass at 0, while the levels still nest exactly
-        out = towb.multires_check(pm_c, n_max=4, seed=0)
+        out = towb.multires_check(pm_c, seed=0)
         assert out.nesting_residual == 0.0
         assert out.shift_residual > 1e-3
 
@@ -473,7 +475,7 @@ class TestMultires:
         op = TransferOperator(system, 1024)
         h = GridFunction.constant(1.0, 1024)
         pm = PathMeasure.build(op, h, lam_std)
-        out = towb.multires_check(pm, n_max=4, seed=0)
+        out = towb.multires_check(pm, seed=0)
         assert out.nesting_residual > 1e-3
 
 
@@ -554,7 +556,8 @@ class TestWordSumKernel:
             sets = [_random_set(rng) if rng.random() < 0.7 else None
                     for _ in range(int(rng.integers(1, 6)))]
             x = float(rng.random())
-            mass = towb.cylinder_mass(pm_small, x, CylinderSpec(sets))
+            mass = towb.cylinder_mass(pm_small, x,
+                                      CylinderFunction([None, *sets]))
             assert mass == float(_nested_oracle(pm_small, sets)(x))
             forward = _forward_oracle(pm_small, x, sets)
             assert abs(mass - forward) <= 1e-15 * abs(forward)

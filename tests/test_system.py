@@ -20,10 +20,10 @@ class TestWeightExpr:
     def test_table(self):
         w = WeightExpr.from_table(towb.GridFunction([1.0, 2.0, 3.0, 2.0]))
         assert w(0.25) == 2.0
-        assert w.as_trigpoly() is None
+        assert w.trigpoly is None
 
     def test_constant_is_closed_form_without_coefficients(self):
-        got = WeightExpr.constant(0.7).as_trigpoly()
+        got = WeightExpr.constant(0.7).trigpoly
         want = towb.TrigPoly.constant(0.7)
         assert np.array_equal(got.freqs, want.freqs)
         assert np.array_equal(got.coefs, want.coefs)

@@ -129,21 +129,23 @@ class TestAdjoint:
 
 
 class TestKernel:
+    # the kernel at x: the branch images of x carrying p_i W(tau_i x)
     def test_branch_atoms_sys_a(self, op_a):
-        k = op_a.kernel(0.4)
-        assert np.allclose(k.points, [0.2, 0.7])
-        assert np.allclose(k.masses, [0.5, 0.5])
+        points = op_a.branch_points(0.4)
+        assert np.allclose(points, [0.2, 0.7])
+        assert np.allclose(op_a.branch_masses(points), [0.5, 0.5])
 
     def test_zero_mass_atom_sys_b(self, op_b):
-        k = op_b.kernel(0.0)
-        assert np.allclose(k.points, [0.0, 0.5])
-        assert k.masses[0] == pytest.approx(1.0)
-        assert k.masses[1] == pytest.approx(0.0, abs=1e-15)
+        points = op_b.branch_points(0.0)
+        masses = op_b.branch_masses(points)
+        assert np.allclose(points, [0.0, 0.5])
+        assert masses[0] == pytest.approx(1.0)
+        assert masses[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_branch_atoms_sys_d(self, op_d):
-        k = op_d.kernel(0.0)
-        assert np.allclose(k.points, [0.0, 2 / 3])
-        assert np.allclose(k.masses, [0.5, 0.5])
+        points = op_d.branch_points(0.0)
+        assert np.allclose(points, [0.0, 2 / 3])
+        assert np.allclose(op_d.branch_masses(points), [0.5, 0.5])
 
 
 class TestPushMeasure:
@@ -213,7 +215,7 @@ class TestIdentitySuite:
         # the multiplier integral since R(W) = 1
         region = IntervalSet([(0.0, 0.25)])
         pre = op_a.system.sigma.preimage(region)
-        w_sq = op_a.system.weight.as_trigpoly()
+        w_sq = op_a.system.weight.trigpoly
         lhs = towb.integrate_over(w_sq * w_sq, lam_std, pre)
         rw = op_a.apply_symbolic(w_sq)
         rhs = towb.integrate_over(rw, lam_std, region)
@@ -282,7 +284,7 @@ def _identity_suite_per_trial(op, lam, h, trials, seed, tol=1e-8):
     checks.append(IdentityCheck("pullback_product", status(resid), resid, tol))
 
     resid = 0.0
-    w_tp = weight.as_trigpoly()
+    w_tp = weight.trigpoly
     for f, g in zip(fs, gs):
         rg = op.apply_symbolic(g)
         if rg is not None:

@@ -12,8 +12,11 @@ and a closed-form weight, so two generated configs, written into the same
 directory, go through ``verify`` and ``measure`` as well: branches of
 slopes 1/3 and 2/3 with ``sigma`` inferred (``uneven``), and a table weight
 on the doubling map (``table``).  A branch shifted off ``[0, 1]``
-(``shifted``), a solver tolerance of ``inf`` (``tol_inf``) and a weight of
-``nan`` (``weight_nan``) are malformed configs.  Prints one line per run: the sha256
+(``shifted``), a solver tolerance of ``inf`` (``tol_inf``), a weight of
+``nan`` (``weight_nan``), a ``cos`` key under a constant weight
+(``cos_constant``) and a key given twice (``duplicate_key``) are malformed
+configs; flag values out of their bounds end the list.  Prints one line
+per run: the sha256
 of the report (``-`` when none was written), the exit code and the
 arguments.  Reports are deterministic, so two checkouts give the same
 reports exactly when the outputs of::
@@ -31,6 +34,7 @@ import io
 import math
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 FIXTURES = ("sys_a", "sys_b", "sys_c", "sys_d")
@@ -57,6 +61,10 @@ GENERATED = {
     + "[solver]\ntol = inf\n",
     "weight_nan": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
     + '[weight]\nkind = "constant"\nvalue = nan\n',
+    "cos_constant": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + '[weight]\nkind = "constant"\nvalue = 1.0\ncos = [0.9]\n',
+    "duplicate_key": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + "[grid]\ncells = 1024\ncells = 512\n",
 }
 GENERATED_COMMANDS = (("verify",), ("measure",))
 SHIFTED_COMMANDS = (("measure",), ("defect",), ("verify",))
@@ -82,6 +90,16 @@ MALFORMED = (
     ("cylinder", "--x", "0.3", "--sets", "[0,2)"),
     ("markov", "--x", "0.3", "--set-a", "[-0.5,0.5)", "--set-b", "[0,0.5)"),
 )
+# Inputs the run would ignore or cannot use, each an exit 2 with no report:
+# (config, command).
+INPUT_ERRORS = (
+    ("sys_a", ("markov", "--x", "0.3", "--set-a", "[0,0.25)",
+               "--set-b", "[0,0.5)", "--n", "1")),
+    ("sys_a", ("harmonic", "--k-max", "-1")),
+    ("sys_a", ("cylinder", "--x", "nan", "--sets", "[0,0.5)")),
+    ("cos_constant", ("harmonic",)),
+    ("duplicate_key", ("harmonic",)),
+)
 
 
 def cases():
@@ -98,10 +116,12 @@ def cases():
     for name in ("tol_inf", "weight_nan"):
         for command in NON_FINITE_COMMANDS:
             yield name, command
+    yield from INPUT_ERRORS
 
 
 def run(main, config: Path, command: tuple, out: Path) -> tuple[str, int]:
-    """Sha256 of the JSON report (``-`` if none) and the exit code."""
+    """Sha256 of the JSON report (``-`` if none) and the exit code, or
+    ``traceback`` when the run raised (its traceback goes to stderr)."""
     if out.exists():
         out.unlink()
     argv = [*command, "--config", str(config), "--json", str(out)]
@@ -111,6 +131,9 @@ def run(main, config: Path, command: tuple, out: Path) -> tuple[str, int]:
             code = main(argv)
         except SystemExit as exc:   # argparse: a flag an older checkout lacks
             code = exc.code
+        except Exception:           # as an older checkout may raise
+            code = "traceback"
+            traceback.print_exc(file=sys.__stderr__)
     digest = (hashlib.sha256(out.read_bytes()).hexdigest() if out.exists()
               else "-")
     return digest, code
