@@ -1,9 +1,12 @@
 """Solving R h = h and watching the Fourier cascade.
 
-Power iteration finds the leading eigenpair of the positive operator R.
-For the doubling systems the eigenvalue is 1 and the fixed function is
-constant; scaling the weight scales the eigenvalue, and dividing it back
-out restores a genuine fixed point.
+On the doubling map with a trig-polynomial weight, R maps the trig
+polynomials of a fixed degree into themselves, so the leading eigenpair of
+the positive operator R is read off that small matrix (the transition
+operator of wavelet theory); other systems use power iteration.  For the
+doubling systems the eigenvalue is 1 and the fixed function is constant;
+scaling the weight scales the eigenvalue, and dividing it back out restores
+a genuine fixed point.
 
 The cascade identity says the Fourier coefficients of a fixed function
 reappear, dilated by powers of two, in the coefficients of the products
@@ -22,7 +25,7 @@ lam = towb.Measure.lebesgue(N)
 op = towb.TransferOperator(towb.sys_b(N), N)
 sol = towb.solve_harmonic(op, lam)
 print(f"cosine weight: rho = {sol.rho:.12f}, residual = {sol.residual:.2e}, "
-      f"{sol.iterations} iterations")
+      f"method {sol.method}, |lambda_2| / rho = {sol.spectral_ratio}")
 
 # Scaling the weight by 2 scales the eigenvalue by 2.
 op2 = towb.TransferOperator(doubling_system(WeightExpr.constant(2.0), N), N)

@@ -55,4 +55,4 @@ print(f"shift residual:   {result.shift_residual:.2e}")
 # loop: total mass at every base is again fixed by R.
 rebuilt, residual = towb.harmonic_from_measure(pm)
 print(f"\nharmonic rebuilt from total masses: residual {residual:.2e}, "
-      f"max |difference from h| {np.max(np.abs(rebuilt.values - pm.h.values)):.2e}")
+      f"max |difference from h| {np.max(np.abs(rebuilt.values - pm.h(op.nodes))):.2e}")

@@ -115,6 +115,9 @@ def _cmd_harmonic(args, cfg, op, lam, report: Report) -> None:
     report.add_result("rho", sol.rho)
     report.add_result("residual", sol.residual)
     report.add_result("iterations", sol.iterations)
+    report.add_result("method", sol.method)
+    if sol.spectral_ratio is not None:
+        report.add_result("spectral_ratio", sol.spectral_ratio)
     report.add_check("harmonic_converged",
                      "PASS" if sol.converged else "FAIL",
                      sol.residual, cfg.solver_tol)
@@ -125,12 +128,16 @@ def _cmd_harmonic(args, cfg, op, lam, report: Report) -> None:
         report.add_check("fourier_cascade", "SKIPPED",
                          note="harmonic solve did not converge")
     else:
-        dev = fourier_cascade_check(op, sol.h, k_max=args.k_max,
-                                    n_max=args.n_max)
-        report.add_result("cascade_deviation", dev)
-        _add_tol_check(report, "fourier_cascade", dev, args.cascade_tol)
+        try:
+            dev = fourier_cascade_check(op, sol.h, k_max=args.k_max,
+                                        n_max=args.n_max)
+        except DomainError as exc:  # the grid is too coarse to resolve it
+            report.add_check("fourier_cascade", "SKIPPED", note=str(exc))
+        else:
+            report.add_result("cascade_deviation", dev)
+            _add_tol_check(report, "fourier_cascade", dev, args.cascade_tol)
     if args.plot_data:
-        _write_columns(args.plot_data, "h.dat", op.nodes, sol.h.values)
+        _write_columns(args.plot_data, "h.dat", op.nodes, sol.h(op.nodes))
 
 
 def _cmd_measure(args, cfg, op, lam, report: Report) -> None:

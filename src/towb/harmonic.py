@@ -1,38 +1,60 @@
 """Fixed points of the transfer operator and the Fourier cascade.
 
-``solve_harmonic`` runs a power iteration for the leading eigenpair of the
-positive operator ``R``; the eigenvalue estimate is the ``L^1(lam)`` growth
-factor, and the returned function is scaled to integrate to one against the
-base measure.  The iteration works on plain node arrays: both linear maps it
-applies are fixed by the operator and ``lam``, so ``R`` goes through the
-operator's assembled grid action and the ``lam``-integral through a
-quadrature whose stencils are built before the first step.  The result is
-bit for bit that of the same loop written with a :class:`GridFunction` per
-step.  ``normalize_weight`` divides the weight by the eigenvalue so the
-rescaled system has a genuine fixed point ``R h = h``.
+``solve_harmonic`` finds the leading eigenpair ``R h = rho h`` of the
+positive operator ``R`` and returns ``h`` scaled to integrate to one against
+the base measure.  It takes one of two methods, chosen from the system:
+
+- ``transition_matrix``: on the full branch set of ``m x mod 1`` with equal
+  probabilities and a closed-form weight, ``R`` maps the trig polynomials of
+  a fixed degree into themselves (:meth:`TransferOperator.transition_matrix`),
+  so ``rho`` and ``h`` are an eigenpair of that small matrix and ``h`` is an
+  exact :class:`TrigPoly`.  A leading eigenvalue that is not alone on its
+  spectral circle leaves ``h`` undetermined and is a
+  :class:`ConvergenceError`.
+- ``power``: :func:`power_iteration` on the grid for every other system.
+  The eigenvalue estimate is the ``L^1(lam)`` growth factor.  The iteration
+  works on plain node arrays: both linear maps it applies are fixed by the
+  operator and ``lam``, so ``R`` goes through the operator's assembled grid
+  action and the ``lam``-integral through a quadrature whose stencils are
+  built before the first step.  The result is bit for bit that of the same
+  loop written with a :class:`GridFunction` per step.
+
+``normalize_weight`` divides the weight by the eigenvalue so the rescaled
+system has a genuine fixed point ``R h = h``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .grid import GridFunction, Measure, node_quadrature
+from .grid import GridFunction, Measure, integrate, node_quadrature
 from .system import IfsSystem
 from .transfer import TransferOperator
+from .trig import TrigPoly
 
 _NEGATIVITY_FLOOR = -1e-14
+# Eigenvalues of modulus at least rho - PERIPHERAL_TOL share rho's circle.
+PERIPHERAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class HarmonicSolution:
-    h: GridFunction
+    """``h`` is a :class:`TrigPoly` from the ``transition_matrix`` method
+    (``iterations`` 0, always converged, with the ratio ``|lambda_2| / rho``
+    of the second eigenvalue modulus to ``rho``) and a
+    :class:`GridFunction` from the ``power`` method."""
+
+    h: GridFunction | TrigPoly
     rho: float
     residual: float
     iterations: int
     converged: bool
+    method: str
+    spectral_ratio: float | None = None
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -44,6 +66,74 @@ def _finite(values: np.ndarray) -> np.ndarray:
 
 def solve_harmonic(op: TransferOperator, lam: Measure, tol: float = 1e-12,
                    max_iter: int = 2000, seed: int = 0) -> HarmonicSolution:
+    """The leading eigenpair of ``R``, with ``int h dlam = 1``: exact from
+    :meth:`TransferOperator.transition_matrix` when the system has one, by
+    :func:`power_iteration` with ``tol``, ``max_iter`` and ``seed``
+    otherwise."""
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    matrix = op.transition_matrix()
+    if matrix is None:
+        return power_iteration(op, lam, tol, max_iter, seed)
+    return _solve_transition_matrix(op, lam, matrix)
+
+
+def _format_eigenvalue(z: complex) -> str:
+    if abs(z.imag) <= PERIPHERAL_TOL:
+        return f"{z.real:.12g}"
+    return f"{z.real:.12g}{z.imag:+.12g}i"
+
+
+def _solve_transition_matrix(op: TransferOperator, lam: Measure,
+                             matrix: np.ndarray) -> HarmonicSolution:
+    """``rho`` and ``h`` from the eigendecomposition of ``matrix``.
+
+    The leading eigenvalue is the one of largest real part; every other
+    eigenvalue must have modulus below ``rho - PERIPHERAL_TOL``.  Its
+    eigenvector is turned into a real function by the phase of its largest
+    value at the grid nodes, checked nonnegative there like a power
+    iterate, and scaled to ``int h dlam = 1``.  The residual is
+    ``max |M v - rho v|`` over the coefficients ``v`` of ``h``.
+    """
+    vals, vecs = np.linalg.eig(matrix)
+    lead = int(np.argmax(vals.real))
+    rho = float(vals[lead].real)
+    peripheral = np.abs(vals) >= rho - PERIPHERAL_TOL
+    if np.count_nonzero(peripheral) > 1:
+        mult = int(np.count_nonzero(np.abs(vals - rho) <= PERIPHERAL_TOL))
+        listed = ", ".join(_format_eigenvalue(z) for z in sorted(
+            vals[peripheral], key=lambda z: (-z.real, -z.imag)))
+        shape = (f"has multiplicity {mult}" if mult > 1
+                 else "shares its spectral circle")
+        raise ConvergenceError(
+            f"leading eigenvalue {_format_eigenvalue(vals[lead])} {shape}; "
+            f"peripheral spectrum {{{listed}}}")
+    if rho <= 0:
+        raise ConvergenceError("iterate collapsed to zero mass")
+    top = (matrix.shape[0] - 1) // 2
+    freqs = np.arange(-top, top + 1)
+    v = vecs[:, lead]
+    values = np.exp(2j * np.pi * np.multiply.outer(op.nodes, freqs)) @ v
+    peak = values[np.argmax(np.abs(values))]
+    low = float((values / peak).real.min())
+    if low < _NEGATIVITY_FLOOR:
+        raise ConvergenceError(
+            f"iterate went negative ({low:.3e}); weight is not positive")
+    h = TrigPoly(dict(zip(freqs.astype(float), v / peak)))
+    mass = integrate(h, lam)
+    if mass <= 0:
+        raise ConvergenceError("iterate collapsed to zero mass")
+    h = h * (1.0 / mass)
+    coefs = h.coefficients(freqs)
+    residual = float(np.max(np.abs(matrix @ coefs - rho * coefs)))
+    others = np.abs(np.delete(vals, lead))
+    ratio = float(others.max()) / rho if others.size else 0.0
+    return HarmonicSolution(h, rho, residual, 0, True, "transition_matrix",
+                            ratio)
+
+
+def power_iteration(op: TransferOperator, lam: Measure, tol: float = 1e-12,
+                    max_iter: int = 2000, seed: int = 0) -> HarmonicSolution:
     """Power iteration for ``R h = rho h`` from a strictly positive random
     start, normalized in ``L^1(lam)`` each step.
 
@@ -83,7 +173,7 @@ def solve_harmonic(op: TransferOperator, lam: Measure, tol: float = 1e-12,
     h = _finite(h * (1.0 / quad(h)))
     residual = float(np.max(np.abs(_finite(op.apply_values(h)) - rho * h)))
     return HarmonicSolution(GridFunction(h), float(rho), residual,
-                            it if converged else max_iter, converged)
+                            it if converged else max_iter, converged, "power")
 
 
 def normalize_weight(op: TransferOperator,
@@ -97,7 +187,7 @@ def normalize_weight(op: TransferOperator,
     return op.system.with_weight(op.system.weight.scaled(1.0 / sol.rho))
 
 
-def fourier_cascade_check(op: TransferOperator, h: GridFunction,
+def fourier_cascade_check(op: TransferOperator, h: Callable,
                           k_max: int = 4, n_max: int = 8) -> float:
     """Cascade identity for the doubling map: with
     ``W_k(x) = W(x) W(2x) ... W(2^{k-1} x)``, a fixed point of ``R``
@@ -105,32 +195,46 @@ def fourier_cascade_check(op: TransferOperator, h: GridFunction,
 
     Fourier coefficients use the convention ``h^(n) = int e(n x) h(x) dx``
     with ``e(t) = exp(2 pi i t)``.  Returns the maximum deviation over
-    ``0 <= k <= k_max`` and ``|n| <= n_max``.  Quadrature is the uniform
-    midpoint rule, spectrally accurate for smooth integrands; the relevant
-    frequencies must stay well below the grid size.
+    ``0 <= k <= k_max`` and ``|n| <= n_max``.  For a :class:`TrigPoly` ``h``
+    and a closed-form weight the coefficients are read off ``h`` and the
+    products ``W_k h`` exactly.  Any other ``h`` goes through the uniform
+    midpoint rule on the operator's grid, spectrally accurate for smooth
+    integrands; the relevant frequencies must stay well below the grid size.
     """
     if not op.system.is_doubling():
         raise DomainError("cascade check applies to the doubling system only")
-    if (2 ** k_max) * n_max >= op.n_grid // 4:
-        raise DomainError("grid too coarse for the requested frequencies")
-
-    n = op.n_grid
-    mids = (np.arange(n) + 0.5) / n
-    hv = np.asarray(h.resample(n)(mids), dtype=float)
     freqs = np.arange(-n_max, n_max + 1)
+    w = op.system.weight.trigpoly
+    if isinstance(h, TrigPoly) and w is not None:
+        def factor(k: int) -> TrigPoly:
+            return w.compose_affine(2 ** (k - 1), 0.0)
 
-    def coeffs(values: np.ndarray, freq_scale: int) -> np.ndarray:
-        phases = np.exp(2j * np.pi * freq_scale *
-                        np.multiply.outer(freqs, mids))
-        return phases @ values / n
+        def coeffs(g: TrigPoly, freq_scale: int) -> np.ndarray:
+            return g.coefficients(-freq_scale * freqs)
+
+        wk, hv = TrigPoly.constant(1.0), h
+    else:
+        if (2 ** k_max) * n_max >= op.n_grid // 4:
+            raise DomainError("grid too coarse for the requested frequencies")
+        n = op.n_grid
+        mids = (np.arange(n) + 0.5) / n
+
+        def factor(k: int) -> np.ndarray:
+            return np.asarray(op.system.weight((2 ** (k - 1) * mids) % 1.0),
+                              dtype=float)
+
+        def coeffs(values: np.ndarray, freq_scale: int) -> np.ndarray:
+            phases = np.exp(2j * np.pi * freq_scale *
+                            np.multiply.outer(freqs, mids))
+            return phases @ values / n
+
+        wk, hv = np.ones(n), np.asarray(h(mids), dtype=float)
 
     base = coeffs(hv, 1)
     deviation = 0.0
-    wk = np.ones(n)
     for k in range(0, k_max + 1):
         if k > 0:
-            wk = wk * np.asarray(op.system.weight((2 ** (k - 1) * mids) % 1.0),
-                                 dtype=float)
+            wk = wk * factor(k)
         cascade = coeffs(wk * hv, 2 ** k)
         deviation = max(deviation, float(np.max(np.abs(base - cascade))))
     return deviation

@@ -28,7 +28,7 @@ sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -178,18 +178,23 @@ class PathMeasure:
 
     The measure at base ``x`` has total mass ``h(x)``; averaging the bases
     against ``lam`` gives a probability measure because ``int h dlam = 1``.
+    ``h`` is any vectorized callable: a :class:`GridFunction`, or the exact
+    :class:`TrigPoly` of a transition-matrix solve.
     """
 
     op: TransferOperator
-    h: GridFunction
+    h: Callable
     lam: Measure
     h_residual: float
 
     @classmethod
-    def build(cls, op: TransferOperator, h: GridFunction, lam: Measure,
+    def build(cls, op: TransferOperator, h: Callable, lam: Measure,
               strict: bool = True) -> "PathMeasure":
-        h = h.resample(op.n_grid)
-        residual = float(np.max(np.abs(op.apply(h).values - h.values)))
+        """The path measure of ``h``, whose harmonic residual is
+        ``max |R h - h|`` over the operator's nodes, ``R h`` by
+        :meth:`TransferOperator.apply` and ``h`` evaluated pointwise."""
+        residual = float(np.max(np.abs(
+            op.apply(h).values - np.asarray(h(op.nodes), dtype=float))))
         mass = integrate(h, lam)
         if strict:
             if abs(mass - 1.0) > 1e-6:
@@ -202,6 +207,12 @@ class PathMeasure:
 
 
 # -- exact cylinder calculus ----------------------------------------------
+
+
+def _check_depth(depth: int) -> None:
+    """Refuse a path of more than ``DEPTH_MAX`` coordinates after ``x_0``."""
+    if depth > DEPTH_MAX:
+        raise DomainError(f"path depth {depth} exceeds {DEPTH_MAX}")
 
 
 def conditional_expectation(pm: PathMeasure, psi, x):
@@ -221,8 +232,7 @@ def conditional_expectation(pm: PathMeasure, psi, x):
     """
     psi = CylinderFunction.coerce(psi)
     factors = psi.components[1:]
-    if len(factors) > DEPTH_MAX:
-        raise DomainError(f"path depth {len(factors)} exceeds {DEPTH_MAX}")
+    _check_depth(len(factors))
     op = pm.op
     words = op.system.n_branches ** len(factors) * np.size(x)
     if words > WORDS_MAX:
@@ -319,6 +329,20 @@ def sample_bases(pm: PathMeasure, count: int,
     return out
 
 
+def _distinct_states(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct points ``states`` of ``ys`` and, per point ``k``, the
+    index ``at[k]`` with ``ys[k] == states[at[k]]``: those of ``np.unique``,
+    except that when no point repeats, the states keep the points' order, so
+    that gathers by ``at`` run in sequence.  When every point is the same,
+    the sort is skipped."""
+    if ys.size and (ys == ys[0]).all():
+        return ys[:1], np.zeros(ys.size, dtype=np.intp)
+    states, at = np.unique(ys, return_inverse=True)
+    if states.size == ys.size:
+        return ys, np.arange(ys.size)
+    return states, at
+
+
 def sample_paths(pm: PathMeasure, bases, depth: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw branch digits from the ``h``-conditioned kernel, one step at a
@@ -335,11 +359,8 @@ def sample_paths(pm: PathMeasure, bases, depth: int,
     coords = np.zeros((count, depth + 1))
     coords[:, 0] = ys
     # the kernel is evaluated once per distinct state; path k sits at
-    # states[at[k]].  When no base repeats, the states keep the paths' order,
-    # so that the gathers by ``at`` run in sequence.
-    states, at = np.unique(ys, return_inverse=True)
-    if states.size == count:
-        states, at = ys, np.arange(count)
+    # states[at[k]]
+    states, at = _distinct_states(ys)
     hy = np.asarray(pm.h(states), dtype=float)
     for j in range(depth):
         if np.any(hy <= EPS_H):
@@ -510,6 +531,7 @@ def markov_deviation(pm: PathMeasure, set_a: IntervalSet, set_b: IntervalSet,
     """
     if n < 2:
         raise DomainError("n must be at least 2")
+    _check_depth(n + 1)
     m1 = conditional_expectation(pm, [None, set_a, set_b], float(x))
     mn = conditional_expectation(pm, [None] * n + [set_a, set_b], float(x))
     return m1, mn, mn - m1
@@ -527,6 +549,7 @@ def harmonic_from_measure(pm: PathMeasure, depth: int = 1
     """
     if depth < 1:
         raise DomainError("depth must be at least 1")
+    _check_depth(depth + 1)
     nodes = pm.op.nodes
     # the deeper sum first, so that the word bound is checked before any
     # level is built

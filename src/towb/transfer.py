@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import DomainError
 from .grid import (GridFunction, IntervalSet, Measure, integrate,
                    integrate_over, interpolate, push_mixture, wrap_unit)
 from .sigspace import Decomposition, lebesgue_decompose
-from .system import IfsSystem
+from .system import PROB_SUM_TOL, IfsSystem
 from .trig import TRIAL_BLOCK, TrigPoly, broadcast_to_trials
 
 IDENTITY_TOL = 1e-8
@@ -122,6 +123,34 @@ class TransferOperator:
             term = (w * f).compose_affine(br.slope, br.offset) * p
             acc = term if acc is None else acc + term
         return acc
+
+    def transition_matrix(self) -> np.ndarray | None:
+        """``R`` on the trig polynomials of degree ``<= D`` as a matrix, when
+        the branches are the full non-wrapping set ``(x + k)/m`` of
+        ``m x mod 1`` with every ``p_i = 1/m`` and the weight is a closed form;
+        ``None`` otherwise.
+
+        With ``w_j`` the weight's coefficients (degree ``d``),
+        ``R e_k = sum_l w_{m l - k} e_l``, so the space of degree
+        ``D = ceil(d / (m - 1))`` is invariant and ``R`` acts on it by the
+        ``(2D+1)``-square matrix ``M[l, k] = w_{m l - k}``, rows and columns
+        indexed by the frequencies ``-D..D``: the transition operator of
+        wavelet theory (Lawton 1991).  Its column ``k`` holds the
+        coefficients of :meth:`apply_symbolic` of ``e_k``.
+        """
+        system = self.system
+        m = system.full_branch_slope()
+        w = system.weight.trigpoly
+        if (m is None or w is None
+                or any(br.mod_one for br in system.branches)
+                or any(abs(p - 1 / m) > PROB_SUM_TOL for p in system.probs)):
+            return None
+        d = int(w.max_freq)
+        coefs = w.coefficients(np.arange(-d, d + 1))
+        top = -(-d // (m - 1))
+        freqs = np.arange(-top, top + 1)
+        j = m * freqs[:, None] - freqs[None, :]
+        return np.where(np.abs(j) <= d, coefs[np.clip(j + d, 0, 2 * d)], 0.0)
 
     def adjoint_fn(self, f):
         """``S f = W * (f o sigma)`` as a callable; ``W`` broadcasts over a
@@ -230,10 +259,11 @@ def _random_intervals(rng: np.random.Generator) -> IntervalSet:
     return IntervalSet(pairs)
 
 
-def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
+def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
                    trials: int = 100, seed: int = 0) -> IdentitySuiteResult:
     """Run the seven-part identity battery for ``(R, S, sigma, W, lam, h)``,
-    each check against the tolerance ``IDENTITY_TOL``.
+    each check against the tolerance ``IDENTITY_TOL``; ``h`` is any
+    vectorized callable (a :class:`GridFunction`, a :class:`TrigPoly`).
 
     Random test functions are trig polynomials of degree <= 8 with
     coefficients in ``[-1, 1]``, evaluated in closed form so residuals are
@@ -336,8 +366,7 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
             "harmonic_support_multiplier", "SKIPPED", np.nan, IDENTITY_TOL,
             note=f"hypothesis sup R(W) <= 1 fails (sup = {sup_rw:.6g})"))
     else:
-        hv = h.resample(op.n_grid).values
-        active = np.abs(hv) > 1e-10
+        active = np.abs(np.asarray(h(nodes), dtype=float)) > 1e-10
         resid = float(np.max(np.abs(rw_nodes[active] - 1.0))) \
             if np.any(active) else 0.0
         judge("harmonic_support_multiplier", resid)
@@ -346,16 +375,15 @@ def identity_suite(op: TransferOperator, lam: Measure, h: GridFunction,
     # rho = int R(h) dlam / int h dlam the eigenvalue of h (1 when R h = h).
     # Positivity of R bounds the left side by sup|f| * R(h)(x), so the check
     # fails when h is not an eigenfunction
-    h_on_grid = h.resample(op.n_grid)
-    rho = integrate(op.apply(h_on_grid), lam) / integrate(h_on_grid, lam)
+    rho = integrate(op.apply(h), lam) / integrate(h, lam)
     branch_nodes = op.branch_points(nodes).ravel()
-    rho_h = rho * np.asarray(h_on_grid(nodes))
+    rho_h = rho * np.asarray(h(nodes))
     resid = 0.0
     for f in fs:
         sup_f = np.max(np.abs(np.concatenate(
             [np.asarray(f(branch_nodes)), np.asarray(f(nodes))])), axis=0)
         rfh = op.apply_fn(lambda y, f=f: np.asarray(f(y)) *
-                          np.asarray(h_on_grid(y))[..., None])(nodes)
+                          np.asarray(h(y))[..., None])(nodes)
         excess = np.abs(rfh) - sup_f * rho_h[:, None]
         resid = max(resid, float(np.max(excess)))
     judge("kernel_sup_bound", resid)

@@ -202,6 +202,13 @@ class TrigPoly:
         out = vals[1] - vals[0]
         return float(out) if out.ndim == 0 else out
 
+    def coefficients(self, freqs) -> np.ndarray:
+        """The coefficients at the frequencies ``freqs``, 0 where a
+        frequency is absent."""
+        want = np.asarray(freqs, dtype=float)
+        at = np.clip(np.searchsorted(self.freqs, want), 0, self.freqs.size - 1)
+        return self.coefs[at] * self._per_freq(self.freqs[at] == want)
+
     @property
     def max_freq(self) -> float:
         return float(np.max(np.abs(self.freqs)))

@@ -259,7 +259,7 @@ def test_10_harmonic_round_trip(pm_a, pm_b, op_a, lam_std):
     for pm in (pm_a, pm_b):
         rebuilt, residual = towb.harmonic_from_measure(pm)
         worst = max(worst, residual,
-                    float(np.max(np.abs(rebuilt.values - pm.h.values))))
+                    float(np.max(np.abs(rebuilt.values - pm.h(pm.op.nodes)))))
     bad = PathMeasure.build(
         op_a, GridFunction.from_callable(lambda x: np.asarray(x, dtype=float),
                                          N), lam_std, strict=False)

@@ -26,6 +26,21 @@ SYS_C = fixture("sys_c.cfg")
 SYS_D = fixture("sys_d.cfg")
 
 
+def power_config(tmp_path, name: str, *replacements) -> str:
+    """sys_b with branch probabilities 1/4 and 3/4, which no transition
+    matrix covers, so that its harmonic function comes from power
+    iteration; each ``(old, new)`` of ``replacements`` is then applied to
+    the config text.  Returns the path of the config written."""
+    text = load_config(SYS_B).emit()
+    for old, new in (("probabilities = [0.5, 0.5]",
+                      "probabilities = [0.25, 0.75]"), *replacements):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
 class TestParse:
     def test_fixture_files_parse_and_build(self):
         for path in (SYS_A, SYS_B, SYS_C, SYS_D):
@@ -376,20 +391,76 @@ class TestCli:
 
     def test_harmonic_unconverged_cascade_skip_reason(self, capsys,
                                                       tmp_path):
-        # W = 1 + 0.99 cos 6 pi x on the doubling map has h = 1, but its
-        # second eigenvalue 0.9933 needs ~3,800 power steps: the solve FAILs
-        # within 2,000, and the cascade is skipped for that reason
-        text = load_config(SYS_B).emit()
-        assert "cos = [1.0]" in text and "max_iter = 2000" in text
-        cfg = tmp_path / "slow.cfg"
-        cfg.write_text(text.replace("cos = [1.0]", "cos = [0.0, 0.0, 0.99]"))
+        # two power steps leave the solve on the doubling map unconverged,
+        # and the cascade is skipped for that reason
+        cfg = power_config(tmp_path, "slow.cfg",
+                           ("max_iter = 2000", "max_iter = 2"))
         out = tmp_path / "rep.json"
-        assert main(["harmonic", "--config", str(cfg), "--json",
+        assert main(["harmonic", "--config", cfg, "--json",
                      str(out)]) == 1
         checks = json.loads(out.read_text())["checks"]
         assert [(c["name"], c["status"], c.get("note")) for c in checks] == [
             ("harmonic_converged", "FAIL", None),
             ("fourier_cascade", "SKIPPED", "harmonic solve did not converge")]
+
+    @pytest.mark.parametrize("probs, cascade", [
+        ("[0.5, 0.5]", ("PASS", None)),
+        ("[0.25, 0.75]", ("SKIPPED",
+                          "grid too coarse for the requested frequencies"))])
+    def test_harmonic_cascade_on_a_coarse_grid(self, capsys, tmp_path, probs,
+                                               cascade):
+        # at 512 cells the default frequencies (2^4 * 8 = 128) are past the
+        # midpoint rule's N/4: an exact h reads its coefficients with no
+        # grid bound, and a power-iterated one reports the cascade SKIPPED
+        # with the solve's results kept
+        text = load_config(SYS_B).emit()
+        text = text.replace("cells = 1024", "cells = 512").replace(
+            "probabilities = [0.5, 0.5]", f"probabilities = {probs}")
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "rep.json"
+        assert main(["harmonic", "--config", str(cfg), "--json",
+                     str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert {"rho", "residual", "iterations"} <= set(payload["results"])
+        checks = {c["name"]: c for c in payload["checks"]}
+        assert checks["harmonic_converged"]["status"] == "PASS"
+        assert (checks["fourier_cascade"]["status"],
+                checks["fourier_cascade"].get("note")) == cascade
+
+    @pytest.mark.parametrize("path, method, ratio", [
+        (SYS_B, "transition_matrix", 0.5), (SYS_D, "power", None)])
+    def test_harmonic_reports_the_solve_method(self, capsys, tmp_path, path,
+                                               method, ratio):
+        out = tmp_path / "rep.json"
+        assert main(["harmonic", "--config", path, "--json", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["method"] == method
+        assert results.get("spectral_ratio") == ratio
+        assert (results["iterations"] == 0) == (method == "transition_matrix")
+
+    @pytest.mark.parametrize("cos, code, ratio", [
+        ("[0.0, 0.0, 1.0]", 3, None), ("[0.0, 0.0, 0.99]", 0, 0.99333)])
+    def test_harmonic_peripheral_spectrum(self, capsys, tmp_path, cos, code,
+                                          ratio):
+        # Lawton's W = 1 + cos 6 pi x leaves h undetermined (exit 3 with the
+        # spectrum); at 0.99 the second eigenvalue is off the circle and h
+        # is solved exactly, where power iteration would need ~3,800 steps
+        text = load_config(SYS_B).emit().replace("cos = [1.0]", f"cos = {cos}")
+        cfg = tmp_path / "lawton.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "rep.json"
+        assert main(["harmonic", "--config", str(cfg), "--json",
+                     str(out)]) == code
+        if ratio is None:
+            assert ("numerical failure: leading eigenvalue 1 has multiplicity "
+                    "2; peripheral spectrum {1, 1, -1}"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+        else:
+            results = json.loads(out.read_text())["results"]
+            assert results["rho"] == pytest.approx(1.0, abs=1e-14)
+            assert results["spectral_ratio"] == pytest.approx(ratio, abs=1e-5)
 
     def test_quasi_subcommand(self, capsys):
         assert main(["quasi", "--config", SYS_A, "--trials", "3"]) == 0
@@ -469,24 +540,20 @@ class TestCli:
         assert main(["harmonic", "--config", "/nonexistent.cfg"]) == 2
 
     def test_check_failure_exit_code(self, capsys, tmp_path):
-        # an impossible solver tolerance leaves the eigensolve unconverged,
-        # failing the harmonic check
-        text = load_config(SYS_B).emit().replace("tol = 1e-12",
-                                                 "tol = 1e-16")
-        text = text.replace("max_iter = 2000", "max_iter = 2")
-        cfg = tmp_path / "stall.cfg"
-        cfg.write_text(text)
-        assert main(["harmonic", "--config", str(cfg)]) == 1
+        # an impossible solver tolerance leaves the power iteration
+        # unconverged, failing the harmonic check
+        cfg = power_config(tmp_path, "stall.cfg",
+                           ("tol = 1e-12", "tol = 1e-16"),
+                           ("max_iter = 2000", "max_iter = 2"))
+        assert main(["harmonic", "--config", cfg]) == 1
 
     def test_numerical_failure_exit_code(self, capsys, tmp_path):
         # path-space commands need a converged fixed function; an
         # unconverged solve is a numerical failure, not a check failure
-        text = load_config(SYS_B).emit().replace("tol = 1e-12",
-                                                 "tol = 1e-16")
-        text = text.replace("max_iter = 2000", "max_iter = 2")
-        cfg = tmp_path / "stall.cfg"
-        cfg.write_text(text)
-        code = main(["cylinder", "--config", str(cfg), "--x", "0.3",
+        cfg = power_config(tmp_path, "stall.cfg",
+                           ("tol = 1e-12", "tol = 1e-16"),
+                           ("max_iter = 2000", "max_iter = 2"))
+        code = main(["cylinder", "--config", cfg, "--x", "0.3",
                      "--sets", "[0,0.25)"])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -501,12 +568,9 @@ class TestCli:
     def test_verify_unconverged_solve_exit_code(self, capsys, tmp_path):
         # the identity suite needs a converged fixed function, like the
         # path-space commands
-        text = load_config(SYS_B).emit()
-        assert "max_iter = 2000" in text
-        text = text.replace("max_iter = 2000", "max_iter = 1")
-        cfg = tmp_path / "one_step.cfg"
-        cfg.write_text(text)
-        assert main(["verify", "--config", str(cfg), "--trials", "5"]) == 3
+        cfg = power_config(tmp_path, "one_step.cfg",
+                           ("max_iter = 2000", "max_iter = 1"))
+        assert main(["verify", "--config", cfg, "--trials", "5"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
     def test_parser_reused_across_calls(self, capsys, tmp_path):
@@ -613,7 +677,8 @@ class TestCli:
 
     @staticmethod
     def _perturb_solution(monkeypatch, eps):
-        """Make the CLI's harmonic solve return ``h (1 + eps cos 4 pi x)``."""
+        """Make the CLI's harmonic solve return ``h (1 + eps cos 4 pi x)``
+        for an exact (trig polynomial) ``h``."""
         import dataclasses
 
         import towb.cli
@@ -622,9 +687,8 @@ class TestCli:
 
         def perturbed(op, lam, **kwargs):
             sol = original(op, lam, **kwargs)
-            bump = 1.0 + eps * np.cos(4 * np.pi * op.nodes)
-            return dataclasses.replace(
-                sol, h=towb.GridFunction(sol.h.values * bump))
+            bump = towb.TrigPoly.from_cos_sin(1.0, [0.0, eps])
+            return dataclasses.replace(sol, h=sol.h * bump)
 
         monkeypatch.setattr(towb.cli, "solve_harmonic", perturbed)
 

@@ -2,13 +2,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import towb
 from towb import GridFunction, Measure, TransferOperator
 from towb.config import load_config
 from towb.errors import ConvergenceError, DomainError
 from towb.grid import _grid_stencil, integrate
-from towb.harmonic import _NEGATIVITY_FLOOR, HarmonicSolution
+from towb.harmonic import _NEGATIVITY_FLOOR, HarmonicSolution, power_iteration
 from towb.system import (PiecewiseAffineMap, WeightExpr, doubling_system,
                          make_system)
 
@@ -40,10 +42,11 @@ def _solve_harmonic_per_step(op, lam, tol=1e-12, max_iter=2000, seed=0):
             h = h * (1.0 / integrate(h, lam))
             residual = float(np.max(np.abs(
                 op.apply(h).values - rho * h.values)))
-            return HarmonicSolution(h, float(rho), residual, it, True)
+            return HarmonicSolution(h, float(rho), residual, it, True,
+                                    "power")
     h = h * (1.0 / integrate(h, lam))
     residual = float(np.max(np.abs(op.apply(h).values - rho * h.values)))
-    return HarmonicSolution(h, float(rho), residual, max_iter, False)
+    return HarmonicSolution(h, float(rho), residual, max_iter, False, "power")
 
 
 def _oracle_case(name):
@@ -82,6 +85,7 @@ def _assert_same_solution(a, b):
     assert a.residual == b.residual
     assert a.iterations == b.iterations
     assert a.converged == b.converged
+    assert a.method == b.method
 
 
 class TestArraySolveMatchesPerStepLoop:
@@ -91,11 +95,11 @@ class TestArraySolveMatchesPerStepLoop:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_bitwise(self, name, seed):
         op, lam = _oracle_case(name)
-        _assert_same_solution(towb.solve_harmonic(op, lam, seed=seed),
+        _assert_same_solution(power_iteration(op, lam, seed=seed),
                               _solve_harmonic_per_step(op, lam, seed=seed))
 
     def test_unconverged(self, op_b, lam_std):
-        sol = towb.solve_harmonic(op_b, lam_std, max_iter=3)
+        sol = power_iteration(op_b, lam_std, max_iter=3)
         assert not sol.converged and sol.iterations == 3
         _assert_same_solution(sol, _solve_harmonic_per_step(op_b, lam_std,
                                                             max_iter=3))
@@ -108,7 +112,7 @@ class TestArraySolveMatchesPerStepLoop:
         op = TransferOperator(doubling_system(weight, validate=False), 128)
         lam = Measure.lebesgue(128)
         with pytest.raises(ConvergenceError, match=message) as fast:
-            towb.solve_harmonic(op, lam)
+            power_iteration(op, lam)
         with pytest.raises(ConvergenceError) as slow:
             _solve_harmonic_per_step(op, lam)
         assert str(fast.value) == str(slow.value)
@@ -138,8 +142,8 @@ class TestArraySolveMatchesPerStepLoop:
             stencils.clear()
             grid_functions.clear()
             op = TransferOperator(towb.sys_b(1024), 1024)
-            sol = towb.solve_harmonic(op, Measure.lebesgue(1024),
-                                      max_iter=max_iter)
+            sol = power_iteration(op, Measure.lebesgue(1024),
+                                  max_iter=max_iter)
             counts.append((len(stencils), len(grid_functions)))
         assert sol.iterations == 48
         assert counts[0] == counts[1] == (2, 1)
@@ -150,12 +154,13 @@ class TestSolveHarmonic:
         assert sol_a.converged
         assert sol_a.rho == pytest.approx(1.0, abs=1e-12)
         assert sol_a.residual < 1e-12
-        assert np.max(np.abs(sol_a.h.values - 1.0)) < 1e-10
+        assert np.max(np.abs(sol_a.h(op_a.nodes) - 1.0)) < 1e-10
 
     def test_sys_b_unit_eigenvalue(self, op_b, lam_std, sol_b):
         assert sol_b.converged
         assert sol_b.rho == pytest.approx(1.0, abs=1e-10)
-        res = np.max(np.abs(op_b.apply(sol_b.h).values - sol_b.h.values))
+        res = np.max(np.abs(op_b.apply(sol_b.h).values
+                            - sol_b.h(op_b.nodes)))
         assert res < 1e-10
 
     def test_doubled_weight_doubles_eigenvalue(self, lam_std):
@@ -184,14 +189,14 @@ class TestSolveHarmonic:
         # seeds land on the same fixed function
         a = towb.solve_harmonic(op_b, lam_std, seed=1)
         b = towb.solve_harmonic(op_b, lam_std, seed=99)
-        assert np.max(np.abs(a.h.values - b.h.values)) < 1e-9
+        assert np.max(np.abs(a.h(op_b.nodes) - b.h(op_b.nodes))) < 1e-9
 
     def test_rejects_bad_tol(self, op_a, lam_std):
         with pytest.raises(DomainError):
             towb.solve_harmonic(op_a, lam_std, tol=0.0)
 
     def test_nonconvergence_flagged(self, op_b, lam_std):
-        sol = towb.solve_harmonic(op_b, lam_std, tol=1e-16, max_iter=3)
+        sol = power_iteration(op_b, lam_std, tol=1e-16, max_iter=3)
         assert not sol.converged
         assert np.isfinite(sol.residual)
 
@@ -239,3 +244,143 @@ class TestFourierCascade:
         h = GridFunction.constant(1.0, op_d.n_grid)
         with pytest.raises(DomainError):
             towb.fourier_cascade_check(op_d, h, 2, 2)
+
+
+def _full_branch_op(weight, m=2, n=1024, probs=None):
+    """``m x mod 1`` with its full branch set ``(x + k)/m``, unvalidated."""
+    probs = [1 / m] * m if probs is None else probs
+    system = make_system([1 / m] * m, [k / m for k in range(m)], probs,
+                         weight, sigma=m, validate=False)
+    return TransferOperator(system, n)
+
+
+# W(x) + W(x + 1/2) != 2: h is not constant and rho is not 1
+NON_QMF = WeightExpr.trig(1.0, [0.4, 0.2], [0.1])
+LAWTON = WeightExpr.trig(1.0, [0.0, 0.0, 1.0])
+
+
+class TestTransitionMatrix:
+    @given(m=st.sampled_from([2, 3]),
+           const=st.floats(0.5, 2.0),
+           cos=st.lists(st.floats(-1.0, 1.0), max_size=4),
+           sin=st.lists(st.floats(-1.0, 1.0), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_columns_are_symbolic_images(self, m, const, cos, sin):
+        # column k of M holds the coefficients of R e_k, and R e_k has no
+        # frequency outside -D..D
+        op = _full_branch_op(WeightExpr.trig(const, cos, sin), m, n=64)
+        matrix = op.transition_matrix()
+        top = (matrix.shape[0] - 1) // 2
+        freqs = np.arange(-top, top + 1)
+        for col, k in enumerate(freqs):
+            image = op.apply_symbolic(towb.TrigPoly({float(k): 1.0}))
+            assert np.max(np.abs(image.freqs)) <= top + 1e-12
+            assert np.allclose(image.coefficients(freqs), matrix[:, col],
+                               rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["sys_d", "table_weight", "wrapping"])
+    def test_other_systems_power_iterate(self, name):
+        op, lam = _oracle_case(name)
+        assert op.transition_matrix() is None
+        _assert_same_solution(towb.solve_harmonic(op, lam),
+                              power_iteration(op, lam))
+
+    def test_unequal_probabilities_power_iterate(self):
+        op = _full_branch_op(NON_QMF, probs=[0.25, 0.75])
+        assert op.transition_matrix() is None
+        assert towb.solve_harmonic(op, Measure.lebesgue(1024)).method == \
+            "power"
+
+    @pytest.mark.parametrize("op_name", ["op_a", "op_b"])
+    def test_doubling_fixtures_are_exactly_one(self, op_name, request,
+                                               lam_std):
+        sol = towb.solve_harmonic(request.getfixturevalue(op_name), lam_std)
+        assert (sol.method, sol.iterations, sol.converged) == \
+            ("transition_matrix", 0, True)
+        assert sol.rho == 1.0 and sol.residual == 0.0
+        assert isinstance(sol.h, towb.TrigPoly)
+        assert sol.h.freqs.tolist() == [0.0] and sol.h.coefs.tolist() == [1]
+
+    def test_non_qmf_weight(self):
+        # the exact eigenpair, and power iteration within its O(N^-2) grid
+        # error of it: h is off by ~1.3 / N^2 at N = 256 and 1024
+        lam = Measure.lebesgue(1024)
+        exact = towb.solve_harmonic(_full_branch_op(NON_QMF), lam)
+        assert exact.method == "transition_matrix"
+        assert exact.rho == pytest.approx(1.047715426, abs=1e-9)
+        assert exact.residual <= 1e-14
+        assert exact.spectral_ratio < 0.2
+        distances = []
+        for n in (256, 1024):
+            op = _full_branch_op(NON_QMF, n=n)
+            power = power_iteration(op, Measure.lebesgue(n))
+            assert power.converged
+            assert abs(power.rho - exact.rho) <= 2.0 / n**2
+            distances.append(np.max(np.abs(power.h.values
+                                           - exact.h(op.nodes))))
+            assert distances[-1] <= 2.0 / n**2
+        assert distances[0] / distances[1] > 8.0
+
+    def test_three_branch_weight_matches_power_iteration(self):
+        op = _full_branch_op(NON_QMF, m=3)
+        lam = Measure.lebesgue(1024)
+        exact, power = towb.solve_harmonic(op, lam), power_iteration(op, lam)
+        assert exact.method == "transition_matrix"
+        assert exact.residual <= 1e-14
+        assert abs(power.rho - exact.rho) <= 2.0 / 1024**2
+        assert np.max(np.abs(power.h.values - exact.h(op.nodes))) \
+            <= 2.0 / 1024**2
+
+    def test_lawton_weight_is_degenerate(self):
+        # W = 1 + cos 6 pi x = |(1 + z^3)/2|^2: the eigenvalue 1 is double
+        # (h = 1 and cos 2 pi x + cos 4 pi x / 2), and -1 is simple, so h is
+        # not determined; power iteration wanders without converging
+        op, lam = _full_branch_op(LAWTON), Measure.lebesgue(1024)
+        with pytest.raises(ConvergenceError) as err:
+            towb.solve_harmonic(op, lam)
+        assert str(err.value) == ("leading eigenvalue 1 has multiplicity 2; "
+                                  "peripheral spectrum {1, 1, -1}")
+        assert not power_iteration(op, lam).converged
+
+    def test_slow_power_weight_solves_exactly(self):
+        # W = 1 + 0.99 cos 6 pi x has h = 1, but |lambda_2| = 0.99333 needs
+        # ~3,800 power steps, more than the default 2,000
+        op = _full_branch_op(WeightExpr.trig(1.0, [0.0, 0.0, 0.99]))
+        lam = Measure.lebesgue(1024)
+        sol = towb.solve_harmonic(op, lam)
+        assert sol.rho == pytest.approx(1.0, abs=1e-14)
+        assert sol.spectral_ratio == pytest.approx(0.99333, abs=1e-5)
+        assert np.max(np.abs(sol.h(op.nodes) - 1.0)) < 1e-14
+        assert not power_iteration(op, lam).converged
+
+    @pytest.mark.parametrize("weight, message", [
+        (WeightExpr.trig(1.0, [0.5, 0.0, 1.5]), "iterate went negative"),
+        (WeightExpr.constant(0.0), "iterate collapsed to zero mass"),
+        (WeightExpr.constant(-1.0), "iterate collapsed to zero mass"),
+        (WeightExpr.trig(1.0, [2.0]), "leading eigenvalue 1 has "
+                                      "multiplicity 3")])
+    def test_convergence_errors(self, weight, message):
+        with pytest.raises(ConvergenceError, match=message):
+            towb.solve_harmonic(_full_branch_op(weight, n=128),
+                                Measure.lebesgue(128))
+
+    def test_perturbed_weight_flips_the_residual_check(self):
+        # negative control: h solved for the normalized non-QMF weight is
+        # harmonic to rounding, pointwise, even at N = 256 where a grid
+        # residual would read 7.5e-6; moving one weight coefficient by 1e-5
+        # after the solve makes the path measure refuse it
+        n = 256
+        lam = Measure.lebesgue(n)
+        op = _full_branch_op(NON_QMF, n=n)
+        system = towb.normalize_weight(op, towb.solve_harmonic(op, lam))
+        op1 = TransferOperator(system, n)
+        h = towb.solve_harmonic(op1, lam).h
+        assert towb.PathMeasure.build(op1, h, lam).h_residual <= 1e-14
+        w = system.weight
+        moved = WeightExpr.trig(w.const, [w.cos_coefs[0] + 1e-5,
+                                          *w.cos_coefs[1:]], w.sin_coefs)
+        op2 = TransferOperator(system.with_weight(moved), n)
+        with pytest.raises(DomainError, match="not harmonic enough"):
+            towb.PathMeasure.build(op2, h, lam)
+        loose = towb.PathMeasure.build(op2, h, lam, strict=False)
+        assert loose.h_residual > 1e-6

@@ -509,7 +509,7 @@ class TestHarmonicFromMeasure:
         for pm in (pm_a, pm_b):
             rebuilt, residual = towb.harmonic_from_measure(pm)
             assert residual < 1e-10
-            assert np.max(np.abs(rebuilt.values - pm.h.values)) < 1e-9
+            assert np.max(np.abs(rebuilt.values - pm.h(pm.op.nodes))) < 1e-9
 
     def test_non_harmonic_control(self, op_a, lam_std):
         # feeding the sawtooth exposes a visible fixed-point failure
@@ -607,3 +607,25 @@ class TestWordSumKernel:
                                Measure.lebesgue(8))
         with pytest.raises(DomainError):
             towb.harmonic_from_measure(pm, depth=16)
+
+    @pytest.mark.parametrize("call", ["markov", "harmonic_from_measure"])
+    def test_depth_refused_before_allocating(self, pm_a, call):
+        # a depth of 10^7 is refused with the kernel's own message, before
+        # a list of 10^7 coordinates (80 MB of pointers) is built
+        import tracemalloc
+
+        half = IntervalSet([(0.0, 0.5)])
+        run = {"markov": lambda: towb.markov_deviation(
+                   pm_a, half, half, 0.3, 10_000_000),
+               "harmonic_from_measure": lambda: towb.harmonic_from_measure(
+                   pm_a, depth=10_000_000)}[call]
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError) as err:
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        depth_max = towb.solenoid.DEPTH_MAX
+        assert str(err.value) == f"path depth 10000001 exceeds {depth_max}"
+        assert peak < 1_000_000
