@@ -10,7 +10,7 @@ from .errors import ConfigError, ConvergenceError, DomainError, TowbError
 from .grid import (AffineBranch, GridFunction, IntervalSet, Measure,
                    integrate, integrate_over, pushforward)
 from .harmonic import (HarmonicSolution, fourier_cascade_check,
-                       normalize_weight, power_iteration, solve_harmonic)
+                       normalize_weight, solve_harmonic)
 from .sigspace import (Decomposition, SigElement, defect, defect_search,
                        hutchinson_iterate, l1_membership, lebesgue_decompose,
                        sig_distance_sq, sig_inner, sig_norm_sq)

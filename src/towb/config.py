@@ -17,6 +17,11 @@ be written by hand::
     [grid]
     cells = 1024
 
+    [solver]
+    tol = 1e-12                   # every harmonic solve: converged below it
+    max_iter = 2000               # power method only
+    seed = 0                      # power method only
+
 Unknown sections or keys are errors, and so are a key given twice, a key
 that the selected weight or measure kind does not read, and ``sigma``
 together with ``sigma_slope``; parse errors carry the line number and

@@ -10,7 +10,8 @@ the base measure.  It takes one of two methods, chosen from the system:
   so ``rho`` and ``h`` are an eigenpair of that small matrix and ``h`` is an
   exact :class:`TrigPoly`.  A leading eigenvalue that is not alone on its
   spectral circle leaves ``h`` undetermined and is a
-  :class:`ConvergenceError`.
+  :class:`ConvergenceError`.  The solve is converged when the coefficient
+  residual is below ``tol``; ``max_iter`` and ``seed`` do not apply.
 - ``power``: :func:`power_iteration` on the grid for every other system.
   The eigenvalue estimate is the ``L^1(lam)`` growth factor.  The iteration
   works on plain node arrays: both linear maps it applies are fixed by the
@@ -37,15 +38,16 @@ from .transfer import TransferOperator
 from .trig import TrigPoly
 
 _NEGATIVITY_FLOOR = -1e-14
-# Eigenvalues of modulus at least rho - PERIPHERAL_TOL share rho's circle.
+# Eigenvalues of modulus at least rho (1 - PERIPHERAL_TOL) share rho's circle.
 PERIPHERAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class HarmonicSolution:
     """``h`` is a :class:`TrigPoly` from the ``transition_matrix`` method
-    (``iterations`` 0, always converged, with the ratio ``|lambda_2| / rho``
-    of the second eigenvalue modulus to ``rho``) and a
+    (``iterations`` 0, converged when its residual is below ``tol``, with
+    the ratio ``|lambda_2| / rho`` of the second eigenvalue modulus to
+    ``rho``) and a
     :class:`GridFunction` from the ``power`` method."""
 
     h: GridFunction | TrigPoly
@@ -67,7 +69,8 @@ def _finite(values: np.ndarray) -> np.ndarray:
 def solve_harmonic(op: TransferOperator, lam: Measure, tol: float = 1e-12,
                    max_iter: int = 2000, seed: int = 0) -> HarmonicSolution:
     """The leading eigenpair of ``R``, with ``int h dlam = 1``: exact from
-    :meth:`TransferOperator.transition_matrix` when the system has one, by
+    :meth:`TransferOperator.transition_matrix` when the system has one
+    (converged when its residual is below ``tol``), by
     :func:`power_iteration` with ``tol``, ``max_iter`` and ``seed``
     otherwise."""
     if tol <= 0:
@@ -75,32 +78,38 @@ def solve_harmonic(op: TransferOperator, lam: Measure, tol: float = 1e-12,
     matrix = op.transition_matrix()
     if matrix is None:
         return power_iteration(op, lam, tol, max_iter, seed)
-    return _solve_transition_matrix(op, lam, matrix)
+    return _solve_transition_matrix(op, lam, matrix, tol)
 
 
 def _format_eigenvalue(z: complex) -> str:
-    if abs(z.imag) <= PERIPHERAL_TOL:
+    if abs(z.imag) <= PERIPHERAL_TOL * abs(z):
         return f"{z.real:.12g}"
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
 def _solve_transition_matrix(op: TransferOperator, lam: Measure,
-                             matrix: np.ndarray) -> HarmonicSolution:
+                             matrix: np.ndarray,
+                             tol: float) -> HarmonicSolution:
     """``rho`` and ``h`` from the eigendecomposition of ``matrix``.
 
-    The leading eigenvalue is the one of largest real part; every other
-    eigenvalue must have modulus below ``rho - PERIPHERAL_TOL``.  Its
+    The leading eigenvalue is the one of largest real part; it must be
+    positive and every other eigenvalue must have modulus below
+    ``rho (1 - PERIPHERAL_TOL)``.  Its
     eigenvector is turned into a real function by the phase of its largest
     value at the grid nodes, checked nonnegative there like a power
     iterate, and scaled to ``int h dlam = 1``.  The residual is
-    ``max |M v - rho v|`` over the coefficients ``v`` of ``h``.
+    ``max |M v - rho v|`` over the coefficients ``v`` of ``h``, and the
+    solve is converged when it is below ``tol``.
     """
     vals, vecs = np.linalg.eig(matrix)
     lead = int(np.argmax(vals.real))
     rho = float(vals[lead].real)
-    peripheral = np.abs(vals) >= rho - PERIPHERAL_TOL
+    if rho <= 0:
+        raise ConvergenceError("iterate collapsed to zero mass")
+    peripheral = np.abs(vals) >= rho * (1 - PERIPHERAL_TOL)
     if np.count_nonzero(peripheral) > 1:
-        mult = int(np.count_nonzero(np.abs(vals - rho) <= PERIPHERAL_TOL))
+        mult = int(np.count_nonzero(np.abs(vals - rho)
+                                    <= PERIPHERAL_TOL * rho))
         listed = ", ".join(_format_eigenvalue(z) for z in sorted(
             vals[peripheral], key=lambda z: (-z.real, -z.imag)))
         shape = (f"has multiplicity {mult}" if mult > 1
@@ -108,8 +117,6 @@ def _solve_transition_matrix(op: TransferOperator, lam: Measure,
         raise ConvergenceError(
             f"leading eigenvalue {_format_eigenvalue(vals[lead])} {shape}; "
             f"peripheral spectrum {{{listed}}}")
-    if rho <= 0:
-        raise ConvergenceError("iterate collapsed to zero mass")
     top = (matrix.shape[0] - 1) // 2
     freqs = np.arange(-top, top + 1)
     v = vecs[:, lead]
@@ -128,8 +135,8 @@ def _solve_transition_matrix(op: TransferOperator, lam: Measure,
     residual = float(np.max(np.abs(matrix @ coefs - rho * coefs)))
     others = np.abs(np.delete(vals, lead))
     ratio = float(others.max()) / rho if others.size else 0.0
-    return HarmonicSolution(h, rho, residual, 0, True, "transition_matrix",
-                            ratio)
+    return HarmonicSolution(h, rho, residual, 0, residual < tol,
+                            "transition_matrix", ratio)
 
 
 def power_iteration(op: TransferOperator, lam: Measure, tol: float = 1e-12,

@@ -329,20 +329,6 @@ def sample_bases(pm: PathMeasure, count: int,
     return out
 
 
-def _distinct_states(ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct points ``states`` of ``ys`` and, per point ``k``, the
-    index ``at[k]`` with ``ys[k] == states[at[k]]``: those of ``np.unique``,
-    except that when no point repeats, the states keep the points' order, so
-    that gathers by ``at`` run in sequence.  When every point is the same,
-    the sort is skipped."""
-    if ys.size and (ys == ys[0]).all():
-        return ys[:1], np.zeros(ys.size, dtype=np.intp)
-    states, at = np.unique(ys, return_inverse=True)
-    if states.size == ys.size:
-        return ys, np.arange(ys.size)
-    return states, at
-
-
 def sample_paths(pm: PathMeasure, bases, depth: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw branch digits from the ``h``-conditioned kernel, one step at a
@@ -359,8 +345,11 @@ def sample_paths(pm: PathMeasure, bases, depth: int,
     coords = np.zeros((count, depth + 1))
     coords[:, 0] = ys
     # the kernel is evaluated once per distinct state; path k sits at
-    # states[at[k]]
-    states, at = _distinct_states(ys)
+    # states[at[k]].  When no base repeats, the states keep the paths' order,
+    # so that the gathers by ``at`` run in sequence.
+    states, at = np.unique(ys, return_inverse=True)
+    if states.size == count:
+        states, at = ys, np.arange(count)
     hy = np.asarray(pm.h(states), dtype=float)
     for j in range(depth):
         if np.any(hy <= EPS_H):

@@ -558,6 +558,29 @@ class TestCli:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_exact_solve_below_its_residual_fails(self, capsys, tmp_path):
+        # the transition-matrix solve keeps the solver tol: a non-QMF
+        # weight's eigenpair has a rounding residual above 1e-18, so the
+        # harmonic check fails and a path-space command refuses the h
+        text = load_config(SYS_B).emit()
+        for old, new in (("cos = [1.0]", "cos = [0.4, 0.2]\nsin = [0.1]"),
+                         ("tol = 1e-12", "tol = 1e-18")):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "non_qmf.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "rep.json"
+        assert main(["harmonic", "--config", str(cfg), "--json",
+                     str(out)]) == 1
+        payload = json.loads(out.read_text())
+        assert payload["results"]["method"] == "transition_matrix"
+        (check,) = [c for c in payload["checks"]
+                    if c["name"] == "harmonic_converged"]
+        assert check["status"] == "FAIL" and check["residual"] >= 1e-18
+        assert main(["cylinder", "--config", str(cfg), "--x", "0.3",
+                     "--sets", "[0,0.25)"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_word_bound_exit_code(self, capsys):
         # a depth-12 rebuild on the 1024-cell fixture enumerates too many
         # words; it is refused before any is built

@@ -187,8 +187,8 @@ class TestSolveHarmonic:
     def test_scale_invariant_in_start(self, op_b, lam_std):
         # L1 normalization each step forgets the start's scale; different
         # seeds land on the same fixed function
-        a = towb.solve_harmonic(op_b, lam_std, seed=1)
-        b = towb.solve_harmonic(op_b, lam_std, seed=99)
+        a = power_iteration(op_b, lam_std, seed=1)
+        b = power_iteration(op_b, lam_std, seed=99)
         assert np.max(np.abs(a.h(op_b.nodes) - b.h(op_b.nodes))) < 1e-9
 
     def test_rejects_bad_tol(self, op_a, lam_std):
@@ -228,8 +228,34 @@ class TestFourierCascade:
             wk = wk * np.asarray(op.system.weight((2 ** (k - 1) * mids) % 1))
             assert float(wk.mean()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_grid_h_through_the_midpoint_rule(self):
+        # a power-iterated h is a grid function, whose coefficients come
+        # from the midpoint rule on the operator's grid
+        n = 4096
+        op = TransferOperator(towb.sys_b(n), n)
+        h = power_iteration(op, Measure.lebesgue(n)).h
+        assert isinstance(h, GridFunction)
+        assert towb.fourier_cascade_check(op, h, k_max=4, n_max=8) < 1e-6
+
     def test_sys_a_trivial(self, op_a, sol_a):
         assert towb.fourier_cascade_check(op_a, sol_a.h, 4, 8) < 1e-10
+
+    @pytest.mark.parametrize("solve", [towb.solve_harmonic, power_iteration])
+    def test_perturbed_h_fails(self, solve):
+        # negative control: h (1 + 1e-3 cos 4 pi x) moves the coefficients
+        # of h off the cascade of the weight by up to 8.75e-4, read alike on
+        # the exact and the grid path
+        n = 4096
+        op = TransferOperator(towb.sys_b(n), n)
+        h = solve(op, Measure.lebesgue(n)).h
+        if isinstance(h, GridFunction):
+            bumped = GridFunction(h.values
+                                  * (1 + 1e-3 * np.cos(4 * np.pi * op.nodes)))
+        else:
+            bumped = h * towb.TrigPoly.from_cos_sin(1.0, [0.0, 1e-3])
+        assert towb.fourier_cascade_check(op, h, 4, 8) < 1e-6
+        dev = towb.fourier_cascade_check(op, bumped, 4, 8)
+        assert dev == pytest.approx(8.75e-4, abs=1e-6)
 
     def test_first_frequency_pair_vanishes(self, lam_std):
         # for the cosine weight, h^(1) = 0 and (W_1 h)^(2) = W^(2) = 0
@@ -341,6 +367,28 @@ class TestTransitionMatrix:
         assert str(err.value) == ("leading eigenvalue 1 has multiplicity 2; "
                                   "peripheral spectrum {1, 1, -1}")
         assert not power_iteration(op, lam).converged
+
+    def test_tol_below_the_residual_is_unconverged(self):
+        # tol keeps its meaning on the exact path: the non-QMF residual is
+        # rounding, above 1e-18, so the solve is flagged and cannot be
+        # normalized
+        op, lam = _full_branch_op(NON_QMF), Measure.lebesgue(1024)
+        sol = towb.solve_harmonic(op, lam, tol=1e-18)
+        assert sol.method == "transition_matrix"
+        assert sol.residual >= 1e-18 and not sol.converged
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            towb.normalize_weight(op, sol)
+
+    @pytest.mark.parametrize("scale", [1e-13, 1e-10, 1e10])
+    def test_peripheral_test_is_relative(self, scale):
+        # sys_b's weight scaled by any factor keeps a simple leading
+        # eigenvalue, the scale, with the spectrum 1, 1/2 scaled alike
+        op = _full_branch_op(WeightExpr.trig(scale, [scale]))
+        sol = towb.solve_harmonic(op, Measure.lebesgue(1024), tol=1e-12)
+        assert sol.method == "transition_matrix"
+        assert sol.rho == pytest.approx(scale, rel=1e-14)
+        assert sol.spectral_ratio == pytest.approx(0.5, rel=1e-14)
+        assert np.max(np.abs(sol.h(op.nodes) - 1.0)) < 1e-14
 
     def test_slow_power_weight_solves_exactly(self):
         # W = 1 + 0.99 cos 6 pi x has h = 1, but |lambda_2| = 0.99333 needs

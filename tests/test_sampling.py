@@ -226,27 +226,3 @@ def test_sampler_visits_each_distinct_state_once(pm_b, monkeypatch):
                       np.random.default_rng(0))
     assert len(asked) == 6
     assert all(size <= 2 ** j for j, size in enumerate(asked)), asked
-
-
-@pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_d"])
-def test_single_base_skips_the_sort_bit_for_bit(name, monkeypatch):
-    # 100,000 paths from one base, as `towb sample` starts them: the same
-    # digits, coordinates and generator state as the np.unique grouping
-    # gives, without calling it
-    pm = _oracle_measure(name)
-    bases = np.full(100_000, 0.3)
-    with monkeypatch.context() as patch:
-        patch.setattr(towb.solenoid, "_distinct_states", lambda ys: np.unique(
-            ys, return_inverse=True))
-        ref_rng = np.random.default_rng(5)
-        ref_digits, ref_coords = towb.sample_paths(pm, bases, 6, ref_rng)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.unique called for a single base")
-
-    monkeypatch.setattr(np, "unique", refuse)
-    rng = np.random.default_rng(5)
-    digits, coords = towb.sample_paths(pm, bases, 6, rng)
-    assert np.array_equal(digits, ref_digits)
-    assert np.array_equal(coords, ref_coords)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
