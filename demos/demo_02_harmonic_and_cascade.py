@@ -11,7 +11,8 @@ a genuine fixed point.
 The cascade identity says the Fourier coefficients of a fixed function
 reappear, dilated by powers of two, in the coefficients of the products
 W_k(x) = W(x) W(2x) ... W(2^{k-1} x) -- the refinement structure behind
-low-pass filter constructions.
+low-pass filter constructions.  For an eigenfunction R h = rho h with
+p_1 = p_2 = 1/2 they reappear multiplied by rho^k.
 """
 
 import numpy as np
@@ -39,6 +40,9 @@ print(f"after renormalizing: rho = {sol3.rho}")
 # The cascade: coefficients of h agree with dilated coefficients of W_k h.
 deviation = towb.fourier_cascade_check(op, sol.h, k_max=4, n_max=8)
 print(f"\ncascade deviation over k <= 4, |n| <= 8: {deviation:.2e}")
+deviation2 = towb.fourier_cascade_check(op2, sol2.h, k_max=4, n_max=8,
+                                        rho=sol2.rho)
+print(f"doubled weight, cascade divided by rho^k: {deviation2:.2e}")
 
 # The partial products W_k all integrate to one: the cosine weight's
 # frequencies 2^j never cancel against each other.

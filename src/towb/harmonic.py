@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .grid import GridFunction, Measure, integrate, node_quadrature
-from .system import IfsSystem
+from .system import PROB_SUM_TOL, IfsSystem
 from .transfer import TransferOperator
 from .trig import TrigPoly
 
@@ -195,24 +195,34 @@ def normalize_weight(op: TransferOperator,
 
 
 def fourier_cascade_check(op: TransferOperator, h: Callable,
-                          k_max: int = 4, n_max: int = 8) -> float:
-    """Cascade identity for the doubling map: with
-    ``W_k(x) = W(x) W(2x) ... W(2^{k-1} x)``, a fixed point of ``R``
-    satisfies ``h^(n) = (W_k h)^(2^k n)`` for every frequency ``n``.
+                          k_max: int = 4, n_max: int = 8,
+                          rho: float = 1.0) -> float:
+    """Cascade identity for the doubling map with ``p_1 = p_2 = 1/2``: with
+    ``W_k(x) = W(x) W(2x) ... W(2^{k-1} x)``, a solution of ``R h = rho h``
+    satisfies ``rho^k h^(n) = (W_k h)^(2^k n)`` for every frequency ``n``.
 
     Fourier coefficients use the convention ``h^(n) = int e(n x) h(x) dx``
-    with ``e(t) = exp(2 pi i t)``.  Returns the maximum deviation over
-    ``0 <= k <= k_max`` and ``|n| <= n_max``.  For a :class:`TrigPoly` ``h``
-    and a closed-form weight the coefficients are read off ``h`` and the
-    products ``W_k h`` exactly.  Any other ``h`` goes through the uniform
-    midpoint rule on the operator's grid, spectrally accurate for smooth
-    integrands; the relevant frequencies must stay well below the grid size.
+    with ``e(t) = exp(2 pi i t)``.  Returns the maximum deviation of
+    ``(W_k h)^(2^k n) / rho^k`` from ``h^(n)`` over ``0 <= k <= k_max`` and
+    ``|n| <= n_max``.  For a :class:`TrigPoly` ``h`` and a closed-form
+    weight the coefficients are read off ``h`` and the products ``W_k h``
+    exactly.  Any other ``h`` goes through the uniform midpoint rule on the
+    operator's grid, spectrally accurate for smooth integrands; the
+    relevant frequencies must stay well below the grid size.  A system the
+    identity does not cover, or a grid too coarse for its frequencies, is a
+    :class:`DomainError`.
     """
     if not op.system.is_doubling():
         raise DomainError("cascade check applies to the doubling system only")
     freqs = np.arange(-n_max, n_max + 1)
     w = op.system.weight.trigpoly
-    if isinstance(h, TrigPoly) and w is not None:
+    exact = isinstance(h, TrigPoly) and w is not None
+    if not exact and (2 ** k_max) * n_max >= op.n_grid // 4:
+        raise DomainError("grid too coarse for the requested frequencies")
+    if any(abs(p - 0.5) > PROB_SUM_TOL for p in op.system.probs):
+        raise DomainError("cascade identity needs equal probabilities, got "
+                          f"{list(op.system.probs)}")
+    if exact:
         def factor(k: int) -> TrigPoly:
             return w.compose_affine(2 ** (k - 1), 0.0)
 
@@ -221,8 +231,6 @@ def fourier_cascade_check(op: TransferOperator, h: Callable,
 
         wk, hv = TrigPoly.constant(1.0), h
     else:
-        if (2 ** k_max) * n_max >= op.n_grid // 4:
-            raise DomainError("grid too coarse for the requested frequencies")
         n = op.n_grid
         mids = (np.arange(n) + 0.5) / n
 
@@ -242,6 +250,6 @@ def fourier_cascade_check(op: TransferOperator, h: Callable,
     for k in range(0, k_max + 1):
         if k > 0:
             wk = wk * factor(k)
-        cascade = coeffs(wk * hv, 2 ** k)
+        cascade = coeffs(wk * hv, 2 ** k) / rho ** k
         deviation = max(deviation, float(np.max(np.abs(base - cascade))))
     return deviation

@@ -6,12 +6,19 @@ rounding.  Frequencies may be arbitrary reals: substituting a branch map
 ``x -> a*x + b`` scales them by ``a``, which produces fractional frequencies
 for contracting branches.
 
+Values are the real part of that sum, taken as a real cosine/sine sum: each
+pair ``+-f`` folds into ``A_f cos(2 pi f x) + B_f sin(2 pi f x)`` with
+``A_f = Re c_f + Re c_-f`` and ``B_f = Im c_-f - Im c_f``.  The fold does not
+assume conjugate symmetry; a frequency without its partner pairs with a
+zero coefficient.
+
 The point of carrying these objects around instead of sampled tables is that
 products, affine substitution and antiderivatives are all closed-form, so
 operator identities and integrals against piecewise-constant densities can be
 checked to rounding accuracy instead of quadrature accuracy.
 
-All instances are immutable and safe to share between threads.
+All instances are immutable and safe to share between threads; the fold
+is computed on first use and never changes.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 _TWO_PI_I = 2j * np.pi
+# Coefficients at most this fraction of a polynomial's largest one are zero.
 _PRUNE = 1e-15
 # Trials evaluated together along a trailing axis: large enough that the
 # per-call overhead vanishes, small enough to keep the batched value arrays
@@ -36,7 +44,7 @@ class TrigPoly:
     polynomial against a batch.
     """
 
-    __slots__ = ("freqs", "coefs")
+    __slots__ = ("freqs", "coefs", "_fold", "_antifold")
 
     def __init__(self, terms: dict[float, complex]):
         self._assign(np.array(list(terms), dtype=float),
@@ -50,8 +58,9 @@ class TrigPoly:
 
     def _assign(self, freqs: np.ndarray, coefs: np.ndarray) -> None:
         """Sum coefficients of equal frequencies in input order, zero those
-        of size at most ``_PRUNE``, drop frequencies left with no nonzero
-        coefficient, and sort by frequency."""
+        of size at most ``_PRUNE`` times the largest one (per trial), drop
+        frequencies left with no nonzero coefficient, and sort by
+        frequency."""
         order = np.argsort(freqs, kind="stable")
         freqs, coefs = freqs[order], coefs[order]
         first = np.ones(freqs.shape, dtype=bool)
@@ -59,7 +68,8 @@ class TrigPoly:
         acc = np.zeros((np.count_nonzero(first),) + coefs.shape[1:],
                        dtype=complex)
         np.add.at(acc, np.cumsum(first) - 1, coefs)
-        acc[np.abs(acc) <= _PRUNE] = 0.0
+        size = np.abs(acc)
+        acc[size <= _PRUNE * size.max(axis=0, initial=0.0)] = 0.0
         nonzero = acc != 0.0
         keep = nonzero if acc.ndim == 1 else nonzero.any(axis=1)
         if keep.any():
@@ -69,6 +79,7 @@ class TrigPoly:
             self.coefs = np.zeros((1,) + coefs.shape[1:], dtype=complex)
         self.freqs.setflags(write=False)
         self.coefs.setflags(write=False)
+        self._fold = self._antifold = None
 
     def _per_freq(self, values: np.ndarray) -> np.ndarray:
         """One value per frequency, shaped to broadcast against ``coefs``."""
@@ -172,29 +183,47 @@ class TrigPoly:
     # -- analysis -----------------------------------------------------
 
     def __call__(self, x) -> np.ndarray | float:
-        xs = np.asarray(x, dtype=float)
-        if self.freqs.size == 1 and self.freqs[0] == 0.0:
-            # a constant: exp(2 pi i 0 x) is 1, so this is the general
-            # path's value; adding 0 * x keeps its shape and its nan at a
-            # non-finite x
-            out = np.add.outer(0.0 * xs, self.coefs[0].real)
-        else:
-            vals = np.exp(_TWO_PI_I * np.multiply.outer(xs, self.freqs)) @ self.coefs
-            out = vals.real
+        if self._fold is None:
+            self._fold = self._folded(self.coefs)
+        # the column 0 x + 1 keeps a nan at a non-finite x when there is no
+        # frequency
+        out = _trig_sum(np.asarray(x, dtype=float), *self._fold, 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
 
     def antiderivative_values(self, x: np.ndarray) -> np.ndarray:
-        """Values of an antiderivative at the points ``x`` (real part)."""
-        xs = np.asarray(x, dtype=float)
+        """Values of an antiderivative at the points ``x`` (real part):
+        the fold of ``c_k / (2 pi i f_k)`` plus ``x Re c_0``."""
+        if self._antifold is None:
+            nz = self.freqs != 0.0
+            anti = np.zeros_like(self.coefs)
+            anti[nz] = self.coefs[nz] / self._per_freq(_TWO_PI_I
+                                                       * self.freqs[nz])
+            f, rows = self._folded(anti)
+            rows[-1] = self.coefs[~nz].real.sum(axis=0)
+            self._antifold = f, rows
+        return _trig_sum(np.asarray(x, dtype=float), *self._antifold,
+                         1.0, 0.0)
+
+    def _folded(self, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct ``f = |freqs_k| > 0`` and the rows ``[A; B; c0]``
+        with ``Re sum_k coefs_k e(freqs_k x)`` equal to
+        ``cos(2 pi x f) @ A + sin(2 pi x f) @ B + c0``: ``A = Re c_f + Re
+        c_-f``, ``B = Im c_-f - Im c_f`` and ``c0 = Re c_0``, a missing
+        partner counting as zero."""
         nz = self.freqs != 0.0
-        acc = np.zeros(xs.shape + self.coefs.shape[1:], dtype=complex)
-        if np.any(nz):
-            f = self.freqs[nz]
-            c = self.coefs[nz] / self._per_freq(_TWO_PI_I * f)
-            acc = np.exp(_TWO_PI_I * np.multiply.outer(xs, f)) @ c
-        if np.any(~nz):
-            acc = acc + np.multiply.outer(xs, self.coefs[~nz].sum(axis=0))
-        return acc.real
+        size = np.abs(self.freqs[nz])
+        f = np.sort(size)
+        first = np.ones(f.shape, dtype=bool)
+        first[1:] = f[1:] != f[:-1]
+        f = f[first]
+        at = np.searchsorted(f, size)
+        rest = coefs[nz]
+        rows = np.zeros((2 * f.size + 1,) + coefs.shape[1:])
+        np.add.at(rows, at, rest.real)
+        np.add.at(rows, f.size + at,
+                  rest.imag * self._per_freq(-np.sign(self.freqs[nz])))
+        rows[-1] = coefs[~nz].real.sum(axis=0)
+        return f, rows
 
     def integral(self, lo: float, hi: float) -> float | np.ndarray:
         """Exact integral over ``[lo, hi)``."""
@@ -218,6 +247,20 @@ class TrigPoly:
                  else "")
         return (f"TrigPoly({len(self.freqs)} terms, "
                 f"max|freq|={self.max_freq:g}{batch})")
+
+
+def _trig_sum(xs: np.ndarray, f: np.ndarray, rows: np.ndarray,
+              scale: float, shift: float) -> np.ndarray:
+    """``[cos(2 pi x f), sin(2 pi x f), scale x + shift] @ rows`` at the
+    points ``xs``: one matrix product over the flattened points."""
+    k = f.size
+    basis = np.empty((xs.size, 2 * k + 1))
+    theta = np.multiply.outer(xs.ravel(), f) * (2 * np.pi)
+    np.cos(theta, out=basis[:, :k])
+    np.sin(theta, out=basis[:, k:-1])
+    np.multiply(xs.ravel(), scale, out=basis[:, -1])
+    basis[:, -1] += shift
+    return (basis @ rows).reshape(xs.shape + rows.shape[1:])
 
 
 def broadcast_to_trials(a: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -428,6 +428,34 @@ class TestCli:
         assert (checks["fourier_cascade"]["status"],
                 checks["fourier_cascade"].get("note")) == cascade
 
+    @pytest.mark.parametrize("old, new, rho, cascade", [
+        ('kind = "trig"\nconstant_term = 1.0\ncos = [1.0]',
+         'kind = "constant"\nvalue = 2.0', 2.0, ("PASS", None)),
+        ("constant_term = 1.0\ncos = [1.0]",
+         "constant_term = 1e-20\ncos = [1e-20]", 1e-20, ("PASS", None)),
+        ("probabilities = [0.5, 0.5]", "probabilities = [0.25, 0.75]", None,
+         ("SKIPPED", "cascade identity needs equal probabilities, "
+                     "got [0.25, 0.75]"))])
+    def test_harmonic_cascade_off_rho_one(self, capsys, tmp_path, old, new,
+                                          rho, cascade):
+        # constant weight 2 and 1e-20 (1 + cos 2 pi x), all of whose
+        # coefficients are below 1e-15, solve exactly and compare
+        # (W_k h)^ / rho^k with h^; unequal probabilities, where the
+        # identity does not hold, skip it
+        text = load_config(SYS_B).emit()
+        assert old in text
+        cfg = tmp_path / "cascade.cfg"
+        cfg.write_text(text.replace(old, new))
+        out = tmp_path / "rep.json"
+        assert main(["harmonic", "--config", str(cfg), "--json",
+                     str(out)]) == 0
+        payload = json.loads(out.read_text())
+        if rho is not None:
+            assert payload["results"]["rho"] == rho
+        checks = {c["name"]: c for c in payload["checks"]}
+        assert (checks["fourier_cascade"]["status"],
+                checks["fourier_cascade"].get("note")) == cascade
+
     @pytest.mark.parametrize("path, method, ratio", [
         (SYS_B, "transition_matrix", 0.5), (SYS_D, "power", None)])
     def test_harmonic_reports_the_solve_method(self, capsys, tmp_path, path,
@@ -689,14 +717,29 @@ class TestCli:
         path = fixture(base)
         out = tmp_path / "rep.json"
         assert main(["sample", "--config", path, "--json", str(out)]) == 0
-        assert json.loads(out.read_text())["results"]["agreeing"] == 20
+        results = json.loads(out.read_text())["results"]
+        assert results["agreeing"] == 20 and results["worst_z"] < 4.0
         monkeypatch.setattr(towb.solenoid, "sample_paths", unit_weight)
         code = main(["sample", "--config", path, "--json", str(out)])
         payload = json.loads(out.read_text())
         statuses = [c["status"] for c in payload["checks"]]
         assert statuses.count("FAIL") == fails
         assert payload["results"]["agreeing"] == 20 - fails
+        assert (payload["results"]["worst_z"] > 4.0) == bool(fails)
         assert code == (1 if fails else 0)
+
+    def test_sample_worst_z_is_deterministic(self, capsys, tmp_path):
+        # the largest |p_hat - p_exact| / stderr over the battery, the same
+        # on every run with the config's sampler seed
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (a, b):
+            assert main(["sample", "--config", SYS_B, "--battery", "4",
+                         "--json", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        worst_z = json.loads(a.read_text())["results"]["worst_z"]
+        checks = json.loads(a.read_text())["checks"]
+        assert worst_z == pytest.approx(
+            max(4.0 * c["residual"] / c["tol"] for c in checks), rel=1e-12)
 
     @staticmethod
     def _perturb_solution(monkeypatch, eps):
@@ -743,6 +786,30 @@ class TestCli:
         assert main(argv + ["--json", str(out)]) == 1
         assert self._statuses(out, ["harmonic_converged",
                                     "fourier_cascade"]) == ["PASS", "FAIL"]
+
+    def test_report_digest_value_lines(self, capsys, tmp_path):
+        # the digest's --values lines carry each check's status and
+        # residual and each result, floats in full
+        import importlib.util
+
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                            "report_digest.py")
+        spec = importlib.util.spec_from_file_location("report_digest", path)
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        out = tmp_path / "rep.json"
+        assert main(["harmonic", "--config", SYS_D, "--json", str(out)]) == 0
+        report = json.loads(out.read_text())
+        lines = digest.value_lines(report)
+        rho = report["results"]["rho"]
+        assert f"    result rho {rho!r}" in lines
+        assert ("    check fourier_cascade SKIPPED "
+                "[system is not the doubling map]") in lines
+        (converged,) = [c for c in report["checks"]
+                        if c["name"] == "harmonic_converged"]
+        assert (f"    check harmonic_converged PASS residual "
+                f"{converged['residual']!r}") in lines
+        assert len(lines) == len(report["checks"]) + len(report["results"])
 
     def test_reports_are_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -266,6 +266,23 @@ class TestFourierCascade:
         coeff = np.exp(2j * np.pi * 2 * mids) @ w / n
         assert abs(coeff) < 1e-12
 
+    def test_divides_by_rho_to_the_k(self):
+        # W = 2: rho = 2 and h = 1, so (W_k h)^(0) = 2^k = rho^k h^(0);
+        # read without rho, the k = 4 term is off by 2^4 - 1
+        op = _full_branch_op(WeightExpr.constant(2.0))
+        sol = towb.solve_harmonic(op, Measure.lebesgue(op.n_grid))
+        assert sol.rho == 2.0
+        assert towb.fourier_cascade_check(op, sol.h, 4, 8, rho=sol.rho) == 0.0
+        assert towb.fourier_cascade_check(op, sol.h, 4, 8) == 15.0
+
+    def test_rejects_unequal_probabilities(self):
+        # the identity needs p_i = 1/2: with 1/4 and 3/4 the power-iterated
+        # h read through the cascade is off by 0.88, so it is not checked
+        op = _full_branch_op(WeightExpr.trig(1.0, [1.0]), probs=[0.25, 0.75])
+        sol = power_iteration(op, Measure.lebesgue(op.n_grid))
+        with pytest.raises(DomainError, match="equal probabilities"):
+            towb.fourier_cascade_check(op, sol.h, 4, 8, rho=sol.rho)
+
     def test_rejects_non_doubling(self, op_d):
         h = GridFunction.constant(1.0, op_d.n_grid)
         with pytest.raises(DomainError):
@@ -286,6 +303,15 @@ LAWTON = WeightExpr.trig(1.0, [0.0, 0.0, 1.0])
 
 
 class TestTransitionMatrix:
+    def test_tiny_weight_keeps_its_coefficients(self):
+        # 1e-20 (1 + cos 2 pi x): every coefficient is below 1e-15, and the
+        # weight is still 1e-20 times a QMF weight, so rho = 1e-20, h = 1
+        op = _full_branch_op(WeightExpr.trig(1e-20, [1e-20]))
+        sol = towb.solve_harmonic(op, Measure.lebesgue(op.n_grid))
+        assert sol.method == "transition_matrix" and sol.converged
+        assert sol.rho == 1e-20
+        assert list(sol.h.freqs) == [0.0] and sol.h.coefs[0] == 1.0
+
     @given(m=st.sampled_from([2, 3]),
            const=st.floats(0.5, 2.0),
            cos=st.lists(st.floats(-1.0, 1.0), max_size=4),

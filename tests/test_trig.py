@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towb.trig import TrigPoly
 
@@ -15,6 +17,66 @@ def _exp_path(p, x):
     xs = np.asarray(x, dtype=float)
     out = (np.exp(2j * np.pi * np.multiply.outer(xs, p.freqs)) @ p.coefs).real
     return float(out) if out.ndim == 0 else out
+
+
+def _exp_antiderivative(p, x):
+    """The general antiderivative, ``exp(2 pi i f x) @ (c / (2 pi i f))``
+    plus ``x c_0`` (real part)."""
+    xs = np.asarray(x, dtype=float)
+    nz = p.freqs != 0.0
+    rows = (-1,) + (1,) * (p.coefs.ndim - 1)
+    c = p.coefs[nz] / (2j * np.pi * p.freqs[nz]).reshape(rows)
+    acc = np.exp(2j * np.pi * np.multiply.outer(xs, p.freqs[nz])) @ c
+    return (acc + np.multiply.outer(xs, p.coefs[~nz].sum(axis=0))).real
+
+
+_COEF = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def _polys_and_points(draw):
+    """A polynomial with integer and quarter frequencies, some without
+    their negative partner, and coefficients with no conjugate symmetry,
+    single or a batch of trials; and points as a float, a 0-d, a 1-D or a
+    2-D array."""
+    trials = draw(st.sampled_from([None, 1, 3]))
+    freqs = draw(st.lists(st.integers(-24, 24).map(lambda k: k / 4),
+                          min_size=1, max_size=10, unique=True))
+    shape = (len(freqs),) + (() if trials is None else (trials,))
+    re, im = (np.array(draw(st.lists(_COEF, min_size=int(np.prod(shape)),
+                                     max_size=int(np.prod(shape)))))
+              .reshape(shape) for _ in range(2))
+    poly = TrigPoly._from_arrays(np.array(freqs), re + 1j * im)
+    point = st.floats(-2.0, 2.0, allow_nan=False)
+    kind = draw(st.sampled_from(["float", "0-d", "1-D", "2-D"]))
+    if kind == "float":
+        x = draw(point)
+    elif kind == "0-d":
+        x = np.array(draw(point))
+    else:
+        size = 6 if kind == "1-D" else 2 * 3
+        x = np.array(draw(st.lists(point, min_size=size, max_size=size)))
+        x = x.reshape((2, 3) if kind == "2-D" else -1)
+    return poly, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys_and_points())
+def test_folded_kernel_matches_exp_path(case):
+    # the cosine/sine fold against the complex-exponential formula, within
+    # 1e-14 of a bound on each sum: the total size of its coefficients
+    p, x = case
+    nz = p.freqs != 0.0
+    rows = (-1,) + (1,) * (p.coefs.ndim - 1)
+    anti = np.abs(p.coefs[nz] / (2 * np.pi * p.freqs[nz]).reshape(rows))
+    span = np.multiply.outer(np.abs(np.asarray(x)),
+                             np.abs(p.coefs[~nz]).sum(axis=0))
+    for got, want, scale in (
+            (p(x), _exp_path(p, x), np.abs(p.coefs).sum(axis=0)),
+            (p.antiderivative_values(x), _exp_antiderivative(p, x),
+             anti.sum(axis=0) + span)):
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, scale))
 
 
 @pytest.mark.parametrize("poly", [
@@ -96,6 +158,17 @@ def test_fractional_frequencies_integrate_exactly():
 def test_prunes_negligible_terms():
     p = TrigPoly({0.0: 1.0, 3.0: 1e-20})
     assert len(p.freqs) == 1
+
+
+def test_prune_is_relative_to_the_largest_coefficient():
+    # coefficients all far below 1e-15 survive; one 1e-16 of the largest
+    # does not, and a batch prunes each trial against its own largest
+    tiny = TrigPoly({0.0: 1e-20, 1.0: 0.5e-20, -1.0: 0.5e-20, 3.0: 1e-36})
+    assert list(tiny.freqs) == [-1.0, 0.0, 1.0]
+    assert tiny(0.5) == 0.0 and tiny(0.0) == 2e-20
+    batch = TrigPoly.stack([TrigPoly.constant(1.0), tiny])
+    assert list(batch.freqs) == [-1.0, 0.0, 1.0]
+    assert batch.take_trials(1).coefs.tobytes() == tiny.coefs.tobytes()
 
 
 def test_stack_keeps_each_trial_and_unequal_frequencies():

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 tools/report_digest.py [CHECKOUT]
+    python3 tools/report_digest.py [--values] [CHECKOUT]
 
 Runs each subcommand on ``sys_a`` to ``sys_d``, plus a few malformed
 cylinder specs, through ``towb.cli.main`` of the towb checkout at
@@ -11,7 +11,11 @@ reports into a temporary directory.  The fixtures all use ``m x mod 1``
 and a closed-form weight, so two generated configs, written into the same
 directory, go through ``verify`` and ``measure`` as well: branches of
 slopes 1/3 and 2/3 with ``sigma`` inferred (``uneven``), and a table weight
-on the doubling map (``table``).  A branch shifted off ``[0, 1]``
+on the doubling map (``table``).  Three more doubling configs go through
+``harmonic``: constant weight 2, whose ``rho`` is 2 (``weight_two``),
+probabilities 1/4 and 3/4, where the cascade identity does not hold
+(``unequal``), and the weight ``1e-20 (1 + cos 2 pi x)``, all of whose
+coefficients are tiny (``tiny_weight``).  A branch shifted off ``[0, 1]``
 (``shifted``), a solver tolerance of ``inf`` (``tol_inf``), a weight of
 ``nan`` (``weight_nan``), a ``cos`` key under a constant weight
 (``cos_constant``) and a key given twice (``duplicate_key``) are malformed
@@ -23,7 +27,10 @@ reports exactly when the outputs of::
 
     diff <(python3 tools/report_digest.py OLD) <(python3 tools/report_digest.py)
 
-are empty.
+are empty.  With ``--values``, each run's line is followed by what its
+report holds: one line per check with its status and residual, and one
+per result, with floats written in full (``repr``), so the same ``diff``
+shows which values moved and by how much when the hashes differ.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import math
 import sys
 import tempfile
@@ -56,6 +64,12 @@ GENERATED = {
            for j in range(_TABLE_N)])
     + f"\n\n[grid]\ncells = {_TABLE_N}\n",
     "shifted": _system([0.5, 0.5], [-0.25, 0.25], [0.5, 0.5]),
+    "weight_two": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + '[weight]\nkind = "constant"\nvalue = 2.0\n',
+    "unequal": _system([0.5, 0.5], [0.0, 0.5], [0.25, 0.75])
+    + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = [1.0]\n',
+    "tiny_weight": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + '[weight]\nkind = "trig"\nconstant_term = 1e-20\ncos = [1e-20]\n',
     "tol_inf": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
     + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = [1.0]\n\n'
     + "[solver]\ntol = inf\n",
@@ -113,15 +127,19 @@ def cases():
             yield name, command
     for command in SHIFTED_COMMANDS:
         yield "shifted", command
+    for name in ("weight_two", "unequal", "tiny_weight"):
+        yield name, ("harmonic",)
     for name in ("tol_inf", "weight_nan"):
         for command in NON_FINITE_COMMANDS:
             yield name, command
     yield from INPUT_ERRORS
 
 
-def run(main, config: Path, command: tuple, out: Path) -> tuple[str, int]:
-    """Sha256 of the JSON report (``-`` if none) and the exit code, or
-    ``traceback`` when the run raised (its traceback goes to stderr)."""
+def run(main, config: Path, command: tuple,
+        out: Path) -> tuple[str, int, dict | None]:
+    """Sha256 of the JSON report (``-`` if none), the exit code, or
+    ``traceback`` when the run raised (its traceback goes to stderr), and
+    the report itself (``None`` if none)."""
     if out.exists():
         out.unlink()
     argv = [*command, "--config", str(config), "--json", str(out)]
@@ -134,13 +152,35 @@ def run(main, config: Path, command: tuple, out: Path) -> tuple[str, int]:
         except Exception:           # as an older checkout may raise
             code = "traceback"
             traceback.print_exc(file=sys.__stderr__)
-    digest = (hashlib.sha256(out.read_bytes()).hexdigest() if out.exists()
-              else "-")
-    return digest, code
+    if not out.exists():
+        return "-", code, None
+    text = out.read_bytes()
+    return hashlib.sha256(text).hexdigest(), code, json.loads(text)
+
+
+def value_lines(report: dict) -> list[str]:
+    """A report's checks (status, residual, note) and results, one line
+    each, floats in full."""
+    lines = []
+    for check in report["checks"]:
+        residual = check.get("residual")
+        text = f"    check {check['name']} {check['status']}"
+        if residual is not None:
+            text += f" residual {residual!r}"
+        if check.get("note"):
+            text += f" [{check['note']}]"
+        lines.append(text)
+    for name, value in sorted(report["results"].items()):
+        lines.append(f"    result {name} {value!r}")
+    return lines
 
 
 def main() -> int:
-    root = Path(sys.argv[1] if len(sys.argv) > 1
+    args = sys.argv[1:]
+    values = "--values" in args
+    if values:
+        args.remove("--values")
+    root = Path(args[0] if args
                 else Path(__file__).resolve().parent.parent).resolve()
     src = root / "src"
     if not (src / "towb" / "cli.py").is_file():
@@ -157,8 +197,11 @@ def main() -> int:
             configs[name].write_text(text, encoding="utf-8")
         out = Path(tmp) / "report.json"
         for name, command in cases():
-            digest, code = run(towb_main, configs[name], command, out)
+            digest, code, report = run(towb_main, configs[name], command,
+                                       out)
             print(f"{digest}  {code}  {name} {' '.join(command)}")
+            if values and report is not None:
+                print("\n".join(value_lines(report)))
     return 0
 
 
