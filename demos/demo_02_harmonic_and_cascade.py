@@ -1,10 +1,12 @@
 """Solving R h = h and watching the Fourier cascade.
 
-On the doubling map with a trig-polynomial weight, R maps the trig
-polynomials of a fixed degree into themselves, so the leading eigenpair of
-the positive operator R is read off that small matrix (the transition
-operator of wavelet theory); other systems use power iteration.  For the
-doubling systems the eigenvalue is 1 and the fixed function is constant;
+Whenever R maps the trig polynomials of a fixed degree into themselves --
+on the doubling map with a trig-polynomial weight, or with a constant
+weight on any non-wrapping branches -- the leading eigenpair of the
+positive operator R is read off that small matrix, whose columns are the
+exact images R e_k (on the doubling map, the transition operator of wavelet
+theory); other systems use power iteration.  For the doubling systems the
+eigenvalue is 1 and the fixed function is constant;
 scaling the weight scales the eigenvalue, and dividing it back out restores
 a genuine fixed point.
 

@@ -25,10 +25,10 @@ from .harmonic import (HarmonicSolution, fourier_cascade_check,
 from .report import Report
 from .sigspace import (defect_search, hutchinson_iterate, membership,
                        pushed_decomposition)
-from .solenoid import (CylinderFunction, PathMeasure, batch_trials,
-                       cylinder_mass, empirical_cylinder_frequency,
-                       harmonic_from_measure, markov_deviation,
-                       multires_check, unitarity_check,
+from .solenoid import (_H_TRUST, CylinderFunction, PathMeasure,
+                       batch_trials, cylinder_mass,
+                       empirical_cylinder_frequency, harmonic_from_measure,
+                       markov_deviation, multires_check, unitarity_check,
                        worst_quasi_defect)
 from .transfer import TransferOperator, check_status, identity_suite
 from .trig import TrigPoly
@@ -68,7 +68,11 @@ def _converged_solution(cfg: RunConfig, op: TransferOperator,
 
 def _solved_path_measure(cfg: RunConfig, op: TransferOperator,
                          lam: Measure) -> PathMeasure:
-    return PathMeasure.build(op, _converged_solution(cfg, op, lam).h, lam)
+    sol = _converged_solution(cfg, op, lam)
+    if abs(sol.rho - 1.0) > _H_TRUST:  # R h = rho h: h is not harmonic
+        raise DomainError(f"rho = {sol.rho:.6g} is not 1; divide the weight "
+                          "by rho first (normalize_weight)")
+    return PathMeasure.build(op, sol.h, lam)
 
 
 def _add_tol_check(report: Report, name: str, residual: float,
@@ -123,21 +127,16 @@ def _cmd_harmonic(args, cfg, op, lam, report: Report) -> None:
     report.add_check("harmonic_converged",
                      "PASS" if sol.converged else "FAIL",
                      sol.residual, cfg.solver_tol)
-    if not op.system.is_doubling():
-        report.add_check("fourier_cascade", "SKIPPED",
-                         note="system is not the doubling map")
-    elif not sol.converged:
-        report.add_check("fourier_cascade", "SKIPPED",
-                         note="harmonic solve did not converge")
+    try:  # SKIPPED when unconverged, not doubling, unequal p_i, coarse grid
+        if not sol.converged:
+            raise DomainError("harmonic solve did not converge")
+        dev = fourier_cascade_check(op, sol.h, k_max=args.k_max,
+                                    n_max=args.n_max, rho=sol.rho)
+    except DomainError as exc:
+        report.add_check("fourier_cascade", "SKIPPED", note=str(exc))
     else:
-        try:
-            dev = fourier_cascade_check(op, sol.h, k_max=args.k_max,
-                                        n_max=args.n_max, rho=sol.rho)
-        except DomainError as exc:  # unequal p_i, or a grid too coarse
-            report.add_check("fourier_cascade", "SKIPPED", note=str(exc))
-        else:
-            report.add_result("cascade_deviation", dev)
-            _add_tol_check(report, "fourier_cascade", dev, args.cascade_tol)
+        report.add_result("cascade_deviation", dev)
+        _add_tol_check(report, "fourier_cascade", dev, args.cascade_tol)
     if args.plot_data:
         _write_columns(args.plot_data, "h.dat", op.nodes, sol.h(op.nodes))
 

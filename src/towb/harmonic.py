@@ -4,11 +4,11 @@
 positive operator ``R`` and returns ``h`` scaled to integrate to one against
 the base measure.  It takes one of two methods, chosen from the system:
 
-- ``transition_matrix``: on the full branch set of ``m x mod 1`` with equal
-  probabilities and a closed-form weight, ``R`` maps the trig polynomials of
-  a fixed degree into themselves (:meth:`TransferOperator.transition_matrix`),
-  so ``rho`` and ``h`` are an eigenpair of that small matrix and ``h`` is an
-  exact :class:`TrigPoly`.  A leading eigenvalue that is not alone on its
+- ``transition_matrix``: when ``R`` maps the trig polynomials of a fixed
+  degree into themselves (:meth:`TransferOperator.transition_matrix`: every
+  fixture, and any constant weight on non-wrapping branches), ``rho`` and
+  ``h`` are an eigenpair of that small matrix, ``h`` an exact
+  :class:`TrigPoly`.  A leading eigenvalue that is not alone on its
   spectral circle leaves ``h`` undetermined and is a
   :class:`ConvergenceError`.  The solve is converged when the coefficient
   residual is below ``tol``; ``max_iter`` and ``seed`` do not apply.
@@ -47,8 +47,8 @@ class HarmonicSolution:
     """``h`` is a :class:`TrigPoly` from the ``transition_matrix`` method
     (``iterations`` 0, converged when its residual is below ``tol``, with
     the ratio ``|lambda_2| / rho`` of the second eigenvalue modulus to
-    ``rho``) and a
-    :class:`GridFunction` from the ``power`` method."""
+    ``rho`` on the invariant trig space) and a :class:`GridFunction` from
+    the ``power`` method, used for every system without such a space."""
 
     h: GridFunction | TrigPoly
     rho: float
@@ -94,10 +94,10 @@ def _solve_transition_matrix(op: TransferOperator, lam: Measure,
 
     The leading eigenvalue is the one of largest real part; it must be
     positive and every other eigenvalue must have modulus below
-    ``rho (1 - PERIPHERAL_TOL)``.  Its
-    eigenvector is turned into a real function by the phase of its largest
-    value at the grid nodes, checked nonnegative there like a power
-    iterate, and scaled to ``int h dlam = 1``.  The residual is
+    ``rho (1 - PERIPHERAL_TOL)``.  Divided by its constant coefficient (a
+    positive ``h`` has ``int h dx > 0``), its eigenvector is a real
+    :class:`TrigPoly` of mean 1, checked nonnegative at the grid nodes like
+    a power iterate and scaled to ``int h dlam = 1``.  The residual is
     ``max |M v - rho v|`` over the coefficients ``v`` of ``h``, and the
     solve is converged when it is below ``tol``.
     """
@@ -120,13 +120,13 @@ def _solve_transition_matrix(op: TransferOperator, lam: Measure,
     top = (matrix.shape[0] - 1) // 2
     freqs = np.arange(-top, top + 1)
     v = vecs[:, lead]
-    values = np.exp(2j * np.pi * np.multiply.outer(op.nodes, freqs)) @ v
-    peak = values[np.argmax(np.abs(values))]
-    low = float((values / peak).real.min())
+    if v[top] == 0:
+        raise ConvergenceError("eigenvector of mean 0; weight is not positive")
+    h = TrigPoly(dict(zip(freqs.astype(float), v / v[top])))
+    low = float(np.min(h(op.nodes)))
     if low < _NEGATIVITY_FLOOR:
         raise ConvergenceError(
             f"iterate went negative ({low:.3e}); weight is not positive")
-    h = TrigPoly(dict(zip(freqs.astype(float), v / peak)))
     mass = integrate(h, lam)
     if mass <= 0:
         raise ConvergenceError("iterate collapsed to zero mass")
@@ -213,7 +213,7 @@ def fourier_cascade_check(op: TransferOperator, h: Callable,
     :class:`DomainError`.
     """
     if not op.system.is_doubling():
-        raise DomainError("cascade check applies to the doubling system only")
+        raise DomainError("system is not the doubling map")
     freqs = np.arange(-n_max, n_max + 1)
     w = op.system.weight.trigpoly
     exact = isinstance(h, TrigPoly) and w is not None

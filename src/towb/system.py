@@ -153,22 +153,12 @@ class IfsSystem:
     def n_branches(self) -> int:
         return len(self.branches)
 
-    def full_branch_slope(self) -> int | None:
-        """``m`` when the branches are ``(x + k)/m`` for ``k = 0..m-1``, in
-        any order: the full set of inverse branches of ``m x mod 1``.
-        ``None`` otherwise.  The probabilities, the weight and whether a
-        branch reduces mod 1 are not constrained."""
-        m = self.n_branches
-        pairs = sorted((br.offset, br.slope) for br in self.branches)
-        if m >= 2 and all(abs(offset - k / m) < 1e-12
-                          and abs(slope - 1 / m) < 1e-12
-                          for k, (offset, slope) in enumerate(pairs)):
-            return m
-        return None
-
     def is_doubling(self) -> bool:
-        """Whether the branches are ``x/2`` and ``(x+1)/2``, in any order."""
-        return self.full_branch_slope() == 2
+        """Whether the branches are ``x/2`` and ``(x+1)/2``, in any order,
+        whatever the probabilities, the weight and ``mod_one``."""
+        pairs = sorted((br.offset, br.slope) for br in self.branches)
+        return len(pairs) == 2 and bool(np.allclose(
+            pairs, [(0.0, 0.5), (0.5, 0.5)], rtol=0.0, atol=1e-12))
 
     def with_weight(self, weight: WeightExpr) -> "IfsSystem":
         return replace(self, weight=weight)

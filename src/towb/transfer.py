@@ -35,8 +35,8 @@ from .errors import DomainError
 from .grid import (GridFunction, IntervalSet, Measure, integrate,
                    integrate_over, interpolate, push_mixture, wrap_unit)
 from .sigspace import Decomposition, lebesgue_decompose
-from .system import PROB_SUM_TOL, IfsSystem
-from .trig import TRIAL_BLOCK, TrigPoly, broadcast_to_trials
+from .system import IfsSystem
+from .trig import _PRUNE, TRIAL_BLOCK, TrigPoly, broadcast_to_trials
 
 IDENTITY_TOL = 1e-8
 
@@ -118,39 +118,49 @@ class TransferOperator:
         w = self.system.weight.trigpoly
         if w is None or any(br.mod_one for br in self.system.branches):
             return None
-        acc: TrigPoly | None = None
-        for br, p in zip(self.system.branches, self.system.probs):
-            term = (w * f).compose_affine(br.slope, br.offset) * p
-            acc = term if acc is None else acc + term
-        return acc
+        wf = w * f
+        terms = [wf.compose_affine(br.slope, br.offset) * p
+                 for br, p in zip(self.system.branches, self.system.probs)]
+        return sum(terms[1:], terms[0])
 
     def transition_matrix(self) -> np.ndarray | None:
-        """``R`` on the trig polynomials of degree ``<= D`` as a matrix, when
-        the branches are the full non-wrapping set ``(x + k)/m`` of
-        ``m x mod 1`` with every ``p_i = 1/m`` and the weight is a closed form;
-        ``None`` otherwise.
+        """``R`` on the trig polynomials of degree ``<= D`` as a matrix when
+        :meth:`apply_symbolic` maps that space into itself, else ``None``.
 
-        With ``w_j`` the weight's coefficients (degree ``d``),
-        ``R e_k = sum_l w_{m l - k} e_l``, so the space of degree
-        ``D = ceil(d / (m - 1))`` is invariant and ``R`` acts on it by the
-        ``(2D+1)``-square matrix ``M[l, k] = w_{m l - k}``, rows and columns
-        indexed by the frequencies ``-D..D``: the transition operator of
-        wavelet theory (Lawton 1991).  Its column ``k`` holds the
-        coefficients of :meth:`apply_symbolic` of ``e_k``.
+        ``D`` is the least integer with ``s (d + D) <= D``, ``s`` the largest
+        branch slope in size and ``d`` the weight's degree, so the columns
+        ``R e_k``, ``|k| <= D``, batched ``TRIAL_BLOCK`` at a time, have
+        frequencies in ``-D..D``.  The space is invariant when every one
+        with a coefficient above ``_PRUNE (1 + d + D)`` times the largest of
+        all columns is an integer: a column that cancels leaves rounding
+        noise at fractional frequencies, up to ``|f|`` ulps from the phases
+        ``e(f b)``.  ``D > N/2``, past what the nodes resolve, is left to
+        power iteration.  On the full branch set of ``m x mod 1`` with equal
+        ``p_i`` this is Lawton's (1991) transition operator.  A strictly
+        positive eigenvector of the positive ``R`` gives its spectral
+        radius, so a positive ``h`` here certifies ``rho``; the peripheral
+        test and ``|lambda_2| / rho`` only see the invariant space.
         """
-        system = self.system
-        m = system.full_branch_slope()
-        w = system.weight.trigpoly
-        if (m is None or w is None
-                or any(br.mod_one for br in system.branches)
-                or any(abs(p - 1 / m) > PROB_SUM_TOL for p in system.probs)):
+        w = self.system.weight.trigpoly
+        if w is None:
             return None
-        d = int(w.max_freq)
-        coefs = w.coefficients(np.arange(-d, d + 1))
-        top = -(-d // (m - 1))
+        slope = max(abs(br.slope) for br in self.system.branches)
+        top = next((t for t in range(self.n_grid // 2 + 1)
+                    if slope * (w.max_freq + t) <= t), None)
+        if top is None:
+            return None
         freqs = np.arange(-top, top + 1)
-        j = m * freqs[:, None] - freqs[None, :]
-        return np.where(np.abs(j) <= d, coefs[np.clip(j + d, 0, 2 * d)], 0.0)
+        blocks = np.split(freqs, range(TRIAL_BLOCK, freqs.size, TRIAL_BLOCK))
+        images = [self.apply_symbolic(TrigPoly._from_arrays(
+            b.astype(float), np.eye(b.size, dtype=complex))) for b in blocks]
+        if images[0] is None:
+            return None
+        floor = _PRUNE * (1 + w.max_freq + top) * max(
+            np.abs(im.coefs).max() for im in images)
+        live = np.concatenate([im.freqs[(np.abs(im.coefs) > floor).any(axis=1)]
+                               for im in images])
+        return (np.hstack([im.coefficients(freqs) for im in images])
+                if np.all(live == np.round(live)) else None)
 
     def adjoint_fn(self, f):
         """``S f = W * (f o sigma)`` as a callable; ``W`` broadcasts over a

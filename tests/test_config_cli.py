@@ -456,10 +456,40 @@ class TestCli:
         assert (checks["fourier_cascade"]["status"],
                 checks["fourier_cascade"].get("note")) == cascade
 
+    @pytest.mark.parametrize("old, new", [
+        (None, None),
+        ('kind = "trig"\nconstant_term = 1.0\ncos = [1.0]',
+         'kind = "constant"\nvalue = 2.0'),
+        ("constant_term = 1.0\ncos = [1.0]",
+         "constant_term = 1e-20\ncos = [1e-20]")])
+    def test_path_commands_refuse_rho_off_one(self, capsys, tmp_path, old,
+                                              new):
+        # h with R h = rho h, rho = 2 or 1e-20, is no harmonic function: a
+        # path-space command names rho and the rescaling that mends it,
+        # and sys_b itself (rho = 1) still runs
+        text = load_config(SYS_B).emit()
+        if old is not None:
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "rho.cfg"
+        cfg.write_text(text)
+        code = main(["cylinder", "--config", str(cfg), "--x", "0.3",
+                     "--sets", "[0,0.5)"])
+        err = capsys.readouterr().err
+        if old is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 3
+            assert "rho = " in err and "normalize_weight" in err
+
     @pytest.mark.parametrize("path, method, ratio", [
-        (SYS_B, "transition_matrix", 0.5), (SYS_D, "power", None)])
+        (SYS_B, "transition_matrix", 0.5), (SYS_D, "transition_matrix", 0.0),
+        (None, "power", None)])
     def test_harmonic_reports_the_solve_method(self, capsys, tmp_path, path,
                                                method, ratio):
+        # None: sys_b with unequal probabilities, which has no invariant
+        # trig space
+        path = path or power_config(tmp_path, "unequal.cfg")
         out = tmp_path / "rep.json"
         assert main(["harmonic", "--config", path, "--json", str(out)]) == 0
         results = json.loads(out.read_text())["results"]

@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import towb
@@ -70,6 +70,23 @@ def _oracle_case(name):
                              WeightExpr.trig(1.0, [0.3], [0.2]), sigma=sigma,
                              mod_one=True)
         return TransferOperator(system, 256), Measure.lebesgue(256)
+    if name == "middle_thirds_cos":
+        # sys_d's branches x/3, (x+2)/3 with a cosine weight: R e_k has
+        # frequencies in (1/3)Z
+        system = make_system([1 / 3, 1 / 3], [0.0, 2 / 3], [0.5, 0.5],
+                             WeightExpr.trig(1.0, [0.5]), sigma=3, n_grid=243)
+        return TransferOperator(system, 243), Measure.lebesgue(243)
+    if name == "unequal":
+        return _full_branch_op(WeightExpr.trig(1.0, [1.0]), n=256,
+                               probs=[0.25, 0.75]), Measure.lebesgue(256)
+    if name == "degree_past_nyquist":
+        # W = 1 + 0.5 cos 40 pi x needs D = 20 > N/2 = 16
+        weight = WeightExpr.trig(1.0, [0.0] * 19 + [0.5])
+        return TransferOperator(doubling_system(weight, 32), 32), \
+            Measure.lebesgue(32)
+    if name == "uneven_trig":
+        return TransferOperator(_uneven_system(WeightExpr.trig(1.0, [0.5])),
+                                256), Measure.lebesgue(256)
     if name == "atoms":
         lam = Measure(np.full(128, 0.5 / 128), [(0.1, 0.2), (0.999, 0.3)])
         return TransferOperator(towb.sys_b(128), 128), lam
@@ -289,6 +306,25 @@ class TestFourierCascade:
             towb.fourier_cascade_check(op_d, h, 2, 2)
 
 
+def _uneven_system(weight):
+    """Branches of slopes 1/3 and 2/3 with ``sigma`` inferred."""
+    return make_system([1 / 3, 2 / 3], [0.0, 1 / 3], [1 / 3, 2 / 3], weight)
+
+
+def _lawton_matrix(weight, m):
+    """The transition operator ``M[l, k] = w_{m l - k}`` (Lawton 1991) of
+    the full branch set of ``m x mod 1`` with every ``p_i = 1/m``, on the
+    frequencies ``-D..D``, ``D = ceil(d / (m - 1))`` for a weight of degree
+    ``d``: the closed form of ``R e_k = sum_l w_{m l - k} e_l``."""
+    w = weight.trigpoly
+    d = int(w.max_freq)
+    coefs = w.coefficients(np.arange(-d, d + 1))
+    top = -(-d // (m - 1))
+    freqs = np.arange(-top, top + 1)
+    j = m * freqs[:, None] - freqs[None, :]
+    return np.where(np.abs(j) <= d, coefs[np.clip(j + d, 0, 2 * d)], 0.0)
+
+
 def _full_branch_op(weight, m=2, n=1024, probs=None):
     """``m x mod 1`` with its full branch set ``(x + k)/m``, unvalidated."""
     probs = [1 / m] * m if probs is None else probs
@@ -316,26 +352,64 @@ class TestTransitionMatrix:
            const=st.floats(0.5, 2.0),
            cos=st.lists(st.floats(-1.0, 1.0), max_size=4),
            sin=st.lists(st.floats(-1.0, 1.0), max_size=4))
+    # zero odd cosines: R e_k for odd k cancels completely and leaves
+    # rounding noise at half-integer frequencies, which the threshold on
+    # the whole batch ignores
+    @example(m=2, const=1.0, cos=[0.0, 0.5], sin=[])
+    @example(m=2, const=1.0, cos=[0.0, 0.3, 0.0, 0.2], sin=[])
     @settings(max_examples=60, deadline=None)
-    def test_columns_are_symbolic_images(self, m, const, cos, sin):
-        # column k of M holds the coefficients of R e_k, and R e_k has no
-        # frequency outside -D..D
-        op = _full_branch_op(WeightExpr.trig(const, cos, sin), m, n=64)
-        matrix = op.transition_matrix()
-        top = (matrix.shape[0] - 1) // 2
-        freqs = np.arange(-top, top + 1)
-        for col, k in enumerate(freqs):
-            image = op.apply_symbolic(towb.TrigPoly({float(k): 1.0}))
-            assert np.max(np.abs(image.freqs)) <= top + 1e-12
-            assert np.allclose(image.coefficients(freqs), matrix[:, col],
-                               rtol=0.0, atol=1e-14)
+    def test_closure_matches_lawton_formula(self, m, const, cos, sin):
+        # on the full branch set with equal p_i, the matrix read off
+        # apply_symbolic is the transition operator w_{m l - k}
+        weight = WeightExpr.trig(const, cos, sin)
+        matrix = _full_branch_op(weight, m, n=64).transition_matrix()
+        want = _lawton_matrix(weight, m)
+        assert matrix.shape == want.shape
+        assert np.max(np.abs(matrix - want)) <= 1e-15
 
-    @pytest.mark.parametrize("name", ["sys_d", "table_weight", "wrapping"])
+    @pytest.mark.parametrize("m, degree", [(2, 11), (2, 30), (3, 13),
+                                           (3, 60)])
+    def test_high_degree_closure_matches_lawton_formula(self, m, degree):
+        # the rounding of the branch phases grows with the frequency, past
+        # 1e-15 of the largest coefficient from degree 11 (m = 2) and 13
+        # (m = 3) on; at degrees 30 and 60 the 61 columns take three blocks
+        rng = np.random.default_rng(degree)
+        weight = WeightExpr.trig(1.0, rng.uniform(-1, 1, degree),
+                                 rng.uniform(-1, 1, degree))
+        matrix = _full_branch_op(weight, m).transition_matrix()
+        want = _lawton_matrix(weight, m)
+        top = (want.shape[0] - 1) // 2
+        assert matrix.shape == want.shape
+        assert np.max(np.abs(matrix - want)) <= 1e-15 * (1 + degree + top)
+
+    @pytest.mark.parametrize("name", ["unequal", "table_weight", "wrapping",
+                                      "middle_thirds_cos", "uneven_trig",
+                                      "degree_past_nyquist"])
     def test_other_systems_power_iterate(self, name):
         op, lam = _oracle_case(name)
         assert op.transition_matrix() is None
         _assert_same_solution(towb.solve_harmonic(op, lam),
                               power_iteration(op, lam))
+
+    def test_sys_d_is_exactly_one(self):
+        # R 1 = 1 on the middle-thirds branches: the degree-0 space is
+        # invariant, and h is the constant 1 with no power step
+        op, lam = _oracle_case("sys_d")
+        sol = towb.solve_harmonic(op, lam)
+        assert (sol.method, sol.iterations, sol.converged) == \
+            ("transition_matrix", 0, True)
+        assert sol.rho == 1.0 and sol.residual == 0.0
+        assert isinstance(sol.h, towb.TrigPoly)
+        assert sol.h.freqs.tolist() == [0.0] and sol.h.coefs.tolist() == [1]
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0])
+    def test_constant_weight_on_uneven_branches(self, c):
+        # R 1 = c on any non-wrapping branch set, whatever the p_i
+        op = TransferOperator(_uneven_system(WeightExpr.constant(c)), 256)
+        sol = towb.solve_harmonic(op, Measure.lebesgue(256))
+        assert (sol.method, sol.rho, sol.residual) == \
+            ("transition_matrix", c, 0.0)
+        assert sol.h.freqs.tolist() == [0.0] and sol.h.coefs.tolist() == [1]
 
     def test_unequal_probabilities_power_iterate(self):
         op = _full_branch_op(NON_QMF, probs=[0.25, 0.75])

@@ -15,7 +15,11 @@ on the doubling map (``table``).  Three more doubling configs go through
 ``harmonic``: constant weight 2, whose ``rho`` is 2 (``weight_two``),
 probabilities 1/4 and 3/4, where the cascade identity does not hold
 (``unequal``), and the weight ``1e-20 (1 + cos 2 pi x)``, all of whose
-coefficients are tiny (``tiny_weight``).  A branch shifted off ``[0, 1]``
+coefficients are tiny (``tiny_weight``).  ``harmonic`` also runs on
+``uneven``, which has no invariant trig space and power-iterates, and on
+its branches with the constant weight 1.5 (``uneven_constant``), which
+solves exactly with ``rho`` 1.5; ``cylinder`` on ``weight_two`` is
+refused, since ``rho`` is not 1.  A branch shifted off ``[0, 1]``
 (``shifted``), a solver tolerance of ``inf`` (``tol_inf``), a weight of
 ``nan`` (``weight_nan``), a ``cos`` key under a constant weight
 (``cos_constant``) and a key given twice (``duplicate_key``) are malformed
@@ -58,6 +62,8 @@ def _system(slopes, offsets, probs) -> str:
 GENERATED = {
     "uneven": _system([1 / 3, 2 / 3], [0.0, 1 / 3], [1 / 3, 2 / 3])
     + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = [0.5]\n',
+    "uneven_constant": _system([1 / 3, 2 / 3], [0.0, 1 / 3], [1 / 3, 2 / 3])
+    + '[weight]\nkind = "constant"\nvalue = 1.5\n',
     "table": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
     + '[weight]\nkind = "table"\ntable_values = '
     + str([1.5 + 0.2 * math.sin(2 * math.pi * j / _TABLE_N)
@@ -127,8 +133,10 @@ def cases():
             yield name, command
     for command in SHIFTED_COMMANDS:
         yield "shifted", command
-    for name in ("weight_two", "unequal", "tiny_weight"):
+    for name in ("weight_two", "unequal", "tiny_weight", "uneven",
+                 "uneven_constant"):
         yield name, ("harmonic",)
+    yield "weight_two", ("cylinder", "--x", "0.3", "--sets", "[0,0.5)")
     for name in ("tol_inf", "weight_nan"):
         for command in NON_FINITE_COMMANDS:
             yield name, command
