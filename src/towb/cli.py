@@ -39,24 +39,6 @@ HFM_TOL = 1e-8
 # A sampled cylinder frequency agrees within this many standard errors.
 SAMPLE_Z_TOL = 4.0
 
-# The bounds of the numeric flags, by argparse dest: the rule as the error
-# states it and its test.  main checks every flag the command has against
-# them before it loads the config or runs a handler.
-_FLAG_BOUNDS = {
-    "seed": ("nonnegative", lambda v: v >= 0),
-    "trials": ("at least 1", lambda v: v >= 1),
-    "k_max": ("nonnegative", lambda v: v >= 0),
-    "n_max": ("nonnegative", lambda v: v >= 0),
-    "cascade_tol": ("finite and positive",
-                    lambda v: math.isfinite(v) and v > 0),
-    "steps": ("nonnegative", lambda v: v >= 0),
-    "x": ("finite", math.isfinite),
-    "battery": ("at least 1", lambda v: v >= 1),
-    "n": ("at least 2", lambda v: v >= 2),
-    "depth": ("at least 1", lambda v: v >= 1),
-}
-
-
 def _converged_solution(cfg: RunConfig, op: TransferOperator,
                         lam: Measure) -> HarmonicSolution:
     sol = solve_harmonic(op, lam, tol=cfg.solver_tol,
@@ -83,12 +65,11 @@ def _add_tol_check(report: Report, name: str, residual: float,
 
 def _check_flags(args) -> None:
     """Raise a :class:`ConfigError` located at the first flag of ``args``
-    that breaks its bound in ``_FLAG_BOUNDS``."""
-    for dest, (rule, holds) in _FLAG_BOUNDS.items():
-        value = getattr(args, dest, None)
-        if value is not None and not holds(value):
-            flag = dest.replace("_", "-")
-            raise ConfigError(f"--{flag} must be {rule}, got {value}",
+    that breaks its bound in the command's flag table."""
+    for flag, (_, _, bound, _) in _COMMANDS[args.command][2].items():
+        value = getattr(args, flag.replace("-", "_"))
+        if bound is not None and value is not None and not bound[1](value):
+            raise ConfigError(f"--{flag} must be {bound[0]}, got {value}",
                               field=flag)
 
 
@@ -274,17 +255,53 @@ def _cmd_harmonic_from_measure(args, cfg, op, lam, report: Report) -> None:
                        h_tilde.values)
 
 
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "harmonic": _cmd_harmonic,
-    "measure": _cmd_measure,
-    "defect": _cmd_defect,
-    "cylinder": _cmd_cylinder,
-    "sample": _cmd_sample,
-    "quasi": _cmd_quasi,
-    "markov": _cmd_markov,
-    "harmonic-from-measure": _cmd_harmonic_from_measure,
+_NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_FINITE = ("finite", math.isfinite)
+_REQUIRED = object()   # the default of a flag that has none
+# The flags of every subcommand: flag -> (type, default, bound, help).  A
+# bound is the rule as the error states it and its test: main checks every
+# flag of the command against it before it loads the config or runs a
+# handler.
+_COMMON = {
+    "config": (str, _REQUIRED, None, "config file"),
+    "plot-data": (str, None, None, "write two-column plot data into DIR"),
+    "seed": (int, None, _NONNEGATIVE, "override solver and sampler seeds"),
+    "json": (str, None, None, "write the JSON report to OUT"),
 }
+_METAVARS = {"plot-data": "DIR", "json": "OUT"}
+# Each subcommand: its handler, its help, and its flags after the common
+# ones, in the form above.
+_COMMANDS = {name: (handler, text, {**_COMMON, **flags})
+             for name, handler, text, flags in (
+    ("verify", _cmd_verify, "run the operator identity suite",
+     {"trials": (int, 100, _AT_LEAST_1, None)}),
+    ("harmonic", _cmd_harmonic, "solve for the fixed function of R",
+     {"k-max": (int, 4, _NONNEGATIVE, None),
+      "n-max": (int, 8, _NONNEGATIVE, None),
+      "cascade-tol": (float, 1e-6, ("finite and positive", lambda v:
+                                    math.isfinite(v) and v > 0), None)}),
+    ("measure", _cmd_measure, "iterate the branch-averaging map",
+     {"steps": (int, 8, _NONNEGATIVE, None)}),
+    ("defect", _cmd_defect, "defect and membership certificate", {}),
+    ("cylinder", _cmd_cylinder, "exact cylinder mass",
+     {"x": (float, _REQUIRED, _FINITE, None),
+      "sets": (str, None, None, "semicolon-separated interval constraints")}),
+    ("sample", _cmd_sample, "Monte Carlo vs exact enumeration",
+     {"x": (float, 0.3, _FINITE, None),
+      "battery": (int, 20, _AT_LEAST_1, None)}),
+    ("quasi", _cmd_quasi, "shift quasi-invariance and unitarity",
+     {"trials": (int, 20, _AT_LEAST_1, None)}),
+    ("markov", _cmd_markov, "joint-mass drift across depths",
+     {"x": (float, _REQUIRED, _FINITE, None),
+      "set-a": (str, None, None, None), "set-b": (str, None, None, None),
+      "n": (int, 10, ("at least 2", lambda v: v >= 2), None)}),
+    ("harmonic-from-measure", _cmd_harmonic_from_measure,
+     "rebuild the harmonic function from total masses",
+     {"depth": (int, 1, _AT_LEAST_1, None)}),
+)}
+# main dispatches through this dict, so that its entries can be wrapped.
+_HANDLERS = {name: command[0] for name, command in _COMMANDS.items()}
 
 
 @functools.cache
@@ -295,60 +312,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="towb", description="transfer-operator workbench")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", required=True, help="config file")
-        p.add_argument("--plot-data", default=None, metavar="DIR",
-                       help="write two-column plot data into DIR")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override solver and sampler seeds")
-        p.add_argument("--json", default=None, metavar="OUT",
-                       help="write the JSON report to OUT")
-
-    p = sub.add_parser("verify", help="run the operator identity suite")
-    common(p)
-    p.add_argument("--trials", type=int, default=100)
-
-    p = sub.add_parser("harmonic", help="solve for the fixed function of R")
-    common(p)
-    p.add_argument("--k-max", type=int, default=4)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--cascade-tol", type=float, default=1e-6)
-
-    p = sub.add_parser("measure", help="iterate the branch-averaging map")
-    common(p)
-    p.add_argument("--steps", type=int, default=8)
-
-    p = sub.add_parser("defect", help="defect and membership certificate")
-    common(p)
-
-    p = sub.add_parser("cylinder", help="exact cylinder mass")
-    common(p)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--sets", type=str, default=None,
-                   help="semicolon-separated interval constraints")
-
-    p = sub.add_parser("sample", help="Monte Carlo vs exact enumeration")
-    common(p)
-    p.add_argument("--x", type=float, default=0.3)
-    p.add_argument("--battery", type=int, default=20)
-
-    p = sub.add_parser("quasi", help="shift quasi-invariance and unitarity")
-    common(p)
-    p.add_argument("--trials", type=int, default=20)
-
-    p = sub.add_parser("markov", help="joint-mass drift across depths")
-    common(p)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--set-a", type=str, default=None)
-    p.add_argument("--set-b", type=str, default=None)
-    p.add_argument("--n", type=int, default=10)
-
-    p = sub.add_parser("harmonic-from-measure",
-                       help="rebuild the harmonic function from total masses")
-    common(p)
-    p.add_argument("--depth", type=int, default=1)
-
+    for name, (_, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, (convert, default, _, doc) in flags.items():
+            p.add_argument(f"--{flag}", type=convert, help=doc,
+                           metavar=_METAVARS.get(flag),
+                           required=default is _REQUIRED,
+                           default=None if default is _REQUIRED else default)
     return parser
 
 

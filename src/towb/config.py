@@ -32,35 +32,11 @@ text whose re-parse equals the original config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ConfigError, DomainError
 from .grid import GridFunction, Measure
 from .system import IfsSystem, WeightExpr, make_system
-
-_SCHEMA: dict[str, dict[str, type]] = {
-    "system": {"branch_slopes": list, "branch_offsets": list,
-               "probabilities": list, "sigma": str, "sigma_slope": float},
-    "weight": {"kind": str, "value": float, "constant_term": float,
-               "cos": list, "sin": list, "table_values": list},
-    "grid": {"cells": float},
-    "solver": {"tol": float, "max_iter": float, "seed": float},
-    "sampler": {"seed": float, "paths": float},
-    "measure": {"kind": str, "positions": list, "masses": list},
-}
-# The keys each kind of weight and of measure reads, with the RunConfig
-# field each fills; the first kind of a section is its default.  Parsing
-# rejects any other key of the section, and emit writes exactly these keys,
-# leaving out an empty ``cos`` or ``sin``.
-_KIND_KEYS: dict[str, dict[str, dict[str, str]]] = {
-    "weight": {"constant": {"value": "weight_value"},
-               "trig": {"constant_term": "weight_const", "cos": "weight_cos",
-                        "sin": "weight_sin"},
-               "table": {"table_values": "weight_table"}},
-    "measure": {"lebesgue": {},
-                "atoms": {"positions": "measure_positions",
-                          "masses": "measure_masses"}},
-}
 
 
 @dataclass
@@ -70,7 +46,6 @@ class RunConfig:
     probabilities: list[float]
     sigma_slope: int | None = None
     weight_kind: str = "constant"
-    weight_value: float = 1.0
     weight_const: float = 1.0
     weight_cos: list[float] = field(default_factory=list)
     weight_sin: list[float] = field(default_factory=list)
@@ -88,9 +63,7 @@ class RunConfig:
     # -- construction of model objects -----------------------------------
 
     def build_weight(self) -> WeightExpr:
-        if self.weight_kind == "constant":
-            return WeightExpr.constant(self.weight_value)
-        if self.weight_kind == "trig":
+        if self.weight_kind in ("constant", "trig"):
             return WeightExpr.trig(self.weight_const, self.weight_cos,
                                    self.weight_sin)
         if self.weight_kind == "table":
@@ -125,41 +98,78 @@ class RunConfig:
     # -- canonical serialization ------------------------------------------
 
     def emit(self) -> str:
+        """The keys of ``_KEYS`` that this config reads, in table order:
+        ``sigma = "inferred"`` in place of an unset ``sigma_slope``, and
+        only the keys of the selected kinds, leaving out an empty ``cos``
+        or ``sin``."""
         def fmt(v) -> str:
             if isinstance(v, str):
                 return f'"{v}"'
             if isinstance(v, list):
                 return "[" + ", ".join(repr(float(x)) for x in v) + "]"
-            if isinstance(v, bool):
-                return repr(v)
             if isinstance(v, int):
                 return repr(v)
             return repr(float(v))
 
-        def kind_lines(section: str, kind: str) -> list[str]:
-            return [f"{key} = {fmt(getattr(self, name))}" for key, name
-                    in _KIND_KEYS[section].get(kind, {}).items()
-                    if getattr(self, name) or key not in ("cos", "sin")]
+        lines: list[str] = []
+        for section, key, name, _, _, kind in _KEYS:
+            if f"[{section}]" not in lines:
+                lines += ["", f"[{section}]"]
+            if kind is not None and kind != getattr(self,
+                                                    _KINDS[section][0]):
+                continue
+            if name is None:   # sigma: inferred exactly when no slope is set
+                if self.sigma_slope is None:
+                    lines.append(f'{key} = "inferred"')
+                continue
+            value = getattr(self, name)
+            if value is not None and (value or key not in ("cos", "sin")):
+                lines.append(f"{key} = {fmt(value)}")
+        return "\n".join(lines[1:]) + "\n"
 
-        lines = ["[system]",
-                 f"branch_slopes = {fmt(self.branch_slopes)}",
-                 f"branch_offsets = {fmt(self.branch_offsets)}",
-                 f"probabilities = {fmt(self.probabilities)}"]
-        if self.sigma_slope is not None:
-            lines.append(f"sigma_slope = {self.sigma_slope}")
-        else:
-            lines.append('sigma = "inferred"')
-        lines += ["", "[weight]", f'kind = "{self.weight_kind}"',
-                  *kind_lines("weight", self.weight_kind)]
-        lines += ["", "[grid]", f"cells = {self.cells}"]
-        lines += ["", "[solver]", f"tol = {fmt(self.solver_tol)}",
-                  f"max_iter = {self.solver_max_iter}",
-                  f"seed = {self.solver_seed}"]
-        lines += ["", "[sampler]", f"seed = {self.sampler_seed}",
-                  f"paths = {self.sampler_paths}"]
-        lines += ["", "[measure]", f'kind = "{self.measure_kind}"',
-                  *kind_lines("measure", self.measure_kind)]
-        return "\n".join(lines) + "\n"
+
+# Every key of the format, in the order emit writes them: (section, key,
+# the RunConfig field it fills, its type, its bound, the weight or measure
+# kind that reads it, None when every kind does).  A number typed int must
+# be a whole number at least its bound; a float must be above its bound,
+# which is 0 where there is one ("positive").  ``sigma`` fills no field:
+# "inferred", its one value, is the unset ``sigma_slope``.  A key left out
+# takes its field's RunConfig default, and a key whose field has none is
+# required.
+_KEYS = (
+    ("system", "branch_slopes", "branch_slopes", list, None, None),
+    ("system", "branch_offsets", "branch_offsets", list, None, None),
+    ("system", "probabilities", "probabilities", list, None, None),
+    ("system", "sigma", None, str, None, None),
+    ("system", "sigma_slope", "sigma_slope", int, 2, None),
+    ("weight", "kind", "weight_kind", str, None, None),
+    ("weight", "value", "weight_const", float, None, "constant"),
+    ("weight", "constant_term", "weight_const", float, None, "trig"),
+    ("weight", "cos", "weight_cos", list, None, "trig"),
+    ("weight", "sin", "weight_sin", list, None, "trig"),
+    ("weight", "table_values", "weight_table", list, None, "table"),
+    ("grid", "cells", "cells", int, 2, None),
+    ("solver", "tol", "solver_tol", float, 0, None),
+    ("solver", "max_iter", "solver_max_iter", int, 1, None),
+    ("solver", "seed", "solver_seed", int, 0, None),
+    ("sampler", "seed", "sampler_seed", int, 0, None),
+    ("sampler", "paths", "sampler_paths", int, 1, None),
+    ("measure", "kind", "measure_kind", str, None, None),
+    ("measure", "positions", "measure_positions", list, None, "atoms"),
+    ("measure", "masses", "measure_masses", list, None, "atoms"),
+)
+_BY_KEY = {(entry[0], entry[1]): entry for entry in _KEYS}
+_SECTIONS = {entry[0] for entry in _KEYS}
+# The RunConfig fields with no default: their keys are required.
+_NO_DEFAULT = {f.name for f in fields(RunConfig)
+               if f.default is MISSING and f.default_factory is MISSING}
+# The sections with a kind: the RunConfig field holding it and the kinds
+# known, its default (which may read no key of its own) and every kind of
+# the section's keys.
+_KINDS = {section: (name, {getattr(RunConfig, name)}
+                    | {entry[5] for entry in _KEYS
+                       if entry[0] == section and entry[5]})
+          for section, key, name, *_ in _KEYS if key == "kind"}
 
 
 def _finite(value: float, text: str, lineno: int) -> float:
@@ -196,7 +206,7 @@ def _parse_value(raw: str, lineno: int):
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate configuration text into a :class:`RunConfig`."""
-    data: dict[str, dict[str, object]] = {}
+    given: dict[tuple[str, str], object] = {}
     where: dict[tuple[str, str], int] = {}   # (section, key) -> line
     section = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -207,9 +217,8 @@ def parse_config(text: str) -> RunConfig:
             if not line.endswith("]"):
                 raise ConfigError("unterminated section header", line=lineno)
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown section '[{section}]'", line=lineno)
-            data.setdefault(section, {})
             continue
         if "=" not in line:
             raise ConfigError("expected 'key = value'", line=lineno)
@@ -217,7 +226,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("key outside of any section", line=lineno)
         key, _, raw_val = line.partition("=")
         key = key.strip()
-        if key not in _SCHEMA[section]:
+        if (section, key) not in _BY_KEY:
             raise ConfigError(f"unknown key '{key}' in section '[{section}]'",
                               line=lineno)
         if (section, key) in where:
@@ -225,83 +234,50 @@ def parse_config(text: str) -> RunConfig:
                               f"on line {where[section, key]}", line=lineno)
         where[section, key] = lineno
         value = _parse_value(raw_val, lineno)
-        expected = _SCHEMA[section][key]
+        expected = _BY_KEY[section, key][3]
         if expected is list and not isinstance(value, list):
             raise ConfigError(f"'{key}' expects a list", line=lineno)
         if expected is str and not isinstance(value, str):
             raise ConfigError(f"'{key}' expects a quoted string", line=lineno)
-        if expected is float and not isinstance(value, float):
+        if expected in (int, float) and not isinstance(value, float):
             raise ConfigError(f"'{key}' expects a number", line=lineno)
-        data[section][key] = value
+        given[section, key] = value
 
-    sys_sec = data.get("system", {})
-    for required in ("branch_slopes", "branch_offsets", "probabilities"):
-        if required not in sys_sec:
-            raise ConfigError(f"missing required key '{required}'",
-                              field=f"system.{required}")
-    weight_sec = data.get("weight", {})
-    grid_sec = data.get("grid", {})
-    solver_sec = data.get("solver", {})
-    sampler_sec = data.get("sampler", {})
-    measure_sec = data.get("measure", {})
-
-    def positive(sec: dict, key: str, default: float, field_name: str) -> float:
-        val = float(sec.get(key, default))
-        if val <= 0:
-            raise ConfigError("value must be positive", field=field_name)
-        return val
-
-    def integer(sec: dict, key: str, default: int, field_name: str,
-                least: int) -> int:
-        val = float(sec.get(key, default))
-        if not val.is_integer():
-            raise ConfigError(f"value must be an integer, got {val:g}",
-                              field=field_name)
-        if val < least:
-            raise ConfigError(f"value must be at least {least}, got {val:g}",
-                              field=field_name)
-        return int(val)
-
-    if sys_sec.get("sigma", "inferred") != "inferred":
-        raise ConfigError(f"unknown sigma mode '{sys_sec['sigma']}'",
-                          field="system.sigma")
-    if "sigma" in sys_sec and "sigma_slope" in sys_sec:
-        raise ConfigError("'sigma' and 'sigma_slope' exclude each other",
-                          line=max(where["system", "sigma"],
-                                   where["system", "sigma_slope"]))
-    for name, kinds in _KIND_KEYS.items():
-        sec = data.get(name, {})
-        kind = sec.get("kind", next(iter(kinds)))
-        for key in sec:
-            if kind in kinds and key != "kind" and key not in kinds[kind]:
-                raise ConfigError(f"'{key}' is not read by {name} kind "
-                                  f"'{kind}'", line=where[name, key])
-
-    return RunConfig(
-        branch_slopes=list(sys_sec["branch_slopes"]),
-        branch_offsets=list(sys_sec["branch_offsets"]),
-        probabilities=list(sys_sec["probabilities"]),
-        sigma_slope=(integer(sys_sec, "sigma_slope", 0,
-                             "system.sigma_slope", 2)
-                     if "sigma_slope" in sys_sec else None),
-        weight_kind=weight_sec.get("kind", "constant"),
-        weight_value=float(weight_sec.get("value", 1.0)),
-        weight_const=float(weight_sec.get("constant_term", 1.0)),
-        weight_cos=list(weight_sec.get("cos", [])),
-        weight_sin=list(weight_sec.get("sin", [])),
-        weight_table=list(weight_sec.get("table_values", [])),
-        cells=integer(grid_sec, "cells", 1024, "grid.cells", 2),
-        solver_tol=positive(solver_sec, "tol", 1e-12, "solver.tol"),
-        solver_max_iter=integer(solver_sec, "max_iter", 2000,
-                                "solver.max_iter", 1),
-        solver_seed=integer(solver_sec, "seed", 0, "solver.seed", 0),
-        sampler_seed=integer(sampler_sec, "seed", 7, "sampler.seed", 0),
-        sampler_paths=integer(sampler_sec, "paths", 100_000,
-                              "sampler.paths", 1),
-        measure_kind=measure_sec.get("kind", "lebesgue"),
-        measure_positions=list(measure_sec.get("positions", [])),
-        measure_masses=list(measure_sec.get("masses", [])),
-    )
+    values: dict[str, object] = {}
+    for section, key, name, expected, bound, read_by in _KEYS:
+        at = f"{section}.{key}"
+        if (section, key) not in given:
+            if name in _NO_DEFAULT:
+                raise ConfigError(f"missing required key '{key}'", field=at)
+            continue
+        value = given[section, key]
+        if name is None:   # sigma: "inferred", and not beside sigma_slope
+            if value != "inferred":
+                raise ConfigError(f"unknown sigma mode '{value}'", field=at)
+            slope_line = where.get((section, "sigma_slope"))
+            if slope_line is not None:
+                raise ConfigError("'sigma' and 'sigma_slope' exclude each "
+                                  "other", line=max(where[section, key],
+                                                    slope_line))
+            continue
+        if read_by is not None:   # after the kind key, which fills values
+            kind_field, kinds = _KINDS[section]
+            kind = values.get(kind_field, getattr(RunConfig, kind_field))
+            if kind in kinds and kind != read_by:
+                raise ConfigError(f"'{key}' is not read by {section} kind "
+                                  f"'{kind}'", line=where[section, key])
+        if expected is int:
+            if not value.is_integer():
+                raise ConfigError(f"value must be an integer, got {value:g}",
+                                  field=at)
+            if value < bound:
+                raise ConfigError(f"value must be at least {bound}, got "
+                                  f"{value:g}", field=at)
+            value = int(value)
+        elif bound is not None and value <= bound:
+            raise ConfigError("value must be positive", field=at)
+        values[name] = value
+    return RunConfig(**values)
 
 
 def load_config(path: str) -> RunConfig:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -91,6 +92,26 @@ class TestParse:
         lam = cfg.build_measure()
         assert lam.atoms == ((0.0, 1.0),)
 
+    def test_missing_keys_take_run_config_defaults(self):
+        # the defaults of every key left out are RunConfig's own
+        text = ("[system]\nbranch_slopes = [0.5, 0.5]\n"
+                "branch_offsets = [0.0, 0.5]\nprobabilities = [0.5, 0.5]\n")
+        assert parse_config(text) == RunConfig([0.5, 0.5], [0.0, 0.5],
+                                               [0.5, 0.5])
+
+    @pytest.mark.parametrize("c", [1.0, 0.5, 2.0])
+    def test_constant_weight_is_the_trig_constant_term(self, c):
+        # value and constant_term fill the same field, and the two kinds
+        # build the same weight from it
+        head = ("[system]\nbranch_slopes = [0.5, 0.5]\n"
+                "branch_offsets = [0.0, 0.5]\nprobabilities = [0.5, 0.5]\n")
+        constant = parse_config(
+            head + f'[weight]\nkind = "constant"\nvalue = {c}\n')
+        trig = parse_config(
+            head + f'[weight]\nkind = "trig"\nconstant_term = {c}\n')
+        assert dataclasses.replace(constant, weight_kind="trig") == trig
+        assert constant.build_weight() == trig.build_weight()
+
 
 _FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
 _FLOAT_LISTS = st.lists(_FLOATS, max_size=4)
@@ -108,8 +129,7 @@ def _run_configs(draw) -> RunConfig:
         probabilities=draw(_FLOAT_LISTS),
         sigma_slope=draw(st.none() | st.integers(2, 10**6)),
         weight_kind=kind,
-        weight_value=draw(_FLOATS) if kind == "constant" else 1.0,
-        weight_const=draw(_FLOATS) if kind == "trig" else 1.0,
+        weight_const=draw(_FLOATS) if kind != "table" else 1.0,
         weight_cos=draw(_FLOAT_LISTS) if kind == "trig" else [],
         weight_sin=draw(_FLOAT_LISTS) if kind == "trig" else [],
         weight_table=(draw(st.lists(_FLOATS, min_size=1, max_size=4))

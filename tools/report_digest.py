@@ -19,7 +19,9 @@ coefficients are tiny (``tiny_weight``).  ``harmonic`` also runs on
 ``uneven``, which has no invariant trig space and power-iterates, and on
 its branches with the constant weight 1.5 (``uneven_constant``), which
 solves exactly with ``rho`` 1.5; ``cylinder`` on ``weight_two`` is
-refused, since ``rho`` is not 1.  A branch shifted off ``[0, 1]``
+refused, since ``rho`` is not 1.  ``verify`` runs on constant weight 0.5
+(``weight_half``, ``rho`` 0.5), where the harmonic-support check, whose
+lemma needs ``R h = h``, reports FAIL.  A branch shifted off ``[0, 1]``
 (``shifted``), a solver tolerance of ``inf`` (``tol_inf``), a weight of
 ``nan`` (``weight_nan``), a ``cos`` key under a constant weight
 (``cos_constant``) and a key given twice (``duplicate_key``) are malformed
@@ -72,6 +74,8 @@ GENERATED = {
     "shifted": _system([0.5, 0.5], [-0.25, 0.25], [0.5, 0.5]),
     "weight_two": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
     + '[weight]\nkind = "constant"\nvalue = 2.0\n',
+    "weight_half": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + '[weight]\nkind = "constant"\nvalue = 0.5\n',
     "unequal": _system([0.5, 0.5], [0.0, 0.5], [0.25, 0.75])
     + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = [1.0]\n',
     "tiny_weight": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
@@ -137,6 +141,7 @@ def cases():
                  "uneven_constant"):
         yield name, ("harmonic",)
     yield "weight_two", ("cylinder", "--x", "0.3", "--sets", "[0,0.5)")
+    yield "weight_half", ("verify",)
     for name in ("tol_inf", "weight_nan"):
         for command in NON_FINITE_COMMANDS:
             yield name, command
