@@ -89,6 +89,12 @@ class RunConfig:
             if len(self.measure_positions) != len(self.measure_masses):
                 raise ConfigError("positions and masses differ in length",
                                   field="measure.positions")
+            if any(m < 0 for m in self.measure_masses):
+                raise ConfigError("atom masses must be nonnegative",
+                                  field="measure.masses")
+            if not any(m > 0 for m in self.measure_masses):
+                raise ConfigError("atoms carry no mass",
+                                  field="measure.masses")
             return Measure([0.0] * self.cells,
                            list(zip(self.measure_positions,
                                     self.measure_masses)))

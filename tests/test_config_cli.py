@@ -245,6 +245,38 @@ def test_unknown_weight_kind_keeps_its_error(capsys, tmp_path):
     assert "unknown weight kind 'ramp'" in err and "field 'weight.kind'" in err
 
 
+# Each subcommand with the flags it requires.
+_EVERY_COMMAND = (
+    ["verify"], ["harmonic"], ["measure"], ["defect"],
+    ["cylinder", "--x", "0.3", "--sets", "[0,0.5)"], ["sample"], ["quasi"],
+    ["markov", "--x", "0.3", "--set-a", "[0,0.25)", "--set-b", "[0,0.5)"],
+    ["harmonic-from-measure"],
+)
+
+
+@pytest.mark.parametrize("positions, masses", [
+    ("[0.0]", "[-0.5]"), ("[0.0]", "[0.0]"), ("[]", "[]")])
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_bad_atom_masses_exit_code(capsys, tmp_path, argv, positions,
+                                   masses):
+    # a negative atom mass, or atoms with no mass at all, is an input error
+    # at the masses before any subcommand runs: never a traceback, a PASS
+    # on a measure of mass 0 or a late numerical failure
+    assert {command[0] for command in _EVERY_COMMAND} == set(
+        towb.cli._COMMANDS)
+    text = load_config(SYS_C).emit()
+    for old, new in (("positions = [0.0]", f"positions = {positions}"),
+                     ("masses = [1.0]", f"masses = {masses}")):
+        assert old in text
+        text = text.replace(old, new)
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "report.json"
+    cfg.write_text(text)
+    assert main([*argv, "--config", str(cfg), "--json", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "field 'measure.masses'" in err
+    assert not out.exists()
+
+
 def test_negative_seed_flag_exit_code(capsys):
     assert main(["harmonic", "--config", SYS_A, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
@@ -757,19 +789,19 @@ class TestCli:
 
         import towb.solenoid
 
-        original = towb.solenoid.sample_paths
+        original = towb.solenoid._walk
 
-        def unit_weight(pm, bases, depth, rng):
+        def unit_weight(pm, *args):
             system = pm.op.system.with_weight(towb.WeightExpr.constant(1.0))
             op = towb.TransferOperator(system, pm.op.n_grid)
-            return original(dataclasses.replace(pm, op=op), bases, depth, rng)
+            return original(dataclasses.replace(pm, op=op), *args)
 
         path = fixture(base)
         out = tmp_path / "rep.json"
         assert main(["sample", "--config", path, "--json", str(out)]) == 0
         results = json.loads(out.read_text())["results"]
         assert results["agreeing"] == 20 and results["worst_z"] < 4.0
-        monkeypatch.setattr(towb.solenoid, "sample_paths", unit_weight)
+        monkeypatch.setattr(towb.solenoid, "_walk", unit_weight)
         code = main(["sample", "--config", path, "--json", str(out)])
         payload = json.loads(out.read_text())
         statuses = [c["status"] for c in payload["checks"]]

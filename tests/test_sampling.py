@@ -1,5 +1,7 @@
 """Monte Carlo sampling against the exact cylinder oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,64 @@ def test_sampler_visits_each_distinct_state_once(pm_b, monkeypatch):
                       np.random.default_rng(0))
     assert len(asked) == 6
     assert all(size <= 2 ** j for j, size in enumerate(asked)), asked
+
+
+def _frequency_by_sampled_coordinates(pm, x, spec, paths, rng):
+    """Reference: the mean of ``spec`` over the coordinates of ``paths``
+    walks sampled from copies of ``x``."""
+    _, coords = towb.sample_paths(pm, np.full(paths, x), spec.depth, rng)
+    return float(spec.eval_on_coords(coords).mean())
+
+
+@pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_d", "three_branch"])
+def test_frequency_is_mean_over_sampled_coordinates_bitwise(name):
+    # the running product over child indices against the mean of the spec
+    # on the full coordinate matrix of the same walk.  The factors are
+    # pointwise (a value at x depends on x alone), and each takes the value
+    # 0.5 + x on its set, so that the products are not just 0 and 1
+    from towb.solenoid import PATH_BLOCK
+
+    few = 1000
+    assert few < PATH_BLOCK < 10_007
+    pm = _oracle_measure(name)
+
+    def scaled(a):
+        return lambda x: a(x) * (0.5 + np.asarray(x))
+
+    f0 = scaled(IntervalSet([(0.0, 0.7)]))
+    draw = np.random.default_rng(43)
+    for depth in range(4):
+        for paths in (10_007, few):
+            factors = [None if draw.random() < 0.25 else
+                       scaled(IntervalSet([(lo, lo + 0.45)]))
+                       for lo in draw.uniform(0.0, 0.5, depth)]
+            for first in (None, f0):
+                spec = CylinderFunction([first, *factors])
+                x, seed = float(draw.random()), int(draw.integers(2**32))
+                rng, ref_rng = (np.random.default_rng(seed),
+                                np.random.default_rng(seed))
+                p_hat, _ = towb.empirical_cylinder_frequency(pm, x, spec,
+                                                             paths, rng)
+                where = (name, depth, paths, first is None)
+                assert p_hat == _frequency_by_sampled_coordinates(
+                    pm, x, spec, paths, ref_rng), where
+                assert (rng.bit_generator.state
+                        == ref_rng.bit_generator.state), where
+
+
+def test_frequency_stores_no_coordinate_matrix(pm_b):
+    # the (paths, depth+1) coordinates alone would take the bound; the
+    # frequency keeps one value and one state index per path
+    paths, depth = 100_000, 3
+    spec = CylinderFunction([None] + [IntervalSet([(0.1, 0.6)])] * depth)
+    bound = (depth + 1) * paths * 8
+    peaks = []
+    for frequency in (towb.empirical_cylinder_frequency,
+                      _frequency_by_sampled_coordinates):
+        tracemalloc.start()
+        try:
+            frequency(pm_b, 0.3, spec, paths, np.random.default_rng(0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < bound < peaks[1], peaks

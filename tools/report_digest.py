@@ -21,14 +21,16 @@ its branches with the constant weight 1.5 (``uneven_constant``), which
 solves exactly with ``rho`` 1.5; ``cylinder`` on ``weight_two`` is
 refused, since ``rho`` is not 1.  ``verify`` runs on constant weight 0.5
 (``weight_half``, ``rho`` 0.5), where the harmonic-support check, whose
-lemma needs ``R h = h``, reports FAIL.  A branch shifted off ``[0, 1]``
-(``shifted``), a solver tolerance of ``inf`` (``tol_inf``), a weight of
-``nan`` (``weight_nan``), a ``cos`` key under a constant weight
-(``cos_constant``) and a key given twice (``duplicate_key``) are malformed
-configs; flag values out of their bounds end the list.  Prints one line
-per run: the sha256
-of the report (``-`` when none was written), the exit code and the
-arguments.  Reports are deterministic, so two checkouts give the same
+lemma needs ``R h = h``, reports FAIL.  ``sample`` and ``cylinder`` run on
+three branches of slope 1/3 with probabilities 0.2, 0.3 and 0.5 and
+weight 1 (``three_branch``, ``rho`` 1), where the sampler picks among
+three digits.  A branch shifted off ``[0, 1]`` (``shifted``), a solver
+tolerance of ``inf`` (``tol_inf``), a weight of ``nan`` (``weight_nan``),
+a ``cos`` key under a constant weight (``cos_constant``), a key given
+twice (``duplicate_key``) and an atom of mass -0.5 or 0 (``mass_negative``,
+``mass_zero``) are malformed configs; flag values out of their bounds end
+the list.  Prints one line per run: the sha256 of the report (``-`` when
+none was written), the exit code and the arguments.  Reports are deterministic, so two checkouts give the same
 reports exactly when the outputs of::
 
     diff <(python3 tools/report_digest.py OLD) <(python3 tools/report_digest.py)
@@ -89,10 +91,20 @@ GENERATED = {
     + '[weight]\nkind = "constant"\nvalue = 1.0\ncos = [0.9]\n',
     "duplicate_key": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
     + "[grid]\ncells = 1024\ncells = 512\n",
+    "three_branch": _system([1 / 3] * 3, [0.0, 1 / 3, 2 / 3], [0.2, 0.3, 0.5])
+    + "[grid]\ncells = 243\n",
+    "mass_negative": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + '[measure]\nkind = "atoms"\npositions = [0.25]\nmasses = [-0.5]\n',
+    "mass_zero": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + '[measure]\nkind = "atoms"\npositions = [0.25]\nmasses = [0.0]\n',
 }
 GENERATED_COMMANDS = (("verify",), ("measure",))
 SHIFTED_COMMANDS = (("measure",), ("defect",), ("verify",))
 NON_FINITE_COMMANDS = (("harmonic",),)
+THREE_BRANCH_COMMANDS = (
+    ("sample",),
+    ("cylinder", "--x", "0.3", "--sets", "[0,0.25);all;[0.5,0.75)u[0.9,1)"),
+)
 COMMANDS = (
     ("verify",),
     ("harmonic",),
@@ -123,6 +135,10 @@ INPUT_ERRORS = (
     ("sys_a", ("cylinder", "--x", "nan", "--sets", "[0,0.5)")),
     ("cos_constant", ("harmonic",)),
     ("duplicate_key", ("harmonic",)),
+    ("mass_negative", ("measure",)),
+    ("mass_zero", ("measure",)),
+    ("mass_zero", ("verify",)),
+    ("mass_zero", ("defect",)),
 )
 
 
@@ -142,6 +158,8 @@ def cases():
         yield name, ("harmonic",)
     yield "weight_two", ("cylinder", "--x", "0.3", "--sets", "[0,0.5)")
     yield "weight_half", ("verify",)
+    for command in THREE_BRANCH_COMMANDS:
+        yield "three_branch", command
     for name in ("tol_inf", "weight_nan"):
         for command in NON_FINITE_COMMANDS:
             yield name, command
