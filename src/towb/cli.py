@@ -300,6 +300,8 @@ _COMMANDS = {name: (handler, text, {**_COMMON, **flags})
      "rebuild the harmonic function from total masses",
      {"depth": (int, 1, _AT_LEAST_1, None)}),
 )}
+for name in ("cylinder", "quasi", "markov"):  # their handlers write no plots
+    del _COMMANDS[name][2]["plot-data"]
 # main dispatches through this dict, so that its entries can be wrapped.
 _HANDLERS = {name: command[0] for name, command in _COMMANDS.items()}
 

@@ -35,9 +35,8 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .grid import GridFunction, IntervalSet, Measure, integrate, wrap_unit
 from .system import left_inverse_residuals
-from .transfer import TransferOperator
-from .trig import (TRIAL_BLOCK, TrigPoly, broadcast_to_trials,
-                   trials_product)
+from .transfer import TransferOperator, kernel_sum
+from .trig import TRIAL_BLOCK, TrigPoly, trials_product
 
 EPS_H = 1e-10
 DEPTH_MAX = 16
@@ -251,7 +250,7 @@ def conditional_expectation(pm: PathMeasure, psi, x):
         masses = op.branch_masses(ys)
         if f is not None:
             total = trials_product(np.asarray(f(ys), dtype=float), total)
-        total = (broadcast_to_trials(masses, total) * total).sum(axis=0)
+        total = kernel_sum(masses, total)
     f0 = psi.components[0]
     if f0 is not None:
         total = trials_product(np.asarray(f0(x), dtype=float), total)

@@ -9,9 +9,11 @@ and its adjoint in ``L^2(lam)`` (for ``lam`` whose pushed measure has density
 ``W``) is the weighted composition ``(S f)(x) = W(x) f(sigma(x))``.  The
 kernel at ``x`` is the branch images :meth:`TransferOperator.branch_points`
 carrying the masses ``p_i W(tau_i x)``, which are formed in one place,
-:meth:`TransferOperator.branch_masses`, for the pointwise action, the
-assembled grid action and the path-space kernel of :mod:`towb.solenoid`;
-the measure action ``lam . R`` is the branch mixture
+:meth:`TransferOperator.branch_masses`, and summed in one, :func:`kernel_sum`,
+for the pointwise action, the path-space kernel of :mod:`towb.solenoid` and
+:attr:`TransferOperator.node_kernel`, the kernel at the nodes, built once per
+operator and read by ``apply``, the power iteration's ``apply_values`` and
+:func:`identity_suite`; the measure action ``lam . R`` is the branch mixture
 :func:`~towb.grid.push_mixture` reweighted by ``W``.  The exact multiplier
 ``R(W)`` is :meth:`TransferOperator.apply_symbolic` of the weight.
 
@@ -36,16 +38,22 @@ from .grid import (GridFunction, IntervalSet, Measure, integrate,
                    integrate_over, interpolate, push_mixture, wrap_unit)
 from .sigspace import Decomposition, lebesgue_decompose
 from .system import IfsSystem
-from .trig import _PRUNE, TRIAL_BLOCK, TrigPoly, broadcast_to_trials
+from .trig import _PRUNE, TRIAL_BLOCK, TrigPoly, trials_product
 
 IDENTITY_TOL = 1e-8
 
 
+def kernel_sum(masses: np.ndarray, vals) -> np.ndarray:
+    """``R`` from values at branch images: the masses multiplied by the
+    values and summed over branches, the one sum of ``R``.  When ``vals``
+    has a trailing trials axis, the masses broadcast over it."""
+    return trials_product(masses, np.asarray(vals, dtype=float)).sum(axis=0)
+
+
 class TransferOperator:
     """Weighted transfer operator of an :class:`IfsSystem` on an ``N``-cell
-    grid.  Pure and immutable; safe to share across threads.  The action on
-    node samples is assembled on first use and reused by every later
-    :meth:`apply_values`, which :meth:`apply` and the harmonic solve call."""
+    grid.  Pure and immutable; safe to share across threads.  The kernel at
+    the nodes, :attr:`node_kernel`, is built on first use and then shared."""
 
     def __init__(self, system: IfsSystem, n_grid: int):
         if n_grid < 2:
@@ -69,45 +77,38 @@ class TransferOperator:
         return probs.reshape((-1,) + (1,) * (pts.ndim - 1)) * np.asarray(
             self.system.weight(pts), dtype=float)
 
-    def apply_fn(self, f):
-        """``R f`` as a vectorized callable.
+    @cached_property
+    def node_kernel(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """The kernel at the nodes, built on first use: the branch images
+        ``tau_i(x_j)``, shape ``(branches, N)``, their masses
+        ``p_i W(tau_i x_j)`` and the grid's interpolation stencil at them."""
+        pts = self.branch_points(self.nodes)
+        pts.setflags(write=False)   # apply hands it to any callable
+        return (pts, self.branch_masses(pts),
+                GridFunction.stencil(self.n_grid, pts))
 
-        The masses from :meth:`branch_masses` are multiplied by the
-        sample values and summed over branches.  When ``f`` returns values
-        with a trailing trials axis, the masses broadcast over it.
-        """
+    def apply_fn(self, f):
+        """``R f`` as a vectorized callable: ``f`` at the branch images of
+        the points, summed with their :meth:`branch_masses`."""
 
         def rf(x):
             pts = self.branch_points(x)
-            masses = self.branch_masses(pts)
-            vals = np.asarray(f(pts), dtype=float)
-            return (broadcast_to_trials(masses, vals) * vals).sum(axis=0)
+            return kernel_sum(self.branch_masses(pts), f(pts))
 
         return rf
 
-    @cached_property
-    def _grid_action(self):
-        """``R`` acting on node samples: the masses ``p_i W(tau_i x_j)``
-        and the interpolation stencil at the branch images of the nodes."""
-        pts = self.branch_points(self.nodes)
-        return self.branch_masses(pts), GridFunction.stencil(self.n_grid, pts)
-
     def apply_values(self, v: np.ndarray) -> np.ndarray:
-        """``R`` on node samples ``v`` of this operator's grid, through the
-        assembled grid action: :meth:`apply_fn`'s arithmetic in the same
-        order, with no weight evaluation and no stencil built."""
-        masses, stencil = self._grid_action
-        return (masses * interpolate(v, stencil)).sum(axis=0)
+        """``R`` on node samples ``v`` of this operator's grid: ``v``
+        interpolated through the cached stencil and summed with the node
+        masses, so no weight is evaluated and no stencil built per call."""
+        _, masses, stencil = self.node_kernel
+        return kernel_sum(masses, interpolate(v, stencil))
 
     def apply(self, f) -> GridFunction:
-        """``R f`` sampled on the grid nodes.
-
-        A :class:`GridFunction` on this operator's grid goes through
-        :meth:`apply_values`; any other ``f`` through :meth:`apply_fn`.
-        """
-        if isinstance(f, GridFunction) and f.n_cells == self.n_grid:
-            return GridFunction(self.apply_values(f.values))
-        return GridFunction(np.asarray(self.apply_fn(f)(self.nodes), dtype=float))
+        """``R f`` sampled on the grid nodes: ``f`` at the images of
+        :attr:`node_kernel`, summed with their masses."""
+        pts, masses, _ = self.node_kernel
+        return GridFunction(kernel_sum(masses, f(pts)))
 
     def apply_symbolic(self, f: TrigPoly) -> TrigPoly | None:
         """``R f`` as an exact trig polynomial, when representable.
@@ -168,8 +169,8 @@ class TransferOperator:
         weight, sigma = self.system.weight, self.system.sigma
 
         def sf(x):
-            vals = np.asarray(f(sigma(x)), dtype=float)
-            return broadcast_to_trials(np.asarray(weight(x)), vals) * vals
+            return trials_product(np.asarray(weight(x)),
+                                  np.asarray(f(sigma(x)), dtype=float))
 
         return sf
 
@@ -286,7 +287,6 @@ def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
     if trials < 1:
         raise DomainError("the identity suite needs at least one trial")
     rng = np.random.default_rng(seed)
-    nodes = op.nodes
     mids = (np.arange(op.n_grid) + 0.5) / op.n_grid
     weight = op.system.weight
     sigma = op.system.sigma
@@ -307,13 +307,39 @@ def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
 
     # (a) pull-back property: R((f o sigma) g) = f R(g), pointwise.  f o sigma
     # is evaluated as f(sigma(y)): at y = tau_i x that is f(x) up to rounding
-    resid = 0.0
-    for f, g in zip(fs, gs):
-        lhs = op.apply_fn(lambda y, f=f, g=g:
-                          np.asarray(f(sigma(y))) * np.asarray(g(y)))(nodes)
-        rhs = np.asarray(f(nodes)) * op.apply_fn(g)(nodes)
-        resid = max(resid, float(np.max(np.abs(lhs - rhs))))
-    judge("pullback_product", resid)
+    # (c) R R* f = R(W) f, which is (a) with g = W, as R* f = W (f o sigma)
+    # (g) kernel sup bound: |R(f h)(x)| <= sup|f| * rho * h(x), with
+    # rho = int R(h) dlam / int h dlam the eigenvalue of h (1 when R h = h).
+    # Positivity of R bounds the left side by sup|f| * R(h)(x), so the check
+    # fails when h is not an eigenfunction; sup|f| is over nodes and images.
+    pts, masses, _ = op.node_kernel
+    pts_sigma = sigma(pts)
+    w_pts = np.asarray(weight(pts), dtype=float)
+    rw_nodes = kernel_sum(masses, w_pts)
+    h_nodes = np.asarray(h(op.nodes), dtype=float)
+    rho_h = integrate(op.apply(h), lam) / integrate(h, lam) * h_nodes[:, None]
+    h_pts = np.asarray(h(pts), dtype=float)[..., None]
+
+    def block_residuals(f, g) -> tuple[float, float, float]:
+        # (a), (c) and (g) on one block, sampling f and g once per point
+        # array: f o sigma and g go before f at the images, the rest on return
+        f_nodes = np.asarray(f(op.nodes))
+        f_sigma = np.asarray(f(pts_sigma))
+        g_pts = np.asarray(g(pts))
+        lhs = kernel_sum(masses, f_sigma * g_pts)
+        a = float(np.max(np.abs(lhs - f_nodes * kernel_sum(masses, g_pts))))
+        lhs = kernel_sum(masses, w_pts[..., None] * f_sigma)
+        c = float(np.max(np.abs(lhs - rw_nodes[:, None] * f_nodes)))
+        del f_sigma, g_pts
+        f_pts = np.asarray(f(pts))
+        sup_f = np.maximum(np.abs(f_pts).max(axis=(0, 1)),
+                           np.abs(f_nodes).max(axis=0))
+        excess = np.abs(kernel_sum(masses, f_pts * h_pts)) - sup_f * rho_h
+        return a, c, float(np.max(excess))
+
+    residuals = [block_residuals(f, g) for f, g in zip(fs, gs)]
+    resid_a, resid_c, resid_g = (max(0.0, *r) for r in zip(*residuals))
+    judge("pullback_product", resid_a)
 
     # (b) duality: int W (f o sigma) g dlam = int f R(g) dlam
     resid = 0.0
@@ -330,17 +356,7 @@ def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
                             np.asarray(op.apply_fn(g)(y)), lam)
         resid = max(resid, float(np.max(np.abs(lhs - rhs))))
     judge("adjoint_duality", resid)
-
-    # (c) R R* f = R(W) f
-    resid = 0.0
-    rw_fn = op.apply_fn(weight)
-    rw_nodes = np.asarray(rw_fn(nodes), dtype=float)
-    for f in fs:
-        sf = op.adjoint_fn(f)
-        lhs = op.apply_fn(sf)(nodes)
-        rhs = rw_nodes[:, None] * np.asarray(f(nodes))
-        resid = max(resid, float(np.max(np.abs(lhs - rhs))))
-    judge("composition_multiplier", resid)
+    judge("composition_multiplier", resid_c)
 
     # (d) sigma-invariance: int f o sigma dlam = int f dlam.  This is also the
     # pull-back density identity int f o sigma dlam = int R(1/W) f dlam,
@@ -369,33 +385,16 @@ def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
 
     # (f) harmonic support multiplier: where h != 0, R(W) = 1 -- only under
     # the contractivity hypothesis sup R(W) <= 1
-    rw_vals = np.concatenate([rw_nodes, np.asarray(rw_fn(mids), dtype=float)])
-    sup_rw = float(np.max(rw_vals))
+    sup_rw = float(np.max(np.concatenate([rw_nodes, op.apply_fn(weight)(mids)])))
     if sup_rw > 1.0 + 1e-9:
         checks.append(IdentityCheck(
             "harmonic_support_multiplier", "SKIPPED", np.nan, IDENTITY_TOL,
             note=f"hypothesis sup R(W) <= 1 fails (sup = {sup_rw:.6g})"))
     else:
-        active = np.abs(np.asarray(h(nodes), dtype=float)) > 1e-10
+        active = np.abs(h_nodes) > 1e-10
         resid = float(np.max(np.abs(rw_nodes[active] - 1.0))) \
             if np.any(active) else 0.0
         judge("harmonic_support_multiplier", resid)
-
-    # (g) kernel sup bound: |R(f h)(x)| <= sup|f| * rho * h(x), with
-    # rho = int R(h) dlam / int h dlam the eigenvalue of h (1 when R h = h).
-    # Positivity of R bounds the left side by sup|f| * R(h)(x), so the check
-    # fails when h is not an eigenfunction
-    rho = integrate(op.apply(h), lam) / integrate(h, lam)
-    branch_nodes = op.branch_points(nodes).ravel()
-    rho_h = rho * np.asarray(h(nodes))
-    resid = 0.0
-    for f in fs:
-        sup_f = np.max(np.abs(np.concatenate(
-            [np.asarray(f(branch_nodes)), np.asarray(f(nodes))])), axis=0)
-        rfh = op.apply_fn(lambda y, f=f: np.asarray(f(y)) *
-                          np.asarray(h(y))[..., None])(nodes)
-        excess = np.abs(rfh) - sup_f * rho_h[:, None]
-        resid = max(resid, float(np.max(excess)))
-    judge("kernel_sup_bound", resid)
+    judge("kernel_sup_bound", resid_g)
 
     return IdentitySuiteResult(tuple(checks))

@@ -907,6 +907,21 @@ class TestCli:
         assert data.shape == (1024, 2)
         assert np.allclose(data[:, 1], 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("argv", [
+        ["cylinder", "--x", "0.3", "--sets", "[0,0.5)"],
+        ["quasi"],
+        ["markov", "--x", "0.3", "--set-a", "[0,0.25)", "--set-b", "[0,0.5)"],
+    ])
+    def test_plot_data_refused_where_nothing_is_plotted(self, capsys,
+                                                        tmp_path, argv):
+        # these handlers write no plot data, so the flag is not offered
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", SYS_A,
+                  "--plot-data", str(tmp_path / "plots")])
+        assert exc.value.code == 2
+        assert "--plot-data" in capsys.readouterr().err
+        assert not (tmp_path / "plots").exists()
+
     def test_entry_point_runs_as_module(self, tmp_path):
         # the child process imports the towb this test imported
         package_root = os.path.dirname(os.path.dirname(towb.__file__))

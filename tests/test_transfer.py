@@ -77,14 +77,14 @@ def test_apply_matches_pointwise_action_bitwise(name):
     for g in (GridFunction(rng.uniform(0.5, 1.5, n)),
               GridFunction.from_callable(lambda x: np.cos(6 * np.pi * x), n)):
         assert np.array_equal(op.apply(g).values, op.apply_fn(g)(op.nodes))
-    assert "_grid_action" in op.__dict__
+    assert "node_kernel" in op.__dict__
 
 
 def test_apply_off_grid_function_takes_pointwise_path():
     op = TransferOperator(towb.sys_b(256), 256)
     g = GridFunction(np.random.default_rng(0).uniform(0.5, 1.5, 100))
     assert np.array_equal(op.apply(g).values, op.apply_fn(g)(op.nodes))
-    assert "_grid_action" not in op.__dict__
+    assert "node_kernel" in op.__dict__
 
 
 def test_harmonic_solve_evaluates_weight_once(monkeypatch):
@@ -102,6 +102,36 @@ def test_harmonic_solve_evaluates_weight_once(monkeypatch):
     sol = power_iteration(op, lam)
     assert sol.iterations == 48
     assert calls == [2 * 1024]
+
+
+def test_identity_suite_kernel_work_does_not_grow_with_trials(monkeypatch):
+    # the pointwise checks read the operator's one kernel at the nodes, so
+    # the weight and the branch images are built as often at any trials
+    system = towb.sys_b(1024)
+    lam = Measure.lebesgue(1024)
+    h = towb.solve_harmonic(TransferOperator(system, 1024), lam).h
+    calls = []
+    weight_call = WeightExpr.__call__
+    branch_points = TransferOperator.branch_points
+
+    def counting_weight(self, x):
+        calls.append("weight")
+        return weight_call(self, x)
+
+    def counting_points(self, x):
+        calls.append("images")
+        return branch_points(self, x)
+
+    monkeypatch.setattr(WeightExpr, "__call__", counting_weight)
+    monkeypatch.setattr(TransferOperator, "branch_points", counting_points)
+    counts = []
+    for trials in (10, 100):
+        op = TransferOperator(system, 1024)
+        calls.clear()
+        towb.identity_suite(op, lam, h, trials=trials)
+        counts.append((calls.count("weight"), calls.count("images")))
+    assert counts[0] == counts[1]
+    assert counts[0][0] <= 4 and counts[0][1] <= 2
 
 
 class TestAdjoint:

@@ -98,6 +98,17 @@ def test_constant_keeps_nan_at_non_finite_points():
     assert np.isnan(vals[:2]).all() and vals[2] == 2.0
 
 
+@pytest.mark.parametrize("trials", [None, 25])
+def test_two_d_points_match_their_ravel_bitwise(trials):
+    # the identity suite takes sup|f| over samples at a (branches, N) array
+    # and reads them as the samples at its ravel()
+    rng = np.random.default_rng(6)
+    poly = TrigPoly.random(rng, trials=trials)
+    x = rng.random((2, 1024))
+    flat = poly(x.ravel())
+    assert np.array_equal(poly(x), flat.reshape(x.shape + flat.shape[1:]))
+
+
 def test_cos_sin_construction():
     p = TrigPoly.from_cos_sin(1.0, [1.0])
     assert p(0.0) == pytest.approx(2.0)

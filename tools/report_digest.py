@@ -21,7 +21,11 @@ its branches with the constant weight 1.5 (``uneven_constant``), which
 solves exactly with ``rho`` 1.5; ``cylinder`` on ``weight_two`` is
 refused, since ``rho`` is not 1.  ``verify`` runs on constant weight 0.5
 (``weight_half``, ``rho`` 0.5), where the harmonic-support check, whose
-lemma needs ``R h = h``, reports FAIL.  ``sample`` and ``cylinder`` run on
+lemma needs ``R h = h``, reports FAIL.  ``verify --trials 30`` runs on
+``sys_b`` and on ``table``: one full block of 25 trials and a partial one of
+5, where every other ``verify`` runs four full blocks; on ``table`` it also
+takes the duality check's quadrature fallback and applies ``R`` to the
+power-iterated grid function ``h``.  ``sample`` and ``cylinder`` run on
 three branches of slope 1/3 with probabilities 0.2, 0.3 and 0.5 and
 weight 1 (``three_branch``, ``rho`` 1), where the sampler picks among
 three digits.  A branch shifted off ``[0, 1]`` (``shifted``), a solver
@@ -158,6 +162,8 @@ def cases():
         yield name, ("harmonic",)
     yield "weight_two", ("cylinder", "--x", "0.3", "--sets", "[0,0.5)")
     yield "weight_half", ("verify",)
+    for name in ("sys_b", "table"):
+        yield name, ("verify", "--trials", "30")
     for command in THREE_BRANCH_COMMANDS:
         yield "three_branch", command
     for name in ("tol_inf", "weight_nan"):
