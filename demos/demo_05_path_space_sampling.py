@@ -40,10 +40,14 @@ for n_paths in (1_000, 10_000, 100_000):
     print(f"paths {n_paths:7d}: empirical {p_hat:.5f}  exact {exact:.5f}  "
           f"({abs(p_hat - exact) / max(se, 1e-12):.1f} standard errors)")
 
-# Expectations of cylinder functions, both ways.
-psi = [None, lambda y: np.asarray(y, dtype=float)]
-exact_e = towb.expectation(pm, psi, "exact")
-mc_e, mc_se = towb.expectation(pm, psi, "mc", samples=100_000, rng=rng)
+# Expectations of cylinder functions, both ways: exactly, and as the mean
+# over sampled paths whose bases are drawn from h dlam.
+psi = towb.CylinderFunction([None, lambda y: np.asarray(y, dtype=float)])
+exact_e = towb.expectation(pm, psi)
+bases = towb.sample_bases(pm, 100_000, rng)
+_, coords = towb.sample_paths(pm, bases, psi.depth, rng)
+vals = psi.eval_on_coords(coords)
+mc_e, mc_se = vals.mean(), vals.std(ddof=1) / np.sqrt(vals.size)
 print(f"\nmean of the first coordinate: exact {exact_e:.6f}, "
       f"MC {mc_e:.6f} +/- {mc_se:.6f}")
 

@@ -28,7 +28,8 @@ from .sigspace import (defect_search, hutchinson_iterate, membership,
 from .solenoid import (_H_TRUST, CylinderFunction, PathMeasure,
                        batch_trials, cylinder_mass,
                        empirical_cylinder_frequency, harmonic_from_measure,
-                       markov_deviation, multires_check, unitarity_check,
+                       markov_deviation, multires_check,
+                       parse_interval_set, unitarity_check,
                        worst_quasi_defect)
 from .transfer import TransferOperator, check_status, identity_suite
 from .trig import TrigPoly
@@ -149,8 +150,6 @@ def _cmd_defect(args, cfg, op, lam, report: Report) -> None:
 
 
 def _cmd_cylinder(args, cfg, op, lam, report: Report) -> None:
-    if args.sets is None:
-        raise ConfigError("cylinder needs --sets", field="sets")
     spec = CylinderFunction.parse(args.sets)
     pm = _solved_path_measure(cfg, op, lam)
     mass = cylinder_mass(pm, args.x, spec)
@@ -227,17 +226,8 @@ def _cmd_quasi(args, cfg, op, lam, report: Report) -> None:
 
 
 def _cmd_markov(args, cfg, op, lam, report: Report) -> None:
-    if args.set_a is None or args.set_b is None:
-        raise ConfigError("markov needs --set-a and --set-b", field="sets")
-    specs = (CylinderFunction.parse(args.set_a),
-             CylinderFunction.parse(args.set_b))
-    if any(spec.depth > 1 for spec in specs):
-        raise ConfigError("markov sets take one coordinate each, got "
-                          f"{specs[0].depth} and {specs[1].depth}",
-                          field="sets")
-    set_a, set_b = (spec.components[1] for spec in specs)
-    if set_a is None or set_b is None:
-        raise ConfigError("markov sets cannot be 'all'", field="sets")
+    set_a = parse_interval_set(args.set_a)
+    set_b = parse_interval_set(args.set_b)
     pm = _solved_path_measure(cfg, op, lam)
     m1, mn, diff = markov_deviation(pm, set_a, set_b, args.x, args.n)
     report.add_result("m_1", m1)
@@ -257,12 +247,14 @@ def _cmd_harmonic_from_measure(args, cfg, op, lam, report: Report) -> None:
 
 _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_TRIALS = ("from 1 to 1000", lambda v: 1 <= v <= 1000)
 _FINITE = ("finite", math.isfinite)
 _REQUIRED = object()   # the default of a flag that has none
 # The flags of every subcommand: flag -> (type, default, bound, help).  A
 # bound is the rule as the error states it and its test: main checks every
 # flag of the command against it before it loads the config or runs a
-# handler.
+# handler.  A count that sizes a loop or an array has a highest value, at
+# which the run's peak traced allocation (tracemalloc) stays below 16 MiB.
 _COMMON = {
     "config": (str, _REQUIRED, None, "config file"),
     "plot-data": (str, None, None, "write two-column plot data into DIR"),
@@ -275,7 +267,7 @@ _METAVARS = {"plot-data": "DIR", "json": "OUT"}
 _COMMANDS = {name: (handler, text, {**_COMMON, **flags})
              for name, handler, text, flags in (
     ("verify", _cmd_verify, "run the operator identity suite",
-     {"trials": (int, 100, _AT_LEAST_1, None)}),
+     {"trials": (int, 100, _TRIALS, None)}),
     ("harmonic", _cmd_harmonic, "solve for the fixed function of R",
      {"k-max": (int, 4, _NONNEGATIVE, None),
       "n-max": (int, 8, _NONNEGATIVE, None),
@@ -286,15 +278,16 @@ _COMMANDS = {name: (handler, text, {**_COMMON, **flags})
     ("defect", _cmd_defect, "defect and membership certificate", {}),
     ("cylinder", _cmd_cylinder, "exact cylinder mass",
      {"x": (float, _REQUIRED, _FINITE, None),
-      "sets": (str, None, None, "semicolon-separated interval constraints")}),
+      "sets": (str, _REQUIRED, None, "';'-separated interval unions")}),
     ("sample", _cmd_sample, "Monte Carlo vs exact enumeration",
      {"x": (float, 0.3, _FINITE, None),
-      "battery": (int, 20, _AT_LEAST_1, None)}),
+      "battery": (int, 20, ("from 1 to 100", lambda v: 1 <= v <= 100), None)}),
     ("quasi", _cmd_quasi, "shift quasi-invariance and unitarity",
-     {"trials": (int, 20, _AT_LEAST_1, None)}),
+     {"trials": (int, 20, _TRIALS, None)}),
     ("markov", _cmd_markov, "joint-mass drift across depths",
      {"x": (float, _REQUIRED, _FINITE, None),
-      "set-a": (str, None, None, None), "set-b": (str, None, None, None),
+      "set-a": (str, _REQUIRED, None, None),
+      "set-b": (str, _REQUIRED, None, None),
       "n": (int, 10, ("at least 2", lambda v: v >= 2), None)}),
     ("harmonic-from-measure", _cmd_harmonic_from_measure,
      "rebuild the harmonic function from total masses",

@@ -137,11 +137,12 @@ class RunConfig:
 # Every key of the format, in the order emit writes them: (section, key,
 # the RunConfig field it fills, its type, its bound, the weight or measure
 # kind that reads it, None when every kind does).  A number typed int must
-# be a whole number at least its bound; a float must be above its bound,
-# which is 0 where there is one ("positive").  ``sigma`` fills no field:
-# "inferred", its one value, is the unset ``sigma_slope``.  A key left out
-# takes its field's RunConfig default, and a key whose field has none is
-# required.
+# be a whole number at least its bound, or in its (lowest, highest) bound:
+# the highest paths keeps a sample run's peak tracemalloc below 16 MiB.  A
+# float must be above its bound, which is 0 where there is one
+# ("positive").  ``sigma`` fills no field: "inferred", its one value, is the
+# unset ``sigma_slope``.  A key left out takes its field's RunConfig
+# default, and a key whose field has none is required.
 _KEYS = (
     ("system", "branch_slopes", "branch_slopes", list, None, None),
     ("system", "branch_offsets", "branch_offsets", list, None, None),
@@ -159,7 +160,7 @@ _KEYS = (
     ("solver", "max_iter", "solver_max_iter", int, 1, None),
     ("solver", "seed", "solver_seed", int, 0, None),
     ("sampler", "seed", "sampler_seed", int, 0, None),
-    ("sampler", "paths", "sampler_paths", int, 1, None),
+    ("sampler", "paths", "sampler_paths", int, (1, 10**6), None),
     ("measure", "kind", "measure_kind", str, None, None),
     ("measure", "positions", "measure_positions", list, None, "atoms"),
     ("measure", "masses", "measure_masses", list, None, "atoms"),
@@ -273,12 +274,16 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"'{key}' is not read by {section} kind "
                                   f"'{kind}'", line=where[section, key])
         if expected is int:
+            lowest, highest = (bound, None) if isinstance(bound, int) else bound
             if not value.is_integer():
                 raise ConfigError(f"value must be an integer, got {value:g}",
                                   field=at)
-            if value < bound:
-                raise ConfigError(f"value must be at least {bound}, got "
+            if value < lowest:
+                raise ConfigError(f"value must be at least {lowest}, got "
                                   f"{value:g}", field=at)
+            if highest is not None and value > highest:
+                raise ConfigError(f"value must be at most {highest}, got "
+                                  f"{int(value)}", field=at)
             value = int(value)
         elif bound is not None and value <= bound:
             raise ConfigError("value must be positive", field=at)

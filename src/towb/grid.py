@@ -311,7 +311,6 @@ class IntervalSet:
         out = np.zeros(xs.shape)
         for lo, hi in self.intervals:
             out = out + ((xs >= lo) & (xs < hi))
-        out = np.minimum(out, 1.0)
         return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
     __call__ = indicator
@@ -376,26 +375,22 @@ def node_quadrature(n_cells: int, mu: Measure) -> Callable[[np.ndarray], float]:
 def integrate(f, mu: Measure) -> float | np.ndarray:
     """Integral of ``f`` against ``mu``.
 
-    Trig polynomials are integrated in closed form against the cell density,
-    so their integrals are exact to rounding.  Grid functions (through
-    :func:`node_quadrature`) and other callables use the midpoint rule,
-    exact for functions linear on each cell and ``O(N^-2)`` for smooth ones.
-    Atoms are evaluated pointwise either way.  An integrand whose values
-    carry a trailing trials axis (a batched :class:`TrigPoly`) gives one
-    integral per trial.
+    Trig polynomials are integrated in closed form by
+    :func:`integrate_over` on the whole circle, so their integrals are
+    exact to rounding.  Grid functions (through :func:`node_quadrature`) and
+    other callables use the midpoint rule, exact for functions linear on
+    each cell and ``O(N^-2)`` for smooth ones.  Atoms are evaluated
+    pointwise either way.  An integrand whose values carry a trailing trials
+    axis (a batched :class:`TrigPoly`) gives one integral per trial.
     """
     if isinstance(f, GridFunction):
         return node_quadrature(f.n_cells, mu)(f.values)
     if isinstance(f, TrigPoly):
-        edges = np.arange(mu.n_cells + 1) / mu.n_cells
-        anti = f.antiderivative_values(edges)
-        densities = mu.cell_masses * mu.n_cells
-        total = np.dot(np.diff(anti, axis=0).T, densities)
-    else:
-        vals = np.asarray(f(mu.cell_midpoints()), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("integrand produced non-finite values")
-        total = np.dot(vals.T, mu.cell_masses)
+        return integrate_over(f, mu, IntervalSet([(0.0, 1.0)]))
+    vals = np.asarray(f(mu.cell_midpoints()), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("integrand produced non-finite values")
+    total = np.dot(vals.T, mu.cell_masses)
     for pos, mass in mu.atoms:
         v = np.asarray(f(pos), dtype=float)
         if not np.all(np.isfinite(v)):
@@ -425,7 +420,10 @@ def integrate_over(f: TrigPoly, mu: Measure,
                                mu.cell_masses[j0:j1] * n)
     for pos, mass in mu.atoms:
         if region.indicator(pos):
-            total = total + np.asarray(f(pos), dtype=float) * mass
+            v = np.asarray(f(pos), dtype=float)
+            if not np.all(np.isfinite(v)):
+                raise DomainError("integrand produced non-finite values at an atom")
+            total = total + v * mass
     return _per_trial(total)
 
 

@@ -15,10 +15,13 @@ digits from the conditioned kernel ``p_i W(tau_i y) h(tau_i y) / h(y)``.
 Every exact path-space quantity is one such expression, and
 :func:`conditional_expectation` is its one evaluator: cylinder masses, the
 non-Markov witness, the rebuild of ``h`` from total masses and the
-expectations behind the shift checks all call it.  Monte Carlo sampling is
-provided alongside.  The shift leaves the path measure quasi-invariant with
-density ``W(x_0)``; :func:`quasi_invariance_defect` measures this exactly,
-and :func:`worst_quasi_defect` takes its largest size over a family of
+expectations behind the shift checks all call it.  Sampling is the
+measure's random walk, not a second evaluator: a Monte Carlo expectation
+is the mean of :meth:`CylinderFunction.eval_on_coords` over the coordinates
+:func:`sample_paths` draws from bases drawn by :func:`sample_bases`.  The
+shift leaves the path measure quasi-invariant with density ``W(x_0)``;
+:func:`quasi_invariance_defect` measures this exactly, and
+:func:`worst_quasi_defect` takes its largest size over a family of
 cylinder functions, for random ones, for ``psi^2`` (the unitarity of
 ``U psi = sqrt(W(x_0)) psi o shift``) and for the levels of the
 multiresolution ladder that ``U`` lowers one step at a time, with no
@@ -94,6 +97,30 @@ def shift_back(op: TransferOperator, path: SolPath) -> SolPath:
     return SolPath(base=new_base, digits=path.digits[1:])
 
 
+def parse_interval_set(text: str) -> IntervalSet:
+    """The ``u``-separated union ``"[0.5,0.75)u[0.9,1)"`` of intervals
+    ``[lo,hi)`` with numbers ``0 <= lo < hi <= 1``; any other piece raises
+    a :class:`ConfigError` located at ``sets``."""
+    pairs = []
+    for piece in text.replace("u", "U").split("U"):
+        piece = piece.strip()
+        ends = piece[1:-1].split(",")
+        if not (piece.startswith("[") and piece.endswith(")")
+                and len(ends) == 2):
+            raise ConfigError(f"cannot parse interval '{piece}', "
+                              "expected '[lo,hi)'", field="sets")
+        try:
+            lo, hi = float(ends[0]), float(ends[1])
+        except ValueError:
+            raise ConfigError(f"interval '{piece}' has a non-numeric "
+                              "endpoint", field="sets") from None
+        if not 0.0 <= lo < hi <= 1.0:
+            raise ConfigError(f"interval '{piece}' needs endpoints "
+                              "with 0 <= lo < hi <= 1", field="sets")
+        pairs.append((lo, hi))
+    return IntervalSet(pairs)
+
+
 class CylinderFunction:
     """Product ``f_0(x_0) f_1(x_1) ... f_m(x_m)`` of per-coordinate factors;
     ``None`` stands for the constant 1.  A cylinder event ``{x_j in A_j}``
@@ -117,36 +144,17 @@ class CylinderFunction:
         ``"[0,0.25);all;[0.5,0.75)u[0.9,1)"``-style text (``all`` leaves a
         coordinate unconstrained); ``x_0`` is unconstrained.
 
-        Each interval is ``[lo,hi)`` with numbers ``0 <= lo < hi <= 1``; any
-        other piece, and text with no coordinate at all, raises a
+        Every other coordinate is read by :func:`parse_interval_set`.  Empty
+        parts are skipped; text with no coordinate at all raises a
         :class:`ConfigError` located at ``sets``.
         """
         sets: list[IntervalSet | None] = []
         for part in text.split(";"):
             part = part.strip()
-            if not part:
-                continue
             if part.lower() == "all":
                 sets.append(None)
-                continue
-            pairs = []
-            for piece in part.replace("u", "U").split("U"):
-                piece = piece.strip()
-                ends = piece[1:-1].split(",")
-                if not (piece.startswith("[") and piece.endswith(")")
-                        and len(ends) == 2):
-                    raise ConfigError(f"cannot parse interval '{piece}', "
-                                      "expected '[lo,hi)'", field="sets")
-                try:
-                    lo, hi = float(ends[0]), float(ends[1])
-                except ValueError:
-                    raise ConfigError(f"interval '{piece}' has a non-numeric "
-                                      "endpoint", field="sets") from None
-                if not 0.0 <= lo < hi <= 1.0:
-                    raise ConfigError(f"interval '{piece}' needs endpoints "
-                                      "with 0 <= lo < hi <= 1", field="sets")
-                pairs.append((lo, hi))
-            sets.append(IntervalSet(pairs))
+            elif part:
+                sets.append(parse_interval_set(part))
         if not sets:
             raise ConfigError(f"cylinder spec '{text}' has no coordinate",
                               field="sets")
@@ -282,27 +290,10 @@ def v0_adjoint(pm: PathMeasure, psi) -> GridFunction:
     return GridFunction(conditional_expectation(pm, psi, nodes) / hv)
 
 
-def expectation(pm: PathMeasure, psi, mode: str = "exact",
-                samples: int = 100_000, rng: np.random.Generator | None = None):
-    """Path-space expectation of a cylinder function.
-
-    ``exact`` integrates the nested operator expression against the base
-    measure; ``mc`` averages over sampled paths (bases drawn from ``h dlam``)
-    and returns ``(estimate, stderr)``.
-    """
-    psi = CylinderFunction.coerce(psi)
-    if mode == "exact":
-        return integrate(lambda x: conditional_expectation(pm, psi, x), pm.lam)
-    if mode == "mc":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        bases = sample_bases(pm, samples, rng)
-        _, coords = sample_paths(pm, bases, psi.depth, rng)
-        vals = psi.eval_on_coords(coords)
-        if vals.size == 0:
-            raise DomainError("no paths sampled")
-        return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(vals.size))
-    raise DomainError(f"unknown expectation mode '{mode}'")
+def expectation(pm: PathMeasure, psi):
+    """Path-space expectation of a cylinder function: its
+    :func:`conditional_expectation` integrated against the base measure."""
+    return integrate(lambda x: conditional_expectation(pm, psi, x), pm.lam)
 
 
 # -- sampling ---------------------------------------------------------------
@@ -397,11 +388,8 @@ def sample_paths(pm: PathMeasure, bases, depth: int,
     coords = np.empty((depth + 1, count))
     coords[0] = ys
     # the kernel is evaluated once per distinct state; path k sits at
-    # states[at[k]].  When no base repeats, the states keep the paths' order,
-    # so that the gathers by ``at`` run in sequence.
+    # states[at[k]]
     states, at = np.unique(ys, return_inverse=True)
-    if states.size == count:
-        states, at = ys, np.arange(count)
     for j, pts, lo, chosen, flat in _walk(pm, states, at, depth, rng):
         digits[j, lo:lo + flat.size] = chosen
         coords[j + 1, lo:lo + flat.size] = np.take(pts, flat)

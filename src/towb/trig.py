@@ -157,8 +157,7 @@ class TrigPoly:
         return TrigPoly._from_arrays(self.freqs, -self.coefs)
 
     def __sub__(self, other: "TrigPoly | float") -> "TrigPoly":
-        return self + (-other if isinstance(other, TrigPoly)
-                       else TrigPoly.constant(-float(other)))
+        return self + (-other)
 
     def __mul__(self, other: "TrigPoly | float") -> "TrigPoly":
         if not isinstance(other, TrigPoly):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ def _run_configs(draw) -> RunConfig:
         solver_max_iter=draw(st.integers(1, 10**6)),
         solver_seed=draw(st.integers(0, 2**32)),
         sampler_seed=draw(st.integers(0, 2**32)),
-        sampler_paths=draw(st.integers(1, 10**9)),
+        sampler_paths=draw(st.integers(1, 10**6)),
         measure_kind=measure,
         measure_positions=draw(_FLOAT_LISTS) if measure == "atoms" else [],
         measure_masses=draw(_FLOAT_LISTS) if measure == "atoms" else [],
@@ -167,6 +168,7 @@ def test_emit_parse_emit_round_trip(cfg):
     ("sys_a.cfg", "seed = 7", "seed = -1", "sampler.seed"),
     ("sys_a.cfg", "seed = 7", "seed = 7.5", "sampler.seed"),
     ("sys_a.cfg", "paths = 100000", "paths = 99.9", "sampler.paths"),
+    ("sys_a.cfg", "paths = 100000", "paths = 1000001", "sampler.paths"),
 ])
 def test_bad_config_value_exit_code(capsys, tmp_path, base, old, new, field):
     # a value the run would truncate or cannot use is an input error
@@ -311,6 +313,9 @@ class TestCli:
         (["measure", "--steps", "-1"], "steps"),
         (["sample", "--battery", "0"], "battery"),
         (["sample", "--battery", "-3"], "battery"),
+        (["sample", "--battery", "101"], "battery"),
+        (["verify", "--trials", "1001"], "trials"),
+        (["quasi", "--trials", "1001"], "trials"),
         (["harmonic", "--k-max", "-1"], "k-max"),
         (["harmonic", "--n-max", "-1"], "n-max"),
         (["harmonic", "--cascade-tol", "nan"], "cascade-tol"),
@@ -344,6 +349,38 @@ class TestCli:
     ], ids=" ".join)
     def test_flag_bounds_admit_their_limits(self, capsys, argv):
         assert main(argv + ["--config", SYS_A]) == 0
+
+    @pytest.mark.parametrize("argv, paths, over_argv, over_paths", [
+        (["verify", "--trials", "1000"], 100_000,
+         ["verify", "--trials", "1001"], 100_000),
+        (["quasi", "--trials", "1000"], 100_000,
+         ["quasi", "--trials", "1001"], 100_000),
+        (["sample", "--battery", "100"], 1000,
+         ["sample", "--battery", "101"], 1000),
+        (["sample", "--battery", "1"], 1_000_000,
+         ["sample", "--battery", "1"], 1_000_001),
+    ], ids=["verify trials", "quasi trials", "sample battery",
+            "sampler paths"])
+    def test_count_bounds_keep_their_budget(self, capsys, tmp_path, argv,
+                                            paths, over_argv, over_paths):
+        # a count at its highest value peaks below the 16 MiB of traced
+        # allocation that its table states; one above it is refused before
+        # the run allocates anything
+        def traced(argv, paths):
+            cfg = tmp_path / f"paths_{paths}.cfg"
+            cfg.write_text(load_config(SYS_B).emit().replace(
+                "paths = 100000", f"paths = {paths}"))
+            tracemalloc.start()
+            try:
+                code = main(argv + ["--config", str(cfg)])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        code, peak = traced(argv, paths)
+        assert code == 0 and peak < 16 * 2**20
+        code, peak = traced(over_argv, over_paths)
+        assert code == 2 and peak < 2**20
 
     def test_cylinder_example(self, capsys, tmp_path):
         out = tmp_path / "rep.json"
@@ -610,17 +647,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "field 'sets'" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["cylinder"], "--sets"),
+        (["markov", "--set-b", "[0,0.5)"], "--set-a"),
+        (["markov", "--set-a", "[0,0.25)"], "--set-b"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_missing_sets_exit_code(self, capsys, argv, flag):
+        # the set flags are required: argparse names the missing one
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", SYS_A, "--x", "0.3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"the following arguments are required: {flag}" in err
+
     @pytest.mark.parametrize("flag", ["--set-a", "--set-b"])
     def test_markov_extra_coordinate_exit_code(self, capsys, flag):
-        # markov compares two sets of one coordinate each; a second
-        # coordinate is an input error, not silently dropped
-        sets = {"--set-a": "[0,0.25)", "--set-b": "[0,0.5)",
-                flag: "[0,0.25);[0.5,0.75)"}
-        assert main(["markov", "--config", SYS_A, "--x", "0.3", "--n", "3",
-                     "--set-a", sets["--set-a"],
-                     "--set-b", sets["--set-b"]]) == 2
-        err = capsys.readouterr().err
-        assert "config error" in err and "field 'sets'" in err
+        # markov compares two sets of one coordinate each, each one interval
+        # union: a second coordinate, an unconstrained one and a trailing
+        # ';' are input errors, not silently dropped or read as a set
+        for text in ("[0,0.25);[0.5,0.75)", "all", "[0,0.25);"):
+            sets = {"--set-a": "[0,0.25)", "--set-b": "[0,0.5)", flag: text}
+            assert main(["markov", "--config", SYS_A, "--x", "0.3", "--n",
+                         "3", "--set-a", sets["--set-a"],
+                         "--set-b", sets["--set-b"]]) == 2, text
+            err = capsys.readouterr().err
+            assert "config error" in err and "field 'sets'" in err
 
     def test_sampler_depth_key_exit_code(self, capsys, tmp_path):
         # the sampler draws its own depths; a config asking for one is

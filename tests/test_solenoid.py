@@ -213,21 +213,24 @@ def test_spec_parse_returns_unit_intervals_or_config_error(case):
 
 class TestExpectation:
     def test_base_coordinate_mean(self, pm_a):
-        assert towb.expectation(pm_a, [_id], "exact") == pytest.approx(0.5)
+        assert towb.expectation(pm_a, [_id]) == pytest.approx(0.5)
 
     def test_first_coordinate_mean(self, pm_a):
-        assert towb.expectation(pm_a, [None, _id], "exact") == \
+        assert towb.expectation(pm_a, [None, _id]) == \
             pytest.approx(0.5, abs=1e-12)
 
     def test_total_is_probability(self, pm_b):
-        assert towb.expectation(pm_b, [None], "exact") == \
+        assert towb.expectation(pm_b, [None]) == \
             pytest.approx(1.0, abs=1e-10)
 
     def test_mc_agrees_with_exact(self, pm_b):
         rng = np.random.default_rng(3)
         psi = [None, TrigPoly.random(rng, 3), TrigPoly.random(rng, 3)]
-        exact = towb.expectation(pm_b, psi, "exact")
-        est, se = towb.expectation(pm_b, psi, "mc", samples=200_000, rng=rng)
+        exact = towb.expectation(pm_b, psi)
+        bases = towb.sample_bases(pm_b, 200_000, rng)
+        _, coords = towb.sample_paths(pm_b, bases, 2, rng)
+        vals = CylinderFunction(psi).eval_on_coords(coords)
+        est, se = vals.mean(), vals.std(ddof=1) / np.sqrt(vals.size)
         assert abs(est - exact) < 5 * se
 
     def test_conditional_expectation_example(self, pm_a):
@@ -258,7 +261,7 @@ class TestExpectation:
     def test_v0_isometry(self, pm_a, lam_std):
         g = IntervalSet([(0.0, 0.5)]).indicator
         lifted_norm = towb.expectation(
-            pm_a, [lambda x: np.asarray(g(x)) ** 2], "exact")
+            pm_a, [lambda x: np.asarray(g(x)) ** 2])
         base_norm = towb.integrate(lambda x: np.asarray(g(x)) ** 2 *
                                    np.asarray(pm_a.h(x)), lam_std)
         assert lifted_norm == pytest.approx(0.5, abs=1e-12)
@@ -307,7 +310,7 @@ class TestUnitary:
         # ||U 1||^2 integrates the weight against h dlam, which is 1
         psi = CylinderFunction([None])
         u_psi = towb.u_apply(pm_b, psi)
-        norm_sq = towb.expectation(pm_b, u_psi.squared(), "exact")
+        norm_sq = towb.expectation(pm_b, u_psi.squared())
         assert norm_sq == pytest.approx(1.0, abs=1e-10)
 
     def test_unit_weight_shift_identity(self, pm_a):
@@ -550,7 +553,7 @@ class TestWordSumKernel:
                 (lambda y: np.asarray(k(y), dtype=float)) if f0 is None else
                 (lambda y: np.asarray(f0(y), dtype=float) *
                  np.asarray(k(y), dtype=float)), pm_small.lam)
-            assert towb.expectation(pm_small, comps, "exact") == want
+            assert towb.expectation(pm_small, comps) == want
 
     def test_cylinder_mass_matches_both_oracles(self, pm_small):
         rng = np.random.default_rng(12)

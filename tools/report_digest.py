@@ -33,7 +33,12 @@ tolerance of ``inf`` (``tol_inf``), a weight of ``nan`` (``weight_nan``),
 a ``cos`` key under a constant weight (``cos_constant``), a key given
 twice (``duplicate_key``) and an atom of mass -0.5 or 0 (``mass_negative``,
 ``mass_zero``) are malformed configs; flag values out of their bounds end
-the list.  Prints one line per run: the sha256 of the report (``-`` when
+the list, with one above each count's highest value: ``verify`` and
+``quasi`` with ``--trials 1001``, ``sample --battery 101``, and ``sample``
+on a doubling config with ``paths = 1000001`` (``paths_over``).
+``harmonic --k-max 2 --n-max 4`` runs on ``table``, whose grid is fine
+enough for those frequencies: the one run whose cascade check takes the
+midpoint rule.  Prints one line per run: the sha256 of the report (``-`` when
 none was written), the exit code and the arguments.  Reports are deterministic, so two checkouts give the same
 reports exactly when the outputs of::
 
@@ -101,6 +106,8 @@ GENERATED = {
     + '[measure]\nkind = "atoms"\npositions = [0.25]\nmasses = [-0.5]\n',
     "mass_zero": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
     + '[measure]\nkind = "atoms"\npositions = [0.25]\nmasses = [0.0]\n',
+    "paths_over": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + "[sampler]\npaths = 1000001\n",
 }
 GENERATED_COMMANDS = (("verify",), ("measure",))
 SHIFTED_COMMANDS = (("measure",), ("defect",), ("verify",))
@@ -143,6 +150,10 @@ INPUT_ERRORS = (
     ("mass_zero", ("measure",)),
     ("mass_zero", ("verify",)),
     ("mass_zero", ("defect",)),
+    ("sys_a", ("verify", "--trials", "1001")),
+    ("sys_a", ("quasi", "--trials", "1001")),
+    ("sys_a", ("sample", "--battery", "101")),
+    ("paths_over", ("sample", "--battery", "1")),
 )
 
 
@@ -162,6 +173,7 @@ def cases():
         yield name, ("harmonic",)
     yield "weight_two", ("cylinder", "--x", "0.3", "--sets", "[0,0.5)")
     yield "weight_half", ("verify",)
+    yield "table", ("harmonic", "--k-max", "2", "--n-max", "4")
     for name in ("sys_b", "table"):
         yield name, ("verify", "--trials", "30")
     for command in THREE_BRANCH_COMMANDS:
