@@ -36,9 +36,10 @@ rng = np.random.default_rng(0)
 spec = towb.CylinderFunction([None, quarter, half])
 exact = towb.cylinder_mass(pm, x, spec) / float(pm.h(x))
 for n_paths in (1_000, 10_000, 100_000):
-    p_hat, se = towb.empirical_cylinder_frequency(pm, x, spec, n_paths, rng)
+    p_hat = towb.empirical_cylinder_frequency(pm, x, spec, n_paths, rng)
+    se = np.sqrt(exact * (1 - exact) / n_paths)
     print(f"paths {n_paths:7d}: empirical {p_hat:.5f}  exact {exact:.5f}  "
-          f"({abs(p_hat - exact) / max(se, 1e-12):.1f} standard errors)")
+          f"({abs(p_hat - exact) / se:.1f} standard errors)")
 
 # Expectations of cylinder functions, both ways: exactly, and as the mean
 # over sampled paths whose bases are drawn from h dlam.

@@ -186,10 +186,14 @@ def _cmd_sample(args, cfg, op, lam, report: Report) -> None:
     empirical, exact = [], []
     for i, spec in enumerate(specs):
         p_exact = cylinder_mass(pm, base_x, spec) / float(pm.h(base_x))
-        p_hat, stderr = empirical_cylinder_frequency(
-            pm, base_x, spec, cfg.sampler_paths, rng)
+        p_hat = empirical_cylinder_frequency(pm, base_x, spec,
+                                             cfg.sampler_paths, rng)
         empirical.append(p_hat)
         exact.append(p_exact)
+        # the binomial error of the null hypothesis p = p_exact (the score
+        # test), floored where p_exact rounds to 0 or 1
+        stderr = math.sqrt(max(p_exact * (1.0 - p_exact), 1e-12)
+                           / cfg.sampler_paths)
         gap, scale = abs(p_hat - p_exact), max(stderr, 1e-12)
         worst_z = max(worst_z, gap / scale)
         within = gap <= SAMPLE_Z_TOL * scale
@@ -270,7 +274,8 @@ _COMMANDS = {name: (handler, text, {**_COMMON, **flags})
      {"trials": (int, 100, _TRIALS, None)}),
     ("harmonic", _cmd_harmonic, "solve for the fixed function of R",
      {"k-max": (int, 4, _NONNEGATIVE, None),
-      "n-max": (int, 8, _NONNEGATIVE, None),
+      "n-max": (int, 8, ("from 0 to 10000", lambda v: 0 <= v <= 10_000),
+                None),
       "cascade-tol": (float, 1e-6, ("finite and positive", lambda v:
                                     math.isfinite(v) and v > 0), None)}),
     ("measure", _cmd_measure, "iterate the branch-averaging map",

@@ -137,11 +137,16 @@ class RunConfig:
 # Every key of the format, in the order emit writes them: (section, key,
 # the RunConfig field it fills, its type, its bound, the weight or measure
 # kind that reads it, None when every kind does).  A number typed int must
-# be a whole number at least its bound, or in its (lowest, highest) bound:
-# the highest paths keeps a sample run's peak tracemalloc below 16 MiB.  A
-# float must be above its bound, which is 0 where there is one
-# ("positive").  ``sigma`` fills no field: "inferred", its one value, is the
-# unset ``sigma_slope``.  A key left out takes its field's RunConfig
+# be a whole number at least its bound, or in its (lowest, highest) bound.
+# The highest cells keeps one grid array (a float per cell) at 8 MiB;
+# ``verify``, the largest, peaks at ~640 bytes of traced allocation per
+# cell.  The sampler keeps one count per reached state, so paths sizes no
+# array; its highest value keeps the sampling tolerance of an event of
+# probability at least 0.001 above 1e-4, a hundred times the residual
+# (_H_TRUST) that h may carry into the exact masses, so that a FAIL is the
+# sampler's.  A float must be above its bound, which is 0 where there is
+# one ("positive").  ``sigma`` fills no field: "inferred", its one value,
+# is the unset ``sigma_slope``.  A key left out takes its field's RunConfig
 # default, and a key whose field has none is required.
 _KEYS = (
     ("system", "branch_slopes", "branch_slopes", list, None, None),
@@ -155,7 +160,7 @@ _KEYS = (
     ("weight", "cos", "weight_cos", list, None, "trig"),
     ("weight", "sin", "weight_sin", list, None, "trig"),
     ("weight", "table_values", "weight_table", list, None, "table"),
-    ("grid", "cells", "cells", int, 2, None),
+    ("grid", "cells", "cells", int, (2, 2**20), None),
     ("solver", "tol", "solver_tol", float, 0, None),
     ("solver", "max_iter", "solver_max_iter", int, 1, None),
     ("solver", "seed", "solver_seed", int, 0, None),

@@ -48,9 +48,6 @@ DEPTH_MAX = 16
 # there take ~16 bytes per word and frequency (~100 MiB for W = 1 + cos).
 WORDS_MAX = 2**20
 _H_TRUST = 1e-6
-# Paths the sampler draws and routes at once in each step: a block's
-# uniforms and gathers stay small enough to be reused, not mapped afresh.
-PATH_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -322,112 +319,103 @@ def sample_bases(pm: PathMeasure, count: int,
     return out
 
 
-def _walk(pm: PathMeasure, states: np.ndarray, at: np.ndarray, depth: int,
-          rng: np.random.Generator) -> Iterator[tuple]:
-    """The walk of the paths at ``states[at]`` under the ``h``-conditioned
-    kernel of :func:`sample_paths`.
-
-    Each step evaluates the kernel once, at its distinct states, and then
-    draws the paths in blocks of ``PATH_BLOCK``, in path order, so that a
-    step's uniforms are those of one ``rng.random(count)``.  For every block
-    it yields ``(j, pts, lo, chosen, flat)``: the step ``j``, its children
-    ``pts`` (branch by distinct state), the block's first path ``lo``, and
-    the digits ``chosen`` and child indices ``flat`` into ``pts.flat`` of
-    the block's paths.  The walk overwrites ``at``.
-    """
+def _conditioned_kernel(pm: PathMeasure, states: np.ndarray,
+                        hy: np.ndarray) -> tuple:
+    """The ``h``-conditioned kernel at the distinct ``states``, where ``h``
+    is ``hy``: the children ``pts`` (branch by state), ``h(pts)``, the
+    masses ``p_i W(tau_i y) h(tau_i y) / h(y)`` and their sums over the
+    branches.  ``h`` below ``EPS_H`` at a state, or a state whose kernel
+    has no mass, raises."""
+    if np.any(hy <= EPS_H):
+        raise DomainError("h fell below its floor along a trajectory")
     op = pm.op
-    count = at.size
-    hy = np.asarray(pm.h(states), dtype=float)
-    slot = None     # maps a child index of the last step to the next state
-    for j in range(depth):
-        if np.any(hy <= EPS_H):
-            raise DomainError("h fell below its floor along a trajectory")
-        pts = op.branch_points(states)                    # (n, S)
-        kernel = op.branch_masses(pts)
-        hv = np.asarray(pm.h(pts), dtype=float)
-        kernel *= hv
-        kernel /= hy
-        total = kernel.sum(axis=0)
-        if np.any(total <= 0):
-            raise DomainError("transition kernel degenerated to zero mass")
-        # the last cumulative row equals ``total`` bit for bit and u < total,
-        # so it never counts: the first n-1 rows give a digit in [0, n-1]
-        cum = np.cumsum(kernel[:-1], axis=0)
-        used = np.zeros(pts.size, dtype=bool)
-        for lo in range(0, count, PATH_BLOCK):
-            block = at[lo:lo + PATH_BLOCK]
-            here = block if slot is None else np.take(slot, block)
-            u = rng.random(here.size)
-            u *= np.take(total, here)
-            chosen = (np.take(cum, here, axis=1) < u).sum(axis=0)
-            flat = chosen * states.size + here
-            yield j, pts, lo, chosen, flat
-            used[flat] = True
-            block[:] = flat
-        # the chosen children, in branch-major order, are the next distinct
-        # states: compacted without sorting, with h carried
-        keep = np.flatnonzero(used)
-        slot = np.empty(pts.size, dtype=np.intp)
-        slot[keep] = np.arange(keep.size)
-        states, hy = np.take(pts, keep), np.take(hv, keep)
+    pts = op.branch_points(states)                    # (n, S)
+    kernel = op.branch_masses(pts)
+    hv = np.asarray(pm.h(pts), dtype=float)
+    kernel *= hv
+    kernel /= hy
+    total = kernel.sum(axis=0)
+    if np.any(total <= 0):
+        raise DomainError("transition kernel degenerated to zero mass")
+    return pts, hv, kernel, total
 
 
 def sample_paths(pm: PathMeasure, bases, depth: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``depth`` branch digits for each base from the ``h``-conditioned
     kernel, one step at a time: digit ``i`` at state ``y`` has probability
-    proportional to ``p_i W(tau_i y) h(tau_i y) / h(y)`` (see :func:`_walk`).
+    proportional to ``p_i W(tau_i y) h(tau_i y) / h(y)``.
 
-    Returns ``(digits, coords)`` with shapes ``(count, depth)`` and
-    ``(count, depth+1)``, the transposes of row-per-step buffers.
-    Deterministic given the generator state.
+    Each step evaluates the kernel once, at its distinct states, and draws
+    every path's digit from one ``rng.random(count)``.  Returns ``(digits,
+    coords)`` with shapes ``(count, depth)`` and ``(count, depth+1)``, the
+    transposes of row-per-step buffers.  Deterministic given the generator
+    state.
     """
     ys = np.atleast_1d(np.asarray(bases, dtype=float))
-    count = ys.size
-    digits = np.empty((depth, count), dtype=np.int64)
-    coords = np.empty((depth + 1, count))
+    digits = np.empty((depth, ys.size), dtype=np.int64)
+    coords = np.empty((depth + 1, ys.size))
     coords[0] = ys
-    # the kernel is evaluated once per distinct state; path k sits at
-    # states[at[k]]
+    # path k sits at states[at[k]]
     states, at = np.unique(ys, return_inverse=True)
-    for j, pts, lo, chosen, flat in _walk(pm, states, at, depth, rng):
-        digits[j, lo:lo + flat.size] = chosen
-        coords[j + 1, lo:lo + flat.size] = np.take(pts, flat)
+    hy = np.asarray(pm.h(states), dtype=float)
+    for j in range(depth):
+        pts, hv, kernel, total = _conditioned_kernel(pm, states, hy)
+        # the last cumulative row equals ``total`` bit for bit and u < total,
+        # so it never counts: the first n-1 rows give a digit in [0, n-1]
+        cum = np.cumsum(kernel[:-1], axis=0)
+        u = rng.random(ys.size)
+        u *= np.take(total, at)
+        digits[j] = (np.take(cum, at, axis=1) < u).sum(axis=0)
+        flat = digits[j] * states.size + at     # the child in pts.flat
+        coords[j + 1] = np.take(pts, flat)
+        # the chosen children, in branch-major order, are the next distinct
+        # states: compacted without sorting, with h carried
+        used = np.zeros(pts.size, dtype=bool)
+        used[flat] = True
+        keep = np.flatnonzero(used)
+        slot = np.empty(pts.size, dtype=np.intp)
+        slot[keep] = np.arange(keep.size)
+        at = np.take(slot, flat)
+        states, hy = np.take(pts, keep), np.take(hv, keep)
     return digits.T, coords.T
 
 
 def empirical_cylinder_frequency(pm: PathMeasure, x: float,
                                  spec: CylinderFunction, paths: int,
-                                 rng: np.random.Generator
-                                 ) -> tuple[float, float]:
-    """Empirical probability of a cylinder event under sampling, with its
-    binomial standard error; compare against ``cylinder_mass / h(x)``.
+                                 rng: np.random.Generator) -> float:
+    """Empirical probability of the cylinder event ``spec`` among ``paths``
+    walks from ``x``; compare against ``cylinder_mass / h(x)``.
 
-    ``paths`` walks start at ``x`` and draw as :func:`sample_paths` does
-    from ``paths`` copies of ``x``.  No coordinate is stored: each factor
-    is evaluated once per step on the step's branch images, and a per-path
-    running product gathers its values by child index.  When each factor's
-    value at a point depends on that point alone, as an indicator's does,
-    the estimate is bit for bit the mean of ``spec`` on the coordinates
-    :func:`sample_paths` returns.
+    The walks fall on the depth-``m`` branch words in Multinomial(``paths``,
+    ``P_x(word) / h(x)``) counts, and a frequency reads only those counts,
+    so it draws them, level by level: each step evaluates the kernel of
+    :func:`sample_paths` once at the distinct states, splits each state's
+    count over its children with one ``rng.multinomial`` call and drops the
+    children no walk reached.  Splitting a multinomial level by level draws
+    the joint law of the word counts, so the estimate has the law of the
+    mean of ``spec`` over ``paths`` paths of :func:`sample_paths`.  Each
+    factor is evaluated once per step, at the children kept, into a running
+    product per state.  A frequency costs ``O(sum_j min(paths, n^j))``
+    (``n`` branches, ``j`` up to the depth) and keeps no per-path array.
     """
-    x0 = np.array([float(x)])
     f0, *factors = spec.components
-    vals = np.ones(paths)
-    if f0 is not None:
-        vals *= np.asarray(f0(x0), dtype=float)
-    # child indices stay below n * paths; int32 halves the per-path array
-    wide = pm.op.system.n_branches * paths > 2**31
-    at = np.zeros(paths, dtype=np.intp if wide else np.int32)
-    for j, pts, lo, _, flat in _walk(pm, x0, at, spec.depth, rng):
-        if factors[j] is None:
-            continue
-        if lo == 0:     # the step's first block: its factor at its children
-            fv = np.asarray(factors[j](pts), dtype=float)
-        vals[lo:lo + flat.size] *= np.take(fv, flat)
-    p_hat = float(vals.mean())
-    stderr = float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / paths))
-    return p_hat, stderr
+    states = np.array([float(x)])
+    hy = np.asarray(pm.h(states), dtype=float)
+    counts = np.array([paths])
+    prod = np.ones(1) if f0 is None else np.asarray(f0(states), dtype=float)
+    for f in factors:
+        pts, hv, kernel, _ = _conditioned_kernel(pm, states, hy)
+        # multinomial refuses a negative probability: a mass below 0 is none
+        probs = np.maximum(kernel, 0.0)
+        probs /= probs.sum(axis=0)
+        split = rng.multinomial(counts, probs.T).T.ravel()  # branch-major
+        keep = np.flatnonzero(split)
+        prod = np.take(prod, keep % states.size)
+        counts, states, hy = split[keep], np.take(pts, keep), np.take(hv, keep)
+        if f is not None:
+            prod *= np.asarray(f(states), dtype=float)
+    return float(np.sum(counts * prod)) / paths
 
 
 # -- the weighted shift ------------------------------------------------------

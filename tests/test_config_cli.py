@@ -163,6 +163,8 @@ def test_emit_parse_emit_round_trip(cfg):
     ("sys_a.cfg", 'sigma = "inferred"', 'sigma = "given"', "system.sigma"),
     ("sys_a.cfg", "cells = 1024", "cells = 1000.7", "grid.cells"),
     ("sys_a.cfg", "cells = 1024", "cells = 1", "grid.cells"),
+    ("sys_a.cfg", "cells = 1024", "cells = 1048577", "grid.cells"),
+    ("sys_a.cfg", "cells = 1024", "cells = 100000000000", "grid.cells"),
     ("sys_a.cfg", "max_iter = 2000", "max_iter = 20.5", "solver.max_iter"),
     ("sys_a.cfg", "seed = 0", "seed = -1", "solver.seed"),
     ("sys_a.cfg", "seed = 7", "seed = -1", "sampler.seed"),
@@ -318,6 +320,8 @@ class TestCli:
         (["quasi", "--trials", "1001"], "trials"),
         (["harmonic", "--k-max", "-1"], "k-max"),
         (["harmonic", "--n-max", "-1"], "n-max"),
+        (["harmonic", "--n-max", "10001"], "n-max"),
+        (["harmonic", "--n-max", "10000000000"], "n-max"),
         (["harmonic", "--cascade-tol", "nan"], "cascade-tol"),
         (["harmonic", "--cascade-tol", "-1"], "cascade-tol"),
         (["harmonic", "--cascade-tol", "0"], "cascade-tol"),
@@ -359,8 +363,10 @@ class TestCli:
          ["sample", "--battery", "101"], 1000),
         (["sample", "--battery", "1"], 1_000_000,
          ["sample", "--battery", "1"], 1_000_001),
+        (["harmonic", "--n-max", "10000"], 100_000,
+         ["harmonic", "--n-max", "10001"], 100_000),
     ], ids=["verify trials", "quasi trials", "sample battery",
-            "sampler paths"])
+            "sampler paths", "harmonic n-max"])
     def test_count_bounds_keep_their_budget(self, capsys, tmp_path, argv,
                                             paths, over_argv, over_paths):
         # a count at its highest value peaks below the 16 MiB of traced
@@ -840,7 +846,7 @@ class TestCli:
 
         import towb.solenoid
 
-        original = towb.solenoid._walk
+        original = towb.solenoid._conditioned_kernel
 
         def unit_weight(pm, *args):
             system = pm.op.system.with_weight(towb.WeightExpr.constant(1.0))
@@ -852,7 +858,8 @@ class TestCli:
         assert main(["sample", "--config", path, "--json", str(out)]) == 0
         results = json.loads(out.read_text())["results"]
         assert results["agreeing"] == 20 and results["worst_z"] < 4.0
-        monkeypatch.setattr(towb.solenoid, "_walk", unit_weight)
+        monkeypatch.setattr(towb.solenoid, "_conditioned_kernel",
+                            unit_weight)
         code = main(["sample", "--config", path, "--json", str(out)])
         payload = json.loads(out.read_text())
         statuses = [c["status"] for c in payload["checks"]]

@@ -80,42 +80,6 @@ class TestSamplePaths:
         assert np.array_equal(d1, d2) and np.array_equal(c1, c2)
 
 
-def _frequency_by_boolean_hits(pm, x, sets, paths, rng):
-    """Reference: the cylinder event ``sets`` as a boolean mask, one ``&=``
-    per constrained coordinate."""
-    _, coords = towb.sample_paths(pm, np.full(paths, float(x)), len(sets),
-                                  rng)
-    hits = np.ones(paths, dtype=bool)
-    for j, a in enumerate(sets):
-        if a is not None:
-            hits &= np.asarray(a.indicator(coords[:, j + 1]), dtype=bool)
-    p_hat = float(hits.mean())
-    return p_hat, float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / paths))
-
-
-@pytest.mark.parametrize("fixture_name", ["pm_a", "pm_b"])
-def test_empirical_frequency_matches_boolean_oracle_bitwise(fixture_name,
-                                                            request):
-    pm = request.getfixturevalue(fixture_name)
-    draw = np.random.default_rng(31)
-    for _ in range(12):
-        sets = []
-        for _ in range(int(draw.integers(1, 5))):
-            if draw.random() < 0.25:
-                sets.append(None)
-            else:
-                lo = draw.uniform(0.0, 0.5, 2)
-                sets.append(IntervalSet([(lo[0], lo[0] + 0.3),
-                                         (lo[1], lo[1] + 0.2)]))
-        x, seed = float(draw.random()), int(draw.integers(2**32))
-        rng, ref_rng = (np.random.default_rng(seed),
-                        np.random.default_rng(seed))
-        got = towb.empirical_cylinder_frequency(
-            pm, x, CylinderFunction([None, *sets]), 5000, rng)
-        assert got == _frequency_by_boolean_hits(pm, x, sets, 5000, ref_rng)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
 class TestEmpiricalVsExact:
     @pytest.mark.parametrize("fixture_name", ["pm_a", "pm_b"])
     def test_battery_within_four_sigma(self, fixture_name, request):
@@ -127,8 +91,9 @@ class TestEmpiricalVsExact:
         agreeing = 0
         for spec in specs:
             p_exact = towb.cylinder_mass(pm, x, spec) / hx
-            p_hat, se = towb.empirical_cylinder_frequency(pm, x, spec,
-                                                          20_000, rng)
+            p_hat = towb.empirical_cylinder_frequency(pm, x, spec, 20_000,
+                                                      rng)
+            se = np.sqrt(max(p_exact * (1 - p_exact), 1e-12) / 20_000)
             agreeing += abs(p_hat - p_exact) <= 4 * max(se, 1e-12)
         assert agreeing >= 19
 
@@ -237,16 +202,46 @@ def _frequency_by_sampled_coordinates(pm, x, spec, paths, rng):
     return float(spec.eval_on_coords(coords).mean())
 
 
-@pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_d", "three_branch"])
-def test_frequency_is_mean_over_sampled_coordinates_bitwise(name):
-    # the running product over child indices against the mean of the spec
-    # on the full coordinate matrix of the same walk.  The factors are
-    # pointwise (a value at x depends on x alone), and each takes the value
-    # 0.5 + x on its set, so that the products are not just 0 and 1
-    from towb.solenoid import PATH_BLOCK
+def _frequency_by_plain_split(pm, x, spec, paths, rng):
+    """Reference: the count split written out state by state.  A level is a
+    list of ``(y, h(y), count, product)``; each state's count goes to its
+    children by one ``rng.multinomial`` of its own, and the children are
+    listed branch by branch, so that the generator sees the calls the
+    library makes.  The products are summed as the library sums them."""
+    probs = np.array(pm.op.system.probs)
+    f0, *factors = spec.components
+    y0 = np.array([float(x)])
+    first = 1.0 if f0 is None else float(np.asarray(f0(y0), dtype=float)[0])
+    level = [(float(x), float(np.asarray(pm.h(y0))[0]), paths, first)]
+    for f in factors:
+        ys = np.array([item[0] for item in level])
+        hy = np.array([item[1] for item in level])
+        pts = pm.op.branch_points(ys)
+        hv = np.asarray(pm.h(pts), dtype=float)
+        kernel = probs[:, None] * pm.op.system.weight(pts) * hv / hy
+        splits = []
+        for s, (_, _, count, _) in enumerate(level):
+            p = np.maximum(kernel[:, s], 0.0)
+            splits.append(rng.multinomial(count, p / p.sum()))
+        children = []
+        for i in range(len(probs)):
+            for s, (_, _, _, prod) in enumerate(level):
+                if splits[s][i] > 0:
+                    y = pts[i, s]
+                    if f is not None:
+                        prod = prod * float(np.asarray(f(np.array([y])))[0])
+                    children.append((y, hv[i, s], int(splits[s][i]), prod))
+        level = children
+    counts = np.array([count for _, _, count, _ in level])
+    prods = np.array([prod for _, _, _, prod in level])
+    return float(np.sum(counts * prods)) / paths
 
-    few = 1000
-    assert few < PATH_BLOCK < 10_007
+
+@pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_d", "three_branch"])
+def test_count_split_matches_plain_oracle_bitwise(name):
+    # the factors are pointwise (a value at x depends on x alone), and each
+    # takes the value 0.5 + x on its set, so that the products are not
+    # just 0 and 1
     pm = _oracle_measure(name)
 
     def scaled(a):
@@ -254,8 +249,8 @@ def test_frequency_is_mean_over_sampled_coordinates_bitwise(name):
 
     f0 = scaled(IntervalSet([(0.0, 0.7)]))
     draw = np.random.default_rng(43)
-    for depth in range(4):
-        for paths in (10_007, few):
+    for depth in range(6):
+        for paths in (100_003, 1000, 1):
             factors = [None if draw.random() < 0.25 else
                        scaled(IntervalSet([(lo, lo + 0.45)]))
                        for lo in draw.uniform(0.0, 0.5, depth)]
@@ -264,28 +259,90 @@ def test_frequency_is_mean_over_sampled_coordinates_bitwise(name):
                 x, seed = float(draw.random()), int(draw.integers(2**32))
                 rng, ref_rng = (np.random.default_rng(seed),
                                 np.random.default_rng(seed))
-                p_hat, _ = towb.empirical_cylinder_frequency(pm, x, spec,
-                                                             paths, rng)
+                p_hat = towb.empirical_cylinder_frequency(pm, x, spec, paths,
+                                                          rng)
                 where = (name, depth, paths, first is None)
-                assert p_hat == _frequency_by_sampled_coordinates(
+                assert p_hat == _frequency_by_plain_split(
                     pm, x, spec, paths, ref_rng), where
                 assert (rng.bit_generator.state
                         == ref_rng.bit_generator.state), where
 
 
+@pytest.mark.parametrize("name", ["sys_b", "three_branch"])
+def test_count_split_draws_the_word_counts_of_sample_paths(name):
+    # the count of each depth-2 word, read by the split as the frequency of
+    # the event "x_1, x_2 in the images of the word's branches", has the law
+    # of that word's count among as many paths of sample_paths: the same
+    # mean and the same variance over repeated draws (seeded)
+    pm = _oracle_measure(name)
+    n = pm.op.system.n_branches
+    x, paths, reps = 0.3, 400, 1000
+    images = [IntervalSet([(i / n, (i + 1) / n)]) for i in range(n)]
+    words = [(a, b) for a in range(n) for b in range(n)]
+    rng = np.random.default_rng(2468)
+    split = np.rint([[paths * towb.empirical_cylinder_frequency(
+        pm, x, CylinderFunction([None, images[a], images[b]]), paths, rng)
+        for a, b in words] for _ in range(reps)])
+    walked = []
+    for _ in range(reps):
+        digits, _ = towb.sample_paths(pm, np.full(paths, x), 2, rng)
+        walked.append(np.bincount(digits[:, 0] * n + digits[:, 1],
+                                  minlength=n * n))
+    walked = np.array(walked)
+    for w, word in enumerate(words):
+        a, b = split[:, w], walked[:, w]
+        if not b.any():
+            assert not a.any(), word
+            continue
+        gap = abs(a.mean() - b.mean())
+        assert gap < 4 * np.sqrt((a.var() + b.var()) / reps), word
+        # two sample variances of 1000 draws each differ by ~6% (one
+        # standard deviation of their log ratio); 1.4 is over 5 of those
+        assert 1 / 1.4 < a.var(ddof=1) / b.var(ddof=1) < 1.4, word
+
+
+class _SplitRecorder:
+    """A generator whose ``multinomial`` calls are recorded: the counts
+    split at each step and the counts drawn."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.steps = []
+
+    def multinomial(self, counts, pvals):
+        drawn = self.rng.multinomial(counts, pvals)
+        self.steps.append((np.array(counts), drawn))
+        return drawn
+
+
 def test_frequency_stores_no_coordinate_matrix(pm_b):
     # the (paths, depth+1) coordinates alone would take the bound; the
-    # frequency keeps one value and one state index per path
-    paths, depth = 100_000, 3
+    # frequency keeps one count and one product per reached state, so its
+    # peak does not grow with paths, and every step splits all the walks
+    depth = 3
     spec = CylinderFunction([None] + [IntervalSet([(0.1, 0.6)])] * depth)
-    bound = (depth + 1) * paths * 8
-    peaks = []
-    for frequency in (towb.empirical_cylinder_frequency,
-                      _frequency_by_sampled_coordinates):
+
+    def peak(frequency, paths, rng):
         tracemalloc.start()
         try:
-            frequency(pm_b, 0.3, spec, paths, np.random.default_rng(0))
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            frequency(pm_b, 0.3, spec, paths, rng)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    paths = 100_000
+    bound = (depth + 1) * paths * 8
+    peaks = [peak(frequency, paths, np.random.default_rng(0))
+             for frequency in (towb.empirical_cylinder_frequency,
+                               _frequency_by_sampled_coordinates)]
     assert peaks[0] < bound < peaks[1], peaks
+    few, many = (peak(towb.empirical_cylinder_frequency, paths,
+                      np.random.default_rng(0)) for paths in (10**3, 10**6))
+    assert many <= 2 * few, (few, many)
+    for paths in (10**3, 10**6):
+        rng = _SplitRecorder(5)
+        towb.empirical_cylinder_frequency(pm_b, 0.3, spec, paths, rng)
+        assert len(rng.steps) == depth
+        for counts, drawn in rng.steps:
+            assert counts.sum() == drawn.sum() == paths
+            assert np.array_equal(drawn.sum(axis=1), counts)

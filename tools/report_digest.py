@@ -34,8 +34,10 @@ a ``cos`` key under a constant weight (``cos_constant``), a key given
 twice (``duplicate_key``) and an atom of mass -0.5 or 0 (``mass_negative``,
 ``mass_zero``) are malformed configs; flag values out of their bounds end
 the list, with one above each count's highest value: ``verify`` and
-``quasi`` with ``--trials 1001``, ``sample --battery 101``, and ``sample``
-on a doubling config with ``paths = 1000001`` (``paths_over``).
+``quasi`` with ``--trials 1001``, ``sample --battery 101``, ``harmonic
+--n-max 10001``, ``sample`` on a doubling config with ``paths = 1000001``
+(``paths_over``) and ``harmonic`` on one with ``cells = 1048577``
+(``cells_over``).
 ``harmonic --k-max 2 --n-max 4`` runs on ``table``, whose grid is fine
 enough for those frequencies: the one run whose cascade check takes the
 midpoint rule.  Prints one line per run: the sha256 of the report (``-`` when
@@ -108,6 +110,8 @@ GENERATED = {
     + '[measure]\nkind = "atoms"\npositions = [0.25]\nmasses = [0.0]\n',
     "paths_over": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
     + "[sampler]\npaths = 1000001\n",
+    "cells_over": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + "[grid]\ncells = 1048577\n",
 }
 GENERATED_COMMANDS = (("verify",), ("measure",))
 SHIFTED_COMMANDS = (("measure",), ("defect",), ("verify",))
@@ -153,7 +157,9 @@ INPUT_ERRORS = (
     ("sys_a", ("verify", "--trials", "1001")),
     ("sys_a", ("quasi", "--trials", "1001")),
     ("sys_a", ("sample", "--battery", "101")),
+    ("sys_a", ("harmonic", "--n-max", "10001")),
     ("paths_over", ("sample", "--battery", "1")),
+    ("cells_over", ("harmonic",)),
 )
 
 
