@@ -300,6 +300,7 @@ _COMMANDS = {name: (handler, text, {**_COMMON, **flags})
 )}
 for name in ("cylinder", "quasi", "markov"):  # their handlers write no plots
     del _COMMANDS[name][2]["plot-data"]
+del _COMMANDS["measure"][2]["seed"]  # its handler draws nothing
 # main dispatches through this dict, so that its entries can be wrapped.
 _HANDLERS = {name: command[0] for name, command in _COMMANDS.items()}
 
@@ -327,9 +328,9 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.solver_seed = args.seed
-            cfg.sampler_seed = args.seed
+        seed = getattr(args, "seed", None)  # not every command offers it
+        if seed is not None:
+            cfg.solver_seed = cfg.sampler_seed = seed
         system = cfg.build_system()
         lam = cfg.build_measure()
     except (ConfigError, OSError) as exc:

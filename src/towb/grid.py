@@ -48,10 +48,8 @@ class GridFunction:
         vals = np.array(values, dtype=float)
         if vals.ndim != 1 or vals.size < 2:
             raise DomainError("grid function needs at least 2 node samples")
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("grid function samples must be finite")
         vals.setflags(write=False)
-        self.values = vals
+        self.values = finite_samples(vals)
         self.n_cells = vals.size
 
     @classmethod
@@ -115,6 +113,13 @@ class GridFunction:
         return f"GridFunction(N={self.n_cells})"
 
 
+def finite_samples(values: np.ndarray) -> np.ndarray:
+    """``values``, checked to be finite node samples."""
+    if not np.isfinite(values).all():
+        raise DomainError("grid function samples must be finite")
+    return values
+
+
 def interpolate(values: np.ndarray, stencil) -> np.ndarray:
     """Node samples ``values`` interpolated with a
     :meth:`GridFunction.stencil` built on their grid."""
@@ -123,12 +128,10 @@ def interpolate(values: np.ndarray, stencil) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _grid_stencil(n_cells: int, n_points: int, offset: float) -> tuple:
-    """Stencil of an ``n_cells`` grid at ``(k + offset) / n_points``: the
-    nodes (``offset`` 0) or the cell midpoints (``offset`` 0.5) of an
-    ``n_points`` grid.  Built once per size and shared read-only."""
-    out = GridFunction.stencil(n_cells,
-                               (np.arange(n_points) + offset) / n_points)
+def _grid_stencil(n_cells: int, n_points: int) -> tuple:
+    """Stencil of an ``n_cells`` grid at the cell midpoints of an
+    ``n_points`` grid.  Built once per pair of sizes and shared read-only."""
+    out = GridFunction.stencil(n_cells, (np.arange(n_points) + 0.5) / n_points)
     for a in out:
         a.setflags(write=False)
     return out
@@ -332,42 +335,38 @@ class IntervalSet:
 # -- quadrature ---------------------------------------------------------
 
 
-def _per_trial(total) -> float | np.ndarray:
-    """A float for one integrand, an array for a batch of trials."""
+def _midpoint_sum(mids, masses, atoms, total=0.0) -> float | np.ndarray:
+    """``total`` plus the midpoint rule's sum: the values ``mids`` at the
+    cell midpoints (unless ``None``) dotted with the cell ``masses``, then
+    ``value * mass`` for each ``(value, mass)`` of ``atoms`` in order; one
+    sum per trial for values with a trailing trials axis.  A non-finite
+    value raises :class:`DomainError`, naming an atom when it is one."""
+    if mids is not None:
+        if not np.isfinite(mids).all():
+            raise DomainError("integrand produced non-finite values")
+        total = total + np.dot(mids.T, masses)
+    for value, mass in atoms:
+        value = np.asarray(value, dtype=float)
+        if not np.isfinite(value).all():
+            raise DomainError("integrand produced non-finite values at an atom")
+        total = total + value * mass
     return float(total) if np.ndim(total) == 0 else np.asarray(total)
 
 
 def node_quadrature(n_cells: int, mu: Measure) -> Callable[[np.ndarray], float]:
     """``v -> integrate(GridFunction(v), mu)`` for node samples ``v`` on an
-    ``n_cells`` grid, with every stencil built before the first call.
-
-    Samples on another grid than ``mu``'s are first resampled to its nodes,
-    as :meth:`GridFunction.resample` does; the midpoint rule then
-    interpolates them at the cell midpoints (a stencil cached per grid size)
-    and at the atoms (one stencil for all of them).  The arithmetic, its
-    order and the non-finite checks are those of :func:`integrate`.
-    """
-    to_mu = (None if n_cells == mu.n_cells
-             else _grid_stencil(n_cells, mu.n_cells, 0.0))
-    mids = _grid_stencil(mu.n_cells, mu.n_cells, 0.5)
-    at_atoms = (GridFunction.stencil(mu.n_cells, [p for p, _ in mu.atoms])
+    ``n_cells`` grid, bit for bit, with its stencils built before the first
+    call: the interpolant at ``mu``'s cell midpoints (cached per pair of
+    grid sizes) and at its atoms (one stencil for all of them)."""
+    mids = _grid_stencil(n_cells, mu.n_cells)
+    at_atoms = (GridFunction.stencil(n_cells, [p for p, _ in mu.atoms])
                 if mu.atoms else None)
+    masses = [m for _, m in mu.atoms]
 
     def quad(v: np.ndarray) -> float:
-        if to_mu is not None:
-            v = interpolate(v, to_mu)
-        vals = interpolate(v, mids)
-        if not np.isfinite(vals).all():
-            raise DomainError("integrand produced non-finite values")
-        total = np.dot(vals, mu.cell_masses)
-        if at_atoms is not None:
-            at = interpolate(v, at_atoms)
-            if not np.isfinite(at).all():
-                raise DomainError(
-                    "integrand produced non-finite values at an atom")
-            for value, (_, mass) in zip(at, mu.atoms):
-                total = total + value * mass
-        return float(total)
+        at = () if at_atoms is None else interpolate(v, at_atoms)
+        return _midpoint_sum(interpolate(v, mids), mu.cell_masses,
+                             zip(at, masses))
 
     return quad
 
@@ -377,26 +376,17 @@ def integrate(f, mu: Measure) -> float | np.ndarray:
 
     Trig polynomials are integrated in closed form by
     :func:`integrate_over` on the whole circle, so their integrals are
-    exact to rounding.  Grid functions (through :func:`node_quadrature`) and
-    other callables use the midpoint rule, exact for functions linear on
-    each cell and ``O(N^-2)`` for smooth ones.  Atoms are evaluated
-    pointwise either way.  An integrand whose values carry a trailing trials
-    axis (a batched :class:`TrigPoly`) gives one integral per trial.
+    exact to rounding.  Every other callable, a :class:`GridFunction` on
+    any grid included, takes the midpoint rule: its values at ``mu``'s cell
+    midpoints times the cell masses, plus its value at each atom times the
+    atom's mass.  The rule is exact for functions linear on each cell and
+    ``O(N^-2)`` for smooth ones.  An integrand whose values carry a trailing
+    trials axis (a batched :class:`TrigPoly`) gives one integral per trial.
     """
-    if isinstance(f, GridFunction):
-        return node_quadrature(f.n_cells, mu)(f.values)
     if isinstance(f, TrigPoly):
         return integrate_over(f, mu, IntervalSet([(0.0, 1.0)]))
-    vals = np.asarray(f(mu.cell_midpoints()), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("integrand produced non-finite values")
-    total = np.dot(vals.T, mu.cell_masses)
-    for pos, mass in mu.atoms:
-        v = np.asarray(f(pos), dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise DomainError("integrand produced non-finite values at an atom")
-        total = total + v * mass
-    return _per_trial(total)
+    return _midpoint_sum(np.asarray(f(mu.cell_midpoints()), dtype=float),
+                         mu.cell_masses, ((f(p), m) for p, m in mu.atoms))
 
 
 def integrate_over(f: TrigPoly, mu: Measure,
@@ -418,13 +408,8 @@ def integrate_over(f: TrigPoly, mu: Measure,
         anti = f.antiderivative_values(edges)
         total = total + np.dot(np.diff(anti, axis=0).T,
                                mu.cell_masses[j0:j1] * n)
-    for pos, mass in mu.atoms:
-        if region.indicator(pos):
-            v = np.asarray(f(pos), dtype=float)
-            if not np.all(np.isfinite(v)):
-                raise DomainError("integrand produced non-finite values at an atom")
-            total = total + v * mass
-    return _per_trial(total)
+    return _midpoint_sum(None, None, ((f(p), m) for p, m in mu.atoms
+                                      if region.indicator(p)), total)
 
 
 # -- pushforward --------------------------------------------------------

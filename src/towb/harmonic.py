@@ -32,7 +32,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .grid import GridFunction, Measure, integrate, node_quadrature
+from .grid import (GridFunction, Measure, finite_samples, integrate,
+                   node_quadrature)
 from .system import PROB_SUM_TOL, IfsSystem
 from .transfer import TransferOperator
 from .trig import TrigPoly
@@ -57,13 +58,6 @@ class HarmonicSolution:
     converged: bool
     method: str
     spectral_ratio: float | None = None
-
-
-def _finite(values: np.ndarray) -> np.ndarray:
-    """The check :class:`GridFunction` makes on its samples."""
-    if not np.isfinite(values).all():
-        raise DomainError("grid function samples must be finite")
-    return values
 
 
 def solve_harmonic(op: TransferOperator, lam: Measure, tol: float = 1e-12,
@@ -145,8 +139,10 @@ def power_iteration(op: TransferOperator, lam: Measure, tol: float = 1e-12,
     start, normalized in ``L^1(lam)`` each step.
 
     The iterates are node arrays: ``R`` is :meth:`TransferOperator.apply_values`
-    and the integral against ``lam`` is one :func:`node_quadrature`, so no
-    weight, stencil or :class:`GridFunction` is built per step, and ``h``,
+    and the integral against ``lam`` is one :func:`node_quadrature`, the
+    midpoint rule read off stencils from the operator's grid to ``lam``'s
+    cell midpoints and atoms.  So no weight, stencil or
+    :class:`GridFunction` is built per step, and ``h``,
     ``rho``, the residual and the iteration count equal bit for bit those of
     the loop on grid functions with :meth:`TransferOperator.apply` and
     :func:`integrate`.  Every iterate is checked finite.  Positivity of ``R``
@@ -158,11 +154,11 @@ def power_iteration(op: TransferOperator, lam: Measure, tol: float = 1e-12,
         raise DomainError("tol must be positive")
     quad = node_quadrature(op.n_grid, lam)
     h = np.random.default_rng(seed).uniform(0.5, 1.5, op.n_grid)
-    h = _finite(h * (1.0 / quad(h)))
+    h = finite_samples(h * (1.0 / quad(h)))
     rho = np.nan
     converged = False
     for it in range(1, max_iter + 1):
-        g = _finite(op.apply_values(h))
+        g = finite_samples(op.apply_values(h))
         low = float(g.min())
         if low < _NEGATIVITY_FLOOR:
             raise ConvergenceError(
@@ -171,14 +167,15 @@ def power_iteration(op: TransferOperator, lam: Measure, tol: float = 1e-12,
         rho = quad(g)
         if rho <= 0:
             raise ConvergenceError("iterate collapsed to zero mass")
-        h_next = _finite(g * (1.0 / rho))
+        h_next = finite_samples(g * (1.0 / rho))
         step = float(np.abs(h_next - h).max())
         h = h_next
         if step < tol:
             converged = True
             break
-    h = _finite(h * (1.0 / quad(h)))
-    residual = float(np.max(np.abs(_finite(op.apply_values(h)) - rho * h)))
+    h = finite_samples(h * (1.0 / quad(h)))
+    residual = float(np.max(np.abs(
+        finite_samples(op.apply_values(h)) - rho * h)))
     return HarmonicSolution(GridFunction(h), float(rho), residual,
                             it if converged else max_iter, converged, "power")
 
@@ -207,7 +204,8 @@ def fourier_cascade_check(op: TransferOperator, h: Callable,
     ``|n| <= n_max``.  For a :class:`TrigPoly` ``h`` and a closed-form
     weight the coefficients are read off ``h`` and the products ``W_k h``
     exactly.  Any other ``h`` goes through the uniform midpoint rule on the
-    operator's grid, spectrally accurate for smooth integrands; the
+    operator's grid, every coefficient of a product read off one inverse
+    FFT, spectrally accurate for smooth integrands; the
     relevant frequencies must stay well below the grid size.  A system the
     identity does not cover, or a grid too coarse for its frequencies, is a
     :class:`DomainError`.
@@ -239,9 +237,10 @@ def fourier_cascade_check(op: TransferOperator, h: Callable,
                               dtype=float)
 
         def coeffs(values: np.ndarray, freq_scale: int) -> np.ndarray:
-            phases = np.exp(2j * np.pi * freq_scale *
-                            np.multiply.outer(freqs, mids))
-            return phases @ values / n
+            # sum_j e(q (j + 1/2) / n) values_j / n, read off one inverse
+            # DFT at index q mod n and turned by the half-cell phase e(q/2n)
+            q = freq_scale * freqs
+            return np.fft.ifft(values)[q % n] * np.exp(1j * np.pi * q / n)
 
         wk, hv = np.ones(n), np.asarray(h(mids), dtype=float)
 

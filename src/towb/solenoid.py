@@ -289,8 +289,21 @@ def v0_adjoint(pm: PathMeasure, psi) -> GridFunction:
 
 def expectation(pm: PathMeasure, psi):
     """Path-space expectation of a cylinder function: its
-    :func:`conditional_expectation` integrated against the base measure."""
-    return integrate(lambda x: conditional_expectation(pm, psi, x), pm.lam)
+    :func:`conditional_expectation` integrated against the base measure.
+    The bases go to the enumeration in chunks of at most ``WORDS_MAX``
+    words, so a finer base measure costs time, not a refusal."""
+    psi = CylinderFunction.coerce(psi)
+    depth = len(psi.components) - 1
+    _check_depth(depth)  # before n ** depth grows with a huge depth
+    chunk = max(WORDS_MAX // pm.op.system.n_branches ** depth, 1)
+
+    def at(x):
+        if np.size(x) <= chunk:
+            return conditional_expectation(pm, psi, x)
+        return np.concatenate([conditional_expectation(pm, psi, x[i:i + chunk])
+                               for i in range(0, len(x), chunk)])
+
+    return integrate(at, pm.lam)
 
 
 # -- sampling ---------------------------------------------------------------

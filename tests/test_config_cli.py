@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import towb
-from towb.cli import main
+from towb.cli import _COMMANDS, build_parser, main
 from towb.config import RunConfig, load_config, parse_config
 from towb.errors import ConfigError
 
@@ -285,6 +285,24 @@ def test_negative_seed_flag_exit_code(capsys):
     assert main(["harmonic", "--config", SYS_A, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "field 'seed'" in err
+
+
+def test_seed_flag_only_where_something_is_drawn(capsys):
+    # measure draws nothing, so argparse refuses its --seed; the other
+    # eight commands take it
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--config", SYS_A, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    required = {"cylinder": ["--x", "0.3", "--sets", "[0,0.5)"],
+                "markov": ["--x", "0.3", "--set-a", "[0,0.5)",
+                           "--set-b", "[0,0.5)"]}
+    others = [name for name in _COMMANDS if name != "measure"]
+    assert len(others) == 8
+    for name in others:
+        args = build_parser().parse_args(
+            [name, "--config", SYS_A, "--seed", "1", *required.get(name, [])])
+        assert args.seed == 1
 
 
 class TestCli:
@@ -834,6 +852,25 @@ class TestCli:
                          "--json", str(out)]) == code
             assert self._statuses(out, names) == [status] * 3
             assert sum(sizes) == trials and 1 in sizes
+
+    def test_quasi_sums_past_the_word_bound(self, capsys, tmp_path,
+                                            monkeypatch):
+        # with WORDS_MAX at 2^10 no expectation over the 1024 midpoints of
+        # sys_b fits one enumeration; the shift checks go through in chunks
+        # of bases and report what the unchunked run reports
+        import towb.solenoid
+
+        names = ["quasi_invariance", "unitarity", "multiresolution"]
+        reports = []
+        for words_max in (towb.solenoid.WORDS_MAX, 2**10):
+            monkeypatch.setattr(towb.solenoid, "WORDS_MAX", words_max)
+            out = tmp_path / f"rep_{words_max}.json"
+            assert main(["quasi", "--config", SYS_B, "--json", str(out)]) == 0
+            assert self._statuses(out, names) == ["PASS"] * 3
+            reports.append(json.loads(out.read_text())["results"])
+        assert reports[0].keys() == reports[1].keys()
+        for key, value in reports[0].items():
+            assert abs(reports[1][key] - value) <= 1e-15
 
     @pytest.mark.parametrize("base, fails", [("sys_a.cfg", 0),
                                              ("sys_b.cfg", 10)])

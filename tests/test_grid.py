@@ -8,7 +8,8 @@ from towb import (AffineBranch, GridFunction, IntervalSet, Measure,
                   TransferOperator, hutchinson_iterate, integrate,
                   integrate_over, pushforward)
 from towb.errors import DomainError
-from towb.grid import ATOM_MERGE_TOL, _EDGE_SNAP_TOL, push_mixture, wrap_unit
+from towb.grid import (ATOM_MERGE_TOL, _EDGE_SNAP_TOL, node_quadrature,
+                       push_mixture, wrap_unit)
 from towb.system import IfsSystem, PiecewiseAffineMap, WeightExpr
 from towb.trig import TrigPoly
 
@@ -57,18 +58,19 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("n_f, n_mu", [(64, 64), (48, 64), (64, 27)])
     def test_grid_function_matches_pointwise_midpoint_rule(self, n_f, n_mu):
-        # the cached-stencil quadrature is bit for bit the midpoint rule on
-        # the interpolant, resampled to mu's grid first, plus each atom
+        # a grid function on any grid is integrated as a callable: its
+        # interpolant at mu's cell midpoints, plus each atom, and the cached
+        # stencils of node_quadrature give the same sum bit for bit
         rng = np.random.default_rng(n_f + n_mu)
         for _ in range(20):
             f = GridFunction(rng.normal(size=n_f))
             mu = Measure(rng.random(n_mu),
                          [(0.9999, rng.random())] + list(rng.random((3, 2))))
-            g = f.resample(n_mu)
-            want = np.dot(g(mu.cell_midpoints()), mu.cell_masses)
+            want = np.dot(f(mu.cell_midpoints()), mu.cell_masses)
             for pos, mass in mu.atoms:
-                want = want + g(pos) * mass
+                want = want + f(pos) * mass
             assert integrate(f, mu) == want
+            assert node_quadrature(n_f, mu)(f.values) == want
 
     def test_linearity_random_triples(self):
         rng = np.random.default_rng(0)
@@ -90,6 +92,46 @@ class TestIntegrate:
         lam = Measure.lebesgue(512)
         assert integrate(p, lam) == pytest.approx(
             float(np.mean(p(lam.cell_midpoints()))), abs=1e-12)
+
+
+def _nan_integrand(form: str, node: int):
+    """``form`` of an integrand on 64 nodes that is nan at ``node`` only,
+    and how to integrate it against ``_NAN_MU``."""
+    values = np.ones(64)
+    values[node] = np.nan
+    if form == "callable":
+        return lambda mu: integrate(
+            lambda x: np.where(np.abs(np.asarray(x) * 64 - node) < 0.5,
+                               np.nan, 1.0), mu)
+    if form == "grid_function":
+        g = GridFunction(np.ones(64))
+        g.values = values  # past the constructor's check on its samples
+        return lambda mu: integrate(g, mu)
+    if form == "node_quadrature":
+        return lambda mu: node_quadrature(64, mu)(values)
+    p = TrigPoly.from_cos_sin(np.nan, [])
+    return lambda mu: integrate_over(p, mu, IntervalSet([(0.3, 0.35)]))
+
+
+# Four cells and an atom at 0.32: on 64 nodes, node 8 is read at the first
+# cell midpoint and node 20 only at the atom.
+_NAN_MU = Measure(np.full(4, 0.125), [(0.32, 0.5)])
+
+
+@pytest.mark.parametrize("form, node, message", [
+    ("callable", 8, "non-finite values"),
+    ("callable", 20, "non-finite values at an atom"),
+    ("grid_function", 8, "non-finite values"),
+    ("grid_function", 20, "non-finite values at an atom"),
+    ("node_quadrature", 8, "non-finite values"),
+    ("node_quadrature", 20, "non-finite values at an atom"),
+    ("integrate_over", 20, "non-finite values at an atom")])
+def test_non_finite_integrand_is_located(form, node, message):
+    # every quadrature refuses a nan with the same message, naming the atom
+    # when it is read there; integrate_over's cells are in closed form, so
+    # only its atoms are read pointwise
+    with pytest.raises(DomainError, match=f"^integrand produced {message}$"):
+        _nan_integrand(form, node)(_NAN_MU)
 
 
 class TestPushforward:

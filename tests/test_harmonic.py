@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,7 +92,8 @@ def _oracle_case(name):
         lam = Measure(np.full(128, 0.5 / 128), [(0.1, 0.2), (0.999, 0.3)])
         return TransferOperator(towb.sys_b(128), 128), lam
     if name == "other_grid":
-        # lam on a coarser grid than h: the iterates are resampled to it
+        # lam on a coarser grid than h: the quadrature reads the iterates'
+        # interpolant at lam's cell midpoints
         return TransferOperator(towb.sys_b(256), 256), Measure.lebesgue(96)
     raise KeyError(name)
 
@@ -253,6 +255,44 @@ class TestFourierCascade:
         h = power_iteration(op, Measure.lebesgue(n)).h
         assert isinstance(h, GridFunction)
         assert towb.fourier_cascade_check(op, h, k_max=4, n_max=8) < 1e-6
+
+    def test_midpoint_coefficients_match_the_direct_phase_sum(self):
+        # the inverse FFT gives the coefficients of the direct midpoint sum
+        # sum_j e(q x_j) h(x_j) / N: a smooth h off the cascade keeps its
+        # O(1) deviation to 1e-14
+        n, k_max, n_max = 4096, 2, 100
+        op = TransferOperator(towb.sys_b(n), n)
+        h = GridFunction.from_callable(
+            lambda x: 1.0 + 0.3 * np.sin(2 * np.pi * x) ** 3, n)
+        mids = (np.arange(n) + 0.5) / n
+        freqs = np.arange(-n_max, n_max + 1)
+
+        def coeffs(values, scale):
+            return np.exp(2j * np.pi * scale
+                          * np.multiply.outer(freqs, mids)) @ values / n
+
+        hv, wk = h(mids), np.ones(n)
+        want = 0.0
+        for k in range(k_max + 1):
+            if k > 0:
+                wk = wk * op.system.weight((2 ** (k - 1) * mids) % 1.0)
+            want = max(want, float(np.max(np.abs(
+                coeffs(hv, 1) - coeffs(wk * hv, 2 ** k)))))
+        assert want > 0.1
+        dev = towb.fourier_cascade_check(op, h, k_max=k_max, n_max=n_max)
+        assert abs(dev - want) < 1e-14
+
+    def test_midpoint_coefficients_need_no_phase_matrix(self):
+        # 2001 frequencies at 4096 cells: a phase matrix would take 131 MB
+        op = TransferOperator(towb.sys_b(4096), 4096)
+        h = GridFunction.constant(1.0, 4096)
+        tracemalloc.start()
+        try:
+            towb.fourier_cascade_check(op, h, k_max=0, n_max=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_sys_a_trivial(self, op_a, sol_a):
         assert towb.fourier_cascade_check(op_a, sol_a.h, 4, 8) < 1e-10

@@ -268,6 +268,20 @@ class TestExpectation:
         assert base_norm == pytest.approx(0.5, abs=1e-12)
 
 
+    @pytest.mark.parametrize("atoms", [[], [(0.1, 0.2), (0.9999, 0.3)]])
+    def test_grid_h_on_another_grid_integrates_by_one_rule(self, atoms):
+        # h on 256 nodes against lam on 96 cells: the mass gate's integral
+        # and the expectation of 1 both read h's interpolant at lam's cell
+        # midpoints and atoms, and agree bit for bit
+        op = TransferOperator(towb.sys_b(256), 256)
+        h = GridFunction.from_callable(
+            lambda x: 1 + 0.5 * np.abs(np.sin(3 * np.pi * x)), 256)
+        lam = Measure(np.linspace(1.0, 2.0, 96), atoms).normalized()
+        pm = PathMeasure.build(op, h, lam, strict=False)
+        assert towb.integrate(h, lam) == towb.expectation(
+            pm, CylinderFunction([None]))
+
+
 class TestQuasiInvariance:
     def test_depth_zero_reduces_to_harmonic_residual(self, pm_a, pm_b):
         rng = np.random.default_rng(5)
@@ -298,11 +312,18 @@ class TestQuasiInvariance:
             assert abs(towb.quasi_invariance_defect(pm_a, psi)) < 1e-12
 
     @pytest.mark.parametrize("depth, message", [
-        (18, "path depth 17 exceeds 16"), (16, "exceed WORDS_MAX")])
+        (18, "path depth 17 exceeds 16")])
     def test_too_deep_rejected_by_the_kernel(self, pm_a, depth, message):
         # the enumeration's own bounds refuse a cylinder too deep to sum
         with pytest.raises(DomainError, match=message):
             towb.quasi_invariance_defect(pm_a, [None] * (depth + 1))
+
+    def test_word_bound_refuses_a_direct_sum(self, pm_a):
+        # an expectation feeds the enumeration its bases in chunks, but one
+        # direct sum of 2^16 words at each of 256 bases is still refused
+        with pytest.raises(DomainError, match="16777216 enumerated words"):
+            towb.conditional_expectation(pm_a, [None] * 17,
+                                         pm_a.op.nodes[:256])
 
 
 class TestUnitary:

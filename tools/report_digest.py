@@ -37,7 +37,8 @@ the list, with one above each count's highest value: ``verify`` and
 ``quasi`` with ``--trials 1001``, ``sample --battery 101``, ``harmonic
 --n-max 10001``, ``sample`` on a doubling config with ``paths = 1000001``
 (``paths_over``) and ``harmonic`` on one with ``cells = 1048577``
-(``cells_over``).
+(``cells_over``), and last ``measure --seed 1``: ``measure`` draws
+nothing, so it does not offer ``--seed``.
 ``harmonic --k-max 2 --n-max 4`` runs on ``table``, whose grid is fine
 enough for those frequencies: the one run whose cascade check takes the
 midpoint rule.  Prints one line per run: the sha256 of the report (``-`` when
@@ -160,6 +161,7 @@ INPUT_ERRORS = (
     ("sys_a", ("harmonic", "--n-max", "10001")),
     ("paths_over", ("sample", "--battery", "1")),
     ("cells_over", ("harmonic",)),
+    ("sys_a", ("measure", "--seed", "1")),
 )
 
 
