@@ -196,10 +196,9 @@ def _cmd_sample(args, cfg, op, lam, report: Report) -> None:
                            / cfg.sampler_paths)
         gap, scale = abs(p_hat - p_exact), max(stderr, 1e-12)
         worst_z = max(worst_z, gap / scale)
-        within = gap <= SAMPLE_Z_TOL * scale
-        agree += within
-        report.add_check(f"spec_{i:02d}", "PASS" if within else "FAIL",
-                         gap, SAMPLE_Z_TOL * scale)
+        status = check_status(gap, SAMPLE_Z_TOL * scale)
+        agree += status == "PASS"
+        report.add_check(f"spec_{i:02d}", status, gap, SAMPLE_Z_TOL * scale)
     report.add_result("agreeing", agree)
     report.add_result("battery_size", len(specs))
     report.add_result("worst_z", worst_z)

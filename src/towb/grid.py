@@ -4,8 +4,10 @@ Functions are node samples on the uniform grid ``x_j = j/N`` with periodic
 linear interpolation; measures are nonnegative masses on the uniform cells
 ``[j/N, (j+1)/N)`` plus a finite list of atoms.  This pair of representations
 keeps pushforwards, Lebesgue decomposition and the square-density defect
-exact at grid scale.  A pushforward (Ulam's method, ``|slope| <= N``) sums
-array deposits in a per-cell loop's order: its cell masses, bit for bit.
+exact at grid scale.  A grid function is integrated like any other callable,
+by the midpoint rule at a measure's cell midpoints and atoms.  A pushforward
+(Ulam's method, ``|slope| <= N``) sums array deposits in a per-cell loop's
+order: its cell masses, bit for bit.
 The measure action of a branch system, ``sum_i p_i mu o tau_i^-1``, is one
 :func:`push_mixture`, which builds one measure per application.
 
@@ -48,8 +50,10 @@ class GridFunction:
         vals = np.array(values, dtype=float)
         if vals.ndim != 1 or vals.size < 2:
             raise DomainError("grid function needs at least 2 node samples")
+        if not np.isfinite(vals).all():
+            raise DomainError("grid function samples must be finite")
         vals.setflags(write=False)
-        self.values = finite_samples(vals)
+        self.values = vals
         self.n_cells = vals.size
 
     @classmethod
@@ -65,20 +69,14 @@ class GridFunction:
     def nodes(self) -> np.ndarray:
         return np.arange(self.n_cells) / self.n_cells
 
-    @staticmethod
-    def stencil(n_cells: int, x) -> tuple[np.ndarray, ...]:
-        """Interpolation stencil at ``x`` on an ``n_cells`` grid: the node
-        indices ``(j, nxt)`` either side of each point and their weights
-        ``(1 - frac, frac)``, where ``frac`` is the fraction of the way from
-        ``x_j`` to ``x_nxt``.  :func:`interpolate` applies it."""
-        t = np.asarray(wrap_unit(x)) * n_cells
-        j = np.minimum(np.floor(t).astype(int), n_cells - 1)
-        frac = t - j
-        nxt = (j + 1) % n_cells
-        return j, nxt, 1.0 - frac, frac
-
     def __call__(self, x) -> np.ndarray | float:
-        out = interpolate(self.values, self.stencil(self.n_cells, x))
+        # x lies the fraction frac of the way from node j to the next; a
+        # regrouping of this sum moves values by an ulp (4.4e-16)
+        n = self.n_cells
+        t = np.asarray(wrap_unit(x)) * n
+        j = np.minimum(np.floor(t).astype(int), n - 1)
+        frac = t - j
+        out = self.values[j] * (1.0 - frac) + self.values[(j + 1) % n] * frac
         return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
     def resample(self, n_cells: int) -> "GridFunction":
@@ -111,30 +109,6 @@ class GridFunction:
 
     def __repr__(self) -> str:
         return f"GridFunction(N={self.n_cells})"
-
-
-def finite_samples(values: np.ndarray) -> np.ndarray:
-    """``values``, checked to be finite node samples."""
-    if not np.isfinite(values).all():
-        raise DomainError("grid function samples must be finite")
-    return values
-
-
-def interpolate(values: np.ndarray, stencil) -> np.ndarray:
-    """Node samples ``values`` interpolated with a
-    :meth:`GridFunction.stencil` built on their grid."""
-    j, nxt, left, right = stencil
-    return values[j] * left + values[nxt] * right
-
-
-@lru_cache(maxsize=16)
-def _grid_stencil(n_cells: int, n_points: int) -> tuple:
-    """Stencil of an ``n_cells`` grid at the cell midpoints of an
-    ``n_points`` grid.  Built once per pair of sizes and shared read-only."""
-    out = GridFunction.stencil(n_cells, (np.arange(n_points) + 0.5) / n_points)
-    for a in out:
-        a.setflags(write=False)
-    return out
 
 
 class Measure:
@@ -351,24 +325,6 @@ def _midpoint_sum(mids, masses, atoms, total=0.0) -> float | np.ndarray:
             raise DomainError("integrand produced non-finite values at an atom")
         total = total + value * mass
     return float(total) if np.ndim(total) == 0 else np.asarray(total)
-
-
-def node_quadrature(n_cells: int, mu: Measure) -> Callable[[np.ndarray], float]:
-    """``v -> integrate(GridFunction(v), mu)`` for node samples ``v`` on an
-    ``n_cells`` grid, bit for bit, with its stencils built before the first
-    call: the interpolant at ``mu``'s cell midpoints (cached per pair of
-    grid sizes) and at its atoms (one stencil for all of them)."""
-    mids = _grid_stencil(n_cells, mu.n_cells)
-    at_atoms = (GridFunction.stencil(n_cells, [p for p, _ in mu.atoms])
-                if mu.atoms else None)
-    masses = [m for _, m in mu.atoms]
-
-    def quad(v: np.ndarray) -> float:
-        at = () if at_atoms is None else interpolate(v, at_atoms)
-        return _midpoint_sum(interpolate(v, mids), mu.cell_masses,
-                             zip(at, masses))
-
-    return quad
 
 
 def integrate(f, mu: Measure) -> float | np.ndarray:

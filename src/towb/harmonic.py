@@ -13,12 +13,9 @@ the base measure.  It takes one of two methods, chosen from the system:
   :class:`ConvergenceError`.  The solve is converged when the coefficient
   residual is below ``tol``; ``max_iter`` and ``seed`` do not apply.
 - ``power``: :func:`power_iteration` on the grid for every other system.
-  The eigenvalue estimate is the ``L^1(lam)`` growth factor.  The iteration
-  works on plain node arrays: both linear maps it applies are fixed by the
-  operator and ``lam``, so ``R`` goes through the operator's assembled grid
-  action and the ``lam``-integral through a quadrature whose stencils are
-  built before the first step.  The result is bit for bit that of the same
-  loop written with a :class:`GridFunction` per step.
+  The eigenvalue estimate is the ``L^1(lam)`` growth factor.  The solve is
+  converged when the final residual is below ``tol``, the rule of the
+  exact method.
 
 ``normalize_weight`` divides the weight by the eigenvalue so the rescaled
 system has a genuine fixed point ``R h = h``.
@@ -32,8 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .grid import (GridFunction, Measure, finite_samples, integrate,
-                   node_quadrature)
+from .grid import GridFunction, Measure, integrate
 from .system import PROB_SUM_TOL, IfsSystem
 from .transfer import TransferOperator
 from .trig import TrigPoly
@@ -138,46 +134,43 @@ def power_iteration(op: TransferOperator, lam: Measure, tol: float = 1e-12,
     """Power iteration for ``R h = rho h`` from a strictly positive random
     start, normalized in ``L^1(lam)`` each step.
 
-    The iterates are node arrays: ``R`` is :meth:`TransferOperator.apply_values`
-    and the integral against ``lam`` is one :func:`node_quadrature`, the
-    midpoint rule read off stencils from the operator's grid to ``lam``'s
-    cell midpoints and atoms.  So no weight, stencil or
-    :class:`GridFunction` is built per step, and ``h``,
-    ``rho``, the residual and the iteration count equal bit for bit those of
-    the loop on grid functions with :meth:`TransferOperator.apply` and
-    :func:`integrate`.  Every iterate is checked finite.  Positivity of ``R``
-    keeps true iterates nonnegative; samples are clipped at ``-1e-14``
-    (rounding dust) and anything more negative signals an invalid weight.
-    Non-convergence returns the best iterate flagged ``converged=False``.
+    Every iterate is a :class:`GridFunction` (so checked finite), ``R`` is
+    :meth:`TransferOperator.apply` and the integral against ``lam`` is
+    :func:`integrate`.  Positivity of ``R`` keeps true iterates nonnegative;
+    samples are clipped at ``-1e-14`` (rounding dust) and anything more
+    negative signals an invalid weight.  The solve is converged when the
+    residual ``max |R h - rho h|`` of its normalized iterate is below
+    ``tol``.  That residual is read after every step that moves ``h`` by
+    less than ``tol`` and after step ``max_iter``, and the loop stops at
+    the first one below ``tol``; ``iterations`` counts the steps run.  An
+    unconverged solve returns its last iterate flagged ``converged=False``.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    quad = node_quadrature(op.n_grid, lam)
-    h = np.random.default_rng(seed).uniform(0.5, 1.5, op.n_grid)
-    h = finite_samples(h * (1.0 / quad(h)))
-    rho = np.nan
-    converged = False
+    h = GridFunction(np.random.default_rng(seed).uniform(0.5, 1.5, op.n_grid))
+    h = out = h * (1.0 / integrate(h, lam))
+    rho, residual, it = np.nan, np.nan, 0
     for it in range(1, max_iter + 1):
-        g = finite_samples(op.apply_values(h))
-        low = float(g.min())
+        g = op.apply(h)
+        low = float(np.min(g.values))
         if low < _NEGATIVITY_FLOOR:
             raise ConvergenceError(
                 f"iterate went negative ({low:.3e}); weight is not positive")
-        g = np.maximum(g, 0.0)
-        rho = quad(g)
+        g = GridFunction(np.maximum(g.values, 0.0))
+        rho = integrate(g, lam)
         if rho <= 0:
             raise ConvergenceError("iterate collapsed to zero mass")
-        h_next = finite_samples(g * (1.0 / rho))
-        step = float(np.abs(h_next - h).max())
+        h_next = g * (1.0 / rho)
+        step = float(np.max(np.abs(h_next.values - h.values)))
         h = h_next
-        if step < tol:
-            converged = True
-            break
-    h = finite_samples(h * (1.0 / quad(h)))
-    residual = float(np.max(np.abs(
-        finite_samples(op.apply_values(h)) - rho * h)))
-    return HarmonicSolution(GridFunction(h), float(rho), residual,
-                            it if converged else max_iter, converged, "power")
+        if step < tol or it == max_iter:
+            out = h * (1.0 / integrate(h, lam))
+            residual = float(np.max(np.abs(op.apply(out).values
+                                           - rho * out.values)))
+            if residual < tol:
+                break
+    return HarmonicSolution(out, float(rho), residual, it, residual < tol,
+                            "power")
 
 
 def normalize_weight(op: TransferOperator,

@@ -44,8 +44,10 @@ from .trig import TRIAL_BLOCK, TrigPoly, trials_product
 EPS_H = 1e-10
 DEPTH_MAX = 16
 # Words (branch words times bases) one enumeration may ask for: its deepest
-# level holds one float per word, and the weight's complex exponentials
-# there take ~16 bytes per word and frequency (~100 MiB for W = 1 + cos).
+# level holds one float per word, and a trig weight evaluated there builds a
+# real cosine/sine basis of 8 bytes per word and column, 2k + 1 columns for
+# k frequencies (24 MiB for W = 1 + cos).  A batched cylinder function
+# carries up to TRIAL_BLOCK values per word on top.
 WORDS_MAX = 2**20
 _H_TRUST = 1e-6
 
@@ -290,12 +292,15 @@ def v0_adjoint(pm: PathMeasure, psi) -> GridFunction:
 def expectation(pm: PathMeasure, psi):
     """Path-space expectation of a cylinder function: its
     :func:`conditional_expectation` integrated against the base measure.
-    The bases go to the enumeration in chunks of at most ``WORDS_MAX``
-    words, so a finer base measure costs time, not a refusal."""
+    The bases go to the enumeration in chunks of at most ``WORDS_MAX /
+    TRIAL_BLOCK`` words (a batch holds up to ``TRIAL_BLOCK`` values per
+    word; an unbatched ``psi`` takes the same chunks, which are no slower
+    than larger ones), so a finer base measure costs time, not a refusal."""
     psi = CylinderFunction.coerce(psi)
     depth = len(psi.components) - 1
     _check_depth(depth)  # before n ** depth grows with a huge depth
-    chunk = max(WORDS_MAX // pm.op.system.n_branches ** depth, 1)
+    chunk = max(WORDS_MAX // (pm.op.system.n_branches ** depth
+                              * TRIAL_BLOCK), 1)
 
     def at(x):
         if np.size(x) <= chunk:

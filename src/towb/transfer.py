@@ -12,10 +12,10 @@ carrying the masses ``p_i W(tau_i x)``, which are formed in one place,
 :meth:`TransferOperator.branch_masses`, and summed in one, :func:`kernel_sum`,
 for the pointwise action, the path-space kernel of :mod:`towb.solenoid` and
 :attr:`TransferOperator.node_kernel`, the kernel at the nodes, built once per
-operator and read by ``apply``, the power iteration's ``apply_values`` and
-:func:`identity_suite`; the measure action ``lam . R`` is the branch mixture
-:func:`~towb.grid.push_mixture` reweighted by ``W``.  The exact multiplier
-``R(W)`` is :meth:`TransferOperator.apply_symbolic` of the weight.
+operator and read by ``apply`` and :func:`identity_suite`; the measure action
+``lam . R`` is the branch mixture :func:`~towb.grid.push_mixture` reweighted
+by ``W``.  The exact multiplier ``R(W)`` is
+:meth:`TransferOperator.apply_symbolic` of the weight.
 
 :func:`identity_suite` replays the web of identities tying ``R``, ``S``,
 ``sigma`` and ``W`` together on randomized trigonometric test functions;
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import (GridFunction, IntervalSet, Measure, integrate,
-                   integrate_over, interpolate, push_mixture, wrap_unit)
+                   integrate_over, push_mixture, wrap_unit)
 from .sigspace import Decomposition, lebesgue_decompose
 from .system import IfsSystem
 from .trig import _PRUNE, TRIAL_BLOCK, TrigPoly, trials_product
@@ -78,14 +78,13 @@ class TransferOperator:
             self.system.weight(pts), dtype=float)
 
     @cached_property
-    def node_kernel(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+    def node_kernel(self) -> tuple[np.ndarray, np.ndarray]:
         """The kernel at the nodes, built on first use: the branch images
-        ``tau_i(x_j)``, shape ``(branches, N)``, their masses
-        ``p_i W(tau_i x_j)`` and the grid's interpolation stencil at them."""
+        ``tau_i(x_j)``, shape ``(branches, N)``, and their masses
+        ``p_i W(tau_i x_j)``."""
         pts = self.branch_points(self.nodes)
         pts.setflags(write=False)   # apply hands it to any callable
-        return (pts, self.branch_masses(pts),
-                GridFunction.stencil(self.n_grid, pts))
+        return pts, self.branch_masses(pts)
 
     def apply_fn(self, f):
         """``R f`` as a vectorized callable: ``f`` at the branch images of
@@ -97,17 +96,10 @@ class TransferOperator:
 
         return rf
 
-    def apply_values(self, v: np.ndarray) -> np.ndarray:
-        """``R`` on node samples ``v`` of this operator's grid: ``v``
-        interpolated through the cached stencil and summed with the node
-        masses, so no weight is evaluated and no stencil built per call."""
-        _, masses, stencil = self.node_kernel
-        return kernel_sum(masses, interpolate(v, stencil))
-
     def apply(self, f) -> GridFunction:
         """``R f`` sampled on the grid nodes: ``f`` at the images of
         :attr:`node_kernel`, summed with their masses."""
-        pts, masses, _ = self.node_kernel
+        pts, masses = self.node_kernel
         return GridFunction(kernel_sum(masses, f(pts)))
 
     def apply_symbolic(self, f: TrigPoly) -> TrigPoly | None:
@@ -312,7 +304,7 @@ def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
     # rho = int R(h) dlam / int h dlam the eigenvalue of h (1 when R h = h).
     # Positivity of R bounds the left side by sup|f| * R(h)(x), so the check
     # fails when h is not an eigenfunction; sup|f| is over nodes and images.
-    pts, masses, _ = op.node_kernel
+    pts, masses = op.node_kernel
     pts_sigma = sigma(pts)
     w_pts = np.asarray(weight(pts), dtype=float)
     rw_nodes = kernel_sum(masses, w_pts)

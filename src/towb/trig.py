@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 _TWO_PI_I = 2j * np.pi
 # Coefficients at most this fraction of a polynomial's largest one are zero.
 _PRUNE = 1e-15
@@ -60,7 +62,8 @@ class TrigPoly:
         """Sum coefficients of equal frequencies in input order, zero those
         of size at most ``_PRUNE`` times the largest one (per trial), drop
         frequencies left with no nonzero coefficient, and sort by
-        frequency."""
+        frequency.  A non-finite sum (nan, inf or an overflow) raises
+        :class:`DomainError`."""
         order = np.argsort(freqs, kind="stable")
         freqs, coefs = freqs[order], coefs[order]
         first = np.ones(freqs.shape, dtype=bool)
@@ -69,7 +72,10 @@ class TrigPoly:
                        dtype=complex)
         np.add.at(acc, np.cumsum(first) - 1, coefs)
         size = np.abs(acc)
-        acc[size <= _PRUNE * size.max(axis=0, initial=0.0)] = 0.0
+        top = size.max(axis=0, initial=0.0)
+        if not np.isfinite(top).all():
+            raise DomainError("trig polynomial coefficients must be finite")
+        acc[size <= _PRUNE * top] = 0.0
         nonzero = acc != 0.0
         keep = nonzero if acc.ndim == 1 else nonzero.any(axis=1)
         if keep.any():

@@ -10,7 +10,7 @@ import towb
 from towb import GridFunction, Measure, TransferOperator
 from towb.config import load_config
 from towb.errors import ConvergenceError, DomainError
-from towb.grid import _grid_stencil, integrate
+from towb.grid import integrate
 from towb.harmonic import _NEGATIVITY_FLOOR, HarmonicSolution, power_iteration
 from towb.system import (PiecewiseAffineMap, WeightExpr, doubling_system,
                          make_system)
@@ -20,8 +20,9 @@ FIXTURE_DIR = os.path.join(os.path.dirname(towb.__file__), "fixtures")
 
 def _solve_harmonic_per_step(op, lam, tol=1e-12, max_iter=2000, seed=0):
     """The power iteration with a GridFunction per step, through
-    ``op.apply`` and ``integrate``: the oracle the array solve must equal
-    bit for bit."""
+    ``op.apply`` and ``integrate``, that stops at the first step below
+    ``tol`` whose normalized iterate has a residual below ``tol``: the
+    oracle the solve must equal bit for bit."""
     rng = np.random.default_rng(seed)
     h = GridFunction(rng.uniform(0.5, 1.5, op.n_grid))
     h = h * (1.0 / integrate(h, lam))
@@ -39,15 +40,14 @@ def _solve_harmonic_per_step(op, lam, tol=1e-12, max_iter=2000, seed=0):
         h_next = g * (1.0 / rho)
         step = float(np.max(np.abs(h_next.values - h.values)))
         h = h_next
-        if step < tol:
-            h = h * (1.0 / integrate(h, lam))
-            residual = float(np.max(np.abs(
-                op.apply(h).values - rho * h.values)))
-            return HarmonicSolution(h, float(rho), residual, it, True,
-                                    "power")
-    h = h * (1.0 / integrate(h, lam))
-    residual = float(np.max(np.abs(op.apply(h).values - rho * h.values)))
-    return HarmonicSolution(h, float(rho), residual, max_iter, False, "power")
+        if step < tol or it == max_iter:
+            out = h * (1.0 / integrate(h, lam))
+            residual = float(np.max(np.abs(op.apply(out).values
+                                           - rho * out.values)))
+            if residual < tol:
+                break
+    return HarmonicSolution(out, float(rho), residual, it, residual < tol,
+                            "power")
 
 
 def _oracle_case(name):
@@ -136,36 +136,29 @@ class TestArraySolveMatchesPerStepLoop:
             _solve_harmonic_per_step(op, lam)
         assert str(fast.value) == str(slow.value)
 
-    def test_work_per_solve_does_not_grow_with_iterations(self,
-                                                           monkeypatch):
-        # every stencil of a solve is built before its first step, and the
-        # only grid function built is the returned h: the 48-iteration
-        # sys_b solve builds as many of each as a 1-iteration one
-        stencil, init = GridFunction.stencil, GridFunction.__init__
-        stencils, grid_functions = [], []
+    def test_a_step_below_tol_ends_only_a_converged_solve(self):
+        # at tol 1e-13 step 80 moves h by less than tol but leaves a
+        # residual of 1.07e-13: the solve goes on, and step 81 brings the
+        # residual to 7.1e-14
+        op, lam = _oracle_case("unequal")
+        sol = power_iteration(op, lam, tol=1e-13)
+        assert (sol.iterations, sol.converged) == (81, True)
+        assert sol.residual < 1e-13
+        early = power_iteration(op, lam, tol=1e-13, max_iter=80)
+        assert not early.converged and early.residual >= 1e-13
+        _assert_same_solution(sol, _solve_harmonic_per_step(op, lam,
+                                                            tol=1e-13))
 
-        def counting_stencil(n_cells, x):
-            stencils.append(np.size(x))
-            return stencil(n_cells, x)
-
-        def counting_init(self, values):
-            grid_functions.append(np.size(values))
-            init(self, values)
-
-        monkeypatch.setattr(GridFunction, "stencil",
-                            staticmethod(counting_stencil))
-        monkeypatch.setattr(GridFunction, "__init__", counting_init)
-        counts = []
-        for max_iter in (1, 2000):
-            _grid_stencil.cache_clear()
-            stencils.clear()
-            grid_functions.clear()
-            op = TransferOperator(towb.sys_b(1024), 1024)
-            sol = power_iteration(op, Measure.lebesgue(1024),
-                                  max_iter=max_iter)
-            counts.append((len(stencils), len(grid_functions)))
-        assert sol.iterations == 48
-        assert counts[0] == counts[1] == (2, 1)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_iterate_is_refused(self):
+        # a table weight of 1.7e308 takes R h past the largest float
+        table = GridFunction(np.full(64, 1.7e308))
+        system = make_system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5],
+                             WeightExpr.from_table(table), sigma=2)
+        with pytest.raises(DomainError,
+                           match="^grid function samples must be finite$"):
+            power_iteration(TransferOperator(system, 64),
+                            Measure.lebesgue(64))
 
 
 class TestSolveHarmonic:

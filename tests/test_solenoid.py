@@ -626,6 +626,27 @@ class TestWordSumKernel:
         total = towb.conditional_expectation(pm_a, [None] * 11, pm_a.op.nodes)
         assert total.shape == (1024,)
 
+    def test_batched_expectation_chunks_by_trials(self, monkeypatch):
+        # one batch of 25 depth-3 trials on 16384 bases holds 25 values for
+        # each of its 2^17 words: chunked by trials, the defect stays under
+        # 32 MiB and equals the single-chunk value
+        import tracemalloc
+
+        n = 16384
+        op = TransferOperator(towb.sys_b(n), n)
+        lam = Measure.lebesgue(n)
+        pm = PathMeasure.build(op, towb.solve_harmonic(op, lam).h, lam)
+        psi = next(towb.batch_trials(_unitarity_draws(0, 25, depth=3)))
+        tracemalloc.start()
+        try:
+            chunked = towb.quasi_invariance_defect(pm, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        monkeypatch.setattr(towb.solenoid, "WORDS_MAX", 2**30)
+        assert np.array_equal(towb.quasi_invariance_defect(pm, psi), chunked)
+
     def test_harmonic_from_measure_depth_guard(self):
         # depth 16 needs words of length 17, past the kernel's limit
         op = TransferOperator(towb.sys_a(8), 8)

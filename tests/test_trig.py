@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from towb.errors import DomainError
 from towb.trig import TrigPoly
 
 
@@ -180,6 +181,20 @@ def test_prune_is_relative_to_the_largest_coefficient():
     batch = TrigPoly.stack([TrigPoly.constant(1.0), tiny])
     assert list(batch.freqs) == [-1.0, 0.0, 1.0]
     assert batch.take_trials(1).coefs.tobytes() == tiny.coefs.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("build", [
+    lambda: TrigPoly.from_cos_sin(1.0, [np.nan]),
+    lambda: TrigPoly.from_cos_sin(1.0, [np.inf]),
+    lambda: TrigPoly.constant(1e200) * TrigPoly.constant(1e200)],
+    ids=["nan", "inf", "overflow"])
+def test_non_finite_coefficients_are_refused(build):
+    # unrefused, a nan coefficient integrates to nan and an inf one is
+    # pruned against an infinite largest coefficient, leaving 0
+    with pytest.raises(DomainError,
+                       match="^trig polynomial coefficients must be finite$"):
+        build()
 
 
 def test_stack_keeps_each_trial_and_unequal_frequencies():

@@ -41,7 +41,14 @@ the list, with one above each count's highest value: ``verify`` and
 nothing, so it does not offer ``--seed``.
 ``harmonic --k-max 2 --n-max 4`` runs on ``table``, whose grid is fine
 enough for those frequencies: the one run whose cascade check takes the
-midpoint rule.  Prints one line per run: the sha256 of the report (``-`` when
+midpoint rule.  ``table`` with atoms of mass 1/4 and 3/4 at 0.3 and 0.7 as
+its base measure (``table_atoms``) goes through ``harmonic`` and
+``verify``: its power solve integrates every iterate at the atoms.
+``harmonic`` runs on ``unequal`` with ``max_iter = 3``
+(``unequal_max_iter``), which stops unconverged, and at 256 cells with
+``tol = 1e-13`` (``unequal_tol``), whose first step below that
+tolerance leaves a residual above it, so the solve takes one step more.
+Prints one line per run: the sha256 of the report (``-`` when
 none was written), the exit code and the arguments.  Reports are deterministic, so two checkouts give the same
 reports exactly when the outputs of::
 
@@ -74,17 +81,22 @@ def _system(slopes, offsets, probs) -> str:
             f"\nprobabilities = {probs}\nsigma = \"inferred\"\n\n")
 
 
+_TABLE = (_system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+          + '[weight]\nkind = "table"\ntable_values = '
+          + str([1.5 + 0.2 * math.sin(2 * math.pi * j / _TABLE_N)
+                 for j in range(_TABLE_N)])
+          + f"\n\n[grid]\ncells = {_TABLE_N}\n")
+
 # Configs written next to the reports: name -> text.
 GENERATED = {
     "uneven": _system([1 / 3, 2 / 3], [0.0, 1 / 3], [1 / 3, 2 / 3])
     + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = [0.5]\n',
     "uneven_constant": _system([1 / 3, 2 / 3], [0.0, 1 / 3], [1 / 3, 2 / 3])
     + '[weight]\nkind = "constant"\nvalue = 1.5\n',
-    "table": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
-    + '[weight]\nkind = "table"\ntable_values = '
-    + str([1.5 + 0.2 * math.sin(2 * math.pi * j / _TABLE_N)
-           for j in range(_TABLE_N)])
-    + f"\n\n[grid]\ncells = {_TABLE_N}\n",
+    "table": _TABLE,
+    "table_atoms": _TABLE
+    + '\n[measure]\nkind = "atoms"\npositions = [0.3, 0.7]\n'
+    + "masses = [0.25, 0.75]\n",
     "shifted": _system([0.5, 0.5], [-0.25, 0.25], [0.5, 0.5]),
     "weight_two": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
     + '[weight]\nkind = "constant"\nvalue = 2.0\n',
@@ -92,6 +104,12 @@ GENERATED = {
     + '[weight]\nkind = "constant"\nvalue = 0.5\n',
     "unequal": _system([0.5, 0.5], [0.0, 0.5], [0.25, 0.75])
     + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = [1.0]\n',
+    "unequal_max_iter": _system([0.5, 0.5], [0.0, 0.5], [0.25, 0.75])
+    + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = [1.0]\n\n'
+    + "[solver]\nmax_iter = 3\n",
+    "unequal_tol": _system([0.5, 0.5], [0.0, 0.5], [0.25, 0.75])
+    + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = [1.0]\n\n'
+    + "[grid]\ncells = 256\n\n[solver]\ntol = 1e-13\n",
     "tiny_weight": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
     + '[weight]\nkind = "trig"\nconstant_term = 1e-20\ncos = [1e-20]\n',
     "tol_inf": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
@@ -182,6 +200,10 @@ def cases():
     yield "weight_two", ("cylinder", "--x", "0.3", "--sets", "[0,0.5)")
     yield "weight_half", ("verify",)
     yield "table", ("harmonic", "--k-max", "2", "--n-max", "4")
+    for command in (("harmonic",), ("verify",)):
+        yield "table_atoms", command
+    for name in ("unequal_max_iter", "unequal_tol"):
+        yield name, ("harmonic",)
     for name in ("sys_b", "table"):
         yield name, ("verify", "--trials", "30")
     for command in THREE_BRANCH_COMMANDS:
