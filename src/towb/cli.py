@@ -25,7 +25,7 @@ from .harmonic import (HarmonicSolution, fourier_cascade_check,
 from .report import Report
 from .sigspace import (defect_search, hutchinson_iterate, membership,
                        pushed_decomposition)
-from .solenoid import (_H_TRUST, CylinderFunction, PathMeasure,
+from .solenoid import (_H_TRUST, DEPTH_MAX, CylinderFunction, PathMeasure,
                        batch_trials, cylinder_mass,
                        empirical_cylinder_frequency, harmonic_from_measure,
                        markov_deviation, multires_check,
@@ -74,6 +74,18 @@ def _check_flags(args) -> None:
                               field=flag)
 
 
+def _check_budget(args, flag: str, size: int, factor: int, budget: int,
+                  what: str) -> None:
+    """Raise a :class:`ConfigError` located at ``flag`` when ``size *
+    factor ** value``, for the flag's value, exceeds ``budget``.  With
+    ``factor >= 2`` a power past ``budget.bit_length()`` exceeds it too,
+    so no larger power is built."""
+    value = getattr(args, flag.replace("-", "_"))
+    if size * factor ** min(value, budget.bit_length()) > budget:
+        raise ConfigError(f"--{flag} {value} asks for more than {budget} "
+                          f"{what}", field=flag)
+
+
 def _write_columns(directory: str, name: str, xs, ys) -> None:
     os.makedirs(directory, exist_ok=True)
     np.savetxt(os.path.join(directory, name),
@@ -98,6 +110,12 @@ def _cmd_verify(args, cfg, op, lam, report: Report) -> None:
 
 
 def _cmd_harmonic(args, cfg, op, lam, report: Report) -> None:
+    w = op.system.weight.trigpoly
+    terms, degree = ((1, 1) if w is None else
+                     (w.freqs.size, int(np.abs(w.freqs).max(initial=1))))
+    _check_budget(args, "k-max", terms * degree, 2, CASCADE_TERMS_MAX,
+                  f"terms x degree x 2^k-max, for a weight of {terms} terms "
+                  f"and degree {degree}")
     sol = solve_harmonic(op, lam, tol=cfg.solver_tol,
                          max_iter=cfg.solver_max_iter, seed=cfg.solver_seed)
     report.add_result("rho", sol.rho)
@@ -124,6 +142,9 @@ def _cmd_harmonic(args, cfg, op, lam, report: Report) -> None:
 
 
 def _cmd_measure(args, cfg, op, lam, report: Report) -> None:
+    _check_budget(args, "steps", len(lam.atoms), op.system.n_branches,
+                  ATOMS_MAX, f"atoms, from {len(lam.atoms)} on "
+                  f"{op.system.n_branches} branches")
     iterated = hutchinson_iterate(op.system, lam, args.steps)
     report.add_result("steps", args.steps)
     report.add_result("total_mass", iterated.total())
@@ -239,6 +260,9 @@ def _cmd_markov(args, cfg, op, lam, report: Report) -> None:
 
 
 def _cmd_harmonic_from_measure(args, cfg, op, lam, report: Report) -> None:
+    n = op.system.n_branches
+    _check_budget(args, "depth", (n + 1) * op.n_grid, n, HFM_WORDS_MAX,
+                  f"enumerated words, on {n} branches and {op.n_grid} cells")
     pm = _solved_path_measure(cfg, op, lam)
     h_tilde, residual = harmonic_from_measure(pm, depth=args.depth)
     report.add_result("residual", residual)
@@ -249,7 +273,6 @@ def _cmd_harmonic_from_measure(args, cfg, op, lam, report: Report) -> None:
 
 
 _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
-_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 _TRIALS = ("from 1 to 1000", lambda v: 1 <= v <= 1000)
 _FINITE = ("finite", math.isfinite)
 _REQUIRED = object()   # the default of a flag that has none
@@ -258,6 +281,21 @@ _REQUIRED = object()   # the default of a flag that has none
 # flag of the command against it before it loads the config or runs a
 # handler.  A count that sizes a loop or an array has a highest value, at
 # which the run's peak traced allocation (tracemalloc) stays below 16 MiB.
+# Three counts have a highest value that depends on the config; their
+# handlers check it against a budget before they build anything:
+# - harmonic --k-max: the exact cascade's last product has about 2 x terms
+#   x degree x 2^k_max coefficients of the weight's trig polynomial (a table
+#   weight counts as one term of degree 1): 15 on sys_b (9.2 MiB; 16 peaks
+#   at 18.3 MiB), 13 at degree 2 and 9 at degree 8 (8.1 and 8.9 MiB).
+# - measure --steps: the iterate holds up to atoms x branches^steps atoms:
+#   15 on sys_c's one atom (11.6 MiB; 16 peaks at 23 MiB), none if no atom.
+# - harmonic-from-measure --depth: its two sums enumerate (branches + 1) x
+#   branches^depth x cells words in chunks, so the cost is time: 13 on 1,024
+#   cells (1.5 s in-process on a 2-core x86-64 host; 14 takes 3.0 s), 3 at
+#   2^20 cells (0.9 s); depth 1 passes at every cells for up to 5 branches.
+CASCADE_TERMS_MAX = 2**17
+ATOMS_MAX = 2**15
+HFM_WORDS_MAX = 2**25
 _COMMON = {
     "config": (str, _REQUIRED, None, "config file"),
     "plot-data": (str, None, None, "write two-column plot data into DIR"),
@@ -295,7 +333,8 @@ _COMMANDS = {name: (handler, text, {**_COMMON, **flags})
       "n": (int, 10, ("at least 2", lambda v: v >= 2), None)}),
     ("harmonic-from-measure", _cmd_harmonic_from_measure,
      "rebuild the harmonic function from total masses",
-     {"depth": (int, 1, _AT_LEAST_1, None)}),
+     {"depth": (int, 1, (f"from 1 to {DEPTH_MAX - 1}",
+                         lambda v: 1 <= v < DEPTH_MAX), None)}),
 )}
 for name in ("cylinder", "quasi", "markov"):  # their handlers write no plots
     del _COMMANDS[name][2]["plot-data"]

@@ -15,7 +15,10 @@ digits from the conditioned kernel ``p_i W(tau_i y) h(tau_i y) / h(y)``.
 Every exact path-space quantity is one such expression, and
 :func:`conditional_expectation` is its one evaluator: cylinder masses, the
 non-Markov witness, the rebuild of ``h`` from total masses and the
-expectations behind the shift checks all call it.  Sampling is the
+expectations behind the shift checks all call it.  It is also the one
+place that bounds the words held at once: it sums many bases in chunks,
+and refuses only a single base with more than ``WORDS_MAX`` words, so no
+caller counts words.  Sampling is the
 measure's random walk, not a second evaluator: a Monte Carlo expectation
 is the mean of :meth:`CylinderFunction.eval_on_coords` over the coordinates
 :func:`sample_paths` draws from bases drawn by :func:`sample_bases`.  The
@@ -43,11 +46,13 @@ from .trig import TRIAL_BLOCK, TrigPoly, trials_product
 
 EPS_H = 1e-10
 DEPTH_MAX = 16
-# Words (branch words times bases) one enumeration may ask for: its deepest
-# level holds one float per word, and a trig weight evaluated there builds a
-# real cosine/sine basis of 8 bytes per word and column, 2k + 1 columns for
-# k frequencies (24 MiB for W = 1 + cos).  A batched cylinder function
-# carries up to TRIAL_BLOCK values per word on top.
+# Words (branch words times bases) one enumeration holds at once: its
+# deepest level holds one float per word, and a trig weight evaluated there
+# builds a real cosine/sine basis of 8 bytes per word and column, 2k + 1
+# columns for k frequencies (24 MiB for W = 1 + cos).  A batched cylinder
+# function carries up to TRIAL_BLOCK values per word on top, so the bases
+# go in chunks of at most WORDS_MAX / TRIAL_BLOCK words; one base of more
+# than WORDS_MAX words is refused.
 WORDS_MAX = 2**20
 _H_TRUST = 1e-6
 
@@ -236,19 +241,26 @@ def conditional_expectation(pm: PathMeasure, psi, x):
 
     The branch images are built outward from ``x``, one leading branch axis
     per coordinate, and then summed inward from ``h``, one application of
-    ``R`` per coordinate.  More than ``DEPTH_MAX`` coordinates after ``x_0``
-    or ``WORDS_MAX`` words raise before any level is built.
+    ``R`` per coordinate.  The bases are summed in chunks of at most
+    ``WORDS_MAX / TRIAL_BLOCK`` words (a batch holds up to ``TRIAL_BLOCK``
+    values per word; an unbatched ``psi`` takes the same chunks), so many
+    bases cost time, not a refusal.  More than ``DEPTH_MAX`` coordinates
+    after ``x_0``, or more than ``WORDS_MAX`` words at one base, raise
+    before any level is built.
     """
     psi = CylinderFunction.coerce(psi)
     factors = psi.components[1:]
     _check_depth(len(factors))
     op = pm.op
-    words = op.system.n_branches ** len(factors) * np.size(x)
+    words = op.system.n_branches ** len(factors)
     if words > WORDS_MAX:
         raise DomainError(
-            f"{words} enumerated words ({op.system.n_branches} branches, "
-            f"depth {len(factors)}, {np.size(x)} bases) exceed "
-            f"WORDS_MAX = {WORDS_MAX}")
+            f"{words} enumerated words at one base ({op.system.n_branches} "
+            f"branches, depth {len(factors)}) exceed WORDS_MAX = {WORDS_MAX}")
+    chunk = max(WORDS_MAX // (words * TRIAL_BLOCK), 1)
+    if np.size(x) > chunk:
+        return np.concatenate([conditional_expectation(pm, psi, x[i:i + chunk])
+                               for i in range(0, len(x), chunk)])
     levels = [np.asarray(x, dtype=float)]
     for _ in factors:
         levels.append(op.branch_points(levels[-1]))
@@ -291,24 +303,8 @@ def v0_adjoint(pm: PathMeasure, psi) -> GridFunction:
 
 def expectation(pm: PathMeasure, psi):
     """Path-space expectation of a cylinder function: its
-    :func:`conditional_expectation` integrated against the base measure.
-    The bases go to the enumeration in chunks of at most ``WORDS_MAX /
-    TRIAL_BLOCK`` words (a batch holds up to ``TRIAL_BLOCK`` values per
-    word; an unbatched ``psi`` takes the same chunks, which are no slower
-    than larger ones), so a finer base measure costs time, not a refusal."""
-    psi = CylinderFunction.coerce(psi)
-    depth = len(psi.components) - 1
-    _check_depth(depth)  # before n ** depth grows with a huge depth
-    chunk = max(WORDS_MAX // (pm.op.system.n_branches ** depth
-                              * TRIAL_BLOCK), 1)
-
-    def at(x):
-        if np.size(x) <= chunk:
-            return conditional_expectation(pm, psi, x)
-        return np.concatenate([conditional_expectation(pm, psi, x[i:i + chunk])
-                               for i in range(0, len(x), chunk)])
-
-    return integrate(at, pm.lam)
+    :func:`conditional_expectation` integrated against the base measure."""
+    return integrate(lambda x: conditional_expectation(pm, psi, x), pm.lam)
 
 
 # -- sampling ---------------------------------------------------------------
@@ -581,9 +577,7 @@ def harmonic_from_measure(pm: PathMeasure, depth: int = 1
         raise DomainError("depth must be at least 1")
     _check_depth(depth + 1)
     nodes = pm.op.nodes
-    # the deeper sum first, so that the word bound is checked before any
-    # level is built
-    again = conditional_expectation(pm, [None] * (depth + 2), nodes)
     h_tilde = conditional_expectation(pm, [None] * (depth + 1), nodes)
+    again = conditional_expectation(pm, [None] * (depth + 2), nodes)
     residual = float(np.max(np.abs(again - h_tilde)))
     return GridFunction(h_tilde), residual

@@ -330,6 +330,7 @@ class TestCli:
     @pytest.mark.parametrize("argv, flag", [
         (["markov", "--n", "1"], "n"),
         (["harmonic-from-measure", "--depth", "0"], "depth"),
+        (["harmonic-from-measure", "--depth", "16"], "depth"),
         (["measure", "--steps", "-1"], "steps"),
         (["sample", "--battery", "0"], "battery"),
         (["sample", "--battery", "-3"], "battery"),
@@ -365,6 +366,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["measure", "--steps", "0"],
+        ["measure", "--steps", "16"],   # a measure with no atoms has no limit
         ["harmonic", "--k-max", "0", "--n-max", "0"],
         ["markov", "--x", "0.3", "--set-a", "[0,0.25)", "--set-b", "[0,0.5)",
          "--n", "2"],
@@ -383,8 +385,11 @@ class TestCli:
          ["sample", "--battery", "1"], 1_000_001),
         (["harmonic", "--n-max", "10000"], 100_000,
          ["harmonic", "--n-max", "10001"], 100_000),
+        # the highest k-max for sys_b's weight, of three terms and degree 1
+        (["harmonic", "--k-max", "15"], 100_000,
+         ["harmonic", "--k-max", "16"], 100_000),
     ], ids=["verify trials", "quasi trials", "sample battery",
-            "sampler paths", "harmonic n-max"])
+            "sampler paths", "harmonic n-max", "harmonic k-max"])
     def test_count_bounds_keep_their_budget(self, capsys, tmp_path, argv,
                                             paths, over_argv, over_paths):
         # a count at its highest value peaks below the 16 MiB of traced
@@ -405,6 +410,20 @@ class TestCli:
         assert code == 0 and peak < 16 * 2**20
         code, peak = traced(over_argv, over_paths)
         assert code == 2 and peak < 2**20
+
+    def test_steps_bound_counts_the_atoms(self, capsys):
+        # sys_c's one atom doubles each step: 15 steps hold 2^15 atoms and
+        # peak below 16 MiB; 16 is refused, located at the flag, before
+        # the run allocates anything
+        for steps, code, budget in ((15, 0, 16 * 2**20), (16, 2, 2**20)):
+            tracemalloc.start()
+            try:
+                assert main(["measure", "--config", SYS_C,
+                             "--steps", str(steps)]) == code
+                assert tracemalloc.get_traced_memory()[1] < budget
+            finally:
+                tracemalloc.stop()
+        assert "field 'steps'" in capsys.readouterr().err
 
     def test_cylinder_example(self, capsys, tmp_path):
         out = tmp_path / "rep.json"
@@ -767,11 +786,27 @@ class TestCli:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_word_bound_exit_code(self, capsys):
-        # a depth-12 rebuild on the 1024-cell fixture enumerates too many
-        # words; it is refused before any is built
+        # the rebuild's two sums enumerate 3 * 2^depth * 1024 words on the
+        # 1024-cell fixture: depth 13 is within the budget of 2^25, and
+        # depth 14 is refused, located at the flag, before the solve
         assert main(["harmonic-from-measure", "--config", SYS_A,
-                     "--depth", "12"]) == 3
-        assert "enumerated words" in capsys.readouterr().err
+                     "--depth", "13"]) == 0
+        assert main(["harmonic-from-measure", "--config", SYS_A,
+                     "--depth", "14"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "field 'depth'" in err
+
+    def test_rebuild_sums_past_the_word_bound(self, capsys, tmp_path):
+        # 262145 cells, the smallest grid whose default rebuild sums more
+        # than WORDS_MAX words over its bases, passes: the enumeration
+        # takes the bases in chunks
+        cfg = tmp_path / "fine.cfg"
+        cfg.write_text(load_config(SYS_A).emit().replace(
+            "cells = 1024", "cells = 262145"))
+        out = tmp_path / "rep.json"
+        assert main(["harmonic-from-measure", "--config", str(cfg),
+                     "--json", str(out)]) == 0
+        assert self._statuses(out, ["harmonic_reconstruction"]) == ["PASS"]
 
     def test_verify_unconverged_solve_exit_code(self, capsys, tmp_path):
         # the identity suite needs a converged fixed function, like the

@@ -318,13 +318,6 @@ class TestQuasiInvariance:
         with pytest.raises(DomainError, match=message):
             towb.quasi_invariance_defect(pm_a, [None] * (depth + 1))
 
-    def test_word_bound_refuses_a_direct_sum(self, pm_a):
-        # an expectation feeds the enumeration its bases in chunks, but one
-        # direct sum of 2^16 words at each of 256 bases is still refused
-        with pytest.raises(DomainError, match="16777216 enumerated words"):
-            towb.conditional_expectation(pm_a, [None] * 17,
-                                         pm_a.op.nodes[:256])
-
 
 class TestUnitary:
     def test_constant_function_norm(self, pm_b, lam_std):
@@ -611,14 +604,38 @@ class TestWordSumKernel:
         with pytest.raises(DomainError):
             towb.markov_deviation(pm_a, half, half, 0.3, 16)
 
-    def test_word_bound_raises_before_allocating(self, pm_a, monkeypatch):
-        # depth 12 passes the depth guard, but its check sum at depth 13
-        # asks for 2^13 words at each of the 1024 nodes
+    def test_word_bound_raises_before_allocating(self, monkeypatch):
+        # depth 13 passes the depth guard, but with three branches its
+        # first sum asks for 3^13 > WORDS_MAX words at a single base, which
+        # no chunk of bases makes smaller
+        system = towb.make_system([1 / 3] * 3, [0.0, 1 / 3, 2 / 3],
+                                  [1 / 3] * 3, towb.WeightExpr.constant(1.0),
+                                  sigma=3, n_grid=27)
+        op = TransferOperator(system, 27)
+        pm = PathMeasure.build(op, GridFunction.constant(1.0, 27),
+                               Measure.lebesgue(27))
         built = []
-        monkeypatch.setattr(pm_a.op, "branch_points", built.append)
-        with pytest.raises(DomainError, match="8388608 enumerated words"):
-            towb.harmonic_from_measure(pm_a, depth=12)
+        monkeypatch.setattr(op, "branch_points", built.append)
+        with pytest.raises(DomainError, match="1594323 enumerated words at "
+                           "one base .* exceed WORDS_MAX"):
+            towb.harmonic_from_measure(pm, depth=13)
         assert built == []
+
+    def test_direct_sums_past_the_word_bound(self, pm_b, monkeypatch):
+        # with WORDS_MAX at 2^10 a sum over the 1024 nodes takes chunks of
+        # 10 bases at depth 2 and of 5 at depth 3; it agrees with the one
+        # chunk of the default bound up to the batch-dependent last bits
+        # of h's trig sums
+        rng = np.random.default_rng(21)
+        psi = [TrigPoly.random(rng, 3) for _ in range(4)]
+        runs = []
+        for words_max in (towb.solenoid.WORDS_MAX, 2**10):
+            monkeypatch.setattr(towb.solenoid, "WORDS_MAX", words_max)
+            rebuilt, residual = towb.harmonic_from_measure(pm_b)
+            runs.append((rebuilt.values, residual,
+                         towb.v0_adjoint(pm_b, psi).values))
+        for whole, chunked in zip(*runs):
+            assert np.max(np.abs(np.asarray(whole) - chunked)) <= 1e-15
 
     def test_word_bound_admits_its_limit(self, pm_a):
         # 2^10 words at each of the 1024 nodes is exactly WORDS_MAX

@@ -37,8 +37,13 @@ the list, with one above each count's highest value: ``verify`` and
 ``quasi`` with ``--trials 1001``, ``sample --battery 101``, ``harmonic
 --n-max 10001``, ``sample`` on a doubling config with ``paths = 1000001``
 (``paths_over``) and ``harmonic`` on one with ``cells = 1048577``
-(``cells_over``), and last ``measure --seed 1``: ``measure`` draws
-nothing, so it does not offer ``--seed``.
+(``cells_over``); then one above the highest value that the config
+admits: ``harmonic-from-measure --depth 14`` on ``sys_a``, ``measure
+--steps 16`` on the one atom of ``sys_c`` and ``harmonic --k-max 16`` on
+``sys_b``; and last ``measure --seed 1``: ``measure`` draws nothing, so
+it does not offer ``--seed``.  Just before them, ``harmonic-from-measure``
+runs on ``sys_a`` at 262,145 cells (``sys_a_fine``), the smallest grid
+whose default rebuild sums more than ``WORDS_MAX`` words over its bases.
 ``harmonic --k-max 2 --n-max 4`` runs on ``table``, whose grid is fine
 enough for those frequencies: the one run whose cascade check takes the
 midpoint rule.  ``table`` with atoms of mass 1/4 and 3/4 at 0.3 and 0.7 as
@@ -131,6 +136,8 @@ GENERATED = {
     + "[sampler]\npaths = 1000001\n",
     "cells_over": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
     + "[grid]\ncells = 1048577\n",
+    "sys_a_fine": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + "[grid]\ncells = 262145\n",
 }
 GENERATED_COMMANDS = (("verify",), ("measure",))
 SHIFTED_COMMANDS = (("measure",), ("defect",), ("verify",))
@@ -179,6 +186,9 @@ INPUT_ERRORS = (
     ("sys_a", ("harmonic", "--n-max", "10001")),
     ("paths_over", ("sample", "--battery", "1")),
     ("cells_over", ("harmonic",)),
+    ("sys_a", ("harmonic-from-measure", "--depth", "14")),
+    ("sys_c", ("measure", "--steps", "16")),
+    ("sys_b", ("harmonic", "--k-max", "16")),
     ("sys_a", ("measure", "--seed", "1")),
 )
 
@@ -211,6 +221,7 @@ def cases():
     for name in ("tol_inf", "weight_nan"):
         for command in NON_FINITE_COMMANDS:
             yield name, command
+    yield "sys_a_fine", ("harmonic-from-measure",)
     yield from INPUT_ERRORS
 
 
