@@ -20,13 +20,13 @@ import numpy as np
 from .config import RunConfig, load_config
 from .errors import ConfigError, ConvergenceError, DomainError
 from .grid import IntervalSet, Measure
-from .harmonic import (HarmonicSolution, fourier_cascade_check,
-                       solve_harmonic)
+from .harmonic import (HarmonicSolution, exact_cascade,
+                       fourier_cascade_check, solve_harmonic)
 from .report import Report
 from .sigspace import (defect_search, hutchinson_iterate, membership,
                        pushed_decomposition)
-from .solenoid import (_H_TRUST, DEPTH_MAX, CylinderFunction, PathMeasure,
-                       batch_trials, cylinder_mass,
+from .solenoid import (_H_TRUST, DEPTH_MAX, WORDS_MAX, CylinderFunction,
+                       PathMeasure, batch_trials, cylinder_mass,
                        empirical_cylinder_frequency, harmonic_from_measure,
                        markov_deviation, multires_check,
                        parse_interval_set, unitarity_check,
@@ -74,16 +74,25 @@ def _check_flags(args) -> None:
                               field=flag)
 
 
-def _check_budget(args, flag: str, size: int, factor: int, budget: int,
-                  what: str) -> None:
-    """Raise a :class:`ConfigError` located at ``flag`` when ``size *
-    factor ** value``, for the flag's value, exceeds ``budget``.  With
-    ``factor >= 2`` a power past ``budget.bit_length()`` exceeds it too,
-    so no larger power is built."""
-    value = getattr(args, flag.replace("-", "_"))
-    if size * factor ** min(value, budget.bit_length()) > budget:
-        raise ConfigError(f"--{flag} {value} asks for more than {budget} "
-                          f"{what}", field=flag)
+def _check_budget(flag: str, power: int, size: int, factor: int,
+                  budget: int, what: str) -> None:
+    """Raise a :class:`ConfigError` located at ``flag`` when the count
+    ``size * factor ** power`` that the flag asks for exceeds ``budget``.
+    With ``factor >= 2`` a power past ``budget.bit_length()`` exceeds it
+    too, so no larger power is built."""
+    if size * factor ** min(power, budget.bit_length()) > budget:
+        count = f"{factor}^{power}" if size == 1 else \
+            f"{size} x {factor}^{power}"
+        raise ConfigError(f"--{flag} asks for {count} {what}, more than "
+                          f"{budget}", field=flag)
+
+
+def _check_words(flag: str, depth: int, op: TransferOperator) -> None:
+    """The path-space budget: ``branches^depth`` words at one base, for a
+    path of ``depth`` coordinates after ``x_0``, at most ``WORDS_MAX``."""
+    n = op.system.n_branches
+    _check_budget(flag, depth, 1, n, WORDS_MAX,
+                  f"enumerated words at one base, on {n} branches")
 
 
 def _write_columns(directory: str, name: str, xs, ys) -> None:
@@ -110,12 +119,12 @@ def _cmd_verify(args, cfg, op, lam, report: Report) -> None:
 
 
 def _cmd_harmonic(args, cfg, op, lam, report: Report) -> None:
-    w = op.system.weight.trigpoly
-    terms, degree = ((1, 1) if w is None else
-                     (w.freqs.size, int(np.abs(w.freqs).max(initial=1))))
-    _check_budget(args, "k-max", terms * degree, 2, CASCADE_TERMS_MAX,
-                  f"terms x degree x 2^k-max, for a weight of {terms} terms "
-                  f"and degree {degree}")
+    if args.k_max > 0 and exact_cascade(op.system):
+        w = op.system.weight.trigpoly
+        terms, degree = w.freqs.size, int(np.abs(w.freqs).max(initial=1))
+        _check_budget("k-max", args.k_max, terms * degree, 2,
+                      CASCADE_TERMS_MAX, f"coefficients, for a weight of "
+                      f"{terms} terms and degree {degree}")
     sol = solve_harmonic(op, lam, tol=cfg.solver_tol,
                          max_iter=cfg.solver_max_iter, seed=cfg.solver_seed)
     report.add_result("rho", sol.rho)
@@ -142,7 +151,7 @@ def _cmd_harmonic(args, cfg, op, lam, report: Report) -> None:
 
 
 def _cmd_measure(args, cfg, op, lam, report: Report) -> None:
-    _check_budget(args, "steps", len(lam.atoms), op.system.n_branches,
+    _check_budget("steps", args.steps, len(lam.atoms), op.system.n_branches,
                   ATOMS_MAX, f"atoms, from {len(lam.atoms)} on "
                   f"{op.system.n_branches} branches")
     iterated = hutchinson_iterate(op.system, lam, args.steps)
@@ -172,6 +181,7 @@ def _cmd_defect(args, cfg, op, lam, report: Report) -> None:
 
 def _cmd_cylinder(args, cfg, op, lam, report: Report) -> None:
     spec = CylinderFunction.parse(args.sets)
+    _check_words("sets", spec.depth, op)
     pm = _solved_path_measure(cfg, op, lam)
     mass = cylinder_mass(pm, args.x, spec)
     hx = float(pm.h(args.x))
@@ -250,8 +260,9 @@ def _cmd_quasi(args, cfg, op, lam, report: Report) -> None:
 
 
 def _cmd_markov(args, cfg, op, lam, report: Report) -> None:
-    set_a = parse_interval_set(args.set_a)
-    set_b = parse_interval_set(args.set_b)
+    set_a = parse_interval_set(args.set_a, "set-a")
+    set_b = parse_interval_set(args.set_b, "set-b")
+    _check_words("n", args.n + 1, op)
     pm = _solved_path_measure(cfg, op, lam)
     m1, mn, diff = markov_deviation(pm, set_a, set_b, args.x, args.n)
     report.add_result("m_1", m1)
@@ -261,7 +272,7 @@ def _cmd_markov(args, cfg, op, lam, report: Report) -> None:
 
 def _cmd_harmonic_from_measure(args, cfg, op, lam, report: Report) -> None:
     n = op.system.n_branches
-    _check_budget(args, "depth", (n + 1) * op.n_grid, n, HFM_WORDS_MAX,
+    _check_budget("depth", args.depth, (n + 1) * op.n_grid, n, HFM_WORDS_MAX,
                   f"enumerated words, on {n} branches and {op.n_grid} cells")
     pm = _solved_path_measure(cfg, op, lam)
     h_tilde, residual = harmonic_from_measure(pm, depth=args.depth)
@@ -281,18 +292,24 @@ _REQUIRED = object()   # the default of a flag that has none
 # flag of the command against it before it loads the config or runs a
 # handler.  A count that sizes a loop or an array has a highest value, at
 # which the run's peak traced allocation (tracemalloc) stays below 16 MiB.
-# Three counts have a highest value that depends on the config; their
-# handlers check it against a budget before they build anything:
-# - harmonic --k-max: the exact cascade's last product has about 2 x terms
-#   x degree x 2^k_max coefficients of the weight's trig polynomial (a table
-#   weight counts as one term of degree 1): 15 on sys_b (9.2 MiB; 16 peaks
-#   at 18.3 MiB), 13 at degree 2 and 9 at degree 8 (8.1 and 8.9 MiB).
+# Other counts have a highest value that depends on the config; their
+# handlers check it against a budget before they solve or build anything:
+# - harmonic --k-max: where the cascade can run exactly (exact_cascade: the
+#   doubling map, equal p and a closed-form weight), its last product has
+#   about 2 x terms x degree x 2^k_max coefficients of the weight's trig
+#   polynomial: 15 on sys_b (9.2 MiB; 16 peaks at 18.3 MiB), 13 at degree 2
+#   and 9 at degree 8 (8.1 and 8.9 MiB).  Nothing is charged at k-max 0,
+#   which multiplies by no W_k, nor where the cascade is SKIPPED.
 # - measure --steps: the iterate holds up to atoms x branches^steps atoms:
 #   15 on sys_c's one atom (11.6 MiB; 16 peaks at 23 MiB), none if no atom.
 # - harmonic-from-measure --depth: its two sums enumerate (branches + 1) x
 #   branches^depth x cells words in chunks, so the cost is time: 13 on 1,024
 #   cells (1.5 s in-process on a 2-core x86-64 host; 14 takes 3.0 s), 3 at
 #   2^20 cells (0.9 s); depth 1 passes at every cells for up to 5 branches.
+# - markov --n and cylinder --sets: a path of n + 1 coordinates after x_0,
+#   or of one per set, has at most DEPTH_MAX of them (--n's bound, and
+#   CylinderFunction.parse) and branches^depth <= WORDS_MAX words at one
+#   base, the enumeration's own limit: --n 11 and 12 sets on three branches.
 CASCADE_TERMS_MAX = 2**17
 ATOMS_MAX = 2**15
 HFM_WORDS_MAX = 2**25
@@ -330,7 +347,8 @@ _COMMANDS = {name: (handler, text, {**_COMMON, **flags})
      {"x": (float, _REQUIRED, _FINITE, None),
       "set-a": (str, _REQUIRED, None, None),
       "set-b": (str, _REQUIRED, None, None),
-      "n": (int, 10, ("at least 2", lambda v: v >= 2), None)}),
+      "n": (int, 10, (f"from 2 to {DEPTH_MAX - 1}",
+                      lambda v: 2 <= v < DEPTH_MAX), None)}),
     ("harmonic-from-measure", _cmd_harmonic_from_measure,
      "rebuild the harmonic function from total masses",
      {"depth": (int, 1, (f"from 1 to {DEPTH_MAX - 1}",

@@ -184,6 +184,18 @@ def normalize_weight(op: TransferOperator,
     return op.system.with_weight(op.system.weight.scaled(1.0 / sol.rho))
 
 
+def _equal_probs(system: IfsSystem) -> bool:
+    return all(abs(p - 0.5) <= PROB_SUM_TOL for p in system.probs)
+
+
+def exact_cascade(system: IfsSystem) -> bool:
+    """Whether :func:`fourier_cascade_check` reads the cascade of a
+    :class:`TrigPoly` ``h`` off exact coefficients: on the doubling map
+    with ``p_1 = p_2 = 1/2`` and a closed-form weight."""
+    return (system.is_doubling() and _equal_probs(system)
+            and system.weight.trigpoly is not None)
+
+
 def fourier_cascade_check(op: TransferOperator, h: Callable,
                           k_max: int = 4, n_max: int = 8,
                           rho: float = 1.0) -> float:
@@ -195,13 +207,13 @@ def fourier_cascade_check(op: TransferOperator, h: Callable,
     with ``e(t) = exp(2 pi i t)``.  Returns the maximum deviation of
     ``(W_k h)^(2^k n) / rho^k`` from ``h^(n)`` over ``0 <= k <= k_max`` and
     ``|n| <= n_max``.  For a :class:`TrigPoly` ``h`` and a closed-form
-    weight the coefficients are read off ``h`` and the products ``W_k h``
-    exactly.  Any other ``h`` goes through the uniform midpoint rule on the
-    operator's grid, every coefficient of a product read off one inverse
-    FFT, spectrally accurate for smooth integrands; the
-    relevant frequencies must stay well below the grid size.  A system the
-    identity does not cover, or a grid too coarse for its frequencies, is a
-    :class:`DomainError`.
+    weight (:func:`exact_cascade`) the coefficients are read off ``h`` and
+    the products ``W_k h`` exactly.  Any other ``h`` goes through the
+    uniform midpoint rule on the operator's grid, every coefficient of a
+    product read off one inverse FFT, spectrally accurate for smooth
+    integrands; the relevant frequencies must stay well below the grid
+    size.  A system the identity does not cover, or a grid too coarse for
+    its frequencies, is a :class:`DomainError`.
     """
     if not op.system.is_doubling():
         raise DomainError("system is not the doubling map")
@@ -210,7 +222,7 @@ def fourier_cascade_check(op: TransferOperator, h: Callable,
     exact = isinstance(h, TrigPoly) and w is not None
     if not exact and (2 ** k_max) * n_max >= op.n_grid // 4:
         raise DomainError("grid too coarse for the requested frequencies")
-    if any(abs(p - 0.5) > PROB_SUM_TOL for p in op.system.probs):
+    if not _equal_probs(op.system):
         raise DomainError("cascade identity needs equal probabilities, got "
                           f"{list(op.system.probs)}")
     if exact:

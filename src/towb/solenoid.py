@@ -101,10 +101,11 @@ def shift_back(op: TransferOperator, path: SolPath) -> SolPath:
     return SolPath(base=new_base, digits=path.digits[1:])
 
 
-def parse_interval_set(text: str) -> IntervalSet:
+def parse_interval_set(text: str, field: str = "sets") -> IntervalSet:
     """The ``u``-separated union ``"[0.5,0.75)u[0.9,1)"`` of intervals
     ``[lo,hi)`` with numbers ``0 <= lo < hi <= 1``; any other piece raises
-    a :class:`ConfigError` located at ``sets``."""
+    a :class:`ConfigError` located at ``field``, the flag that carried
+    ``text``."""
     pairs = []
     for piece in text.replace("u", "U").split("U"):
         piece = piece.strip()
@@ -112,15 +113,15 @@ def parse_interval_set(text: str) -> IntervalSet:
         if not (piece.startswith("[") and piece.endswith(")")
                 and len(ends) == 2):
             raise ConfigError(f"cannot parse interval '{piece}', "
-                              "expected '[lo,hi)'", field="sets")
+                              "expected '[lo,hi)'", field=field)
         try:
             lo, hi = float(ends[0]), float(ends[1])
         except ValueError:
             raise ConfigError(f"interval '{piece}' has a non-numeric "
-                              "endpoint", field="sets") from None
+                              "endpoint", field=field) from None
         if not 0.0 <= lo < hi <= 1.0:
             raise ConfigError(f"interval '{piece}' needs endpoints "
-                              "with 0 <= lo < hi <= 1", field="sets")
+                              "with 0 <= lo < hi <= 1", field=field)
         pairs.append((lo, hi))
     return IntervalSet(pairs)
 
@@ -149,8 +150,8 @@ class CylinderFunction:
         coordinate unconstrained); ``x_0`` is unconstrained.
 
         Every other coordinate is read by :func:`parse_interval_set`.  Empty
-        parts are skipped; text with no coordinate at all raises a
-        :class:`ConfigError` located at ``sets``.
+        parts are skipped; text with no coordinate at all, or with more than
+        ``DEPTH_MAX``, raises a :class:`ConfigError` located at ``sets``.
         """
         sets: list[IntervalSet | None] = []
         for part in text.split(";"):
@@ -159,9 +160,9 @@ class CylinderFunction:
                 sets.append(None)
             elif part:
                 sets.append(parse_interval_set(part))
-        if not sets:
-            raise ConfigError(f"cylinder spec '{text}' has no coordinate",
-                              field="sets")
+        if not 1 <= len(sets) <= DEPTH_MAX:
+            raise ConfigError(f"cylinder spec has {len(sets)} coordinates, "
+                              f"not from 1 to {DEPTH_MAX}", field="sets")
         return cls([None, *sets])
 
     @property

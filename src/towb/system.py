@@ -22,6 +22,8 @@ from .trig import TrigPoly
 
 PROB_SUM_TOL = 1e-12
 RIGHT_INVERSE_TOL = 1e-10
+# Two branch images, or two pieces of sigma, may overlap by this much.
+OVERLAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ class PiecewiseAffineMap:
         if not ordered:
             raise DomainError("piecewise map needs at least one piece")
         for (lo, hi, _, _), (lo2, _, _, _) in zip(ordered, ordered[1:]):
-            if lo2 < hi - 1e-15:
+            if lo2 < hi - OVERLAP_TOL:
                 raise DomainError("piecewise map pieces overlap")
         self.pieces = tuple(ordered)
 
@@ -204,7 +206,7 @@ def validate_system(system: IfsSystem, n_grid: int = 256) -> None:
             spans.append((lo, hi, i))
     spans.sort()
     for (lo, hi, i), (lo2, _, i2) in zip(spans, spans[1:]):
-        if lo2 < hi - 1e-12:
+        if lo2 < hi - OVERLAP_TOL:
             raise DomainError(
                 f"branches {i} and {i2} have overlapping image interiors")
 

@@ -14,6 +14,7 @@ import towb
 from towb.cli import _COMMANDS, build_parser, main
 from towb.config import RunConfig, load_config, parse_config
 from towb.errors import ConfigError
+from towb.solenoid import DEPTH_MAX
 
 FIXTURE_DIR = os.path.join(os.path.dirname(towb.__file__), "fixtures")
 
@@ -329,6 +330,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, flag", [
         (["markov", "--n", "1"], "n"),
+        (["markov", "--n", "16"], "n"),
         (["harmonic-from-measure", "--depth", "0"], "depth"),
         (["harmonic-from-measure", "--depth", "16"], "depth"),
         (["measure", "--steps", "-1"], "steps"),
@@ -370,6 +372,8 @@ class TestCli:
         ["harmonic", "--k-max", "0", "--n-max", "0"],
         ["markov", "--x", "0.3", "--set-a", "[0,0.25)", "--set-b", "[0,0.5)",
          "--n", "2"],
+        ["markov", "--x", "0.3", "--set-a", "[0,0.25)", "--set-b", "[0,0.5)",
+         "--n", "15"],
     ], ids=" ".join)
     def test_flag_bounds_admit_their_limits(self, capsys, argv):
         assert main(argv + ["--config", SYS_A]) == 0
@@ -410,6 +414,58 @@ class TestCli:
         assert code == 0 and peak < 16 * 2**20
         code, peak = traced(over_argv, over_paths)
         assert code == 2 and peak < 2**20
+
+    @pytest.mark.parametrize("slopes, cos, k_max, code", [
+        # slopes 1/3 and 2/3: the cascade is SKIPPED, so nothing is charged
+        ([1 / 3, 2 / 3], 100, 4, 0),
+        # the doubling map: k-max 0 multiplies by no W_k, k-max 1 does
+        ([0.5, 0.5], 300, 0, 0),
+        ([0.5, 0.5], 300, 1, 2),
+    ])
+    def test_cascade_budget_charges_only_the_exact_cascade(
+            self, capsys, tmp_path, slopes, cos, k_max, code):
+        text = load_config(SYS_B).emit()
+        for old, new in (
+                ("cos = [1.0]", f"cos = {[0.5 / cos] * cos}"),
+                ("branch_slopes = [0.5, 0.5]", f"branch_slopes = {slopes}"),
+                ("branch_offsets = [0.0, 0.5]",
+                 f"branch_offsets = {[0.0, slopes[0]]}"),
+                ("probabilities = [0.5, 0.5]",
+                 f"probabilities = {slopes}")):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = tmp_path / "weight.cfg"
+        cfg.write_text(text)
+        assert main(["harmonic", "--config", str(cfg),
+                     "--k-max", str(k_max)]) == code
+        if code == 2:
+            assert "field 'k-max'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, depth", [
+        ("three_branch", 12), ("sys_a", DEPTH_MAX)])
+    @pytest.mark.parametrize("flag", ["n", "sets"])
+    def test_path_depth_budget(self, capsys, tmp_path, config, depth, flag):
+        # a path of depth coordinates after x_0 exits 0 and one more is
+        # refused, located at the flag, before the solve: 3^13 words at one
+        # base exceed WORDS_MAX on three branches, and sys_a's limit is the
+        # enumeration's DEPTH_MAX
+        path = SYS_A
+        if config == "three_branch":
+            path = tmp_path / "three.cfg"
+            path.write_text(
+                "[system]\nbranch_slopes = [0.3333333333333333, "
+                "0.3333333333333333, 0.3333333333333333]\n"
+                "branch_offsets = [0.0, 0.3333333333333333, "
+                "0.6666666666666666]\nprobabilities = [0.2, 0.3, 0.5]\n"
+                "sigma = \"inferred\"\n\n[grid]\ncells = 243\n")
+        for d, code in ((depth, 0), (depth + 1, 2)):
+            if flag == "n":   # markov's deeper mass has n + 1 coordinates
+                argv = ["markov", "--set-a", "[0,0.25)", "--set-b",
+                        "[0,0.5)", "--n", str(d - 1)]
+            else:
+                argv = ["cylinder", "--sets", ";".join(["[0,0.5)"] * d)]
+            assert main(argv + ["--config", str(path), "--x", "0.3"]) == code
+        assert f"field '{flag}'" in capsys.readouterr().err
 
     def test_steps_bound_counts_the_atoms(self, capsys):
         # sys_c's one atom doubles each step: 15 steps hold 2^15 atoms and
@@ -679,7 +735,7 @@ class TestCli:
     def test_malformed_sets_exit_code(self, capsys, flag, text):
         # a non-numeric endpoint, three endpoints, a reversed interval, a
         # missing bracket, a spec with no coordinate and an endpoint outside
-        # [0, 1] are input errors located at the sets field
+        # [0, 1] are input errors located at the flag that carried them
         if flag == "--sets":
             argv = ["cylinder", "--sets", text]
         else:
@@ -688,7 +744,7 @@ class TestCli:
                     "--set-b", sets["--set-b"]]
         assert main(argv + ["--config", SYS_A, "--x", "0.3"]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "field 'sets'" in err
+        assert "config error" in err and f"field '{flag[2:]}'" in err
 
     @pytest.mark.parametrize("argv, flag", [
         (["cylinder"], "--sets"),
@@ -707,14 +763,15 @@ class TestCli:
     def test_markov_extra_coordinate_exit_code(self, capsys, flag):
         # markov compares two sets of one coordinate each, each one interval
         # union: a second coordinate, an unconstrained one and a trailing
-        # ';' are input errors, not silently dropped or read as a set
+        # ';' are input errors, not silently dropped or read as a set,
+        # located at the flag
         for text in ("[0,0.25);[0.5,0.75)", "all", "[0,0.25);"):
             sets = {"--set-a": "[0,0.25)", "--set-b": "[0,0.5)", flag: text}
             assert main(["markov", "--config", SYS_A, "--x", "0.3", "--n",
                          "3", "--set-a", sets["--set-a"],
                          "--set-b", sets["--set-b"]]) == 2, text
             err = capsys.readouterr().err
-            assert "config error" in err and "field 'sets'" in err
+            assert "config error" in err and f"field '{flag[2:]}'" in err
 
     def test_sampler_depth_key_exit_code(self, capsys, tmp_path):
         # the sampler draws its own depths; a config asking for one is

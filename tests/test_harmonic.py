@@ -12,8 +12,10 @@ from towb.config import load_config
 from towb.errors import ConvergenceError, DomainError
 from towb.grid import integrate
 from towb.harmonic import _NEGATIVITY_FLOOR, HarmonicSolution, power_iteration
+from towb.solenoid import PathMeasure, harmonic_from_measure
 from towb.system import (PiecewiseAffineMap, WeightExpr, doubling_system,
                          make_system)
+from towb.transfer import MATRIX_DEGREE_MAX
 
 FIXTURE_DIR = os.path.join(os.path.dirname(towb.__file__), "fixtures")
 
@@ -80,11 +82,13 @@ def _oracle_case(name):
     if name == "unequal":
         return _full_branch_op(WeightExpr.trig(1.0, [1.0]), n=256,
                                probs=[0.25, 0.75]), Measure.lebesgue(256)
-    if name == "degree_past_nyquist":
-        # W = 1 + 0.5 cos 40 pi x needs D = 20 > N/2 = 16
-        weight = WeightExpr.trig(1.0, [0.0] * 19 + [0.5])
-        return TransferOperator(doubling_system(weight, 32), 32), \
-            Measure.lebesgue(32)
+    if name == "degree_past_the_limit":
+        # W = 1 + 0.5 cos 2 pi (MATRIX_DEGREE_MAX + 1) x needs one degree
+        # more than the transition matrix is searched for on a grid whose
+        # N/2 is below the limit
+        weight = WeightExpr.trig(1.0, [0.0] * MATRIX_DEGREE_MAX + [0.5])
+        return TransferOperator(doubling_system(weight, 256), 256), \
+            Measure.lebesgue(256)
     if name == "uneven_trig":
         return TransferOperator(_uneven_system(WeightExpr.trig(1.0, [0.5])),
                                 256), Measure.lebesgue(256)
@@ -333,6 +337,14 @@ class TestFourierCascade:
         with pytest.raises(DomainError, match="equal probabilities"):
             towb.fourier_cascade_check(op, sol.h, 4, 8, rho=sol.rho)
 
+    def test_trig_h_with_unequal_probabilities_on_a_coarse_grid(self):
+        # an exact h needs no grid bound, so at 64 cells (2^4 * 8 past N/4)
+        # the refusal names the probabilities, not the grid
+        op = _full_branch_op(WeightExpr.trig(1.0, [1.0]), n=64,
+                             probs=[0.25, 0.75])
+        with pytest.raises(DomainError, match="equal probabilities"):
+            towb.fourier_cascade_check(op, towb.TrigPoly.constant(1.0), 4, 8)
+
     def test_rejects_non_doubling(self, op_d):
         h = GridFunction.constant(1.0, op_d.n_grid)
         with pytest.raises(DomainError):
@@ -417,12 +429,41 @@ class TestTransitionMatrix:
 
     @pytest.mark.parametrize("name", ["unequal", "table_weight", "wrapping",
                                       "middle_thirds_cos", "uneven_trig",
-                                      "degree_past_nyquist"])
+                                      "degree_past_the_limit"])
     def test_other_systems_power_iterate(self, name):
         op, lam = _oracle_case(name)
         assert op.transition_matrix() is None
         _assert_same_solution(towb.solve_harmonic(op, lam),
                               power_iteration(op, lam))
+
+    def test_degree_past_nyquist_solves_on_the_matrix(self):
+        # W = 1 + 0.5 cos 40 pi x needs D = 20, past N/2 = 16 at 32 cells:
+        # the grid does not pick the method, every grid gets the same rho,
+        # and the word enumeration rebuilds the exact h at 32 cells
+        weight = WeightExpr.trig(1.0, [0.0] * 19 + [0.5])
+        sols = {}
+        for cells in (32, 64, 1024):
+            op = TransferOperator(doubling_system(weight, cells), cells)
+            sols[cells] = towb.solve_harmonic(op, Measure.lebesgue(cells))
+            assert sols[cells].method == "transition_matrix"
+            assert sols[cells].converged
+        assert sols[32].rho == sols[64].rho == sols[1024].rho
+        op = TransferOperator(doubling_system(weight, 32), 32)
+        pm = PathMeasure.build(op, sols[32].h, Measure.lebesgue(32))
+        assert harmonic_from_measure(pm)[1] <= 1e-12
+
+    @pytest.mark.parametrize("degree, cells", [(600, 256), (800, 4096)])
+    def test_exact_up_to_the_limit_or_half_the_grid(self, degree, cells):
+        # W = 1 + 0.5 cos 2 pi D x needs degree D: the limit admits D = 600
+        # on a grid whose N/2 is below it, and past the limit D = 800 solves
+        # on the matrix on a grid whose N/2 reaches it, where power
+        # iteration passes its node residual with h 0.41 off
+        weight = WeightExpr.trig(1.0, [0.0] * (degree - 1) + [0.5])
+        op = TransferOperator(doubling_system(weight, cells), cells)
+        sol = towb.solve_harmonic(op, Measure.lebesgue(cells))
+        assert sol.method == "transition_matrix" and sol.converged
+        pm = PathMeasure.build(op, sol.h, Measure.lebesgue(cells))
+        assert harmonic_from_measure(pm)[1] <= 1e-12
 
     def test_sys_d_is_exactly_one(self):
         # R 1 = 1 on the middle-thirds branches: the degree-0 space is

@@ -116,6 +116,18 @@ class TestValidation:
                             [(0.0, 0.6, 1 / 0.6, 0.0), (0.6, 1.0, 2.0, -1.0)]),
                         validate=True)
 
+    @pytest.mark.parametrize("sigma", [None, 2], ids=["inferred", "slope_2"])
+    def test_one_overlap_rule(self, sigma):
+        # images that overlap by 1e-13 are accepted and by 1e-11 refused,
+        # whether sigma is inferred from the branches or given as 2x mod 1
+        def build(overlap):
+            return make_system([0.5, 0.5], [0.0, 0.5 - overlap], [0.5, 0.5],
+                               WeightExpr.constant(1.0), sigma=sigma)
+
+        build(1e-13)
+        with pytest.raises(DomainError, match="overlap"):
+            build(1e-11)
+
     def test_weight_zero_at_node_tolerated_on_even_grid(self):
         # the trig weight 1 + cos(2 pi x) vanishes at 1/2, a node of any
         # even grid; midpoint validation accepts it

@@ -39,11 +39,20 @@ the list, with one above each count's highest value: ``verify`` and
 (``paths_over``) and ``harmonic`` on one with ``cells = 1048577``
 (``cells_over``); then one above the highest value that the config
 admits: ``harmonic-from-measure --depth 14`` on ``sys_a``, ``measure
---steps 16`` on the one atom of ``sys_c`` and ``harmonic --k-max 16`` on
-``sys_b``; and last ``measure --seed 1``: ``measure`` draws nothing, so
-it does not offer ``--seed``.  Just before them, ``harmonic-from-measure``
-runs on ``sys_a`` at 262,145 cells (``sys_a_fine``), the smallest grid
-whose default rebuild sums more than ``WORDS_MAX`` words over its bases.
+--steps 16`` on the one atom of ``sys_c``, ``harmonic --k-max 16`` on
+``sys_b``, ``markov --n 16`` on ``sys_b`` (a path past ``DEPTH_MAX``),
+and ``cylinder`` with 17 coordinates on ``sys_a`` and with 13 on
+``three_branch`` (3^13 words at one base, past ``WORDS_MAX``); and last
+``measure --seed 1``: ``measure`` draws nothing, so it does not offer
+``--seed``.  Just before them, ``harmonic-from-measure`` runs on ``sys_a``
+at 262,145 cells (``sys_a_fine``), the smallest grid whose default
+rebuild sums more than ``WORDS_MAX`` words over its bases.  Before that,
+the doubling map with ``W = 1 + 0.5 cos 40 pi x`` at 32 cells
+(``degree_20``), whose invariant degree 20 is past half the grid, goes
+through ``harmonic``, ``harmonic-from-measure`` and ``cylinder``, and
+``harmonic`` runs on the branches of ``uneven`` with a cosine weight of
+100 terms (``uneven_cos100``), whose cascade is SKIPPED and not charged
+to the ``--k-max`` budget.
 ``harmonic --k-max 2 --n-max 4`` runs on ``table``, whose grid is fine
 enough for those frequencies: the one run whose cascade check takes the
 midpoint rule.  ``table`` with atoms of mass 1/4 and 3/4 at 0.3 and 0.7 as
@@ -138,6 +147,12 @@ GENERATED = {
     + "[grid]\ncells = 1048577\n",
     "sys_a_fine": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
     + "[grid]\ncells = 262145\n",
+    "degree_20": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = '
+    + str([0.0] * 19 + [0.5]) + "\n\n[grid]\ncells = 32\n",
+    "uneven_cos100": _system([1 / 3, 2 / 3], [0.0, 1 / 3], [1 / 3, 2 / 3])
+    + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = '
+    + str([0.005] * 100) + "\n",
 }
 GENERATED_COMMANDS = (("verify",), ("measure",))
 SHIFTED_COMMANDS = (("measure",), ("defect",), ("verify",))
@@ -189,6 +204,12 @@ INPUT_ERRORS = (
     ("sys_a", ("harmonic-from-measure", "--depth", "14")),
     ("sys_c", ("measure", "--steps", "16")),
     ("sys_b", ("harmonic", "--k-max", "16")),
+    ("sys_b", ("markov", "--x", "0.3", "--set-a", "[0,0.25)",
+               "--set-b", "[0,0.5)", "--n", "16")),
+    ("sys_a", ("cylinder", "--x", "0.3",
+               "--sets", ";".join(["[0,0.5)"] * 17))),
+    ("three_branch", ("cylinder", "--x", "0.3",
+                      "--sets", ";".join(["[0,0.5)"] * 13))),
     ("sys_a", ("measure", "--seed", "1")),
 )
 
@@ -221,6 +242,11 @@ def cases():
     for name in ("tol_inf", "weight_nan"):
         for command in NON_FINITE_COMMANDS:
             yield name, command
+    for command in (("harmonic",), ("harmonic-from-measure",),
+                    ("cylinder", "--x", "0.3",
+                     "--sets", "[0,0.5);[0.25,0.75)")):
+        yield "degree_20", command
+    yield "uneven_cos100", ("harmonic",)
     yield "sys_a_fine", ("harmonic-from-measure",)
     yield from INPUT_ERRORS
 
