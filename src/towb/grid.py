@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .trig import TrigPoly
+from .trig import TrigPoly, broadcast_to_trials, group_sum
 
 ATOM_MERGE_TOL = 1e-12
 _EDGE_SNAP_TOL = 1e-12
@@ -118,7 +118,7 @@ class Measure:
     ``ATOM_MERGE_TOL``; zero-mass atoms are dropped.
     """
 
-    __slots__ = ("cell_masses", "atoms", "n_cells")
+    __slots__ = ("cell_masses", "atoms", "n_cells", "_runs")
 
     def __init__(self, cell_masses: Sequence[float],
                  atoms: Sequence[tuple[float, float]] = ()):
@@ -132,6 +132,7 @@ class Measure:
         self.cell_masses = cells
         self.n_cells = cells.size
         self.atoms = self._normalize_atoms(atoms)
+        self._runs = None
 
     @staticmethod
     def _normalize_atoms(atoms) -> tuple[tuple[float, float], ...]:
@@ -183,6 +184,16 @@ class Measure:
     def is_probability(self) -> bool:
         """Whether the total mass is 1 to within ``1e-9``."""
         return abs(self.total() - 1.0) <= 1e-9
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first cell of each run of neighbouring cells of equal mass,
+        from 0 up, and the run's constant density (cell mass times ``N``)."""
+        if self._runs is None:
+            starts = np.flatnonzero(np.diff(self.cell_masses, prepend=-1.0))
+            self._runs = starts, self.cell_masses[starts] * self.n_cells
+            for arr in self._runs:
+                arr.setflags(write=False)
+        return self._runs
 
     def cell_midpoints(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) / self.n_cells
@@ -309,6 +320,9 @@ class IntervalSet:
 # -- quadrature ---------------------------------------------------------
 
 
+_CIRCLE = IntervalSet([(0.0, 1.0)])
+
+
 def _midpoint_sum(mids, masses, atoms, total=0.0) -> float | np.ndarray:
     """``total`` plus the midpoint rule's sum: the values ``mids`` at the
     cell midpoints (unless ``None``) dotted with the cell ``masses``, then
@@ -332,40 +346,79 @@ def integrate(f, mu: Measure) -> float | np.ndarray:
 
     Trig polynomials are integrated in closed form by
     :func:`integrate_over` on the whole circle, so their integrals are
-    exact to rounding.  Every other callable, a :class:`GridFunction` on
-    any grid included, takes the midpoint rule: its values at ``mu``'s cell
-    midpoints times the cell masses, plus its value at each atom times the
-    atom's mass.  The rule is exact for functions linear on each cell and
-    ``O(N^-2)`` for smooth ones.  An integrand whose values carry a trailing
-    trials axis (a batched :class:`TrigPoly`) gives one integral per trial.
+    exact to rounding; against Lebesgue measure that takes the
+    antiderivative at 0 and 1 only.  Every other callable, a
+    :class:`GridFunction` on any grid included, takes the midpoint rule: its
+    values at ``mu``'s cell midpoints times the cell masses, plus its value
+    at each atom times the atom's mass.  The rule is exact for functions
+    linear on each cell and ``O(N^-2)`` for smooth ones.  An integrand whose
+    values carry a trailing trials axis (a batched :class:`TrigPoly`) gives
+    one integral per trial.
     """
     if isinstance(f, TrigPoly):
-        return integrate_over(f, mu, IntervalSet([(0.0, 1.0)]))
+        return integrate_over(f, mu, _CIRCLE)
     return _midpoint_sum(np.asarray(f(mu.cell_midpoints()), dtype=float),
                          mu.cell_masses, ((f(p), m) for p, m in mu.atoms))
 
 
 def integrate_over(f: TrigPoly, mu: Measure,
                    region: IntervalSet) -> float | np.ndarray:
-    """Integral of a trig polynomial ``f`` over ``region`` against ``mu``.
-
-    The antiderivative at the cell edges clipped to each region interval
-    makes the sharp region boundary exact.  A batched :class:`TrigPoly`
-    gives one integral per trial.  Other integrands raise
+    """Integral of a trig polynomial ``f`` over ``region`` against ``mu``:
+    :func:`integrate_regions` for the one region.  A batched
+    :class:`TrigPoly` gives one integral per trial.  Other integrands raise
     :class:`DomainError`.
     """
+    out = integrate_regions(f, mu, [region])[0]
+    return float(out) if out.ndim == 0 else out
+
+
+def integrate_regions(f: TrigPoly, mu: Measure,
+                      regions: Sequence[IntervalSet]) -> np.ndarray:
+    """Integrals of a trig polynomial ``f`` against ``mu`` over each of
+    ``regions``, shape ``(len(regions),)`` plus a trailing trials axis for a
+    batched :class:`TrigPoly`.
+
+    On a run of neighbouring cells of equal mass the density is constant, so
+    each region interval needs the antiderivative only at the ends of the
+    runs it meets, clipped to the interval: two points on Lebesgue measure,
+    every cell edge on a measure whose neighbouring cells all differ.  All
+    regions share one evaluation of the antiderivative, and the sharp region
+    boundaries are exact.  An atom inside a region adds its value times its
+    mass.  Other integrands raise :class:`DomainError`.
+    """
     if not isinstance(f, TrigPoly):
-        raise DomainError(f"integrate_over needs a TrigPoly, not {type(f)}")
+        raise DomainError(f"a region integral needs a TrigPoly, not {type(f)}")
     n = mu.n_cells
-    total = 0.0
-    for lo, hi in region.intervals:
-        j0, j1 = int(np.floor(lo * n)), min(int(np.ceil(hi * n)), n)
-        edges = np.clip(np.arange(j0, j1 + 1) / n, lo, hi)
-        anti = f.antiderivative_values(edges)
-        total = total + np.dot(np.diff(anti, axis=0).T,
-                               mu.cell_masses[j0:j1] * n)
-    return _midpoint_sum(None, None, ((f(p), m) for p, m in mu.atoms
-                                      if region.indicator(p)), total)
+    owner = np.repeat(np.arange(len(regions)),
+                      [len(region.intervals) for region in regions])
+    lo, hi = np.array([pair for region in regions
+                       for pair in region.intervals]).reshape(-1, 2).T
+    # an interval's pieces: one per run it meets, from the run holding its
+    # first cell to the last one starting before its end, and at least one
+    starts, density = mu.runs()
+    first = np.searchsorted(starts, np.floor(lo * n), side="right") - 1
+    count = np.maximum(np.searchsorted(starts, hi * n), first + 1) - first
+    ends = np.cumsum(count)
+    run = np.repeat(first - ends + count, count)
+    run += np.arange(run.size)
+    # the antiderivative at each piece's left end, then at each interval's
+    # end; a piece ends where the next one of its interval starts
+    anti = f.antiderivative_values(np.concatenate(
+        [np.maximum(starts[run] / n, np.repeat(lo, count)), hi]))
+    right = np.arange(1, run.size + 1)
+    right[ends - 1] = run.size + np.arange(lo.size)
+    part = (anti[right] - anti[:run.size]) * broadcast_to_trials(density[run],
+                                                                 anti)
+    # (as floats also when there is nothing to sum: bincount's zeros are ints)
+    totals = np.asarray(group_sum(np.repeat(owner, count), part,
+                                  len(regions)), dtype=float)
+    if mu.atoms:
+        values = [f(p) for p, _ in mu.atoms]
+        for r, region in enumerate(regions):
+            totals[r] = _midpoint_sum(None, None, (
+                (v, m) for v, (p, m) in zip(values, mu.atoms)
+                if region.indicator(p)), totals[r])
+    return totals
 
 
 # -- pushforward --------------------------------------------------------

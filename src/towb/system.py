@@ -24,6 +24,8 @@ PROB_SUM_TOL = 1e-12
 RIGHT_INVERSE_TOL = 1e-10
 # Two branch images, or two pieces of sigma, may overlap by this much.
 OVERLAP_TOL = 1e-12
+# Nodes whose branch images the left-inverse check evaluates at once.
+NODE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -172,11 +174,15 @@ class IfsSystem:
 def left_inverse_residuals(system: IfsSystem, n_grid: int) -> np.ndarray:
     """How far ``sigma`` is from a left inverse of each branch: per branch
     ``i``, the largest circle distance ``|sigma(tau_i x_j) - x_j|`` over
-    the grid nodes ``x_j = j / n_grid``."""
-    nodes = np.arange(n_grid) / n_grid
-    dist = np.abs(np.array([system.sigma(wrap_unit(br(nodes)))
-                            for br in system.branches]) - nodes)
-    return np.minimum(dist, 1.0 - dist).max(axis=1)
+    the grid nodes ``x_j = j / n_grid``, taken ``NODE_BLOCK`` nodes at a
+    time so that memory does not grow with the grid."""
+    worst = np.zeros(len(system.branches))
+    for start in range(0, n_grid, NODE_BLOCK):
+        nodes = np.arange(start, min(start + NODE_BLOCK, n_grid)) / n_grid
+        dist = np.abs(np.array([system.sigma(wrap_unit(br(nodes)))
+                                for br in system.branches]) - nodes)
+        worst = np.maximum(worst, np.minimum(dist, 1.0 - dist).max(axis=1))
+    return worst
 
 
 def validate_system(system: IfsSystem, n_grid: int = 256) -> None:

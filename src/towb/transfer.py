@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import (GridFunction, IntervalSet, Measure, integrate,
-                   integrate_over, push_mixture, wrap_unit)
+                   integrate_over, integrate_regions, push_mixture, wrap_unit)
 from .sigspace import Decomposition, lebesgue_decompose
 from .system import IfsSystem
 from .trig import _PRUNE, TRIAL_BLOCK, TrigPoly, trials_product
@@ -284,8 +284,10 @@ def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
     limited by rounding, not quadrature.  They are evaluated as batches of
     up to ``TRIAL_BLOCK`` trials along a trailing axis; the draws are the
     ones ``trials`` single ``TrigPoly.random`` calls would make.  The
-    preimage rule is skipped without a closed-form weight; the
-    harmonic-support check is gated on its hypothesis ``sup R(W) <= 1``.
+    preimage rule integrates each side over all of its random regions in
+    one :func:`integrate_regions` call, and is skipped without a
+    closed-form weight; the harmonic-support check is gated on its
+    hypothesis ``sup R(W) <= 1``.
     """
     if trials < 1:
         raise DomainError("the identity suite needs at least one trial")
@@ -372,13 +374,11 @@ def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
                                     np.nan, IDENTITY_TOL,
                                     note="needs a closed-form weight"))
     else:
-        w_sq = w_tp * w_tp
-        resid = 0.0
-        for region in regions:
-            lhs = integrate_over(w_sq, lam, sigma.preimage(region))
-            rhs = integrate_over(rw_sym, lam, region)
-            resid = max(resid, abs(lhs - rhs))
-        judge("preimage_weight_square", resid)
+        lhs = integrate_regions(w_tp * w_tp, lam,
+                                [sigma.preimage(region) for region in regions])
+        rhs = integrate_regions(rw_sym, lam, regions)
+        judge("preimage_weight_square",
+              float(np.max(np.abs(lhs - rhs), initial=0.0)))
 
     # (f) harmonic support multiplier: where h != 0, R(W) = 1 -- only under
     # the contractivity hypothesis sup R(W) <= 1

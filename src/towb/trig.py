@@ -64,22 +64,32 @@ class TrigPoly:
         frequencies left with no nonzero coefficient, and sort by
         frequency.  A non-finite sum (nan, inf or an overflow) raises
         :class:`DomainError`."""
-        order = np.argsort(freqs, kind="stable")
-        freqs, coefs = freqs[order], coefs[order]
-        first = np.ones(freqs.shape, dtype=bool)
-        first[1:] = freqs[1:] != freqs[:-1]
-        acc = np.zeros((np.count_nonzero(first),) + coefs.shape[1:],
-                       dtype=complex)
-        np.add.at(acc, np.cumsum(first) - 1, coefs)
+        if (freqs[1:] > freqs[:-1]).all():
+            # nothing to merge: the sum of one term from 0.0 (-0.0 to 0.0)
+            acc = coefs + 0j
+        else:
+            order = np.argsort(freqs, kind="stable")
+            freqs, coefs = freqs[order], coefs[order]
+            first = np.empty(freqs.shape, dtype=bool)
+            first[:1] = True
+            np.not_equal(freqs[1:], freqs[:-1], out=first[1:])
+            group = np.add.accumulate(first, dtype=np.intp) - 1
+            freqs = freqs[first]
+            acc = np.empty(freqs.shape + coefs.shape[1:], dtype=complex)
+            acc.real = group_sum(group, coefs.real, freqs.size)
+            acc.imag = group_sum(group, coefs.imag, freqs.size)
         size = np.abs(acc)
         top = size.max(axis=0, initial=0.0)
-        if not np.isfinite(top).all():
+        if not (top < np.inf).all():  # also false for nan
             raise DomainError("trig polynomial coefficients must be finite")
-        acc[size <= _PRUNE * top] = 0.0
-        nonzero = acc != 0.0
-        keep = nonzero if acc.ndim == 1 else nonzero.any(axis=1)
+        small = size <= _PRUNE * top
+        if acc.ndim == 1:
+            keep = ~small
+        else:
+            acc[small] = 0.0
+            keep = ~small.all(axis=1)
         if keep.any():
-            self.freqs, self.coefs = freqs[first][keep], acc[keep]
+            self.freqs, self.coefs = freqs[keep], acc[keep]
         else:
             self.freqs = np.zeros(1)
             self.coefs = np.zeros((1,) + coefs.shape[1:], dtype=complex)
@@ -223,10 +233,10 @@ class TrigPoly:
         f = f[first]
         at = np.searchsorted(f, size)
         rest = coefs[nz]
-        rows = np.zeros((2 * f.size + 1,) + coefs.shape[1:])
-        np.add.at(rows, at, rest.real)
-        np.add.at(rows, f.size + at,
-                  rest.imag * self._per_freq(-np.sign(self.freqs[nz])))
+        rows = np.empty((2 * f.size + 1,) + coefs.shape[1:])
+        rows[:f.size] = group_sum(at, rest.real, f.size)
+        rows[f.size:-1] = group_sum(
+            at, rest.imag * self._per_freq(-np.sign(self.freqs[nz])), f.size)
         rows[-1] = coefs[~nz].real.sum(axis=0)
         return f, rows
 
@@ -266,6 +276,20 @@ def _trig_sum(xs: np.ndarray, f: np.ndarray, rows: np.ndarray,
     np.multiply(xs.ravel(), scale, out=basis[:, -1])
     basis[:, -1] += shift
     return (basis @ rows).reshape(xs.shape + rows.shape[1:])
+
+
+def group_sum(group: np.ndarray, values: np.ndarray,
+              size: int) -> np.ndarray:
+    """Per group ``0..size-1``, the sum of the real rows of ``values`` in
+    ``group``, added one by one in input order from 0.0 (what ``np.add.at``
+    gives, bit for bit); a trailing trials axis is kept.  With no rows the
+    sums are integer zeros."""
+    if values.ndim == 1:
+        return np.bincount(group, weights=values, minlength=size)
+    trials = values.shape[1]
+    flat = (group[:, None] * trials + np.arange(trials)).ravel()
+    return np.bincount(flat, weights=values.ravel(),
+                       minlength=size * trials).reshape(size, trials)
 
 
 def broadcast_to_trials(a: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ from towb import (AffineBranch, GridFunction, IntervalSet, Measure,
                   TransferOperator, hutchinson_iterate, integrate,
                   integrate_over, pushforward)
 from towb.errors import DomainError
-from towb.grid import (ATOM_MERGE_TOL, _EDGE_SNAP_TOL, push_mixture,
-                       wrap_unit)
+from towb.grid import (ATOM_MERGE_TOL, _EDGE_SNAP_TOL, integrate_regions,
+                       push_mixture, wrap_unit)
 from towb.system import IfsSystem, PiecewiseAffineMap, WeightExpr
 from towb.trig import TrigPoly
 
@@ -297,35 +297,67 @@ def _integrate_over_cell_loop(p: TrigPoly, mu: Measure,
 
 
 @st.composite
-def _poly_measure_region(draw):
+def _poly_measure_regions(draw):
     n = draw(st.integers(4, 96))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     slope = draw(st.sampled_from([1.0, 0.5, 1 / 3, 2.0]))
     trials = draw(st.sampled_from([None, 3]))
     p = TrigPoly.random(rng, degree=draw(st.integers(0, 8)),
                         trials=trials).compose_affine(slope, rng.uniform())
-    cells = rng.random(n) * (rng.random(n) < 0.7)  # some cells carry no mass
+    # cell masses from at most three values, zero among them, in runs of
+    # random length: one run for the whole grid, or one per cell
+    levels = np.array([0.0, rng.random(), rng.random()])
+    cuts = np.sort(rng.integers(1, n, size=draw(st.integers(0, n))))
+    cells = levels[rng.integers(0, 3, size=cuts.size + 1)][
+        np.searchsorted(cuts, np.arange(n), side="right")]
     edge = st.integers(0, n).map(lambda k: k / n)
     point = st.one_of(st.just(0.0), st.just(1.0), edge, st.floats(0.0, 1.0))
     atoms = draw(st.lists(st.tuples(point, st.floats(0.01, 1.0)),
                           max_size=3))
-    ends = draw(st.lists(st.tuples(point, point), min_size=1, max_size=3))
-    region = IntervalSet([sorted(pair) for pair in ends])
-    return p, Measure(cells, atoms), region
+    ends = st.lists(st.tuples(point, point), max_size=3)
+    regions = [IntervalSet([sorted(pair) for pair in pairs])
+               for pairs in draw(st.lists(ends, min_size=1, max_size=4))]
+    return p, Measure(cells, atoms), regions
 
 
 @settings(max_examples=150, deadline=None)
-@given(_poly_measure_region())
+@given(_poly_measure_regions())
 def test_integrate_over_matches_cell_loop(case):
-    p, mu, region = case
-    got = np.atleast_1d(integrate_over(p, mu, region))
+    # the regions together, each alone and the per-cell loop agree
+    p, mu, regions = case
+    together = integrate_regions(p, mu, regions)
+    assert together.shape == (len(regions),) + p.coefs.shape[1:]
     columns = ([p] if p.coefs.ndim == 1 else
                [p.take_trials(t) for t in range(p.coefs.shape[1])])
-    want = np.array([_integrate_over_cell_loop(q, mu, region)
-                     for q in columns])
     # relative to a bound on the integral: total mass times sup |p|
     scale = mu.total() * np.abs(p.coefs).sum(axis=0)
-    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    for got, region in zip(together, regions):
+        alone = integrate_over(p, mu, region)
+        want = np.array([_integrate_over_cell_loop(q, mu, region)
+                         for q in columns])
+        assert np.all(np.abs(got - alone) <= 1e-14 * scale)
+        assert np.all(np.abs(np.atleast_1d(alone) - want) <= 1e-14 * scale)
+
+
+def test_trig_integral_takes_the_antiderivative_at_run_ends(monkeypatch):
+    # Lebesgue measure is one run: the whole circle needs the antiderivative
+    # at 0 and 1 only, and a region its interval ends; a measure whose
+    # neighbouring cells all differ takes every cell edge in the region
+    points = []
+    anti = TrigPoly.antiderivative_values
+
+    def counting(self, x):
+        points.append(np.size(x))
+        return anti(self, x)
+
+    monkeypatch.setattr(TrigPoly, "antiderivative_values", counting)
+    h = TrigPoly.from_cos_sin(1.0, [0.5])
+    integrate(h, Measure.lebesgue(1024))
+    integrate_over(h, Measure.lebesgue(1024), IntervalSet([(0.1, 0.2),
+                                                           (0.5, 0.7)]))
+    integrate_over(h, Measure(np.arange(1.0, 1025.0)), IntervalSet(
+        [(0.25, 0.5)]))
+    assert points == [2, 4, 257]
 
 
 # -- the per-cell loop, kept as the oracle of the array code --------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,18 @@ class TestValidation:
             residuals = left_inverse_residuals(system, n)
             assert residuals.shape == (2,)
             assert np.all(residuals <= 1e-15)
+
+    def test_left_inverse_residuals_memory_does_not_grow_with_grid(self):
+        # all nodes and images at once peak at 81 MiB at 2^20 cells
+        system = towb.sys_b(256)
+        tracemalloc.start()
+        try:
+            residuals = left_inverse_residuals(system, 2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(residuals <= 1e-15)
+        assert peak < 8 * 2**20
 
     def test_left_inverse_residuals_on_skewed_sigma(self):
         # the skewed map of acceptance 08: slope 2.01 on both halves

@@ -435,6 +435,22 @@ def test_kernel_sup_bound_holds_for_eigenvalue_off_one(name, n):
 
 
 N_CONTROL = 256
+# The residuals of lam_steps as sums over its 256 cells give them; its two
+# runs of constant density must give the same.
+STEPS_RESIDUALS = {"adjoint_duality": 1.0815980719662208,
+                   "sigma_invariance": 0.4408001109598889,
+                   "preimage_weight_square": 0.16104110518282755}
+
+
+def _control_lam(broken: str | None, n: int) -> Measure:
+    if broken == "lam":
+        return Measure.from_density(lambda x: 0.5 + x, n).normalized()
+    if broken == "lam_steps":  # density 0.5 on [0, 1/2), 1.5 on [1/2, 1)
+        return Measure(np.where(np.arange(n) < n // 2, 0.5, 1.5) / n)
+    if broken == "lam_ulp":  # Lebesgue, every other cell an ulp up: N runs
+        return Measure(np.where(np.arange(n) % 2, np.nextafter(1 / n, 1.0),
+                                1 / n))
+    return Measure.lebesgue(n)
 
 
 @pytest.mark.parametrize("broken, failing", [
@@ -443,26 +459,52 @@ N_CONTROL = 256
     ("lam", {"preimage_weight_square"}),
     ("weight", {"harmonic_support_multiplier"}),
     ("h", {"kernel_sup_bound"}),
+    ("lam_steps", set(STEPS_RESIDUALS)),
+    ("lam_ulp", set()),
 ])
 def test_negative_control_fails_named_check(broken, failing):
-    # each case breaks exactly one ingredient of the doubling system
+    # each case breaks exactly one ingredient of the doubling system;
+    # lam_steps breaks lam into two runs of unequal density, while lam_ulp
+    # is Lebesgue measure split into N runs by ulps, and passes
     n = N_CONTROL
     offsets = [0.0, 0.49] if broken == "branch_offset" else [0.0, 0.5]
     weight = WeightExpr.constant(0.9 if broken == "weight" else 1.0)
     system = make_system([0.5, 0.5], offsets, [0.5, 0.5], weight, sigma=2,
                          n_grid=n, validate=broken != "branch_offset")
-    lam = (Measure.from_density(lambda x: 0.5 + x, n).normalized()
-           if broken == "lam" else Measure.lebesgue(n))
     h = (GridFunction.from_callable(
         lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x), n)
          if broken == "h" else GridFunction.constant(1.0, n))
-    suite = towb.identity_suite(TransferOperator(system, n), lam, h,
-                                trials=10, seed=0)
+    suite = towb.identity_suite(TransferOperator(system, n),
+                                _control_lam(broken, n), h, trials=10, seed=0)
     for check in suite.checks:
         if check.name in failing:
             assert check.status == "FAIL", check
-    if broken is None:
+    if not failing:
         assert suite.counts() == {"PASS": 7, "FAIL": 0, "SKIPPED": 0}
+    if broken == "lam_steps":
+        for name, want in STEPS_RESIDUALS.items():
+            assert abs(suite.by_name(name).residual - want) <= 1e-14, name
+
+
+def test_preimage_rule_takes_one_evaluation_per_side(op_b, lam_std, sol_b,
+                                                     monkeypatch):
+    # 76 and 100 trials both run four blocks of (a) to (d), so only check
+    # (e) could tell them apart: it integrates every region at once
+    calls = []
+    anti = TrigPoly.antiderivative_values
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return anti(self, x)
+
+    monkeypatch.setattr(TrigPoly, "antiderivative_values", counting)
+    counts = []
+    for trials in (76, 100):
+        calls.clear()
+        suite = towb.identity_suite(op_b, lam_std, sol_b.h, trials=trials)
+        assert suite.by_name("preimage_weight_square").status == "PASS"
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_suite_rejects_zero_trials(op_a, lam_std, sol_a):

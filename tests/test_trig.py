@@ -216,3 +216,87 @@ def test_stack_keeps_each_trial_and_unequal_frequencies():
     one = TrigPoly.stack(polys[:1])
     assert one.coefs.shape == (polys[0].freqs.size, 1)
     assert np.array_equal(one.freqs, polys[0].freqs)
+
+
+# -- the np.add.at merge, kept as the oracle of the sequential group sums --
+
+
+def _assign_add_at(freqs, coefs):
+    """``_assign`` with the coefficients of equal frequencies added into
+    zeros by ``np.add.at`` after a stable sort: the frequencies and
+    coefficients it keeps."""
+    order = np.argsort(freqs, kind="stable")
+    freqs, coefs = freqs[order], coefs[order]
+    first = np.ones(freqs.shape, dtype=bool)
+    first[1:] = freqs[1:] != freqs[:-1]
+    acc = np.zeros((np.count_nonzero(first),) + coefs.shape[1:],
+                   dtype=complex)
+    np.add.at(acc, np.cumsum(first) - 1, coefs)
+    size = np.abs(acc)
+    acc[size <= 1e-15 * size.max(axis=0, initial=0.0)] = 0.0
+    nonzero = acc != 0.0
+    keep = nonzero if acc.ndim == 1 else nonzero.any(axis=1)
+    if not keep.any():
+        return np.zeros(1), np.zeros((1,) + coefs.shape[1:], dtype=complex)
+    return freqs[first][keep], acc[keep]
+
+
+def _folded_add_at(p, coefs):
+    """``_folded`` with the cosine and sine rows added by ``np.add.at``."""
+    nz = p.freqs != 0.0
+    size = np.abs(p.freqs[nz])
+    f = np.unique(size)
+    at = np.searchsorted(f, size)
+    rest = coefs[nz]
+    rows = np.zeros((2 * f.size + 1,) + coefs.shape[1:])
+    np.add.at(rows, at, rest.real)
+    sign = -np.sign(p.freqs[nz]).reshape((-1,) + (1,) * (coefs.ndim - 1))
+    np.add.at(rows, f.size + at, rest.imag * sign)
+    rows[-1] = coefs[~nz].real.sum(axis=0)
+    return f, rows
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_merge_matches_add_at_bytewise(seed, monkeypatch):
+    # every merge of random product, compose, sum and scaling chains, single
+    # and batched, keeps the frequencies and coefficients of the np.add.at
+    # merge byte for byte, and so does the cosine/sine fold
+    merges = []
+    assign = TrigPoly._assign
+
+    def recording(self, freqs, coefs):
+        given = freqs.copy(), np.array(coefs)
+        assign(self, freqs, coefs)
+        merges.append((self, *given))
+
+    monkeypatch.setattr(TrigPoly, "_assign", recording)
+    rng = np.random.default_rng(seed)
+    trials = [None, 3, 25][seed % 3]
+    p = TrigPoly.random(rng, int(rng.integers(0, 9)), trials=trials)
+    q = TrigPoly.random(rng, int(rng.integers(0, 9)))
+    signed_zero = TrigPoly({0.0: complex(-0.0, 1.0), 2.0: complex(0.5, -0.0)})
+    for _ in range(6):
+        step = rng.integers(0, 6)
+        if step == 0:
+            p = p * q
+        elif step == 1:
+            p = p.compose_affine(float(rng.choice([0.5, 1 / 3, 2.0, -0.5])),
+                                 float(rng.uniform()))
+        elif step == 2:
+            p = p + q * float(rng.uniform(-1.0, 1.0))
+        elif step == 3:
+            p = -p * signed_zero
+        elif step == 4:
+            p = p - p.compose_affine(1.0, 0.0) * 0.5
+        else:
+            p = p * float(rng.uniform(-1.0, 1.0)) + signed_zero
+    if trials:
+        p.take_trials(slice(1, None))
+    assert len(merges) > 6
+    for poly, freqs, coefs in merges:
+        want_f, want_c = _assign_add_at(freqs, coefs)
+        assert poly.freqs.tobytes() == want_f.tobytes()
+        assert poly.coefs.tobytes() == want_c.tobytes()
+        for got, want in zip(poly._folded(poly.coefs),
+                             _folded_add_at(poly, poly.coefs)):
+            assert got.tobytes() == want.tobytes()
