@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .trig import TrigPoly, broadcast_to_trials, group_sum
+from .trig import TrigPoly, group_sum
 
 ATOM_MERGE_TOL = 1e-12
 _EDGE_SNAP_TOL = 1e-12
@@ -327,12 +327,12 @@ def _midpoint_sum(mids, masses, atoms, total=0.0) -> float | np.ndarray:
     """``total`` plus the midpoint rule's sum: the values ``mids`` at the
     cell midpoints (unless ``None``) dotted with the cell ``masses``, then
     ``value * mass`` for each ``(value, mass)`` of ``atoms`` in order; one
-    sum per trial for values with a trailing trials axis.  A non-finite
+    sum per trial for values with a leading trials axis.  A non-finite
     value raises :class:`DomainError`, naming an atom when it is one."""
     if mids is not None:
         if not np.isfinite(mids).all():
             raise DomainError("integrand produced non-finite values")
-        total = total + np.dot(mids.T, masses)
+        total = total + np.dot(mids, masses)
     for value, mass in atoms:
         value = np.asarray(value, dtype=float)
         if not np.isfinite(value).all():
@@ -352,8 +352,8 @@ def integrate(f, mu: Measure) -> float | np.ndarray:
     values at ``mu``'s cell midpoints times the cell masses, plus its value
     at each atom times the atom's mass.  The rule is exact for functions
     linear on each cell and ``O(N^-2)`` for smooth ones.  An integrand whose
-    values carry a trailing trials axis (a batched :class:`TrigPoly`) gives
-    one integral per trial.
+    values carry a leading trials axis (a batched :class:`TrigPoly`) gives
+    one integral per trial, shape ``(T,)``.
     """
     if isinstance(f, TrigPoly):
         return integrate_over(f, mu, _CIRCLE)
@@ -365,17 +365,17 @@ def integrate_over(f: TrigPoly, mu: Measure,
                    region: IntervalSet) -> float | np.ndarray:
     """Integral of a trig polynomial ``f`` over ``region`` against ``mu``:
     :func:`integrate_regions` for the one region.  A batched
-    :class:`TrigPoly` gives one integral per trial.  Other integrands raise
-    :class:`DomainError`.
+    :class:`TrigPoly` gives one integral per trial, shape ``(T,)``.  Other
+    integrands raise :class:`DomainError`.
     """
-    out = integrate_regions(f, mu, [region])[0]
+    out = integrate_regions(f, mu, [region])[..., 0]
     return float(out) if out.ndim == 0 else out
 
 
 def integrate_regions(f: TrigPoly, mu: Measure,
                       regions: Sequence[IntervalSet]) -> np.ndarray:
     """Integrals of a trig polynomial ``f`` against ``mu`` over each of
-    ``regions``, shape ``(len(regions),)`` plus a trailing trials axis for a
+    ``regions``, shape ``(len(regions),)``, or ``(T, len(regions))`` for a
     batched :class:`TrigPoly`.
 
     On a run of neighbouring cells of equal mass the density is constant, so
@@ -407,17 +407,16 @@ def integrate_regions(f: TrigPoly, mu: Measure,
         [np.maximum(starts[run] / n, np.repeat(lo, count)), hi]))
     right = np.arange(1, run.size + 1)
     right[ends - 1] = run.size + np.arange(lo.size)
-    part = (anti[right] - anti[:run.size]) * broadcast_to_trials(density[run],
-                                                                 anti)
+    part = (anti[..., right] - anti[..., :run.size]) * density[run]
     # (as floats also when there is nothing to sum: bincount's zeros are ints)
     totals = np.asarray(group_sum(np.repeat(owner, count), part,
                                   len(regions)), dtype=float)
     if mu.atoms:
         values = [f(p) for p, _ in mu.atoms]
         for r, region in enumerate(regions):
-            totals[r] = _midpoint_sum(None, None, (
+            totals[..., r] = _midpoint_sum(None, None, (
                 (v, m) for v, (p, m) in zip(values, mu.atoms)
-                if region.indicator(p)), totals[r])
+                if region.indicator(p)), totals[..., r])
     return totals
 
 

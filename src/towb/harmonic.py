@@ -212,15 +212,20 @@ def fourier_cascade_check(op: TransferOperator, h: Callable,
     uniform midpoint rule on the operator's grid, every coefficient of a
     product read off one inverse FFT, spectrally accurate for smooth
     integrands; the relevant frequencies must stay well below the grid
-    size.  A system the identity does not cover, or a grid too coarse for
-    its frequencies, is a :class:`DomainError`.
+    size: ``2^k_max n_max < N/4`` and ``2^k_max (n_max + d) < N``, ``d``
+    the degree of a closed-form weight (0 for a table), which the exact
+    ``h`` shares, so ``W_k h`` has degree ``2^k d``.  A system the identity
+    does not cover, or a grid too coarse for its frequencies, is a
+    :class:`DomainError`.
     """
     if not op.system.is_doubling():
         raise DomainError("system is not the doubling map")
     freqs = np.arange(-n_max, n_max + 1)
     w = op.system.weight.trigpoly
     exact = isinstance(h, TrigPoly) and w is not None
-    if not exact and (2 ** k_max) * n_max >= op.n_grid // 4:
+    degree = 0.0 if w is None else w.max_freq
+    if not exact and (2 ** k_max * n_max >= op.n_grid // 4
+                      or 2 ** k_max * (n_max + degree) >= op.n_grid):
         raise DomainError("grid too coarse for the requested frequencies")
     if not _equal_probs(op.system):
         raise DomainError("cascade identity needs equal probabilities, got "

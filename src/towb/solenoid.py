@@ -42,7 +42,7 @@ from .errors import ConfigError, DomainError
 from .grid import GridFunction, IntervalSet, Measure, integrate, wrap_unit
 from .system import left_inverse_residuals
 from .transfer import TransferOperator, kernel_sum
-from .trig import TRIAL_BLOCK, TrigPoly, trials_product
+from .trig import TRIAL_BLOCK, TrigPoly
 
 EPS_H = 1e-10
 DEPTH_MAX = 16
@@ -236,9 +236,9 @@ def conditional_expectation(pm: PathMeasure, psi, x):
     measure (total mass ``h(x)``, not normalized), for a scalar or an array
     ``x``.  Each factor is an :class:`IntervalSet` (its indicator), a
     callable, or ``None`` for the constant 1.  A factor whose values carry a
-    trailing trials axis (a batched :class:`TrigPoly`) makes ``psi`` a batch
-    of cylinder functions, and the result gains that axis: one value per
-    trial.
+    leading trials axis (a batched :class:`TrigPoly`) makes ``psi`` a batch
+    of cylinder functions, and the result gains that axis in front: one
+    value per trial, ``(T,)`` or ``(T, B)`` for ``B`` bases.
 
     The branch images are built outward from ``x``, one leading branch axis
     per coordinate, and then summed inward from ``h``, one application of
@@ -261,7 +261,7 @@ def conditional_expectation(pm: PathMeasure, psi, x):
     chunk = max(WORDS_MAX // (words * TRIAL_BLOCK), 1)
     if np.size(x) > chunk:
         return np.concatenate([conditional_expectation(pm, psi, x[i:i + chunk])
-                               for i in range(0, len(x), chunk)])
+                               for i in range(0, len(x), chunk)], axis=-1)
     levels = [np.asarray(x, dtype=float)]
     for _ in factors:
         levels.append(op.branch_points(levels[-1]))
@@ -269,11 +269,11 @@ def conditional_expectation(pm: PathMeasure, psi, x):
     for f, ys in zip(reversed(factors), reversed(levels[1:])):
         masses = op.branch_masses(ys)
         if f is not None:
-            total = trials_product(np.asarray(f(ys), dtype=float), total)
+            total = np.asarray(f(ys), dtype=float) * total
         total = kernel_sum(masses, total)
     f0 = psi.components[0]
     if f0 is not None:
-        total = trials_product(np.asarray(f0(x), dtype=float), total)
+        total = np.asarray(f0(x), dtype=float) * total
     return float(total) if total.ndim == 0 else total
 
 
@@ -446,9 +446,9 @@ def _shifted_components(pm: PathMeasure, psi: CylinderFunction, prefactor):
     def head(x, f0=f0, nxt=(comps[1] if len(comps) > 1 else None)):
         out = np.asarray(prefactor(x), dtype=float)
         if f0 is not None:
-            out = trials_product(out, np.asarray(f0(sigma(x)), dtype=float))
+            out = out * np.asarray(f0(sigma(x)), dtype=float)
         if nxt is not None:
-            out = trials_product(out, np.asarray(nxt(x), dtype=float))
+            out = out * np.asarray(nxt(x), dtype=float)
         return out
 
     return CylinderFunction([head] + comps[2:])

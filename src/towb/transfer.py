@@ -38,7 +38,7 @@ from .grid import (GridFunction, IntervalSet, Measure, integrate,
                    integrate_over, integrate_regions, push_mixture, wrap_unit)
 from .sigspace import Decomposition, lebesgue_decompose
 from .system import IfsSystem
-from .trig import _PRUNE, TRIAL_BLOCK, TrigPoly, trials_product
+from .trig import _PRUNE, TRIAL_BLOCK, TrigPoly
 
 IDENTITY_TOL = 1e-8
 # transition_matrix searches the invariant degree D up to this bound on
@@ -53,8 +53,8 @@ MATRIX_DEGREE_MAX = 600
 def kernel_sum(masses: np.ndarray, vals) -> np.ndarray:
     """``R`` from values at branch images: the masses multiplied by the
     values and summed over branches, the one sum of ``R``.  When ``vals``
-    has a trailing trials axis, the masses broadcast over it."""
-    return trials_product(masses, np.asarray(vals, dtype=float)).sum(axis=0)
+    has a leading trials axis, the masses broadcast over it."""
+    return (masses * np.asarray(vals, dtype=float)).sum(axis=-masses.ndim)
 
 
 class TransferOperator:
@@ -161,19 +161,18 @@ class TransferOperator:
             return None
         floor = _PRUNE * (1 + w.max_freq + top) * max(
             np.abs(im.coefs).max() for im in images)
-        live = np.concatenate([im.freqs[(np.abs(im.coefs) > floor).any(axis=1)]
+        live = np.concatenate([im.freqs[(np.abs(im.coefs) > floor).any(axis=0)]
                                for im in images])
-        return (np.hstack([im.coefficients(freqs) for im in images])
+        return (np.hstack([im.coefficients(freqs).T for im in images])
                 if np.all(live == np.round(live)) else None)
 
     def adjoint_fn(self, f):
         """``S f = W * (f o sigma)`` as a callable; ``W`` broadcasts over a
-        trailing trials axis of the values of ``f``."""
+        leading trials axis of the values of ``f``."""
         weight, sigma = self.system.weight, self.system.sigma
 
         def sf(x):
-            return trials_product(np.asarray(weight(x)),
-                                  np.asarray(f(sigma(x)), dtype=float))
+            return np.asarray(weight(x)) * np.asarray(f(sigma(x)), dtype=float)
 
         return sf
 
@@ -282,7 +281,7 @@ def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
     Random test functions are trig polynomials of degree <= 8 with
     coefficients in ``[-1, 1]``, evaluated in closed form so residuals are
     limited by rounding, not quadrature.  They are evaluated as batches of
-    up to ``TRIAL_BLOCK`` trials along a trailing axis; the draws are the
+    up to ``TRIAL_BLOCK`` trials along a leading axis; the draws are the
     ones ``trials`` single ``TrigPoly.random`` calls would make.  The
     preimage rule integrates each side over all of its random regions in
     one :func:`integrate_regions` call, and is skipped without a
@@ -322,8 +321,8 @@ def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
     w_pts = np.asarray(weight(pts), dtype=float)
     rw_nodes = kernel_sum(masses, w_pts)
     h_nodes = np.asarray(h(op.nodes), dtype=float)
-    rho_h = integrate(op.apply(h), lam) / integrate(h, lam) * h_nodes[:, None]
-    h_pts = np.asarray(h(pts), dtype=float)[..., None]
+    rho_h = integrate(op.apply(h), lam) / integrate(h, lam) * h_nodes
+    h_pts = np.asarray(h(pts), dtype=float)
 
     w_tp = weight.trigpoly
     rows = []
@@ -335,14 +334,14 @@ def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
         g_pts = np.asarray(g(pts))
         lhs = kernel_sum(masses, f_sigma * g_pts)
         a = float(np.max(np.abs(lhs - f_nodes * kernel_sum(masses, g_pts))))
-        lhs = kernel_sum(masses, w_pts[..., None] * f_sigma)
-        c = float(np.max(np.abs(lhs - rw_nodes[:, None] * f_nodes)))
+        lhs = kernel_sum(masses, w_pts * f_sigma)
+        c = float(np.max(np.abs(lhs - rw_nodes * f_nodes)))
         del f_sigma, g_pts
         f_pts = np.asarray(f(pts))
-        sup_f = np.maximum(np.abs(f_pts).max(axis=(0, 1)),
-                           np.abs(f_nodes).max(axis=0))
+        sup_f = np.maximum(np.abs(f_pts).max(axis=(1, 2)),
+                           np.abs(f_nodes).max(axis=1))
         excess = float(np.max(np.abs(kernel_sum(masses, f_pts * h_pts))
-                              - sup_f * rho_h))
+                              - sup_f[:, None] * rho_h))
         del f_pts, f_nodes, lhs
         # (b) duality: int W (f o sigma) g dlam = int f R(g) dlam
         rg = op.apply_symbolic(g)
@@ -350,7 +349,7 @@ def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
             lhs = _integrate_composed(op, f, lam, w_tp * g)
             rhs = integrate(f * rg, lam)
         else:
-            lhs = integrate(lambda y: np.asarray(weight(y))[..., None] *
+            lhs = integrate(lambda y: np.asarray(weight(y)) *
                             np.asarray(f(sigma(y))) * np.asarray(g(y)), lam)
             rhs = integrate(lambda y: np.asarray(f(y)) *
                             np.asarray(op.apply_fn(g)(y)), lam)

@@ -30,7 +30,7 @@ from .errors import DomainError
 _TWO_PI_I = 2j * np.pi
 # Coefficients at most this fraction of a polynomial's largest one are zero.
 _PRUNE = 1e-15
-# Trials evaluated together along a trailing axis: large enough that the
+# Trials evaluated together along a leading axis: large enough that the
 # per-call overhead vanishes, small enough to keep the batched value arrays
 # at a few MB.
 TRIAL_BLOCK = 25
@@ -39,11 +39,12 @@ TRIAL_BLOCK = 25
 class TrigPoly:
     """``sum_k c_k exp(2 pi i f_k x)`` with real values up to rounding.
 
-    ``coefs`` has shape ``(F,)``, or ``(F, T)`` for a batch of ``T``
+    ``coefs`` has shape ``(F,)``, or ``(T, F)`` for a batch of ``T``
     polynomials (trials) sharing the frequencies ``freqs``.  Values,
-    antiderivatives and integrals of a batch carry the trials axis last;
-    ``+`` and ``*`` pair trials elementwise and broadcast a single
-    polynomial against a batch.
+    antiderivatives and integrals of a batch carry the trials axis first,
+    so numpy broadcasting pairs them with unbatched arrays; ``+`` and ``*``
+    pair trials elementwise and broadcast a single polynomial against a
+    batch.
     """
 
     __slots__ = ("freqs", "coefs", "_fold", "_antifold")
@@ -68,38 +69,38 @@ class TrigPoly:
             # nothing to merge: the sum of one term from 0.0 (-0.0 to 0.0)
             acc = coefs + 0j
         else:
+            # each coefficient's group, left in place: the stable sort keeps
+            # equal frequencies in input order, the order they are summed in
             order = np.argsort(freqs, kind="stable")
-            freqs, coefs = freqs[order], coefs[order]
+            freqs = freqs[order]
             first = np.empty(freqs.shape, dtype=bool)
             first[:1] = True
             np.not_equal(freqs[1:], freqs[:-1], out=first[1:])
-            group = np.add.accumulate(first, dtype=np.intp) - 1
+            group = np.empty(order.shape, dtype=np.intp)
+            group[order] = np.add.accumulate(first, dtype=np.intp) - 1
             freqs = freqs[first]
-            acc = np.empty(freqs.shape + coefs.shape[1:], dtype=complex)
+            acc = np.empty(coefs.shape[:-1] + freqs.shape, dtype=complex)
             acc.real = group_sum(group, coefs.real, freqs.size)
             acc.imag = group_sum(group, coefs.imag, freqs.size)
         size = np.abs(acc)
-        top = size.max(axis=0, initial=0.0)
+        top = size.max(axis=-1, initial=0.0)
         if not (top < np.inf).all():  # also false for nan
             raise DomainError("trig polynomial coefficients must be finite")
-        small = size <= _PRUNE * top
         if acc.ndim == 1:
-            keep = ~small
+            keep = size > _PRUNE * top
         else:
+            small = size <= _PRUNE * top[:, None]
             acc[small] = 0.0
-            keep = ~small.all(axis=1)
+            keep = ~small.all(axis=0)
         if keep.any():
-            self.freqs, self.coefs = freqs[keep], acc[keep]
+            self.freqs = freqs[keep]
+            self.coefs = acc[keep] if acc.ndim == 1 else acc[:, keep]
         else:
             self.freqs = np.zeros(1)
-            self.coefs = np.zeros((1,) + coefs.shape[1:], dtype=complex)
+            self.coefs = np.zeros(coefs.shape[:-1] + (1,), dtype=complex)
         self.freqs.setflags(write=False)
         self.coefs.setflags(write=False)
         self._fold = self._antifold = None
-
-    def _per_freq(self, values: np.ndarray) -> np.ndarray:
-        """One value per frequency, shaped to broadcast against ``coefs``."""
-        return values.reshape((-1,) + (1,) * (self.coefs.ndim - 1))
 
     # -- constructors -------------------------------------------------
 
@@ -112,16 +113,16 @@ class TrigPoly:
         """Build ``const + sum c_k cos(2 pi k x) + sum s_k sin(2 pi k x)``.
 
         For a batch, ``const`` has shape ``(T,)`` and the cosine and sine
-        coefficients shape ``(K, T)``.
+        coefficients shape ``(T, K)``.
         """
         const = np.asarray(const, dtype=float)
-        cos = np.asarray(cos_coefs, dtype=float).reshape((-1,) + const.shape)
-        sin = np.asarray(sin_coefs, dtype=float).reshape((-1,) + const.shape)
-        kc = np.arange(1.0, len(cos) + 1)
-        ks = np.arange(1.0, len(sin) + 1)
+        cos = np.asarray(cos_coefs, dtype=float).reshape(const.shape + (-1,))
+        sin = np.asarray(sin_coefs, dtype=float).reshape(const.shape + (-1,))
+        kc = np.arange(1.0, cos.shape[-1] + 1)
+        ks = np.arange(1.0, sin.shape[-1] + 1)
         freqs = np.concatenate([[0.0], kc, -kc, ks, -ks])
-        coefs = np.concatenate([const[None], cos / 2, cos / 2,
-                                sin / 2j, -(sin / 2j)])
+        coefs = np.concatenate([const[..., None], cos / 2, cos / 2,
+                                sin / 2j, -(sin / 2j)], axis=-1)
         return cls._from_arrays(freqs, coefs)
 
     @classmethod
@@ -135,9 +136,9 @@ class TrigPoly:
         """
         size = 2 * degree + 1
         draw = rng.uniform(-1.0, 1.0,
-                           size if trials is None else (trials, size)).T
-        return cls.from_cos_sin(draw[0], draw[1:degree + 1],
-                                draw[degree + 1:])
+                           size if trials is None else (trials, size))
+        return cls.from_cos_sin(draw[..., 0], draw[..., 1:degree + 1],
+                                draw[..., degree + 1:])
 
     @classmethod
     def stack(cls, polys) -> "TrigPoly":
@@ -148,24 +149,28 @@ class TrigPoly:
         stack exactly, and each trial keeps its coefficients bit for bit.
         """
         freqs = np.concatenate([p.freqs for p in polys])
-        coefs = np.zeros((freqs.size, len(polys)), dtype=complex)
-        rows = np.cumsum([0] + [p.freqs.size for p in polys])
+        coefs = np.zeros((len(polys), freqs.size), dtype=complex)
+        cols = np.cumsum([0] + [p.freqs.size for p in polys])
         for t, p in enumerate(polys):
-            coefs[rows[t]:rows[t + 1], t] = p.coefs
+            coefs[t, cols[t]:cols[t + 1]] = p.coefs
         return cls._from_arrays(freqs, coefs)
 
     def take_trials(self, index) -> "TrigPoly":
         """The batch restricted to the trials selected by ``index``."""
-        return TrigPoly._from_arrays(self.freqs, self.coefs[:, index])
+        return TrigPoly._from_arrays(self.freqs, self.coefs[index])
 
     # -- algebra ------------------------------------------------------
 
     def __add__(self, other: "TrigPoly | float") -> "TrigPoly":
         if not isinstance(other, TrigPoly):
             other = TrigPoly.constant(float(other))
-        a, b = _common_trials(self.coefs, other.coefs)
+        a, b = self.coefs, other.coefs
+        if a.ndim < b.ndim:
+            a = np.broadcast_to(a, b.shape[:1] + a.shape)
+        elif b.ndim < a.ndim:
+            b = np.broadcast_to(b, a.shape[:1] + b.shape)
         return TrigPoly._from_arrays(np.concatenate([self.freqs, other.freqs]),
-                                     np.concatenate([a, b]))
+                                     np.concatenate([a, b], axis=-1))
 
     __radd__ = __add__
 
@@ -178,10 +183,10 @@ class TrigPoly:
     def __mul__(self, other: "TrigPoly | float") -> "TrigPoly":
         if not isinstance(other, TrigPoly):
             return TrigPoly._from_arrays(self.freqs, self.coefs * other)
-        a, b = _common_trials(self.coefs, other.coefs)
         freqs = np.add.outer(self.freqs, other.freqs).ravel()
-        coefs = (a[:, None] * b[None, :]).reshape((freqs.size,) + a.shape[1:])
-        return TrigPoly._from_arrays(freqs, coefs)
+        coefs = self.coefs[..., :, None] * other.coefs[..., None, :]
+        return TrigPoly._from_arrays(freqs,
+                                     coefs.reshape(coefs.shape[:-2] + (-1,)))
 
     __rmul__ = __mul__
 
@@ -192,8 +197,7 @@ class TrigPoly:
         which holds for branch maps whose image stays inside ``[0, 1)``.
         """
         phase = np.exp(_TWO_PI_I * self.freqs * offset)
-        return TrigPoly._from_arrays(self.freqs * slope,
-                                     self.coefs * self._per_freq(phase))
+        return TrigPoly._from_arrays(self.freqs * slope, self.coefs * phase)
 
     # -- analysis -----------------------------------------------------
 
@@ -211,10 +215,9 @@ class TrigPoly:
         if self._antifold is None:
             nz = self.freqs != 0.0
             anti = np.zeros_like(self.coefs)
-            anti[nz] = self.coefs[nz] / self._per_freq(_TWO_PI_I
-                                                       * self.freqs[nz])
+            anti[..., nz] = self.coefs[..., nz] / (_TWO_PI_I * self.freqs[nz])
             f, rows = self._folded(anti)
-            rows[-1] = self.coefs[~nz].real.sum(axis=0)
+            rows[-1] = self.coefs[..., ~nz].real.sum(axis=-1)
             self._antifold = f, rows
         return _trig_sum(np.asarray(x, dtype=float), *self._antifold,
                          1.0, 0.0)
@@ -224,7 +227,8 @@ class TrigPoly:
         with ``Re sum_k coefs_k e(freqs_k x)`` equal to
         ``cos(2 pi x f) @ A + sin(2 pi x f) @ B + c0``: ``A = Re c_f + Re
         c_-f``, ``B = Im c_-f - Im c_f`` and ``c0 = Re c_0``, a missing
-        partner counting as zero."""
+        partner counting as zero.  The rows are frequency-major, ``(2K+1,)``
+        or ``(2K+1, T)``, the layout ``_trig_sum``'s product reads."""
         nz = self.freqs != 0.0
         size = np.abs(self.freqs[nz])
         f = np.sort(size)
@@ -232,18 +236,18 @@ class TrigPoly:
         first[1:] = f[1:] != f[:-1]
         f = f[first]
         at = np.searchsorted(f, size)
-        rest = coefs[nz]
-        rows = np.empty((2 * f.size + 1,) + coefs.shape[1:])
-        rows[:f.size] = group_sum(at, rest.real, f.size)
+        rest = coefs[..., nz]
+        rows = np.empty((2 * f.size + 1,) + coefs.shape[:-1])
+        rows[:f.size] = group_sum(at, rest.real, f.size).T
         rows[f.size:-1] = group_sum(
-            at, rest.imag * self._per_freq(-np.sign(self.freqs[nz])), f.size)
-        rows[-1] = coefs[~nz].real.sum(axis=0)
+            at, rest.imag * -np.sign(self.freqs[nz]), f.size).T
+        rows[-1] = coefs[..., ~nz].real.sum(axis=-1)
         return f, rows
 
     def integral(self, lo: float, hi: float) -> float | np.ndarray:
         """Exact integral over ``[lo, hi)``."""
         vals = self.antiderivative_values(np.array([lo, hi]))
-        out = vals[1] - vals[0]
+        out = vals[..., 1] - vals[..., 0]
         return float(out) if out.ndim == 0 else out
 
     def coefficients(self, freqs) -> np.ndarray:
@@ -251,14 +255,14 @@ class TrigPoly:
         frequency is absent."""
         want = np.asarray(freqs, dtype=float)
         at = np.clip(np.searchsorted(self.freqs, want), 0, self.freqs.size - 1)
-        return self.coefs[at] * self._per_freq(self.freqs[at] == want)
+        return self.coefs[..., at] * (self.freqs[at] == want)
 
     @property
     def max_freq(self) -> float:
         return float(np.max(np.abs(self.freqs)))
 
     def __repr__(self) -> str:
-        batch = (f", {self.coefs.shape[1]} trials" if self.coefs.ndim == 2
+        batch = (f", {self.coefs.shape[0]} trials" if self.coefs.ndim == 2
                  else "")
         return (f"TrigPoly({len(self.freqs)} terms, "
                 f"max|freq|={self.max_freq:g}{batch})")
@@ -267,7 +271,9 @@ class TrigPoly:
 def _trig_sum(xs: np.ndarray, f: np.ndarray, rows: np.ndarray,
               scale: float, shift: float) -> np.ndarray:
     """``[cos(2 pi x f), sin(2 pi x f), scale x + shift] @ rows`` at the
-    points ``xs``: one matrix product over the flattened points."""
+    points ``xs``: one matrix product over the flattened points.  A batch's
+    values are the product's transpose, ``(T,) + xs.shape``, a view that
+    keeps the product's memory layout."""
     k = f.size
     basis = np.empty((xs.size, 2 * k + 1))
     theta = np.multiply.outer(xs.ravel(), f) * (2 * np.pi)
@@ -275,40 +281,18 @@ def _trig_sum(xs: np.ndarray, f: np.ndarray, rows: np.ndarray,
     np.sin(theta, out=basis[:, k:-1])
     np.multiply(xs.ravel(), scale, out=basis[:, -1])
     basis[:, -1] += shift
-    return (basis @ rows).reshape(xs.shape + rows.shape[1:])
+    return (basis @ rows).T.reshape(rows.shape[1:] + xs.shape)
 
 
 def group_sum(group: np.ndarray, values: np.ndarray,
               size: int) -> np.ndarray:
-    """Per group ``0..size-1``, the sum of the real rows of ``values`` in
-    ``group``, added one by one in input order from 0.0 (what ``np.add.at``
-    gives, bit for bit); a trailing trials axis is kept.  With no rows the
-    sums are integer zeros."""
+    """Per group ``0..size-1``, the sum of the real entries of ``values`` in
+    ``group`` along the last axis, added one by one in input order from 0.0
+    (what ``np.add.at`` gives, bit for bit); a leading trials axis is kept.
+    With no entries the sums are integer zeros."""
     if values.ndim == 1:
         return np.bincount(group, weights=values, minlength=size)
-    trials = values.shape[1]
-    flat = (group[:, None] * trials + np.arange(trials)).ravel()
+    trials = values.shape[0]
+    flat = (np.arange(trials)[:, None] * size + group).ravel()
     return np.bincount(flat, weights=values.ravel(),
-                       minlength=size * trials).reshape(size, trials)
-
-
-def broadcast_to_trials(a: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """``a`` with a length-1 axis appended when ``vals`` has an extra
-    trailing trials axis."""
-    return a[..., None] if vals.ndim > a.ndim else a
-
-
-def trials_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a * b`` at the same points, where either may carry an extra
-    trailing trials axis."""
-    return broadcast_to_trials(a, b) * broadcast_to_trials(b, a)
-
-
-def _common_trials(a: np.ndarray,
-                   b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two coefficient arrays, a single one broadcast to the other's trials."""
-    if a.ndim < b.ndim:
-        a = np.broadcast_to(a[:, None], (a.size, b.shape[1]))
-    elif b.ndim < a.ndim:
-        b = np.broadcast_to(b[:, None], (b.size, a.shape[1]))
-    return a, b
+                       minlength=trials * size).reshape(trials, size)

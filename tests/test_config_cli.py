@@ -922,7 +922,7 @@ class TestCli:
     @pytest.mark.parametrize("trials", [1, 3])
     def test_quasi_trial_batch_edges(self, capsys, tmp_path, monkeypatch,
                                      trials):
-        # one trial makes a one-trial (F, 1) batch; three trials on these
+        # one trial makes a one-trial (1, F) batch; three trials on these
         # seeds leave a depth group with one trial.  Both still PASS on
         # sys_a and FAIL every check on the point mass of sys_c
         import towb.cli
@@ -932,7 +932,7 @@ class TestCli:
 
         def record(draws):
             for psi in original(draws):
-                sizes.append(psi.components[0].coefs.shape[1])
+                sizes.append(psi.components[0].coefs.shape[0])
                 yield psi
 
         monkeypatch.setattr(towb.cli, "batch_trials", record)

@@ -326,12 +326,12 @@ def test_integrate_over_matches_cell_loop(case):
     # the regions together, each alone and the per-cell loop agree
     p, mu, regions = case
     together = integrate_regions(p, mu, regions)
-    assert together.shape == (len(regions),) + p.coefs.shape[1:]
+    assert together.shape == p.coefs.shape[:-1] + (len(regions),)
     columns = ([p] if p.coefs.ndim == 1 else
-               [p.take_trials(t) for t in range(p.coefs.shape[1])])
+               [p.take_trials(t) for t in range(p.coefs.shape[0])])
     # relative to a bound on the integral: total mass times sup |p|
-    scale = mu.total() * np.abs(p.coefs).sum(axis=0)
-    for got, region in zip(together, regions):
+    scale = mu.total() * np.abs(p.coefs).sum(axis=-1)
+    for got, region in zip(together.T, regions):
         alone = integrate_over(p, mu, region)
         want = np.array([_integrate_over_cell_loop(q, mu, region)
                          for q in columns])

@@ -345,6 +345,25 @@ class TestFourierCascade:
         with pytest.raises(DomainError, match="equal probabilities"):
             towb.fourier_cascade_check(op, towb.TrigPoly.constant(1.0), 4, 8)
 
+    def test_midpoint_refusal_counts_the_weight_degree(self):
+        # W = 1 + 0.5 cos 80 pi x (degree 40) at 128 cells: the exact h has
+        # degree 40 too, so W_2 h reaches frequency 160 past N and aliases
+        # onto the frequencies read (a false deviation of 0.0625).  Read as
+        # a plain callable it is refused at k_max = 2, and still checked at
+        # k_max = 1 and for a degree-20 weight at k_max = 2
+        for degree, k_max, refused in ((40, 2, True), (40, 1, False),
+                                       (20, 2, False)):
+            op = _full_branch_op(
+                WeightExpr.trig(1.0, [0.0] * (degree - 1) + [0.5]), n=128)
+            h = towb.solve_harmonic(op, Measure.lebesgue(128)).h
+            assert isinstance(h, towb.TrigPoly)
+            if refused:
+                with pytest.raises(DomainError, match="grid too coarse"):
+                    towb.fourier_cascade_check(op, lambda x: h(x), k_max, 4)
+            else:
+                assert towb.fourier_cascade_check(
+                    op, lambda x: h(x), k_max, 4) < 1e-14
+
     def test_rejects_non_doubling(self, op_d):
         h = GridFunction.constant(1.0, op_d.n_grid)
         with pytest.raises(DomainError):

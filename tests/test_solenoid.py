@@ -9,6 +9,8 @@ import towb
 from towb import (CylinderFunction, GridFunction, IntervalSet, Measure,
                   PathMeasure, SolPath, TransferOperator)
 from towb.errors import ConfigError, DomainError
+from towb.grid import integrate_regions
+from towb.transfer import kernel_sum
 from towb.trig import TrigPoly
 
 
@@ -423,6 +425,42 @@ class TestTrialBatches:
             _close(pm, pm_c, towb.unitarity_check(pm, trials=trials, seed=3),
                    oracle)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_shapes_lead_with_trials(self, pm_b, monkeypatch, seed):
+        # a batch of T trials puts T in front of its values, antiderivatives,
+        # region integrals, kernel sums and expectations over many bases
+        # (here split into chunks of two bases), and row t is the single
+        # polynomial take_trials(t) to 1e-15 of the row's size: a value
+        # depends on the batch it is evaluated in, so not bit for bit
+        import towb.solenoid
+
+        monkeypatch.setattr(towb.solenoid, "WORDS_MAX",
+                            2 * 4 * towb.solenoid.TRIAL_BLOCK)
+        rng = np.random.default_rng(seed)
+        batch = TrigPoly.random(rng, 4, trials=3)
+        x = rng.random((2, 5))
+        regions = [IntervalSet([(0.1, 0.4)]),
+                   IntervalSet([(0.0, 0.2), (0.5, 0.9)])]
+        pts, masses = pm_b.op.node_kernel
+        cases = [
+            (lambda p: p(0.3), ()),
+            (lambda p: p(np.array(0.3)), ()),
+            (lambda p: p(x[0]), (5,)),
+            (lambda p: p(x), (2, 5)),
+            (lambda p: p.antiderivative_values(x), (2, 5)),
+            (lambda p: integrate_regions(p, pm_b.lam, regions), (2,)),
+            (lambda p: kernel_sum(masses, p(pts)), (pm_b.op.n_grid,)),
+            (lambda p: towb.conditional_expectation(
+                pm_b, CylinderFunction([p, None, p]), x[0]), (5,))]
+        for evaluate, shape in cases:
+            got = evaluate(batch)
+            assert got.shape == (3,) + shape
+            for t in range(3):
+                want = np.asarray(evaluate(batch.take_trials(t)))
+                assert want.shape == shape
+                assert np.all(np.abs(got[t] - want)
+                              <= 1e-15 * max(1.0, np.max(np.abs(want))))
+
     def test_batches_hold_todays_draws_bit_for_bit(self, capsys,
                                                    monkeypatch):
         # towb quasi and unitarity_check draw the polynomials the per-trial
@@ -447,16 +485,16 @@ class TestTrialBatches:
         assert len(quasi) <= 3 and len(unitarity) == 1
         for batches, draws in ((quasi, _quasi_draws(7, 20)),
                                (unitarity, _unitarity_draws(7, 20))):
-            assert sum(psi.components[0].coefs.shape[1]
+            assert sum(psi.components[0].coefs.shape[0]
                        for psi in batches) == len(draws)
             order = iter(_batch_order(draws))
             for psi in batches:
-                trials = psi.components[0].coefs.shape[1]
+                trials = psi.components[0].coefs.shape[0]
                 for t, i in zip(range(trials), order):
                     assert len(psi.components) == len(draws[i])
                     for batch, single in zip(psi.components, draws[i]):
                         assert np.array_equal(batch.freqs, single.freqs)
-                        assert (batch.coefs[:, t].tobytes()
+                        assert (batch.coefs[t].tobytes()
                                 == single.coefs.tobytes())
 
     def test_single_cylinder_functions_give_floats(self, pm_b):

@@ -14,9 +14,10 @@ def test_constant_and_eval():
 
 
 def _exp_path(p, x):
-    """The general evaluation, ``exp(2 pi i f x) @ coefs``."""
+    """The general evaluation, ``coefs @ exp(2 pi i f x)``."""
     xs = np.asarray(x, dtype=float)
-    out = (np.exp(2j * np.pi * np.multiply.outer(xs, p.freqs)) @ p.coefs).real
+    out = np.tensordot(p.coefs, np.exp(
+        2j * np.pi * np.multiply.outer(p.freqs, xs)), axes=1).real
     return float(out) if out.ndim == 0 else out
 
 
@@ -25,10 +26,10 @@ def _exp_antiderivative(p, x):
     plus ``x c_0`` (real part)."""
     xs = np.asarray(x, dtype=float)
     nz = p.freqs != 0.0
-    rows = (-1,) + (1,) * (p.coefs.ndim - 1)
-    c = p.coefs[nz] / (2j * np.pi * p.freqs[nz]).reshape(rows)
-    acc = np.exp(2j * np.pi * np.multiply.outer(xs, p.freqs[nz])) @ c
-    return (acc + np.multiply.outer(xs, p.coefs[~nz].sum(axis=0))).real
+    c = p.coefs[..., nz] / (2j * np.pi * p.freqs[nz])
+    acc = np.tensordot(c, np.exp(
+        2j * np.pi * np.multiply.outer(p.freqs[nz], xs)), axes=1)
+    return (acc + np.multiply.outer(p.coefs[..., ~nz].sum(axis=-1), xs)).real
 
 
 _COEF = st.floats(-2.0, 2.0, allow_nan=False)
@@ -43,7 +44,7 @@ def _polys_and_points(draw):
     trials = draw(st.sampled_from([None, 1, 3]))
     freqs = draw(st.lists(st.integers(-24, 24).map(lambda k: k / 4),
                           min_size=1, max_size=10, unique=True))
-    shape = (len(freqs),) + (() if trials is None else (trials,))
+    shape = (() if trials is None else (trials,)) + (len(freqs),)
     re, im = (np.array(draw(st.lists(_COEF, min_size=int(np.prod(shape)),
                                      max_size=int(np.prod(shape)))))
               .reshape(shape) for _ in range(2))
@@ -68,14 +69,14 @@ def test_folded_kernel_matches_exp_path(case):
     # 1e-14 of a bound on each sum: the total size of its coefficients
     p, x = case
     nz = p.freqs != 0.0
-    rows = (-1,) + (1,) * (p.coefs.ndim - 1)
-    anti = np.abs(p.coefs[nz] / (2 * np.pi * p.freqs[nz]).reshape(rows))
-    span = np.multiply.outer(np.abs(np.asarray(x)),
-                             np.abs(p.coefs[~nz]).sum(axis=0))
+    anti = np.abs(p.coefs[..., nz] / (2 * np.pi * p.freqs[nz]))
+    span = np.multiply.outer(np.abs(p.coefs[..., ~nz]).sum(axis=-1),
+                             np.abs(np.asarray(x)))
+    per_trial = (slice(None),) * (p.coefs.ndim - 1) + (None,) * np.ndim(x)
     for got, want, scale in (
-            (p(x), _exp_path(p, x), np.abs(p.coefs).sum(axis=0)),
+            (p(x), _exp_path(p, x), np.abs(p.coefs).sum(axis=-1)[per_trial]),
             (p.antiderivative_values(x), _exp_antiderivative(p, x),
-             anti.sum(axis=0) + span)):
+             anti.sum(axis=-1)[per_trial] + span)):
         assert np.shape(got) == np.shape(want)
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, scale))
 
@@ -107,7 +108,7 @@ def test_two_d_points_match_their_ravel_bitwise(trials):
     poly = TrigPoly.random(rng, trials=trials)
     x = rng.random((2, 1024))
     flat = poly(x.ravel())
-    assert np.array_equal(poly(x), flat.reshape(x.shape + flat.shape[1:]))
+    assert np.array_equal(poly(x), flat.reshape(flat.shape[:-1] + x.shape))
 
 
 def test_cos_sin_construction():
@@ -204,17 +205,17 @@ def test_stack_keeps_each_trial_and_unequal_frequencies():
     polys = [TrigPoly.random(rng, 2), TrigPoly.constant(-1.5),
              TrigPoly({3.0: 0.5j, -3.0: -0.5j}), TrigPoly.random(rng, 1)]
     batch = TrigPoly.stack(polys)
-    assert batch.coefs.shape == (batch.freqs.size, len(polys))
+    assert batch.coefs.shape == (len(polys), batch.freqs.size)
     assert set(batch.freqs) == {-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0}
     xs = np.linspace(0.0, 1.0, 37)
     vals = batch(xs)
     for t, p in enumerate(polys):
-        assert np.max(np.abs(vals[:, t] - p(xs))) < 1e-14
-        rows = np.isin(batch.freqs, p.freqs)
-        assert batch.coefs[rows, t].tobytes() == p.coefs.tobytes()
-        assert not np.any(batch.coefs[~rows, t])
+        assert np.max(np.abs(vals[t] - p(xs))) < 1e-14
+        cols = np.isin(batch.freqs, p.freqs)
+        assert batch.coefs[t, cols].tobytes() == p.coefs.tobytes()
+        assert not np.any(batch.coefs[t, ~cols])
     one = TrigPoly.stack(polys[:1])
-    assert one.coefs.shape == (polys[0].freqs.size, 1)
+    assert one.coefs.shape == (1, polys[0].freqs.size)
     assert np.array_equal(one.freqs, polys[0].freqs)
 
 
@@ -224,7 +225,8 @@ def test_stack_keeps_each_trial_and_unequal_frequencies():
 def _assign_add_at(freqs, coefs):
     """``_assign`` with the coefficients of equal frequencies added into
     zeros by ``np.add.at`` after a stable sort: the frequencies and
-    coefficients it keeps."""
+    coefficients it keeps.  It works frequency-major, on ``coefs.T``."""
+    coefs = coefs.T
     order = np.argsort(freqs, kind="stable")
     freqs, coefs = freqs[order], coefs[order]
     first = np.ones(freqs.shape, dtype=bool)
@@ -237,12 +239,14 @@ def _assign_add_at(freqs, coefs):
     nonzero = acc != 0.0
     keep = nonzero if acc.ndim == 1 else nonzero.any(axis=1)
     if not keep.any():
-        return np.zeros(1), np.zeros((1,) + coefs.shape[1:], dtype=complex)
-    return freqs[first][keep], acc[keep]
+        return np.zeros(1), np.zeros((1,) + coefs.shape[1:], dtype=complex).T
+    return freqs[first][keep], acc[keep].T
 
 
 def _folded_add_at(p, coefs):
-    """``_folded`` with the cosine and sine rows added by ``np.add.at``."""
+    """``_folded`` with the cosine and sine rows added by ``np.add.at``,
+    frequency-major on ``coefs.T`` as ``_folded``'s rows are."""
+    coefs = coefs.T
     nz = p.freqs != 0.0
     size = np.abs(p.freqs[nz])
     f = np.unique(size)
