@@ -108,7 +108,7 @@ def _write_columns(directory: str, name: str, xs, ys) -> None:
 def _cmd_verify(args, cfg, op, lam, report: Report) -> None:
     sol = _converged_solution(cfg, op, lam)
     suite = identity_suite(op, lam, sol.h, trials=args.trials,
-                           seed=cfg.solver_seed)
+                           seed=cfg.solver_seed, rho=sol.rho)
     for check in suite.checks:
         report.add_check(check.name, check.status, check.residual, check.tol,
                          check.note)

@@ -532,13 +532,12 @@ def multires_check(pm: PathMeasure, seed: int = 0) -> MultiresResult:
 
     Nesting: every path has ``x_n = sigma(x_{n+1})``, so ``V_n`` sits in
     ``V_{n+1}`` exactly when ``sigma`` is a left inverse of the branches;
-    the residual is the largest of :func:`left_inverse_residuals`.  Shift:
+    the residual is the largest exact :func:`left_inverse_residuals`.  Shift:
     ``U`` maps ``V_n`` isometrically into ``V_{n-1}``; the residual is the
     largest ``|quasi_invariance_defect(f(x_n)^2)|`` over ``n = 1..4`` for a
     random trig polynomial ``f`` drawn from ``seed``.
     """
-    nesting = float(np.max(left_inverse_residuals(pm.op.system,
-                                                  pm.op.n_grid)))
+    nesting = float(np.max(left_inverse_residuals(pm.op.system)))
     f = TrigPoly.random(np.random.default_rng(seed), degree=4)
     shift = worst_quasi_defect(pm, (
         CylinderFunction([None] * n + [f]).squared()

@@ -24,8 +24,6 @@ PROB_SUM_TOL = 1e-12
 RIGHT_INVERSE_TOL = 1e-10
 # Two branch images, or two pieces of sigma, may overlap by this much.
 OVERLAP_TOL = 1e-12
-# Nodes whose branch images the left-inverse check evaluates at once.
-NODE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -82,9 +80,11 @@ class WeightExpr:
 
 
 class PiecewiseAffineMap:
-    """Expanding circle map given by affine pieces on ``[lo, hi)`` intervals."""
+    """Expanding circle map of affine pieces ``(lo, hi, a, b)``, each applying
+    ``x -> a x + b mod 1`` on its stretch: the row ``(start, end, a, b)`` of
+    ``stretches``, from ``lo`` to the next ``lo`` (first from 0, last to 1)."""
 
-    __slots__ = ("pieces",)
+    __slots__ = ("pieces", "stretches")
 
     def __init__(self, pieces: Sequence[tuple[float, float, float, float]]):
         ordered = sorted((float(lo), float(hi), float(a), float(b))
@@ -95,6 +95,9 @@ class PiecewiseAffineMap:
             if lo2 < hi - OVERLAP_TOL:
                 raise DomainError("piecewise map pieces overlap")
         self.pieces = tuple(ordered)
+        edges = np.r_[0.0, [lo for lo, _, _, _ in ordered[1:]], 1.0]
+        self.stretches = np.c_[edges[:-1], edges[1:], np.array(ordered)[:, 2:]]
+        self.stretches.setflags(write=False)
 
     @classmethod
     def expanding(cls, slope: int) -> "PiecewiseAffineMap":
@@ -117,26 +120,25 @@ class PiecewiseAffineMap:
 
     def __call__(self, x):
         xs = np.asarray(wrap_unit(x), dtype=float)
-        los = np.array([p[0] for p in self.pieces])
-        idx = np.clip(np.searchsorted(los, xs, side="right") - 1, 0,
-                      len(self.pieces) - 1)
-        slopes = np.array([p[2] for p in self.pieces])[idx]
-        offs = np.array([p[3] for p in self.pieces])[idx]
-        out = wrap_unit(slopes * xs + offs)
+        idx = np.searchsorted(self.stretches[:, 0], xs, side="right") - 1
+        out = wrap_unit(self.stretches[idx, 2] * xs + self.stretches[idx, 3])
         return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
     def preimage(self, region: IntervalSet) -> IntervalSet:
         pre = []
-        for plo, phi, a, b in self.pieces:
-            img_lo, img_hi = sorted((a * plo + b, a * phi + b))
-            for lo, hi in region.intervals:
-                c, d = max(lo, img_lo), min(hi, img_hi)
-                if d <= c:
-                    continue
-                x1, x2 = sorted(((c - b) / a, (d - b) / a))
-                x1, x2 = max(x1, plo), min(x2, phi)
-                if x2 > x1:
-                    pre.append((x1, x2))
+        for start, end, a, b in self.stretches.tolist():
+            img_lo, img_hi = sorted((a * start + b, a * end + b))
+            # each [k, k + 1) the image covers (a gap's reaches past 1)
+            for k in range(int(np.floor(img_lo + OVERLAP_TOL)),
+                           int(np.ceil(img_hi - OVERLAP_TOL))):
+                for lo, hi in region.intervals:
+                    c, d = max(lo + k, img_lo), min(hi + k, img_hi)
+                    if d <= c:
+                        continue
+                    x1, x2 = sorted(((c - b) / a, (d - b) / a))
+                    x1, x2 = max(x1, start), min(x2, end)
+                    if x2 > x1:
+                        pre.append((x1, x2))
         return IntervalSet(pre)
 
     def __repr__(self) -> str:
@@ -171,22 +173,30 @@ class IfsSystem:
         return replace(self, sigma=sigma)
 
 
-def left_inverse_residuals(system: IfsSystem, n_grid: int) -> np.ndarray:
-    """How far ``sigma`` is from a left inverse of each branch: per branch
-    ``i``, the largest circle distance ``|sigma(tau_i x_j) - x_j|`` over
-    the grid nodes ``x_j = j / n_grid``, taken ``NODE_BLOCK`` nodes at a
-    time so that memory does not grow with the grid."""
+def left_inverse_residuals(system: IfsSystem) -> np.ndarray:
+    """Per branch, the supremum over ``[0, 1)`` of the circle distance
+    ``|sigma(tau_i x) - x|``, exactly: where ``tau_i x = s x + o - k`` (``k``
+    shifts a wrapping branch) meets a stretch of ``sigma``, it is the
+    distance of ``(a s - 1) x + a (o - k) + b`` to the integers, largest at
+    an end of that part, or 1/2 if it crosses a half-integer there."""
     worst = np.zeros(len(system.branches))
-    for start in range(0, n_grid, NODE_BLOCK):
-        nodes = np.arange(start, min(start + NODE_BLOCK, n_grid)) / n_grid
-        dist = np.abs(np.array([system.sigma(wrap_unit(br(nodes)))
-                                for br in system.branches]) - nodes)
-        worst = np.maximum(worst, np.minimum(dist, 1.0 - dist).max(axis=1))
+    for i, br in enumerate(system.branches):
+        s, o = br.slope, br.offset
+        img_lo, img_hi = sorted((o, s + o))
+        for k in range(int(np.floor(img_lo + OVERLAP_TOL)),
+                       int(np.ceil(img_hi - OVERLAP_TOL))):
+            for start, end, a, b in system.sigma.stretches.tolist():
+                c, d = max(start, img_lo - k), min(end, img_hi - k)
+                if d - c > OVERLAP_TOL:
+                    v = [(a * s - 1) * ((y + k - o) / s) + a * (o - k) + b
+                         for y in (c, d)]
+                    worst[i] = max(worst[i], 0.5 if round(v[0]) != round(
+                        v[1]) else max(abs(u - round(u)) for u in v))
     return worst
 
 
 def validate_system(system: IfsSystem, n_grid: int = 256) -> None:
-    """Check the structural invariants at grid resolution ``n_grid``.
+    """Check the invariants: structure exact, weight at grid ``n_grid``.
 
     Raises :class:`DomainError` naming the offending field.  The weight's
     strict positivity is checked at the odd-offset points ``(j+1/2)/N``
@@ -216,7 +226,7 @@ def validate_system(system: IfsSystem, n_grid: int = 256) -> None:
             raise DomainError(
                 f"branches {i} and {i2} have overlapping image interiors")
 
-    for i, residual in enumerate(left_inverse_residuals(system, n_grid)):
+    for i, residual in enumerate(left_inverse_residuals(system)):
         if residual > RIGHT_INVERSE_TOL:
             raise DomainError(
                 "sigma is not a left inverse of branches "

@@ -244,22 +244,13 @@ def check_status(residual: float, tol: float) -> str:
 
 
 def _integrate_composed(op: TransferOperator, f: TrigPoly, lam: Measure,
-                        factor: TrigPoly | None = None):
-    """``int factor (f o sigma) dlam`` in closed form, piece by piece.
-
-    Where ``sigma`` applies its piece ``x -> a x + b`` (from the piece's left
-    end to the next piece's), ``f o sigma`` is ``f.compose_affine(a, b)``:
-    ``f`` has integer frequencies, so the reduction mod 1 drops out.
-    """
-    pieces = op.system.sigma.pieces
-    ends = [0.0] + [lo for lo, _, _, _ in pieces[1:]] + [1.0]
-    total = 0.0
-    for (_, _, a, b), lo, hi in zip(pieces, ends, ends[1:]):
-        f_sig = f.compose_affine(a, b)
-        total = total + integrate_over(
-            f_sig if factor is None else factor * f_sig, lam,
-            IntervalSet([(lo, hi)]))
-    return total
+                        factor: TrigPoly | float = 1.0):
+    """``int factor (f o sigma) dlam`` in closed form: on each of
+    ``sigma.stretches``, ``f o sigma`` is ``f.compose_affine(a, b)``, as
+    ``f`` has integer frequencies and the reduction mod 1 drops out."""
+    return sum(integrate_over(factor * f.compose_affine(a, b), lam,
+                              IntervalSet([(lo, hi)]))
+               for lo, hi, a, b in op.system.sigma.stretches.tolist())
 
 
 def _random_intervals(rng: np.random.Generator) -> IntervalSet:
@@ -273,10 +264,12 @@ def _random_intervals(rng: np.random.Generator) -> IntervalSet:
 
 
 def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
-                   trials: int = 100, seed: int = 0) -> IdentitySuiteResult:
+                   trials: int = 100, seed: int = 0,
+                   rho: float = 1.0) -> IdentitySuiteResult:
     """Run the seven-part identity battery for ``(R, S, sigma, W, lam, h)``,
     each check against the tolerance ``IDENTITY_TOL``; ``h`` is any
-    vectorized callable (a :class:`GridFunction`, a :class:`TrigPoly`).
+    vectorized callable (a :class:`GridFunction`, a :class:`TrigPoly`)
+    with ``R h = rho h``, the paper's harmonic ``h`` by default.
 
     Random test functions are trig polynomials of degree <= 8 with
     coefficients in ``[-1, 1]``, evaluated in closed form so residuals are
@@ -286,7 +279,7 @@ def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
     preimage rule integrates each side over all of its random regions in
     one :func:`integrate_regions` call, and is skipped without a
     closed-form weight; the harmonic-support check is gated on its
-    hypothesis ``sup R(W) <= 1``.
+    hypotheses ``sup R(W) <= 1``, then ``R h = h``.
     """
     if trials < 1:
         raise DomainError("the identity suite needs at least one trial")
@@ -312,16 +305,16 @@ def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
     # (a) pull-back property: R((f o sigma) g) = f R(g), pointwise.  f o sigma
     # is evaluated as f(sigma(y)): at y = tau_i x that is f(x) up to rounding
     # (c) R R* f = R(W) f, which is (a) with g = W, as R* f = W (f o sigma)
-    # (g) kernel sup bound: |R(f h)(x)| <= sup|f| * rho * h(x), with
-    # rho = int R(h) dlam / int h dlam the eigenvalue of h (1 when R h = h).
-    # Positivity of R bounds the left side by sup|f| * R(h)(x), so the check
-    # fails when h is not an eigenfunction; sup|f| is over nodes and images.
+    # (g) kernel sup bound: |R(f h)(x)| <= sup|f| * rho * h(x), rho the
+    # given eigenvalue of h.  Positivity of R bounds the left side by
+    # sup|f| * R(h)(x), so the check fails when R h = rho h does not hold;
+    # sup|f| is over nodes and images.
     pts, masses = op.node_kernel
     pts_sigma = sigma(pts)
     w_pts = np.asarray(weight(pts), dtype=float)
     rw_nodes = kernel_sum(masses, w_pts)
     h_nodes = np.asarray(h(op.nodes), dtype=float)
-    rho_h = integrate(op.apply(h), lam) / integrate(h, lam) * h_nodes
+    rho_h = rho * h_nodes
     h_pts = np.asarray(h(pts), dtype=float)
 
     w_tp = weight.trigpoly
@@ -380,12 +373,16 @@ def identity_suite(op: TransferOperator, lam: Measure, h: Callable,
               float(np.max(np.abs(lhs - rhs), initial=0.0)))
 
     # (f) harmonic support multiplier: where h != 0, R(W) = 1 -- only under
-    # the contractivity hypothesis sup R(W) <= 1
+    # the contractivity hypothesis sup R(W) <= 1 and for R h = h
     sup_rw = float(np.max(np.concatenate([rw_nodes, op.apply_fn(weight)(mids)])))
     if sup_rw > 1.0 + 1e-9:
         checks.append(IdentityCheck(
             "harmonic_support_multiplier", "SKIPPED", np.nan, IDENTITY_TOL,
             note=f"hypothesis sup R(W) <= 1 fails (sup = {sup_rw:.6g})"))
+    elif abs(rho - 1.0) > IDENTITY_TOL:
+        checks.append(IdentityCheck(
+            "harmonic_support_multiplier", "SKIPPED", np.nan, IDENTITY_TOL,
+            note=f"lemma needs R h = h (rho = {rho:.6g})"))
     else:
         active = np.abs(h_nodes) > 1e-10
         resid = float(np.max(np.abs(rw_nodes[active] - 1.0))) \

@@ -34,6 +34,10 @@ _PRUNE = 1e-15
 # per-call overhead vanishes, small enough to keep the batched value arrays
 # at a few MB.
 TRIAL_BLOCK = 25
+# Basis numbers (points times 2K + 1 columns) one evaluation block holds:
+# 2 MiB, so evaluating a many-term polynomial on a fine grid does not build
+# a basis of terms times points.
+BASIS_MAX = 2**18
 
 
 class TrigPoly:
@@ -271,17 +275,27 @@ class TrigPoly:
 def _trig_sum(xs: np.ndarray, f: np.ndarray, rows: np.ndarray,
               scale: float, shift: float) -> np.ndarray:
     """``[cos(2 pi x f), sin(2 pi x f), scale x + shift] @ rows`` at the
-    points ``xs``: one matrix product over the flattened points.  A batch's
-    values are the product's transpose, ``(T,) + xs.shape``, a view that
-    keeps the product's memory layout."""
+    points ``xs``: a matrix product over the flattened points, in blocks of
+    ``BASIS_MAX // (2K + 1)`` points (one block for a call under that),
+    each written into one ``(points, T)`` array.  A batch's values are its
+    transpose, ``(T,) + xs.shape``, a view that keeps the product's memory
+    layout."""
     k = f.size
-    basis = np.empty((xs.size, 2 * k + 1))
-    theta = np.multiply.outer(xs.ravel(), f) * (2 * np.pi)
-    np.cos(theta, out=basis[:, :k])
-    np.sin(theta, out=basis[:, k:-1])
-    np.multiply(xs.ravel(), scale, out=basis[:, -1])
-    basis[:, -1] += shift
-    return (basis @ rows).T.reshape(rows.shape[1:] + xs.shape)
+    flat = xs.ravel()
+    out = np.empty(flat.shape + rows.shape[1:])
+    step = max(1, BASIS_MAX // (2 * k + 1))
+    for start in range(0, flat.size, step):
+        x = flat[start:start + step]
+        basis = np.empty((x.size, 2 * k + 1))
+        theta = basis[:, :k]   # angles, then cosines in place: no (P, K) array
+        np.multiply.outer(x, f, out=theta)
+        theta *= 2 * np.pi
+        np.sin(theta, out=basis[:, k:-1])
+        np.cos(theta, out=theta)
+        np.multiply(x, scale, out=basis[:, -1])
+        basis[:, -1] += shift
+        np.matmul(basis, rows, out=out[start:start + step])
+    return out.T.reshape(rows.shape[1:] + xs.shape)
 
 
 def group_sum(group: np.ndarray, values: np.ndarray,

@@ -289,9 +289,9 @@ def _composed_integral(op, f, lam, factor=None):
     return total
 
 
-def _identity_suite_per_trial(op, lam, h, trials, seed, tol=1e-8):
+def _identity_suite_per_trial(op, lam, h, trials, seed, tol=1e-8, rho=1.0):
     """Reference: the identity battery run one test function at a time,
-    each drawn by its own ``TrigPoly.random`` call."""
+    each drawn by its own ``TrigPoly.random`` call, for ``R h = rho h``."""
     rng = np.random.default_rng(seed)
     nodes = op.nodes
     mids = (np.arange(op.n_grid) + 0.5) / op.n_grid
@@ -360,7 +360,7 @@ def _identity_suite_per_trial(op, lam, h, trials, seed, tol=1e-8):
 
     rw_vals = np.concatenate([np.asarray(rw_fn(nodes), dtype=float),
                               np.asarray(rw_fn(mids), dtype=float)])
-    if float(np.max(rw_vals)) > 1.0 + 1e-9:
+    if float(np.max(rw_vals)) > 1.0 + 1e-9 or abs(rho - 1.0) > tol:
         checks.append(IdentityCheck("harmonic_support_multiplier", "SKIPPED",
                                     np.nan, tol))
     else:
@@ -370,8 +370,6 @@ def _identity_suite_per_trial(op, lam, h, trials, seed, tol=1e-8):
         checks.append(IdentityCheck("harmonic_support_multiplier",
                                     status(resid), resid, tol))
 
-    rho = (towb.integrate(GridFunction(op.apply_fn(h)(nodes)), lam)
-           / towb.integrate(h, lam))
     branch_nodes = op.branch_points(nodes).ravel()
     resid = 0.0
     for f in fs:
@@ -402,16 +400,18 @@ def _oracle_case(name, n=None):
         system = getattr(towb, name)(n)
     op = TransferOperator(system, n)
     lam = Measure.lebesgue(n)
-    return op, lam, towb.solve_harmonic(op, lam).h
+    sol = towb.solve_harmonic(op, lam)
+    return op, lam, sol.h, sol.rho
 
 
 @pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_d", "table_weight",
                                   "uneven_branches"])
 def test_batched_suite_matches_per_trial_oracle(name):
     # 30 trials span a full block and a partial one
-    op, lam, h = _oracle_case(name)
-    suite = towb.identity_suite(op, lam, h, trials=30, seed=3)
-    oracle = _identity_suite_per_trial(op, lam, h, trials=30, seed=3)
+    op, lam, h, rho = _oracle_case(name)
+    suite = towb.identity_suite(op, lam, h, trials=30, seed=3, rho=rho)
+    oracle = _identity_suite_per_trial(op, lam, h, trials=30, seed=3,
+                                       rho=rho)
     assert [c.name for c in suite.checks] == [c.name for c in oracle]
     assert [c.status for c in suite.checks] == [c.status for c in oracle]
     for got, want in zip(suite.checks, oracle):
@@ -427,10 +427,10 @@ def test_batched_suite_matches_per_trial_oracle(name):
 def test_kernel_sup_bound_holds_for_eigenvalue_off_one(name, n):
     # a correctly solved h satisfies R h = rho h with rho != 1 here, and the
     # bound sup|f| * rho * h holds for it
-    op, lam, h = _oracle_case(name, n)
-    rho = towb.solve_harmonic(op, lam).rho
+    op, lam, h, rho = _oracle_case(name, n)
     assert abs(rho - 1.0) > 0.01
-    check = towb.identity_suite(op, lam, h).by_name("kernel_sup_bound")
+    check = towb.identity_suite(op, lam, h, rho=rho).by_name(
+        "kernel_sup_bound")
     assert check.status == "PASS", check
 
 
@@ -505,6 +505,40 @@ def test_preimage_rule_takes_one_evaluation_per_side(op_b, lam_std, sol_b,
         assert suite.by_name("preimage_weight_square").status == "PASS"
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_harmonic_support_skipped_for_eigenvalue_off_one():
+    # constant weight 0.5 on the doubling map: R 1 = 0.5, sup R(W) = 0.25;
+    # the lemma R(W) = 1 needs R h = h, so (f) is skipped for rho = 0.5,
+    # and (g) bounds by 0.5 h
+    system = towb.doubling_system(WeightExpr.constant(0.5), N_CONTROL)
+    op = TransferOperator(system, N_CONTROL)
+    lam = Measure.lebesgue(N_CONTROL)
+    sol = towb.solve_harmonic(op, lam)
+    assert sol.rho == 0.5
+    suite = towb.identity_suite(op, lam, sol.h, trials=10, rho=sol.rho)
+    check = suite.by_name("harmonic_support_multiplier")
+    assert check.status == "SKIPPED"
+    assert check.note == "lemma needs R h = h (rho = 0.5)"
+    assert suite.counts() == {"PASS": 6, "FAIL": 0, "SKIPPED": 1}
+    # claiming R h = 0.4 h breaks the sup bound
+    assert towb.identity_suite(op, lam, sol.h, trials=10, rho=0.4).by_name(
+        "kernel_sup_bound").status == "FAIL"
+
+
+def test_inferred_gap_sigma_agrees_with_full_map_on_preimage_rule(
+        op_d, lam_triadic):
+    # the inferred middle-thirds sigma leaves [1/3, 2/3) to its first
+    # piece; its preimages must be those of sigma_slope = 3
+    inferred = make_system([1 / 3, 1 / 3], [0.0, 2 / 3], [0.5, 0.5],
+                           WeightExpr.constant(1.0), n_grid=243)
+    assert len(inferred.sigma.pieces) == 2
+    h = GridFunction.constant(1.0, 243)
+    checks = [towb.identity_suite(op, lam_triadic, h, trials=20).by_name(
+        "preimage_weight_square")
+        for op in (op_d, TransferOperator(inferred, 243))]
+    assert checks[0].status == "PASS"
+    assert checks[1] == checks[0]
 
 
 def test_suite_rejects_zero_trials(op_a, lam_std, sol_a):

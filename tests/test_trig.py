@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from towb import trig
 from towb.errors import DomainError
 from towb.trig import TrigPoly
 
@@ -109,6 +110,46 @@ def test_two_d_points_match_their_ravel_bitwise(trials):
     x = rng.random((2, 1024))
     flat = poly(x.ravel())
     assert np.array_equal(poly(x), flat.reshape(flat.shape[:-1] + x.shape))
+
+
+def _one_product_sum(xs, f, rows, scale, shift):
+    """The cosine/sine sum as one matrix product over all points."""
+    k = f.size
+    basis = np.empty((xs.size, 2 * k + 1))
+    theta = np.multiply.outer(xs.ravel(), f) * (2 * np.pi)
+    np.cos(theta, out=basis[:, :k])
+    np.sin(theta, out=basis[:, k:-1])
+    np.multiply(xs.ravel(), scale, out=basis[:, -1])
+    basis[:, -1] += shift
+    return (basis @ rows).T.reshape(rows.shape[1:] + xs.shape)
+
+
+@pytest.mark.parametrize("trials", [None, 25])
+def test_evaluation_under_basis_budget_is_one_product(trials):
+    # values and memory layout of a call under BASIS_MAX, which later BLAS
+    # products read, are those of the single product
+    rng = np.random.default_rng(8)
+    poly = TrigPoly.random(rng, trials=trials)
+    x = rng.random((2, 2048))
+    poly(x)
+    want = _one_product_sum(x, *poly._fold, 0.0, 1.0)
+    got = poly(x)
+    assert got.tobytes() == want.tobytes()
+    assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("trials", [None, 3])
+def test_blocked_evaluation_matches_one_product(trials, monkeypatch):
+    # 17 terms in blocks of 64 // 35 = 1 and 512 // 35 = 14 points
+    rng = np.random.default_rng(9)
+    poly = TrigPoly.random(rng, degree=17, trials=trials)
+    x = rng.random(1000)
+    want = poly(x)
+    for budget in (64, 512):
+        monkeypatch.setattr(trig, "BASIS_MAX", budget)
+        got = TrigPoly._from_arrays(poly.freqs, poly.coefs)(x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_cos_sin_construction():

@@ -21,9 +21,12 @@ its branches with the constant weight 1.5 (``uneven_constant``), which
 solves exactly with ``rho`` 1.5; ``cylinder`` on ``weight_two`` is
 refused, since ``rho`` is not 1.  ``verify`` runs on constant weight 0.5
 (``weight_half``, ``rho`` 0.5), where the harmonic-support check, whose
-lemma needs ``R h = h``, reports FAIL.  ``verify --trials 30`` runs on
-``sys_b`` and on ``table``: one full block of 25 trials and a partial one of
-5, where every other ``verify`` runs four full blocks; on ``table`` it also
+lemma needs ``R h = h``, is SKIPPED, and on ``sys_d`` with ``sigma``
+inferred (``thirds_inferred``), whose first piece also applies on the gap
+``[1/3, 2/3)``, so its preimage rule matches ``sys_d``'s.  ``verify
+--trials 30`` runs on ``sys_b`` and on ``table``: one full block of 25
+trials and a partial one of 5, where every other ``verify`` runs four full
+blocks; on ``table`` it also
 takes the duality check's quadrature fallback and applies ``R`` to the
 power-iterated grid function ``h``.  ``sample`` and ``cylinder`` run on
 three branches of slope 1/3 with probabilities 0.2, 0.3 and 0.5 and
@@ -116,6 +119,8 @@ GENERATED = {
     + '[weight]\nkind = "constant"\nvalue = 2.0\n',
     "weight_half": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
     + '[weight]\nkind = "constant"\nvalue = 0.5\n',
+    "thirds_inferred": _system([1 / 3, 1 / 3], [0.0, 2 / 3], [0.5, 0.5])
+    + "[grid]\ncells = 243\n\n[solver]\ntol = 1e-12\n",
     "unequal": _system([0.5, 0.5], [0.0, 0.5], [0.25, 0.75])
     + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = [1.0]\n',
     "unequal_max_iter": _system([0.5, 0.5], [0.0, 0.5], [0.25, 0.75])
@@ -230,6 +235,7 @@ def cases():
         yield name, ("harmonic",)
     yield "weight_two", ("cylinder", "--x", "0.3", "--sets", "[0,0.5)")
     yield "weight_half", ("verify",)
+    yield "thirds_inferred", ("verify",)
     yield "table", ("harmonic", "--k-max", "2", "--n-max", "4")
     for command in (("harmonic",), ("verify",)):
         yield "table_atoms", command
