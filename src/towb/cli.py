@@ -55,7 +55,7 @@ def _solved_path_measure(cfg: RunConfig, op: TransferOperator,
     if abs(sol.rho - 1.0) > _H_TRUST:  # R h = rho h: h is not harmonic
         raise DomainError(f"rho = {sol.rho:.6g} is not 1; divide the weight "
                           "by rho first (normalize_weight)")
-    return PathMeasure.build(op, sol.h, lam)
+    return PathMeasure.from_solution(op, sol, lam)
 
 
 def _add_tol_check(report: Report, name: str, residual: float,
@@ -285,7 +285,7 @@ def _cmd_harmonic_from_measure(args, cfg, op, lam, report: Report) -> None:
 
 _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
 _TRIALS = ("from 1 to 1000", lambda v: 1 <= v <= 1000)
-_FINITE = ("finite", math.isfinite)
+_UNIT = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
 _REQUIRED = object()   # the default of a flag that has none
 # The flags of every subcommand: flag -> (type, default, bound, help).  A
 # bound is the rule as the error states it and its test: main checks every
@@ -336,15 +336,15 @@ _COMMANDS = {name: (handler, text, {**_COMMON, **flags})
      {"steps": (int, 8, _NONNEGATIVE, None)}),
     ("defect", _cmd_defect, "defect and membership certificate", {}),
     ("cylinder", _cmd_cylinder, "exact cylinder mass",
-     {"x": (float, _REQUIRED, _FINITE, None),
+     {"x": (float, _REQUIRED, _UNIT, None),
       "sets": (str, _REQUIRED, None, "';'-separated interval unions")}),
     ("sample", _cmd_sample, "Monte Carlo vs exact enumeration",
-     {"x": (float, 0.3, _FINITE, None),
+     {"x": (float, 0.3, _UNIT, None),
       "battery": (int, 20, ("from 1 to 100", lambda v: 1 <= v <= 100), None)}),
     ("quasi", _cmd_quasi, "shift quasi-invariance and unitarity",
      {"trials": (int, 20, _TRIALS, None)}),
     ("markov", _cmd_markov, "joint-mass drift across depths",
-     {"x": (float, _REQUIRED, _FINITE, None),
+     {"x": (float, _REQUIRED, _UNIT, None),
       "set-a": (str, _REQUIRED, None, None),
       "set-b": (str, _REQUIRED, None, None),
       "n": (int, 10, (f"from 2 to {DEPTH_MAX - 1}",

@@ -45,7 +45,13 @@ class HarmonicSolution:
     (``iterations`` 0, converged when its residual is below ``tol``, with
     the ratio ``|lambda_2| / rho`` of the second eigenvalue modulus to
     ``rho`` on the invariant trig space) and a :class:`GridFunction` from
-    the ``power`` method, used for every system without such a space."""
+    the ``power`` method, used for every system without such a space.
+
+    ``residual_bound`` is the exact method's whole-circle certificate
+    ``sup |R h - h| <= ||M v - rho v||_1 + |rho - 1| ||v||_1`` over the
+    coefficients ``v`` of ``h``, up to the rounding in the columns of
+    :meth:`TransferOperator.transition_matrix`; the power method has none
+    (``None``).  ``system`` is the system solved."""
 
     h: GridFunction | TrigPoly
     rho: float
@@ -54,6 +60,8 @@ class HarmonicSolution:
     converged: bool
     method: str
     spectral_ratio: float | None = None
+    residual_bound: float | None = None
+    system: IfsSystem | None = None
 
 
 def solve_harmonic(op: TransferOperator, lam: Measure, tol: float = 1e-12,
@@ -89,7 +97,8 @@ def _solve_transition_matrix(op: TransferOperator, lam: Measure,
     :class:`TrigPoly` of mean 1, checked nonnegative at the grid nodes like
     a power iterate and scaled to ``int h dlam = 1``.  The residual is
     ``max |M v - rho v|`` over the coefficients ``v`` of ``h``, and the
-    solve is converged when it is below ``tol``.
+    solve is converged when it is below ``tol``; the ``l^1`` norm of
+    ``M v - rho v`` plus ``|rho - 1| ||v||_1`` is the ``residual_bound``.
     """
     vals, vecs = np.linalg.eig(matrix)
     lead = int(np.argmax(vals.real))
@@ -112,7 +121,7 @@ def _solve_transition_matrix(op: TransferOperator, lam: Measure,
     v = vecs[:, lead]
     if v[top] == 0:
         raise ConvergenceError("eigenvector of mean 0; weight is not positive")
-    h = TrigPoly(dict(zip(freqs.astype(float), v / v[top])))
+    h = TrigPoly._from_arrays(freqs.astype(float), v / v[top])
     low = float(np.min(h(op.nodes)))
     if low < _NEGATIVITY_FLOOR:
         raise ConvergenceError(
@@ -122,11 +131,13 @@ def _solve_transition_matrix(op: TransferOperator, lam: Measure,
         raise ConvergenceError("iterate collapsed to zero mass")
     h = h * (1.0 / mass)
     coefs = h.coefficients(freqs)
-    residual = float(np.max(np.abs(matrix @ coefs - rho * coefs)))
+    gap = np.abs(matrix @ coefs - rho * coefs)
+    residual = float(np.max(gap))
+    bound = float(gap.sum() + abs(rho - 1.0) * np.abs(coefs).sum())
     others = np.abs(np.delete(vals, lead))
     ratio = float(others.max()) / rho if others.size else 0.0
     return HarmonicSolution(h, rho, residual, 0, residual < tol,
-                            "transition_matrix", ratio)
+                            "transition_matrix", ratio, bound, op.system)
 
 
 def power_iteration(op: TransferOperator, lam: Measure, tol: float = 1e-12,
@@ -170,7 +181,7 @@ def power_iteration(op: TransferOperator, lam: Measure, tol: float = 1e-12,
             if residual < tol:
                 break
     return HarmonicSolution(out, float(rho), residual, it, residual < tol,
-                            "power")
+                            "power", system=op.system)
 
 
 def normalize_weight(op: TransferOperator,

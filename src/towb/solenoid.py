@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .grid import GridFunction, IntervalSet, Measure, integrate, wrap_unit
+from .harmonic import HarmonicSolution
 from .system import left_inverse_residuals
 from .transfer import TransferOperator, kernel_sum
 from .trig import TRIAL_BLOCK, TrigPoly
@@ -207,9 +208,30 @@ class PathMeasure:
               strict: bool = True) -> "PathMeasure":
         """The path measure of ``h``, whose harmonic residual is
         ``max |R h - h|`` over the operator's nodes, ``R h`` by
-        :meth:`TransferOperator.apply` and ``h`` evaluated pointwise."""
+        :meth:`TransferOperator.apply` and ``h`` evaluated pointwise.
+        With ``strict``, an ``h`` that does not integrate to 1 against
+        ``lam``, or whose residual is above ``_H_TRUST``, is refused."""
         residual = float(np.max(np.abs(
             op.apply(h).values - np.asarray(h(op.nodes), dtype=float))))
+        return cls._checked(op, h, lam, residual, strict)
+
+    @classmethod
+    def from_solution(cls, op: TransferOperator, sol: HarmonicSolution,
+                      lam: Measure) -> "PathMeasure":
+        """The strict path measure of the solved ``sol.h``.  An exact solve
+        of ``op``'s system carries the whole-circle certificate
+        ``sol.residual_bound`` of ``|R h - h|``, which is the harmonic
+        residual, so no kernel at the nodes is built; any other solution
+        gets the node residual of :meth:`build`."""
+        if sol.residual_bound is None or sol.system is not op.system:
+            return cls.build(op, sol.h, lam)
+        return cls._checked(op, sol.h, lam, sol.residual_bound, True)
+
+    @classmethod
+    def _checked(cls, op: TransferOperator, h: Callable, lam: Measure,
+                 residual: float, strict: bool) -> "PathMeasure":
+        """The path measure of ``h`` with the harmonic residual
+        ``residual``, through the mass check and the trust gate."""
         mass = integrate(h, lam)
         if strict:
             if abs(mass - 1.0) > 1e-6:
@@ -234,8 +256,9 @@ def conditional_expectation(pm: PathMeasure, psi, x):
     """``f_0 R(f_1 R(f_2 ... R(f_m h)))(x)``: the expectation of the
     cylinder function ``psi = f_0(x_0) ... f_m(x_m)`` against the base-``x``
     measure (total mass ``h(x)``, not normalized), for a scalar or an array
-    ``x``.  Each factor is an :class:`IntervalSet` (its indicator), a
-    callable, or ``None`` for the constant 1.  A factor whose values carry a
+    ``x`` of bases in ``[0, 1)``: the branches act on ``x`` unreduced.  Each
+    factor is an :class:`IntervalSet` (its indicator), a callable, or
+    ``None`` for the constant 1.  A factor whose values carry a
     leading trials axis (a batched :class:`TrigPoly`) makes ``psi`` a batch
     of cylinder functions, and the result gains that axis in front: one
     value per trial, ``(T,)`` or ``(T, B)`` for ``B`` bases.
@@ -279,9 +302,9 @@ def conditional_expectation(pm: PathMeasure, psi, x):
 
 def cylinder_mass(pm: PathMeasure, x: float,
                   spec: CylinderFunction) -> float:
-    """Exact mass of the cylinder event ``spec`` at base ``x``: the sum over
-    all branch words of the kernel weights times ``h`` at the final
-    coordinate.
+    """Exact mass of the cylinder event ``spec`` at base ``x`` in ``[0, 1)``:
+    the sum over all branch words of the kernel weights times ``h`` at the
+    final coordinate.
 
     Appending an unconstrained coordinate leaves the value unchanged up to
     the harmonic residual of ``h`` (measure consistency across depths).
@@ -400,7 +423,8 @@ def empirical_cylinder_frequency(pm: PathMeasure, x: float,
                                  spec: CylinderFunction, paths: int,
                                  rng: np.random.Generator) -> float:
     """Empirical probability of the cylinder event ``spec`` among ``paths``
-    walks from ``x``; compare against ``cylinder_mass / h(x)``.
+    walks from the base ``x`` in ``[0, 1)``; compare against
+    ``cylinder_mass / h(x)``.
 
     The walks fall on the depth-``m`` branch words in Multinomial(``paths``,
     ``P_x(word) / h(x)``) counts, and a frequency reads only those counts,
@@ -551,9 +575,10 @@ def multires_check(pm: PathMeasure, seed: int = 0) -> MultiresResult:
 def markov_deviation(pm: PathMeasure, set_a: IntervalSet, set_b: IntervalSet,
                      x: float, n: int) -> tuple[float, float, float]:
     """Joint masses ``m_k = P_x(coordinate k in A, coordinate k+1 in B)``
-    for ``k = 1`` and ``k = n``; their difference witnesses that the chain
-    is not time-homogeneous Markov.  Indicators are evaluated sharply at
-    branch images, so the nested sums are exact.
+    for ``k = 1`` and ``k = n`` at the base ``x`` in ``[0, 1)``; their
+    difference witnesses that the chain is not time-homogeneous Markov.
+    Indicators are evaluated sharply at branch images, so the nested sums
+    are exact.
     """
     if n < 2:
         raise DomainError("n must be at least 2")

@@ -95,8 +95,10 @@ class PiecewiseAffineMap:
             if lo2 < hi - OVERLAP_TOL:
                 raise DomainError("piecewise map pieces overlap")
         self.pieces = tuple(ordered)
-        edges = np.r_[0.0, [lo for lo, _, _, _ in ordered[1:]], 1.0]
-        self.stretches = np.c_[edges[:-1], edges[1:], np.array(ordered)[:, 2:]]
+        starts = [0.0] + [lo for lo, _, _, _ in ordered[1:]]
+        self.stretches = np.array([
+            (start, end, a, b) for start, end, (_, _, a, b)
+            in zip(starts, starts[1:] + [1.0], ordered)])
         self.stretches.setflags(write=False)
 
     @classmethod

@@ -8,8 +8,10 @@ the operator acts on functions by
 and its adjoint in ``L^2(lam)`` (for ``lam`` whose pushed measure has density
 ``W``) is the weighted composition ``(S f)(x) = W(x) f(sigma(x))``.  The
 kernel at ``x`` is the branch images :meth:`TransferOperator.branch_points`
-carrying the masses ``p_i W(tau_i x)``, which are formed in one place,
-:meth:`TransferOperator.branch_masses`, and summed in one, :func:`kernel_sum`,
+(one broadcast over the branch slopes and offsets, stacked once per
+operator) carrying the masses ``p_i W(tau_i x)``, which are formed in one
+place, :meth:`TransferOperator.branch_masses`, and summed in one,
+:func:`kernel_sum`,
 for the pointwise action, the path-space kernel of :mod:`towb.solenoid` and
 :attr:`TransferOperator.node_kernel`, the kernel at the nodes, built once per
 operator and read by ``apply`` and :func:`identity_suite`; the measure action
@@ -35,10 +37,10 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import (GridFunction, IntervalSet, Measure, integrate,
-                   integrate_over, integrate_regions, push_mixture, wrap_unit)
+                   integrate_over, integrate_regions, push_mixture)
 from .sigspace import Decomposition, lebesgue_decompose
 from .system import IfsSystem
-from .trig import _PRUNE, TRIAL_BLOCK, TrigPoly
+from .trig import _PRUNE, _TWO_PI_I, TRIAL_BLOCK, TrigPoly
 
 IDENTITY_TOL = 1e-8
 # transition_matrix searches the invariant degree D up to this bound on
@@ -68,20 +70,35 @@ class TransferOperator:
         self.system = system
         self.n_grid = int(n_grid)
         self.nodes = np.arange(self.n_grid) / self.n_grid
-        self.nodes.setflags(write=False)
+        # the branch slopes, offsets and probabilities, stacked once
+        self.slopes = np.array([br.slope for br in system.branches])
+        self.offsets = np.array([br.offset for br in system.branches])
+        self.probs = np.array(system.probs)
+        for stacked in (self.nodes, self.slopes, self.offsets, self.probs):
+            stacked.setflags(write=False)
 
     # -- kernel and function action ------------------------------------
 
     def branch_points(self, x) -> np.ndarray:
-        """Branch images ``tau_i(x)``, stacked along the first axis."""
+        """Branch images ``tau_i(x)``, stacked along the first axis: one
+        broadcast ``slopes * x + offsets``, the product and sum of
+        :class:`~towb.grid.AffineBranch`, reduced by
+        :func:`~towb.grid.wrap_unit`'s arithmetic (which is idempotent, so
+        a ``mod_one`` branch is reduced once)."""
         xs = np.asarray(x, dtype=float)
-        return np.stack([wrap_unit(br(xs)) for br in self.system.branches])
+        lead = (-1,) + (1,) * xs.ndim
+        pts = self.slopes.reshape(lead) * xs
+        pts += self.offsets.reshape(lead)
+        # wrap_unit in place on the fresh images: with no full-size
+        # temporaries beside them, deep enumerations leave a smaller heap
+        pts -= np.floor(pts)
+        pts[pts >= 1.0] = 0.0
+        return pts
 
     def branch_masses(self, pts: np.ndarray) -> np.ndarray:
         """Kernel masses ``p_i W(y)`` at branch images ``pts`` stacked as
         :meth:`branch_points` stacks them: the one product order of ``R``."""
-        probs = np.array(self.system.probs)
-        return probs.reshape((-1,) + (1,) * (pts.ndim - 1)) * np.asarray(
+        return self.probs.reshape((-1,) + (1,) * (pts.ndim - 1)) * np.asarray(
             self.system.weight(pts), dtype=float)
 
     @cached_property
@@ -113,15 +130,21 @@ class TransferOperator:
         """``R f`` as an exact trig polynomial, when representable.
 
         Requires a closed-form weight and non-wrapping branches; returns
-        ``None`` otherwise.
+        ``None`` otherwise.  With ``wf = W f``, branch ``i`` contributes
+        the frequencies ``wf.freqs * a_i`` with the coefficients
+        ``(wf.coefs * e(wf.freqs b_i)) * p_i``, the arithmetic of
+        :meth:`TrigPoly.compose_affine` then ``* p_i``; the branches,
+        concatenated in branch order, are merged once, so equal
+        frequencies sum in branch order as the chained sum adds them.
         """
         w = self.system.weight.trigpoly
         if w is None or any(br.mod_one for br in self.system.branches):
             return None
         wf = w * f
-        terms = [wf.compose_affine(br.slope, br.offset) * p
-                 for br, p in zip(self.system.branches, self.system.probs)]
-        return sum(terms[1:], terms[0])
+        phase = np.exp(_TWO_PI_I * wf.freqs * self.offsets[:, None])
+        coefs = wf.coefs[..., None, :] * phase * self.probs[:, None]
+        return TrigPoly._from_arrays((wf.freqs * self.slopes[:, None]).ravel(),
+                                     coefs.reshape(coefs.shape[:-2] + (-1,)))
 
     def transition_matrix(self) -> np.ndarray | None:
         """``R`` on the trig polynomials of degree ``<= D`` as a matrix when

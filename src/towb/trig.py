@@ -279,9 +279,17 @@ def _trig_sum(xs: np.ndarray, f: np.ndarray, rows: np.ndarray,
     ``BASIS_MAX // (2K + 1)`` points (one block for a call under that),
     each written into one ``(points, T)`` array.  A batch's values are its
     transpose, ``(T,) + xs.shape``, a view that keeps the product's memory
-    layout."""
+    layout.  With no frequency the product has one inner term, so it is
+    the single multiplication of the column ``scale x + shift`` by
+    ``rows[-1]``, taken as one broadcast with no basis: the same bits, in
+    any batch, and nan at a non-finite ``x``."""
     k = f.size
     flat = xs.ravel()
+    if k == 0:
+        column = flat * scale
+        column += shift
+        out = np.multiply.outer(column, rows[-1])
+        return out.T.reshape(rows.shape[1:] + xs.shape)
     out = np.empty(flat.shape + rows.shape[1:])
     step = max(1, BASIS_MAX // (2 * k + 1))
     for start in range(0, flat.size, step):

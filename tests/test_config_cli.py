@@ -317,6 +317,30 @@ class TestCli:
         assert statuses.count("PASS") == 6
         assert statuses.count("SKIPPED") == 1
 
+    def test_exact_queries_build_no_node_kernel(self, capsys, monkeypatch):
+        # an exact solve's certificate is the path measure's trust gate, so
+        # no exact query builds the kernel at the nodes; verify, which
+        # applies R at the nodes, shows that the guard can see one
+        made = []
+
+        class Recording(towb.TransferOperator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(towb.cli, "TransferOperator", Recording)
+        for cfg in (SYS_A, SYS_B, SYS_C, SYS_D):
+            for argv in (["cylinder", "--x", "0.3", "--sets",
+                          "[0,0.25);all;[0.5,0.75)"],
+                         ["markov", "--x", "0.3", "--set-a", "[0,0.25)",
+                          "--set-b", "[0,0.5)", "--n", "3"],
+                         ["harmonic-from-measure"]):
+                assert main(argv + ["--config", cfg]) == 0
+        assert len(made) == 12
+        assert not any("node_kernel" in op.__dict__ for op in made)
+        assert main(["verify", "--config", SYS_A, "--trials", "5"]) == 0
+        assert "node_kernel" in made[-1].__dict__
+
     def test_verify_sys_a_all_pass(self, capsys):
         assert main(["verify", "--config", SYS_A, "--trials", "5"]) == 0
 
@@ -351,6 +375,12 @@ class TestCli:
         (["cylinder", "--x", "inf", "--sets", "[0,0.5)"], "x"),
         (["markov", "--x", "nan"], "x"),
         (["sample", "--x=-inf"], "x"),
+        # a base off [0, 1) is the same circle point as its reduction, but
+        # the branches would act on it unreduced
+        (["cylinder", "--x", "1.5", "--sets", "[0,0.5)"], "x"),
+        (["cylinder", "--x=-0.5", "--sets", "[0,0.5)"], "x"),
+        (["markov", "--x", "1.0"], "x"),
+        (["sample", "--x", "1e308"], "x"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_flag_out_of_bounds_exit_code(self, capsys, tmp_path, argv,
                                           flag):
@@ -374,6 +404,8 @@ class TestCli:
          "--n", "2"],
         ["markov", "--x", "0.3", "--set-a", "[0,0.25)", "--set-b", "[0,0.5)",
          "--n", "15"],
+        ["cylinder", "--x", "0.0", "--sets", "[0,0.5)"],
+        ["cylinder", "--x", "0.9999999999999999", "--sets", "[0,0.5)"],
     ], ids=" ".join)
     def test_flag_bounds_admit_their_limits(self, capsys, argv):
         assert main(argv + ["--config", SYS_A]) == 0

@@ -625,3 +625,122 @@ class TestTransitionMatrix:
             towb.PathMeasure.build(op2, h, lam)
         loose = towb.PathMeasure.build(op2, h, lam, strict=False)
         assert loose.h_residual > 1e-6
+
+
+# -- the exact solve's certificate as the path measure's trust gate ----------
+
+_LD = np.longdouble
+_TWO_PI_LD = np.arctan(_LD(1)) * 8
+
+
+def _values_ld(p, y):
+    """``p`` at the points ``y`` in extended precision."""
+    theta = _TWO_PI_LD * (p.freqs.astype(_LD)[:, None] * y[None, :])
+    return (p.coefs.real.astype(_LD)[:, None] * np.cos(theta)
+            - p.coefs.imag.astype(_LD)[:, None] * np.sin(theta)).sum(axis=0)
+
+
+def _evaluation_rounding(p):
+    """``sum |c_k| (1 + 2 pi |f_k|)``: a term's size plus the sensitivity
+    of its value to the rounding of its angle."""
+    return float(np.sum(np.abs(p.coefs) * (1 + 2 * np.pi * np.abs(p.freqs))))
+
+
+def _certificate_case(name):
+    if name in ("sys_a", "sys_b", "sys_d"):
+        return _oracle_case(name)
+    lam = Measure.lebesgue(256)
+    if name == "non_qmf_raw":
+        return _full_branch_op(NON_QMF, n=256), lam
+    if name == "non_qmf":
+        op = _full_branch_op(NON_QMF, n=256)
+        system = towb.normalize_weight(op, towb.solve_harmonic(op, lam))
+        return TransferOperator(system, 256), lam
+    if name == "degree_20":
+        weight = WeightExpr.trig(1.0, [0.0] * 19 + [0.5])
+        return _full_branch_op(weight, n=32), Measure.lebesgue(32)
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_d", "non_qmf",
+                                  "non_qmf_raw", "degree_20"])
+def test_residual_bound_covers_the_whole_circle(name):
+    # residual_bound bounds sup |R h - h| over the circle, up to the
+    # rounding of the closure's columns, each coefficient of which it
+    # treats as noise up to its floor _PRUNE (1 + d + D) max |M|, and of
+    # the extended-precision evaluation of R h - h at 2^16 points.  The
+    # float64 evaluation's own rounding is larger than the bound (sys_b:
+    # bound 0.0, float64 sup 3.3e-16), hence the extended precision; the
+    # unnormalized non-QMF weight (rho != 1) is the case far above both
+    # allowances
+    op, lam = _certificate_case(name)
+    sol = towb.solve_harmonic(op, lam)
+    assert sol.method == "transition_matrix" and sol.system is op.system
+    h, w = sol.h, op.system.weight.trigpoly
+    x = np.arange(2**16, dtype=_LD) / 2**16
+    rh = sum(_LD(p) * _values_ld(w, a * x + b) * _values_ld(h, a * x + b)
+             for a, b, p in zip(op.slopes, op.offsets, op.probs))
+    gap = float(np.max(np.abs(rh - _values_ld(h, x))))
+    matrix = op.transition_matrix()
+    top = (matrix.shape[0] - 1) // 2
+    v_l1 = float(np.abs(h.coefficients(np.arange(-top, top + 1))).sum())
+    closure = (1e-15 * (1 + w.max_freq + top) * np.abs(matrix).max()
+               * w.freqs.size * op.system.n_branches * v_l1)
+    evaluation = 16 * float(np.finfo(_LD).eps) * _evaluation_rounding(h) * (
+        _evaluation_rounding(w) + 1)
+    assert gap <= sol.residual_bound + closure + evaluation
+    if name == "non_qmf_raw":
+        assert sol.residual_bound >= gap > 1e-3
+
+
+def test_from_solution_refuses_a_moved_weight():
+    # the control of test_perturbed_weight_flips_the_residual_check, for
+    # the certificate: an exact solution is trusted on its own bound, and
+    # on any other system's operator it gets the node residual, which sees
+    # one weight coefficient moved by 1e-5 after the solve
+    n = 256
+    lam = Measure.lebesgue(n)
+    op1, _ = _certificate_case("non_qmf")
+    sol = towb.solve_harmonic(op1, lam)
+    pm = PathMeasure.from_solution(op1, sol, lam)
+    assert pm.h_residual == sol.residual_bound <= 1e-14
+    assert "node_kernel" not in op1.__dict__
+    w = op1.system.weight
+    moved = WeightExpr.trig(w.const, [w.cos_coefs[0] + 1e-5,
+                                      *w.cos_coefs[1:]], w.sin_coefs)
+    op2 = TransferOperator(op1.system.with_weight(moved), n)
+    with pytest.raises(DomainError, match="not harmonic enough"):
+        PathMeasure.from_solution(op2, sol, lam)
+    # the bound of the moved system's own solve of a moved h is its own
+    moved_sol = towb.solve_harmonic(op2, lam)
+    assert abs(moved_sol.rho - 1.0) > 1e-6
+    with pytest.raises(DomainError, match="not harmonic enough"):
+        PathMeasure.from_solution(op2, moved_sol, lam)
+
+
+def test_from_solution_refuses_what_build_refuses():
+    # a certificate above _H_TRUST and a mass off 1 are refused with
+    # build's messages
+    op, lam = _certificate_case("sys_b")
+    sol = towb.solve_harmonic(op, lam)
+    loose = HarmonicSolution(sol.h, sol.rho, sol.residual, 0, True,
+                             sol.method, sol.spectral_ratio, 2e-6, op.system)
+    with pytest.raises(DomainError, match=r"not harmonic enough \(residual "
+                                          r"2\.000e-06\)"):
+        PathMeasure.from_solution(op, loose, lam)
+    heavy = HarmonicSolution(sol.h * 2.0, sol.rho, sol.residual, 0, True,
+                             sol.method, sol.spectral_ratio, 0.0, op.system)
+    with pytest.raises(DomainError, match="must integrate to 1"):
+        PathMeasure.from_solution(op, heavy, lam)
+
+
+@pytest.mark.parametrize("name", ["table_weight", "unequal", "uneven_trig"])
+def test_power_solution_gets_the_node_residual(name):
+    op, lam = _oracle_case(name)
+    system = towb.normalize_weight(op, towb.solve_harmonic(op, lam))
+    op = TransferOperator(system, op.n_grid)
+    sol = towb.solve_harmonic(op, lam)
+    assert sol.method == "power" and sol.residual_bound is None
+    pm = PathMeasure.from_solution(op, sol, lam)
+    assert pm.h_residual == PathMeasure.build(op, sol.h, lam).h_residual
+    assert "node_kernel" in op.__dict__

@@ -1,11 +1,16 @@
+import importlib.util
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import towb
 from towb import GridFunction, IntervalSet, Measure, TransferOperator
 from towb.config import load_config
+from towb.errors import ConfigError
+from towb.grid import wrap_unit
 from towb.harmonic import power_iteration
 from towb.system import PiecewiseAffineMap, WeightExpr, make_system
 from towb.transfer import IdentityCheck, _random_intervals
@@ -560,3 +565,125 @@ def test_integral_checks_exact_when_sigma_is_not_m_x_mod_1(n):
     for name in ("adjoint_duality", "sigma_invariance"):
         assert suite.by_name(name).status == "PASS"
         assert suite.by_name(name).residual < 1e-13
+
+
+# -- the stacked kernel against the per-branch forms -------------------------
+
+
+def _stacked_branch_points(op, x):
+    """Branch images as one ``wrap_unit(br(x))`` per branch, stacked."""
+    xs = np.asarray(x, dtype=float)
+    return np.stack([wrap_unit(br(xs)) for br in op.system.branches])
+
+
+def _stacked_branch_masses(op, pts):
+    """``p_i W(y)`` with the probabilities converted on every call."""
+    probs = np.array(op.system.probs)
+    return probs.reshape((-1,) + (1,) * (pts.ndim - 1)) * np.asarray(
+        op.system.weight(pts), dtype=float)
+
+
+def _chained_apply_symbolic(op, f):
+    """``R f`` as the chained per-branch sum: ``compose_affine``, then
+    ``* p_i``, then ``+``, merging after every step."""
+    w = op.system.weight.trigpoly
+    if w is None or any(br.mod_one for br in op.system.branches):
+        return None
+    wf = w * f
+    terms = [wf.compose_affine(br.slope, br.offset) * p
+             for br, p in zip(op.system.branches, op.system.probs)]
+    return sum(terms[1:], terms[0])
+
+
+_COS_WEIGHT = WeightExpr.trig(1.0, [0.3, 0.1], [0.2])
+# name -> (slopes, offsets, probs, weight, mod_one)
+_KERNEL_SYSTEMS = {
+    "doubling": ([0.5, 0.5], [0.0, 0.5], [0.5, 0.5], _COS_WEIGHT, False),
+    "three_branch": ([1 / 3] * 3, [0.0, 1 / 3, 2 / 3], [0.2, 0.3, 0.5],
+                     _COS_WEIGHT, False),
+    "uneven": ([1 / 3, 2 / 3], [0.0, 1 / 3], [1 / 3, 2 / 3],
+               WeightExpr.trig(1.0, [0.5]), False),
+    "negative_slope": ([-0.5, 0.5], [0.5, 0.5], [0.4, 0.6], _COS_WEIGHT,
+                       False),
+    "mod_one": ([0.5, 0.5], [0.25, 0.75], [0.5, 0.5], _COS_WEIGHT, True),
+}
+
+
+def _kernel_op(name, n=64):
+    slopes, offsets, probs, weight, mod_one = _KERNEL_SYSTEMS[name]
+    system = make_system(slopes, offsets, probs, weight, sigma=2,
+                         validate=False, mod_one=mod_one)
+    return TransferOperator(system, n)
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_SYSTEMS))
+def test_branch_kernel_matches_per_branch_stack_bitwise(name):
+    op = _kernel_op(name)
+    rng = np.random.default_rng(11)
+    for x in (0.3, np.float64(0.0), rng.random(17), rng.random((3, 5)),
+              np.array([0.0, 0.5, 1 - 2**-53, 0.25])):
+        got, want = op.branch_points(x), _stacked_branch_points(op, x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        masses = op.branch_masses(got)
+        oracle = _stacked_branch_masses(op, want)
+        assert masses.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(set(_KERNEL_SYSTEMS) - {"mod_one"}))
+@given(seed=st.integers(0, 2**32 - 1), degree=st.integers(0, 8),
+       trials=st.sampled_from([None, 1, 3]))
+@settings(max_examples=40, deadline=None)
+def test_apply_symbolic_matches_chained_sum_bitwise(name, seed, degree,
+                                                   trials):
+    op = _kernel_op(name)
+    f = TrigPoly.random(np.random.default_rng(seed), degree, trials)
+    got, want = op.apply_symbolic(f), _chained_apply_symbolic(op, f)
+    assert got.freqs.tobytes() == want.freqs.tobytes()
+    assert got.coefs.tobytes() == want.coefs.tobytes()
+
+
+def test_apply_symbolic_refuses_wrapping_branches():
+    op = _kernel_op("mod_one")
+    assert op.apply_symbolic(TrigPoly.constant(1.0)) is None
+
+
+def _digest_configs(tmp_path):
+    """Every bundled fixture and every config the report digest generates
+    that builds, as ``name -> (system, cells)``."""
+    spec = importlib.util.spec_from_file_location(
+        "report_digest", os.path.join(os.path.dirname(__file__), os.pardir,
+                                      "tools", "report_digest.py"))
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    paths = {name: os.path.join(FIXTURE_DIR, f"{name}.cfg")
+             for name in digest.FIXTURES}
+    for name, text in digest.GENERATED.items():
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text, encoding="utf-8")
+    built = {}
+    for name, path in paths.items():
+        try:
+            cfg = load_config(path)
+            built[name] = cfg.build_system(), cfg.cells
+        except ConfigError:
+            continue
+    return built
+
+
+def test_transition_matrix_matches_chained_closure_on_digest_configs(
+        tmp_path, monkeypatch):
+    configs = _digest_configs(tmp_path)
+    matrices = {name: TransferOperator(system, cells).transition_matrix()
+                for name, (system, cells) in configs.items()}
+    monkeypatch.setattr(TransferOperator, "apply_symbolic",
+                        _chained_apply_symbolic)
+    exact = 0
+    for name, (system, cells) in configs.items():
+        want = TransferOperator(system, cells).transition_matrix()
+        got = matrices[name]
+        assert (got is None) == (want is None), name
+        if got is not None:
+            exact += 1
+            assert got.shape == want.shape and \
+                got.tobytes() == want.tobytes(), name
+    assert exact >= 10

@@ -138,6 +138,40 @@ def test_evaluation_under_basis_budget_is_one_product(trials):
     assert got.strides == want.strides
 
 
+@pytest.mark.parametrize("scale, shift", [(0.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize("trials", [None, 25])
+def test_no_frequency_sum_matches_basis_product_bitwise(trials, scale, shift):
+    # with no frequency the basis is the one column scale x + shift, and
+    # the product the single multiplication by rows[-1]: the same bytes and
+    # layout at a scalar, a 0-d, 1-d and 2-d array and at nan and inf, for
+    # the evaluation (0 x + 1) and the antiderivative (x + 0)
+    rng = np.random.default_rng(12)
+    const = rng.uniform(-2.0, 2.0, () if trials is None else (trials,))
+    poly = TrigPoly.from_cos_sin(const)
+    assert poly.freqs.tolist() == [0.0]
+    f, rows = poly._folded(poly.coefs)
+    assert f.size == 0
+    for x in (0.3, np.array(0.7), rng.random(17), rng.random((2, 33)),
+              np.array([np.nan, np.inf, -np.inf, 0.5])):
+        xs = np.asarray(x, dtype=float)
+        with np.errstate(invalid="ignore"):
+            got = trig._trig_sum(xs, f, rows, scale, shift)
+            want = _one_product_sum(xs, f, rows, scale, shift)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides
+
+
+def test_constant_values_do_not_depend_on_their_batch():
+    rng = np.random.default_rng(13)
+    poly = TrigPoly.from_cos_sin(rng.uniform(-1.0, 1.0, 4))
+    x = rng.random(50)
+    whole = poly(x)
+    for part in (x[:1], x[7:20], x[::3]):
+        piece = poly(part)
+        assert piece.tobytes() == whole[:, np.isin(x, part)].tobytes()
+
+
 @pytest.mark.parametrize("trials", [None, 3])
 def test_blocked_evaluation_matches_one_product(trials, monkeypatch):
     # 17 terms in blocks of 64 // 35 = 1 and 512 // 35 = 14 points

@@ -47,8 +47,10 @@ admits: ``harmonic-from-measure --depth 14`` on ``sys_a``, ``measure
 and ``cylinder`` with 17 coordinates on ``sys_a`` and with 13 on
 ``three_branch`` (3^13 words at one base, past ``WORDS_MAX``); and last
 ``measure --seed 1``: ``measure`` draws nothing, so it does not offer
-``--seed``.  Just before them, ``harmonic-from-measure`` runs on ``sys_a``
-at 262,145 cells (``sys_a_fine``), the smallest grid whose default
+``--seed``.  Among them, ``cylinder`` on ``sys_b`` at ``--x 1.5`` and
+``--x 1e308`` is refused: a base lies in ``[0, 1)``.  Just before them,
+``harmonic-from-measure`` runs on ``sys_a`` at 262,145 cells
+(``sys_a_fine``), the smallest grid whose default
 rebuild sums more than ``WORDS_MAX`` words over its bases.  Before that,
 the doubling map with ``W = 1 + 0.5 cos 40 pi x`` at 32 cells
 (``degree_20``), whose invariant degree 20 is past half the grid, goes
@@ -194,6 +196,8 @@ INPUT_ERRORS = (
                "--set-b", "[0,0.5)", "--n", "1")),
     ("sys_a", ("harmonic", "--k-max", "-1")),
     ("sys_a", ("cylinder", "--x", "nan", "--sets", "[0,0.5)")),
+    ("sys_b", ("cylinder", "--x", "1.5", "--sets", "[0,0.5)")),
+    ("sys_b", ("cylinder", "--x", "1e308", "--sets", "[0,0.5)")),
     ("cos_constant", ("harmonic",)),
     ("duplicate_key", ("harmonic",)),
     ("mass_negative", ("measure",)),
