@@ -25,12 +25,11 @@ from .harmonic import (HarmonicSolution, exact_cascade,
 from .report import Report
 from .sigspace import (defect_search, hutchinson_iterate, membership,
                        pushed_decomposition)
-from .solenoid import (_H_TRUST, DEPTH_MAX, WORDS_MAX, CylinderFunction,
-                       PathMeasure, batch_trials, cylinder_mass,
+from .solenoid import (DEPTH_MAX, WORDS_MAX, CylinderFunction, PathMeasure,
+                       batch_trials, cylinder_mass,
                        empirical_cylinder_frequency, harmonic_from_measure,
-                       markov_deviation, multires_check,
-                       parse_interval_set, unitarity_check,
-                       worst_quasi_defect)
+                       markov_deviation, multires_check, parse_interval_set,
+                       unitarity_check, worst_quasi_defect)
 from .transfer import TransferOperator, check_status, identity_suite
 from .trig import TrigPoly
 
@@ -51,11 +50,9 @@ def _converged_solution(cfg: RunConfig, op: TransferOperator,
 
 def _solved_path_measure(cfg: RunConfig, op: TransferOperator,
                          lam: Measure) -> PathMeasure:
-    sol = _converged_solution(cfg, op, lam)
-    if abs(sol.rho - 1.0) > _H_TRUST:  # R h = rho h: h is not harmonic
-        raise DomainError(f"rho = {sol.rho:.6g} is not 1; divide the weight "
-                          "by rho first (normalize_weight)")
-    return PathMeasure.from_solution(op, sol, lam)
+    return PathMeasure.from_solution(solve_harmonic(
+        op, lam, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
+        seed=cfg.solver_seed))
 
 
 def _add_tol_check(report: Report, name: str, residual: float,

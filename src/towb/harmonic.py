@@ -47,11 +47,12 @@ class HarmonicSolution:
     ``rho`` on the invariant trig space) and a :class:`GridFunction` from
     the ``power`` method, used for every system without such a space.
 
-    ``residual_bound`` is the exact method's whole-circle certificate
-    ``sup |R h - h| <= ||M v - rho v||_1 + |rho - 1| ||v||_1`` over the
-    coefficients ``v`` of ``h``, up to the rounding in the columns of
-    :meth:`TransferOperator.transition_matrix`; the power method has none
-    (``None``).  ``system`` is the system solved."""
+    ``op`` is the operator solved and ``lam`` the measure ``h`` integrates
+    to one against.  ``h_residual`` bounds ``|R h - h|``: over the whole
+    circle for the exact method, ``||M v - rho v||_1 + |rho - 1| ||v||_1``
+    over the coefficients ``v`` of ``h`` (up to the rounding in the columns
+    of :meth:`TransferOperator.transition_matrix`), and at the operator's
+    nodes for the power method."""
 
     h: GridFunction | TrigPoly
     rho: float
@@ -59,9 +60,10 @@ class HarmonicSolution:
     iterations: int
     converged: bool
     method: str
-    spectral_ratio: float | None = None
-    residual_bound: float | None = None
-    system: IfsSystem | None = None
+    spectral_ratio: float | None
+    h_residual: float
+    op: TransferOperator
+    lam: Measure
 
 
 def solve_harmonic(op: TransferOperator, lam: Measure, tol: float = 1e-12,
@@ -98,7 +100,7 @@ def _solve_transition_matrix(op: TransferOperator, lam: Measure,
     a power iterate and scaled to ``int h dlam = 1``.  The residual is
     ``max |M v - rho v|`` over the coefficients ``v`` of ``h``, and the
     solve is converged when it is below ``tol``; the ``l^1`` norm of
-    ``M v - rho v`` plus ``|rho - 1| ||v||_1`` is the ``residual_bound``.
+    ``M v - rho v`` plus ``|rho - 1| ||v||_1`` is the ``h_residual``.
     """
     vals, vecs = np.linalg.eig(matrix)
     lead = int(np.argmax(vals.real))
@@ -137,7 +139,7 @@ def _solve_transition_matrix(op: TransferOperator, lam: Measure,
     others = np.abs(np.delete(vals, lead))
     ratio = float(others.max()) / rho if others.size else 0.0
     return HarmonicSolution(h, rho, residual, 0, residual < tol,
-                            "transition_matrix", ratio, bound, op.system)
+                            "transition_matrix", ratio, bound, op, lam)
 
 
 def power_iteration(op: TransferOperator, lam: Measure, tol: float = 1e-12,
@@ -153,14 +155,15 @@ def power_iteration(op: TransferOperator, lam: Measure, tol: float = 1e-12,
     residual ``max |R h - rho h|`` of its normalized iterate is below
     ``tol``.  That residual is read after every step that moves ``h`` by
     less than ``tol`` and after step ``max_iter``, and the loop stops at
-    the first one below ``tol``; ``iterations`` counts the steps run.  An
+    the first one below ``tol``; ``iterations`` counts the steps run, and
+    ``h_residual`` is ``max |R h - h|`` from the same ``R h``.  An
     unconverged solve returns its last iterate flagged ``converged=False``.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
     h = GridFunction(np.random.default_rng(seed).uniform(0.5, 1.5, op.n_grid))
     h = out = h * (1.0 / integrate(h, lam))
-    rho, residual, it = np.nan, np.nan, 0
+    rho, residual, h_residual, it = np.nan, np.nan, np.nan, 0
     for it in range(1, max_iter + 1):
         g = op.apply(h)
         low = float(np.min(g.values))
@@ -176,12 +179,13 @@ def power_iteration(op: TransferOperator, lam: Measure, tol: float = 1e-12,
         h = h_next
         if step < tol or it == max_iter:
             out = h * (1.0 / integrate(h, lam))
-            residual = float(np.max(np.abs(op.apply(out).values
-                                           - rho * out.values)))
+            rh = op.apply(out).values
+            residual = float(np.max(np.abs(rh - rho * out.values)))
+            h_residual = float(np.max(np.abs(rh - out.values)))
             if residual < tol:
                 break
     return HarmonicSolution(out, float(rho), residual, it, residual < tol,
-                            "power", system=op.system)
+                            "power", None, h_residual, op, lam)
 
 
 def normalize_weight(op: TransferOperator,

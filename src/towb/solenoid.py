@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .grid import GridFunction, IntervalSet, Measure, integrate, wrap_unit
 from .harmonic import HarmonicSolution
 from .system import left_inverse_residuals
@@ -206,41 +206,40 @@ class PathMeasure:
     @classmethod
     def build(cls, op: TransferOperator, h: Callable, lam: Measure,
               strict: bool = True) -> "PathMeasure":
-        """The path measure of ``h``, whose harmonic residual is
-        ``max |R h - h|`` over the operator's nodes, ``R h`` by
-        :meth:`TransferOperator.apply` and ``h`` evaluated pointwise.
-        With ``strict``, an ``h`` that does not integrate to 1 against
-        ``lam``, or whose residual is above ``_H_TRUST``, is refused."""
+        """The path measure of an ``h`` given from outside a solve, whose
+        harmonic residual is ``max |R h - h|`` over the operator's nodes,
+        ``R h`` by :meth:`TransferOperator.apply` and ``h`` evaluated
+        pointwise.  With ``strict``, an ``h`` that does not integrate to 1
+        against ``lam``, or an untrusted residual, is refused."""
         residual = float(np.max(np.abs(
             op.apply(h).values - np.asarray(h(op.nodes), dtype=float))))
-        return cls._checked(op, h, lam, residual, strict)
-
-    @classmethod
-    def from_solution(cls, op: TransferOperator, sol: HarmonicSolution,
-                      lam: Measure) -> "PathMeasure":
-        """The strict path measure of the solved ``sol.h``.  An exact solve
-        of ``op``'s system carries the whole-circle certificate
-        ``sol.residual_bound`` of ``|R h - h|``, which is the harmonic
-        residual, so no kernel at the nodes is built; any other solution
-        gets the node residual of :meth:`build`."""
-        if sol.residual_bound is None or sol.system is not op.system:
-            return cls.build(op, sol.h, lam)
-        return cls._checked(op, sol.h, lam, sol.residual_bound, True)
-
-    @classmethod
-    def _checked(cls, op: TransferOperator, h: Callable, lam: Measure,
-                 residual: float, strict: bool) -> "PathMeasure":
-        """The path measure of ``h`` with the harmonic residual
-        ``residual``, through the mass check and the trust gate."""
-        mass = integrate(h, lam)
         if strict:
+            mass = integrate(h, lam)
             if abs(mass - 1.0) > 1e-6:
                 raise DomainError(
                     f"harmonic function must integrate to 1 (got {mass:.6g})")
-            if residual > _H_TRUST:
-                raise DomainError(
-                    f"h is not harmonic enough (residual {residual:.3e})")
-        return cls(op=op, h=h, lam=lam, h_residual=residual)
+            _check_trust(residual)
+        return cls(op, h, lam, residual)
+
+    @classmethod
+    def from_solution(cls, sol: HarmonicSolution) -> "PathMeasure":
+        """The path measure of the solve ``sol``, which normalized ``h``
+        against ``sol.lam`` and vouches for its residual ``sol.h_residual``.
+        An unconverged solve, ``rho`` off 1 or an untrusted residual is
+        refused."""
+        if not sol.converged:
+            raise ConvergenceError("harmonic solve did not converge")
+        if abs(sol.rho - 1.0) > _H_TRUST:  # R h = rho h: h is not harmonic
+            raise DomainError(f"rho = {sol.rho:.6g} is not 1; divide the "
+                              "weight by rho first (normalize_weight)")
+        _check_trust(sol.h_residual)
+        return cls(sol.op, sol.h, sol.lam, sol.h_residual)
+
+
+def _check_trust(residual: float) -> None:
+    """Refuse a harmonic residual above ``_H_TRUST``."""
+    if residual > _H_TRUST:
+        raise DomainError(f"h is not harmonic enough (residual {residual:.3e})")
 
 
 # -- exact cylinder calculus ----------------------------------------------
@@ -256,7 +255,7 @@ def conditional_expectation(pm: PathMeasure, psi, x):
     """``f_0 R(f_1 R(f_2 ... R(f_m h)))(x)``: the expectation of the
     cylinder function ``psi = f_0(x_0) ... f_m(x_m)`` against the base-``x``
     measure (total mass ``h(x)``, not normalized), for a scalar or an array
-    ``x`` of bases in ``[0, 1)``: the branches act on ``x`` unreduced.  Each
+    ``x`` of bases, reduced into ``[0, 1)`` by :func:`wrap_unit`.  Each
     factor is an :class:`IntervalSet` (its indicator), a callable, or
     ``None`` for the constant 1.  A factor whose values carry a
     leading trials axis (a batched :class:`TrigPoly`) makes ``psi`` a batch
@@ -273,6 +272,7 @@ def conditional_expectation(pm: PathMeasure, psi, x):
     before any level is built.
     """
     psi = CylinderFunction.coerce(psi)
+    x = wrap_unit(x)
     factors = psi.components[1:]
     _check_depth(len(factors))
     op = pm.op
@@ -302,7 +302,7 @@ def conditional_expectation(pm: PathMeasure, psi, x):
 
 def cylinder_mass(pm: PathMeasure, x: float,
                   spec: CylinderFunction) -> float:
-    """Exact mass of the cylinder event ``spec`` at base ``x`` in ``[0, 1)``:
+    """Exact mass of the cylinder event ``spec`` at base ``x``, mod 1:
     the sum over all branch words of the kernel weights times ``h`` at the
     final coordinate.
 
@@ -359,11 +359,11 @@ def sample_bases(pm: PathMeasure, count: int,
 
 def _conditioned_kernel(pm: PathMeasure, states: np.ndarray,
                         hy: np.ndarray) -> tuple:
-    """The ``h``-conditioned kernel at the distinct ``states``, where ``h``
-    is ``hy``: the children ``pts`` (branch by state), ``h(pts)``, the
-    masses ``p_i W(tau_i y) h(tau_i y) / h(y)`` and their sums over the
-    branches.  ``h`` below ``EPS_H`` at a state, or a state whose kernel
-    has no mass, raises."""
+    """The ``h``-conditioned kernel at the ``states``, where ``h`` is
+    ``hy``: the children ``pts`` (branch by state), ``h(pts)``, the masses
+    ``p_i W(tau_i y) h(tau_i y) / h(y)`` and their sums over the branches.
+    ``h`` below ``EPS_H`` at a state, or a state whose kernel has no mass,
+    raises."""
     if np.any(hy <= EPS_H):
         raise DomainError("h fell below its floor along a trajectory")
     op = pm.op
@@ -384,8 +384,8 @@ def sample_paths(pm: PathMeasure, bases, depth: int,
     kernel, one step at a time: digit ``i`` at state ``y`` has probability
     proportional to ``p_i W(tau_i y) h(tau_i y) / h(y)``.
 
-    Each step evaluates the kernel once, at its distinct states, and draws
-    every path's digit from one ``rng.random(count)``.  Returns ``(digits,
+    Each step evaluates the kernel at every path's state and draws every
+    path's digit from one ``rng.random(count)``.  Returns ``(digits,
     coords)`` with shapes ``(count, depth)`` and ``(count, depth+1)``, the
     transposes of row-per-step buffers.  Deterministic given the generator
     state.
@@ -394,28 +394,16 @@ def sample_paths(pm: PathMeasure, bases, depth: int,
     digits = np.empty((depth, ys.size), dtype=np.int64)
     coords = np.empty((depth + 1, ys.size))
     coords[0] = ys
-    # path k sits at states[at[k]]
-    states, at = np.unique(ys, return_inverse=True)
-    hy = np.asarray(pm.h(states), dtype=float)
+    hy = np.asarray(pm.h(ys), dtype=float)
     for j in range(depth):
-        pts, hv, kernel, total = _conditioned_kernel(pm, states, hy)
+        pts, hv, kernel, total = _conditioned_kernel(pm, coords[j], hy)
         # the last cumulative row equals ``total`` bit for bit and u < total,
         # so it never counts: the first n-1 rows give a digit in [0, n-1]
-        cum = np.cumsum(kernel[:-1], axis=0)
-        u = rng.random(ys.size)
-        u *= np.take(total, at)
-        digits[j] = (np.take(cum, at, axis=1) < u).sum(axis=0)
-        flat = digits[j] * states.size + at     # the child in pts.flat
-        coords[j + 1] = np.take(pts, flat)
-        # the chosen children, in branch-major order, are the next distinct
-        # states: compacted without sorting, with h carried
-        used = np.zeros(pts.size, dtype=bool)
-        used[flat] = True
-        keep = np.flatnonzero(used)
-        slot = np.empty(pts.size, dtype=np.intp)
-        slot[keep] = np.arange(keep.size)
-        at = np.take(slot, flat)
-        states, hy = np.take(pts, keep), np.take(hv, keep)
+        u = rng.random(ys.size) * total
+        digits[j] = (np.cumsum(kernel[:-1], axis=0) < u).sum(axis=0)
+        pick = digits[j][None]
+        coords[j + 1] = np.take_along_axis(pts, pick, axis=0)[0]
+        hy = np.take_along_axis(hv, pick, axis=0)[0]
     return digits.T, coords.T
 
 
@@ -423,7 +411,7 @@ def empirical_cylinder_frequency(pm: PathMeasure, x: float,
                                  spec: CylinderFunction, paths: int,
                                  rng: np.random.Generator) -> float:
     """Empirical probability of the cylinder event ``spec`` among ``paths``
-    walks from the base ``x`` in ``[0, 1)``; compare against
+    walks from the base ``x``, reduced mod 1; compare against
     ``cylinder_mass / h(x)``.
 
     The walks fall on the depth-``m`` branch words in Multinomial(``paths``,
@@ -439,7 +427,7 @@ def empirical_cylinder_frequency(pm: PathMeasure, x: float,
     (``n`` branches, ``j`` up to the depth) and keeps no per-path array.
     """
     f0, *factors = spec.components
-    states = np.array([float(x)])
+    states = np.array([wrap_unit(float(x))])
     hy = np.asarray(pm.h(states), dtype=float)
     counts = np.array([paths])
     prod = np.ones(1) if f0 is None else np.asarray(f0(states), dtype=float)
@@ -575,7 +563,7 @@ def multires_check(pm: PathMeasure, seed: int = 0) -> MultiresResult:
 def markov_deviation(pm: PathMeasure, set_a: IntervalSet, set_b: IntervalSet,
                      x: float, n: int) -> tuple[float, float, float]:
     """Joint masses ``m_k = P_x(coordinate k in A, coordinate k+1 in B)``
-    for ``k = 1`` and ``k = n`` at the base ``x`` in ``[0, 1)``; their
+    for ``k = 1`` and ``k = n`` at the base ``x``, mod 1; their
     difference witnesses that the chain is not time-homogeneous Markov.
     Indicators are evaluated sharply at branch images, so the nested sums
     are exact.

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 
@@ -48,8 +49,9 @@ def _solve_harmonic_per_step(op, lam, tol=1e-12, max_iter=2000, seed=0):
                                            - rho * out.values)))
             if residual < tol:
                 break
+    h_residual = float(np.max(np.abs(op.apply(out).values - out.values)))
     return HarmonicSolution(out, float(rho), residual, it, residual < tol,
-                            "power")
+                            "power", None, h_residual, op, lam)
 
 
 def _oracle_case(name):
@@ -109,6 +111,7 @@ def _assert_same_solution(a, b):
     assert a.iterations == b.iterations
     assert a.converged == b.converged
     assert a.method == b.method
+    assert a.h_residual == b.h_residual
 
 
 class TestArraySolveMatchesPerStepLoop:
@@ -665,7 +668,7 @@ def _certificate_case(name):
 @pytest.mark.parametrize("name", ["sys_a", "sys_b", "sys_d", "non_qmf",
                                   "non_qmf_raw", "degree_20"])
 def test_residual_bound_covers_the_whole_circle(name):
-    # residual_bound bounds sup |R h - h| over the circle, up to the
+    # h_residual bounds sup |R h - h| over the circle, up to the
     # rounding of the closure's columns, each coefficient of which it
     # treats as noise up to its floor _PRUNE (1 + d + D) max |M|, and of
     # the extended-precision evaluation of R h - h at 2^16 points.  The
@@ -675,7 +678,7 @@ def test_residual_bound_covers_the_whole_circle(name):
     # allowances
     op, lam = _certificate_case(name)
     sol = towb.solve_harmonic(op, lam)
-    assert sol.method == "transition_matrix" and sol.system is op.system
+    assert sol.method == "transition_matrix" and sol.op is op
     h, w = sol.h, op.system.weight.trigpoly
     x = np.arange(2**16, dtype=_LD) / 2**16
     rh = sum(_LD(p) * _values_ld(w, a * x + b) * _values_ld(h, a * x + b)
@@ -688,59 +691,108 @@ def test_residual_bound_covers_the_whole_circle(name):
                * w.freqs.size * op.system.n_branches * v_l1)
     evaluation = 16 * float(np.finfo(_LD).eps) * _evaluation_rounding(h) * (
         _evaluation_rounding(w) + 1)
-    assert gap <= sol.residual_bound + closure + evaluation
+    assert gap <= sol.h_residual + closure + evaluation
     if name == "non_qmf_raw":
-        assert sol.residual_bound >= gap > 1e-3
+        assert sol.h_residual >= gap > 1e-3
 
 
 def test_from_solution_refuses_a_moved_weight():
     # the control of test_perturbed_weight_flips_the_residual_check, for
-    # the certificate: an exact solution is trusted on its own bound, and
-    # on any other system's operator it gets the node residual, which sees
-    # one weight coefficient moved by 1e-5 after the solve
+    # the solve: an exact solution is trusted on its own bound, with no
+    # kernel at the nodes; after one weight coefficient is moved by 1e-5,
+    # the moved system's own solve has rho off 1 and is refused
     n = 256
     lam = Measure.lebesgue(n)
     op1, _ = _certificate_case("non_qmf")
     sol = towb.solve_harmonic(op1, lam)
-    pm = PathMeasure.from_solution(op1, sol, lam)
-    assert pm.h_residual == sol.residual_bound <= 1e-14
+    pm = PathMeasure.from_solution(sol)
+    assert pm.h_residual == sol.h_residual <= 1e-14
+    assert (pm.op, pm.h, pm.lam) == (op1, sol.h, lam)
     assert "node_kernel" not in op1.__dict__
     w = op1.system.weight
     moved = WeightExpr.trig(w.const, [w.cos_coefs[0] + 1e-5,
                                       *w.cos_coefs[1:]], w.sin_coefs)
     op2 = TransferOperator(op1.system.with_weight(moved), n)
-    with pytest.raises(DomainError, match="not harmonic enough"):
-        PathMeasure.from_solution(op2, sol, lam)
-    # the bound of the moved system's own solve of a moved h is its own
     moved_sol = towb.solve_harmonic(op2, lam)
     assert abs(moved_sol.rho - 1.0) > 1e-6
-    with pytest.raises(DomainError, match="not harmonic enough"):
-        PathMeasure.from_solution(op2, moved_sol, lam)
+    with pytest.raises(DomainError, match="is not 1; divide the weight"):
+        PathMeasure.from_solution(moved_sol)
 
 
 def test_from_solution_refuses_what_build_refuses():
-    # a certificate above _H_TRUST and a mass off 1 are refused with
-    # build's messages
+    # a residual above _H_TRUST is refused with build's message
     op, lam = _certificate_case("sys_b")
     sol = towb.solve_harmonic(op, lam)
-    loose = HarmonicSolution(sol.h, sol.rho, sol.residual, 0, True,
-                             sol.method, sol.spectral_ratio, 2e-6, op.system)
-    with pytest.raises(DomainError, match=r"not harmonic enough \(residual "
-                                          r"2\.000e-06\)"):
-        PathMeasure.from_solution(op, loose, lam)
-    heavy = HarmonicSolution(sol.h * 2.0, sol.rho, sol.residual, 0, True,
-                             sol.method, sol.spectral_ratio, 0.0, op.system)
-    with pytest.raises(DomainError, match="must integrate to 1"):
-        PathMeasure.from_solution(op, heavy, lam)
+    loose = dataclasses.replace(sol, h_residual=2e-6)
+    with pytest.raises(DomainError, match=r"^h is not harmonic enough "
+                                          r"\(residual 2\.000e-06\)$"):
+        PathMeasure.from_solution(loose)
+
+
+def _unit_case(name):
+    """An oracle case with rho 1: a fixture as it is, any other case with
+    its weight divided by rho."""
+    op, lam = _oracle_case(name)
+    if name.startswith("sys_"):
+        return op, lam
+    system = towb.normalize_weight(op, towb.solve_harmonic(op, lam))
+    return TransferOperator(system, op.n_grid), lam
+
+
+def test_from_solution_refuses_an_unconverged_solve():
+    op, lam = _unit_case("unequal")
+    sol = towb.solve_harmonic(op, lam, max_iter=3)
+    assert sol.method == "power" and not sol.converged
+    with pytest.raises(ConvergenceError,
+                       match="^harmonic solve did not converge$"):
+        PathMeasure.from_solution(sol)
+
+
+@pytest.mark.parametrize("name", ["sys_b", "unequal"])
+def test_from_solution_refuses_rho_off_one(name):
+    # sys_b doubled solves exactly, unequal power-iterates; both have rho 2
+    op, lam = _unit_case(name)
+    system = op.system.with_weight(op.system.weight.scaled(2.0))
+    sol = towb.solve_harmonic(TransferOperator(system, op.n_grid), lam)
+    assert sol.converged and sol.rho == pytest.approx(2.0)
+    with pytest.raises(DomainError, match=r"^rho = 2 is not 1; divide the "
+                                          r"weight by rho first "
+                                          r"\(normalize_weight\)$"):
+        PathMeasure.from_solution(sol)
 
 
 @pytest.mark.parametrize("name", ["table_weight", "unequal", "uneven_trig"])
 def test_power_solution_gets_the_node_residual(name):
-    op, lam = _oracle_case(name)
-    system = towb.normalize_weight(op, towb.solve_harmonic(op, lam))
-    op = TransferOperator(system, op.n_grid)
+    op, lam = _unit_case(name)
     sol = towb.solve_harmonic(op, lam)
-    assert sol.method == "power" and sol.residual_bound is None
-    pm = PathMeasure.from_solution(op, sol, lam)
-    assert pm.h_residual == PathMeasure.build(op, sol.h, lam).h_residual
-    assert "node_kernel" in op.__dict__
+    assert sol.method == "power"
+    assert sol.h_residual == PathMeasure.build(op, sol.h, lam).h_residual
+
+
+@pytest.mark.parametrize("n", [243, 999, 1000])
+def test_power_h_residual_on_uneven_branches(n):
+    lam = Measure.lebesgue(n)
+    op = TransferOperator(_uneven_system(WeightExpr.trig(1.0, [0.5])), n)
+    system = towb.normalize_weight(op, towb.solve_harmonic(op, lam))
+    op = TransferOperator(system, n)
+    sol = towb.solve_harmonic(op, lam)
+    assert sol.method == "power" and sol.converged
+    assert sol.h_residual == PathMeasure.build(op, sol.h, lam).h_residual
+
+
+@pytest.mark.parametrize("name", ["sys_b", "sys_d", "table_weight",
+                                  "uneven_trig"])
+def test_from_solution_applies_and_integrates_nothing(name, monkeypatch):
+    # the solve vouches for h's residual and its mass against lam, so the
+    # path measure of a solution neither applies R nor integrates h
+    op, lam = _unit_case(name)
+    sol = towb.solve_harmonic(op, lam)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("from_solution computed what the solve knows")
+
+    monkeypatch.setattr(TransferOperator, "apply", refuse)
+    monkeypatch.setattr("towb.solenoid.integrate", refuse)
+    pm = PathMeasure.from_solution(sol)
+    assert (pm.op, pm.h, pm.lam, pm.h_residual) == (op, sol.h, lam,
+                                                    sol.h_residual)

@@ -179,22 +179,6 @@ def test_sampler_matches_per_path_oracle_bitwise(name):
                     == ref_rng.bit_generator.state), where
 
 
-def test_sampler_visits_each_distinct_state_once(pm_b, monkeypatch):
-    # 1e5 paths from one base reach at most 2^j distinct states by step j
-    asked = []
-    original = pm_b.op.branch_points
-
-    def counting(x):
-        asked.append(np.size(x))
-        return original(x)
-
-    monkeypatch.setattr(pm_b.op, "branch_points", counting)
-    towb.sample_paths(pm_b, np.full(100_000, 0.3), 6,
-                      np.random.default_rng(0))
-    assert len(asked) == 6
-    assert all(size <= 2 ** j for j, size in enumerate(asked)), asked
-
-
 def _frequency_by_sampled_coordinates(pm, x, spec, paths, rng):
     """Reference: the mean of ``spec`` over the coordinates of ``paths``
     walks sampled from copies of ``x``."""

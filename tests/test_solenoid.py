@@ -10,6 +10,7 @@ from towb import (CylinderFunction, GridFunction, IntervalSet, Measure,
                   PathMeasure, SolPath, TransferOperator)
 from towb.errors import ConfigError, DomainError
 from towb.grid import integrate_regions
+from towb.system import WeightExpr, make_system
 from towb.transfer import kernel_sum
 from towb.trig import TrigPoly
 
@@ -167,6 +168,25 @@ class TestCylinderMass:
                                 lam_std, strict=False)
         with pytest.raises(DomainError):
             towb.cylinder_mass(bad, 0.1, CylinderFunction([None, None]))
+
+    def test_bases_are_reduced_mod_one(self):
+        # on p = (1/4, 3/4) the first coordinate lies in [0, 1/2) with mass
+        # 1/4 at the base 0.5; the bases 1.5 and -0.5 are the same point
+        n = 256
+        system = make_system([0.5, 0.5], [0.0, 0.5], [0.25, 0.75],
+                             WeightExpr.constant(1.0), sigma=2)
+        pm = PathMeasure.build(TransferOperator(system, n),
+                               GridFunction.constant(1.0, n),
+                               Measure.lebesgue(n))
+        spec = CylinderFunction.parse("[0,0.5)")
+        bases = np.array([0.5, 1.5, -0.5])
+        masses = [towb.cylinder_mass(pm, x, spec) for x in bases]
+        assert masses == [0.25] * 3
+        assert np.array_equal(
+            towb.conditional_expectation(pm, spec, bases), masses)
+        freqs = {towb.empirical_cylinder_frequency(
+            pm, x, spec, 1000, np.random.default_rng(0)) for x in bases}
+        assert len(freqs) == 1
 
     def test_spec_parsing(self):
         spec = CylinderFunction.parse("[0,0.25);all;[0.5,0.75)u[0.8,0.9)")

@@ -62,7 +62,11 @@ to the ``--k-max`` budget.
 enough for those frequencies: the one run whose cascade check takes the
 midpoint rule.  ``table`` with atoms of mass 1/4 and 3/4 at 0.3 and 0.7 as
 its base measure (``table_atoms``) goes through ``harmonic`` and
-``verify``: its power solve integrates every iterate at the atoms.
+``verify``: its power solve integrates every iterate at the atoms.  The
+weight ``1 + 0.2 sin 2 pi x`` on ``table``'s grid (``table_unit``, ``rho``
+1) goes through the path commands ``cylinder``, ``sample``, ``quasi``,
+``markov`` and ``harmonic-from-measure``: the one path measure of a
+power-iterated ``h``.
 ``harmonic`` runs on ``unequal`` with ``max_iter = 3``
 (``unequal_max_iter``), which stops unconverged, and at 256 cells with
 ``tol = 1e-13`` (``unequal_tol``), whose first step below that
@@ -100,11 +104,16 @@ def _system(slopes, offsets, probs) -> str:
             f"\nprobabilities = {probs}\nsigma = \"inferred\"\n\n")
 
 
-_TABLE = (_system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
-          + '[weight]\nkind = "table"\ntable_values = '
-          + str([1.5 + 0.2 * math.sin(2 * math.pi * j / _TABLE_N)
-                 for j in range(_TABLE_N)])
-          + f"\n\n[grid]\ncells = {_TABLE_N}\n")
+def _table(const: float) -> str:
+    """The doubling map with the table weight ``const + 0.2 sin 2 pi x``."""
+    return (_system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+            + '[weight]\nkind = "table"\ntable_values = '
+            + str([const + 0.2 * math.sin(2 * math.pi * j / _TABLE_N)
+                   for j in range(_TABLE_N)])
+            + f"\n\n[grid]\ncells = {_TABLE_N}\n")
+
+
+_TABLE = _table(1.5)
 
 # Configs written next to the reports: name -> text.
 GENERATED = {
@@ -113,6 +122,7 @@ GENERATED = {
     "uneven_constant": _system([1 / 3, 2 / 3], [0.0, 1 / 3], [1 / 3, 2 / 3])
     + '[weight]\nkind = "constant"\nvalue = 1.5\n',
     "table": _TABLE,
+    "table_unit": _table(1.0),
     "table_atoms": _TABLE
     + '\n[measure]\nkind = "atoms"\npositions = [0.3, 0.7]\n'
     + "masses = [0.25, 0.75]\n",
@@ -164,6 +174,8 @@ GENERATED = {
 GENERATED_COMMANDS = (("verify",), ("measure",))
 SHIFTED_COMMANDS = (("measure",), ("defect",), ("verify",))
 NON_FINITE_COMMANDS = (("harmonic",),)
+PATH_COMMANDS = ("cylinder", "sample", "quasi", "markov",
+                 "harmonic-from-measure")
 THREE_BRANCH_COMMANDS = (
     ("sample",),
     ("cylinder", "--x", "0.3", "--sets", "[0,0.25);all;[0.5,0.75)u[0.9,1)"),
@@ -243,6 +255,9 @@ def cases():
     yield "table", ("harmonic", "--k-max", "2", "--n-max", "4")
     for command in (("harmonic",), ("verify",)):
         yield "table_atoms", command
+    for command in COMMANDS:
+        if command[0] in PATH_COMMANDS:
+            yield "table_unit", command
     for name in ("unequal_max_iter", "unequal_tol"):
         yield name, ("harmonic",)
     for name in ("sys_b", "table"):
