@@ -39,20 +39,16 @@ HFM_TOL = 1e-8
 # A sampled cylinder frequency agrees within this many standard errors.
 SAMPLE_Z_TOL = 4.0
 
-def _converged_solution(cfg: RunConfig, op: TransferOperator,
-                        lam: Measure) -> HarmonicSolution:
-    sol = solve_harmonic(op, lam, tol=cfg.solver_tol,
-                         max_iter=cfg.solver_max_iter, seed=cfg.solver_seed)
-    if not sol.converged:
-        raise ConvergenceError("harmonic solve did not converge")
-    return sol
+def _solve(cfg: RunConfig, op: TransferOperator,
+           lam: Measure) -> HarmonicSolution:
+    """The harmonic solve with the config's solver settings."""
+    return solve_harmonic(op, lam, tol=cfg.solver_tol,
+                          max_iter=cfg.solver_max_iter, seed=cfg.solver_seed)
 
 
 def _solved_path_measure(cfg: RunConfig, op: TransferOperator,
                          lam: Measure) -> PathMeasure:
-    return PathMeasure.from_solution(solve_harmonic(
-        op, lam, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter,
-        seed=cfg.solver_seed))
+    return PathMeasure.from_solution(_solve(cfg, op, lam))
 
 
 def _add_tol_check(report: Report, name: str, residual: float,
@@ -103,7 +99,9 @@ def _write_columns(directory: str, name: str, xs, ys) -> None:
 
 
 def _cmd_verify(args, cfg, op, lam, report: Report) -> None:
-    sol = _converged_solution(cfg, op, lam)
+    sol = _solve(cfg, op, lam)
+    if not sol.converged:
+        raise ConvergenceError("harmonic solve did not converge")
     suite = identity_suite(op, lam, sol.h, trials=args.trials,
                            seed=cfg.solver_seed, rho=sol.rho)
     for check in suite.checks:
@@ -116,14 +114,13 @@ def _cmd_verify(args, cfg, op, lam, report: Report) -> None:
 
 
 def _cmd_harmonic(args, cfg, op, lam, report: Report) -> None:
-    if args.k_max > 0 and exact_cascade(op.system):
+    sol = _solve(cfg, op, lam)
+    if args.k_max > 0 and sol.converged and exact_cascade(op.system, sol.h):
         w = op.system.weight.trigpoly
         terms, degree = w.freqs.size, int(np.abs(w.freqs).max(initial=1))
         _check_budget("k-max", args.k_max, terms * degree, 2,
                       CASCADE_TERMS_MAX, f"coefficients, for a weight of "
                       f"{terms} terms and degree {degree}")
-    sol = solve_harmonic(op, lam, tol=cfg.solver_tol,
-                         max_iter=cfg.solver_max_iter, seed=cfg.solver_seed)
     report.add_result("rho", sol.rho)
     report.add_result("residual", sol.residual)
     report.add_result("iterations", sol.iterations)
@@ -290,13 +287,14 @@ _REQUIRED = object()   # the default of a flag that has none
 # handler.  A count that sizes a loop or an array has a highest value, at
 # which the run's peak traced allocation (tracemalloc) stays below 16 MiB.
 # Other counts have a highest value that depends on the config; their
-# handlers check it against a budget before they solve or build anything:
-# - harmonic --k-max: where the cascade can run exactly (exact_cascade: the
-#   doubling map, equal p and a closed-form weight), its last product has
+# handlers check it against a budget before they build what it sizes:
+# - harmonic --k-max, after the solve and before the cascade, where the
+#   cascade runs exactly (exact_cascade: a converged TrigPoly h on the
+#   doubling map, equal p and a closed-form weight): its last product has
 #   about 2 x terms x degree x 2^k_max coefficients of the weight's trig
 #   polynomial: 15 on sys_b (9.2 MiB; 16 peaks at 18.3 MiB), 13 at degree 2
 #   and 9 at degree 8 (8.1 and 8.9 MiB).  Nothing is charged at k-max 0,
-#   which multiplies by no W_k, nor where the cascade is SKIPPED.
+#   which multiplies by no W_k, nor on a midpoint or SKIPPED cascade.
 # - measure --steps: the iterate holds up to atoms x branches^steps atoms:
 #   15 on sys_c's one atom (11.6 MiB; 16 peaks at 23 MiB), none if no atom.
 # - harmonic-from-measure --depth: its two sums enumerate (branches + 1) x

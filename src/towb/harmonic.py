@@ -87,6 +87,22 @@ def _format_eigenvalue(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
+def _normalized(h: GridFunction | TrigPoly, samples: np.ndarray,
+                lam: Measure) -> tuple[GridFunction | TrigPoly, float]:
+    """``h`` scaled to ``int h dlam = 1``, and the mass it was divided by.
+    Both methods finish an iterate here: samples of ``h`` below
+    ``_NEGATIVITY_FLOOR`` mean an invalid weight, and a nonpositive mass
+    cannot be scaled to one; each is a :class:`ConvergenceError`."""
+    low = float(np.min(samples))
+    if low < _NEGATIVITY_FLOOR:
+        raise ConvergenceError(
+            f"iterate went negative ({low:.3e}); weight is not positive")
+    mass = integrate(h, lam)
+    if mass <= 0:
+        raise ConvergenceError("iterate collapsed to zero mass")
+    return h * (1.0 / mass), mass
+
+
 def _solve_transition_matrix(op: TransferOperator, lam: Measure,
                              matrix: np.ndarray,
                              tol: float) -> HarmonicSolution:
@@ -124,14 +140,7 @@ def _solve_transition_matrix(op: TransferOperator, lam: Measure,
     if v[top] == 0:
         raise ConvergenceError("eigenvector of mean 0; weight is not positive")
     h = TrigPoly._from_arrays(freqs.astype(float), v / v[top])
-    low = float(np.min(h(op.nodes)))
-    if low < _NEGATIVITY_FLOOR:
-        raise ConvergenceError(
-            f"iterate went negative ({low:.3e}); weight is not positive")
-    mass = integrate(h, lam)
-    if mass <= 0:
-        raise ConvergenceError("iterate collapsed to zero mass")
-    h = h * (1.0 / mass)
+    h, _ = _normalized(h, h(op.nodes), lam)
     coefs = h.coefficients(freqs)
     gap = np.abs(matrix @ coefs - rho * coefs)
     residual = float(np.max(gap))
@@ -165,16 +174,8 @@ def power_iteration(op: TransferOperator, lam: Measure, tol: float = 1e-12,
     h = out = h * (1.0 / integrate(h, lam))
     rho, residual, h_residual, it = np.nan, np.nan, np.nan, 0
     for it in range(1, max_iter + 1):
-        g = op.apply(h)
-        low = float(np.min(g.values))
-        if low < _NEGATIVITY_FLOOR:
-            raise ConvergenceError(
-                f"iterate went negative ({low:.3e}); weight is not positive")
-        g = GridFunction(np.maximum(g.values, 0.0))
-        rho = integrate(g, lam)
-        if rho <= 0:
-            raise ConvergenceError("iterate collapsed to zero mass")
-        h_next = g * (1.0 / rho)
+        raw = op.apply(h).values
+        h_next, rho = _normalized(GridFunction(np.maximum(raw, 0.0)), raw, lam)
         step = float(np.max(np.abs(h_next.values - h.values)))
         h = h_next
         if step < tol or it == max_iter:
@@ -188,27 +189,26 @@ def power_iteration(op: TransferOperator, lam: Measure, tol: float = 1e-12,
                             "power", None, h_residual, op, lam)
 
 
-def normalize_weight(op: TransferOperator,
-                     sol: HarmonicSolution) -> IfsSystem:
-    """Rescale the weight by ``1/rho`` so the leading eigenvalue ``rho`` of
-    the solve ``sol`` of ``op`` becomes 1."""
+def normalize_weight(sol: HarmonicSolution) -> IfsSystem:
+    """The solved system ``sol.op.system`` with its weight rescaled by
+    ``1/rho``, so that the leading eigenvalue ``rho`` becomes 1.  Both
+    methods refuse a nonpositive ``rho`` before they return one."""
     if not sol.converged:
         raise ConvergenceError("cannot normalize: eigensolve did not converge")
-    if sol.rho <= 0:
-        raise ConvergenceError("cannot normalize: nonpositive eigenvalue")
-    return op.system.with_weight(op.system.weight.scaled(1.0 / sol.rho))
+    system = sol.op.system
+    return system.with_weight(system.weight.scaled(1.0 / sol.rho))
 
 
 def _equal_probs(system: IfsSystem) -> bool:
     return all(abs(p - 0.5) <= PROB_SUM_TOL for p in system.probs)
 
 
-def exact_cascade(system: IfsSystem) -> bool:
-    """Whether :func:`fourier_cascade_check` reads the cascade of a
-    :class:`TrigPoly` ``h`` off exact coefficients: on the doubling map
-    with ``p_1 = p_2 = 1/2`` and a closed-form weight."""
-    return (system.is_doubling() and _equal_probs(system)
-            and system.weight.trigpoly is not None)
+def exact_cascade(system: IfsSystem, h: Callable) -> bool:
+    """Whether :func:`fourier_cascade_check` reads the cascade of ``h`` off
+    exact coefficients: a :class:`TrigPoly` ``h`` on the doubling map with
+    ``p_1 = p_2 = 1/2`` and a closed-form weight."""
+    return (isinstance(h, TrigPoly) and system.is_doubling()
+            and _equal_probs(system) and system.weight.trigpoly is not None)
 
 
 def fourier_cascade_check(op: TransferOperator, h: Callable,

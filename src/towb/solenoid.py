@@ -307,11 +307,9 @@ def cylinder_mass(pm: PathMeasure, x: float,
     final coordinate.
 
     Appending an unconstrained coordinate leaves the value unchanged up to
-    the harmonic residual of ``h`` (measure consistency across depths).
+    the harmonic residual of ``h`` (measure consistency across depths),
+    which ``pm``'s constructor gated (``from_solution``, a strict ``build``).
     """
-    if pm.h_residual > _H_TRUST:
-        raise DomainError(
-            f"h residual {pm.h_residual:.3e} too large to trust consistency")
     return conditional_expectation(pm, spec, float(x))
 
 

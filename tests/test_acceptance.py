@@ -55,7 +55,7 @@ def test_02_harmonic_solving(op_a, op_b, lam_std, sol_a, sol_b):
     op2 = TransferOperator(doubling_system(WeightExpr.constant(2.0), N), N)
     sol2 = towb.solve_harmonic(op2, lam_std)
     ok &= abs(sol2.rho - 2.0) < 1e-10
-    renorm = towb.normalize_weight(op2, sol2)
+    renorm = towb.normalize_weight(sol2)
     sol2n = towb.solve_harmonic(TransferOperator(renorm, N), lam_std)
     ok &= abs(sol2n.rho - 1.0) < 1e-10
     assert _line("02 harmonic solving", ok,

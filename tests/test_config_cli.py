@@ -430,7 +430,8 @@ class TestCli:
                                             paths, over_argv, over_paths):
         # a count at its highest value peaks below the 16 MiB of traced
         # allocation that its table states; one above it is refused before
-        # the run allocates anything
+        # the run builds what it sizes (k-max after sys_b's small solve,
+        # before the cascade), so the refused run stays under 1 MiB
         def traced(argv, paths):
             cfg = tmp_path / f"paths_{paths}.cfg"
             cfg.write_text(load_config(SYS_B).emit().replace(
@@ -472,6 +473,26 @@ class TestCli:
                      "--k-max", str(k_max)]) == code
         if code == 2:
             assert "field 'k-max'" in capsys.readouterr().err
+
+    def test_power_h_is_not_charged_the_exact_cascade(self, capsys,
+                                                      tmp_path):
+        # W = 1 + 0.5 cos(2 pi 601 x) at 1,024 cells: the invariant degree
+        # 601 is past max(600, N/2), so h is power-iterated and the cascade
+        # takes the midpoint rule, which refuses the coarse grid; k-max 7
+        # is not charged the exact cascade's 1803 x 2^7 coefficients
+        text = load_config(SYS_B).emit()
+        assert "cos = [1.0]" in text
+        cfg = tmp_path / "degree_601.cfg"
+        cfg.write_text(text.replace("cos = [1.0]",
+                                    f"cos = {[0.0] * 600 + [0.5]}"))
+        out = tmp_path / "report.json"
+        assert main(["harmonic", "--config", str(cfg), "--k-max", "7",
+                     "--json", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["results"]["method"] == "power"
+        assert [(c["status"], c.get("note")) for c in report["checks"]
+                if c["name"] == "fourier_cascade"] == [
+            ("SKIPPED", "grid too coarse for the requested frequencies")]
 
     @pytest.mark.parametrize("config, depth", [
         ("three_branch", 12), ("sys_a", DEPTH_MAX)])

@@ -187,18 +187,18 @@ class TestSolveHarmonic:
                               1024)
         sol = towb.solve_harmonic(op, lam_std)
         assert sol.rho == pytest.approx(2.0, abs=1e-10)
-        renorm = towb.normalize_weight(op, sol)
+        renorm = towb.normalize_weight(sol)
         sol2 = towb.solve_harmonic(TransferOperator(renorm, 1024), lam_std)
         assert sol2.rho == pytest.approx(1.0, abs=1e-10)
 
     def test_half_weight_normalizes(self, lam_std):
         op = TransferOperator(doubling_system(WeightExpr.constant(0.5), 1024),
                               1024)
-        renorm = towb.normalize_weight(op, towb.solve_harmonic(op, lam_std))
+        renorm = towb.normalize_weight(towb.solve_harmonic(op, lam_std))
         assert renorm.weight(0.3) == pytest.approx(1.0, abs=1e-10)
 
     def test_normalize_sys_b_is_noop(self, op_b, lam_std, sol_b):
-        renorm = towb.normalize_weight(op_b, sol_b)
+        renorm = towb.normalize_weight(sol_b)
         xs = np.linspace(0, 1, 11, endpoint=False)
         assert np.allclose(renorm.weight(xs), op_b.system.weight(xs),
                            atol=1e-9)
@@ -573,7 +573,7 @@ class TestTransitionMatrix:
         assert sol.method == "transition_matrix"
         assert sol.residual >= 1e-18 and not sol.converged
         with pytest.raises(ConvergenceError, match="did not converge"):
-            towb.normalize_weight(op, sol)
+            towb.normalize_weight(sol)
 
     @pytest.mark.parametrize("scale", [1e-13, 1e-10, 1e10])
     def test_peripheral_test_is_relative(self, scale):
@@ -616,7 +616,7 @@ class TestTransitionMatrix:
         n = 256
         lam = Measure.lebesgue(n)
         op = _full_branch_op(NON_QMF, n=n)
-        system = towb.normalize_weight(op, towb.solve_harmonic(op, lam))
+        system = towb.normalize_weight(towb.solve_harmonic(op, lam))
         op1 = TransferOperator(system, n)
         h = towb.solve_harmonic(op1, lam).h
         assert towb.PathMeasure.build(op1, h, lam).h_residual <= 1e-14
@@ -657,7 +657,7 @@ def _certificate_case(name):
         return _full_branch_op(NON_QMF, n=256), lam
     if name == "non_qmf":
         op = _full_branch_op(NON_QMF, n=256)
-        system = towb.normalize_weight(op, towb.solve_harmonic(op, lam))
+        system = towb.normalize_weight(towb.solve_harmonic(op, lam))
         return TransferOperator(system, 256), lam
     if name == "degree_20":
         weight = WeightExpr.trig(1.0, [0.0] * 19 + [0.5])
@@ -735,7 +735,7 @@ def _unit_case(name):
     op, lam = _oracle_case(name)
     if name.startswith("sys_"):
         return op, lam
-    system = towb.normalize_weight(op, towb.solve_harmonic(op, lam))
+    system = towb.normalize_weight(towb.solve_harmonic(op, lam))
     return TransferOperator(system, op.n_grid), lam
 
 
@@ -773,7 +773,7 @@ def test_power_solution_gets_the_node_residual(name):
 def test_power_h_residual_on_uneven_branches(n):
     lam = Measure.lebesgue(n)
     op = TransferOperator(_uneven_system(WeightExpr.trig(1.0, [0.5])), n)
-    system = towb.normalize_weight(op, towb.solve_harmonic(op, lam))
+    system = towb.normalize_weight(towb.solve_harmonic(op, lam))
     op = TransferOperator(system, n)
     sol = towb.solve_harmonic(op, lam)
     assert sol.method == "power" and sol.converged

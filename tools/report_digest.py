@@ -57,7 +57,13 @@ the doubling map with ``W = 1 + 0.5 cos 40 pi x`` at 32 cells
 through ``harmonic``, ``harmonic-from-measure`` and ``cylinder``, and
 ``harmonic`` runs on the branches of ``uneven`` with a cosine weight of
 100 terms (``uneven_cos100``), whose cascade is SKIPPED and not charged
-to the ``--k-max`` budget.
+to the ``--k-max`` budget.  Then ``harmonic --k-max 7`` runs on the
+doubling map with ``W = 1 + 0.5 cos 1202 pi x`` at 1,024 cells
+(``degree_601``), whose invariant degree 601 is past ``max(600, N/2)``:
+its ``h`` is power-iterated, so its cascade takes the midpoint rule, is
+SKIPPED on the coarse grid and is not charged either; and ``quasi`` runs
+on ``sys_b`` at 16 cells (``sys_b_16``), where the midpoint rule of the
+expectations is not exact for the integrand's degree and the checks FAIL.
 ``harmonic --k-max 2 --n-max 4`` runs on ``table``, whose grid is fine
 enough for those frequencies: the one run whose cascade check takes the
 midpoint rule.  ``table`` with atoms of mass 1/4 and 3/4 at 0.3 and 0.7 as
@@ -167,6 +173,12 @@ GENERATED = {
     "degree_20": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
     + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = '
     + str([0.0] * 19 + [0.5]) + "\n\n[grid]\ncells = 32\n",
+    "degree_601": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = '
+    + str([0.0] * 600 + [0.5]) + "\n\n[grid]\ncells = 1024\n",
+    "sys_b_16": _system([0.5, 0.5], [0.0, 0.5], [0.5, 0.5])
+    + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = [1.0]\n\n'
+    + "[grid]\ncells = 16\n",
     "uneven_cos100": _system([1 / 3, 2 / 3], [0.0, 1 / 3], [1 / 3, 2 / 3])
     + '[weight]\nkind = "trig"\nconstant_term = 1.0\ncos = '
     + str([0.005] * 100) + "\n",
@@ -272,6 +284,8 @@ def cases():
                      "--sets", "[0,0.5);[0.25,0.75)")):
         yield "degree_20", command
     yield "uneven_cos100", ("harmonic",)
+    yield "degree_601", ("harmonic", "--k-max", "7")
+    yield "sys_b_16", ("quasi",)
     yield "sys_a_fine", ("harmonic-from-measure",)
     yield from INPUT_ERRORS
 
